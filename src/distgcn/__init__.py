@@ -15,8 +15,8 @@ from .partition import (CommMetrics, Partition, apply_partition, block_partition
                         random_partition, volume_balanced_refine)
 from .runtime import (Comm, CommLedger, DeadlockError, ProcessGrid, SimulationError,
                       run_program)
-from .sparse import (CsrMatrix, NnzColsIndex, csr_from_dense, csr_from_edges,
-                     gcn_normalize, gemm, local_spmm, nnz_cols, transpose_csr)
+from .sparse import (CsrMatrix, csr_from_dense, csr_from_edges, gcn_normalize, gemm,
+                     local_spmm, transpose_csr)
 from .spmm import (VARIANTS, DistMatrices, build_dist_matrices, run_spmm,
                    serial_reference, spmm_kernel)
 
@@ -24,12 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Comm", "CommLedger", "CommMetrics", "CostParams", "CsrMatrix",
-    "DeadlockError", "DistMatrices", "NnzColsIndex", "Partition", "ProcessGrid",
+    "DeadlockError", "DistMatrices", "Partition", "ProcessGrid",
     "SerialGcn", "SimulationError", "TrainConfig", "VARIANTS",
     "apply_partition", "block_partition", "build_dist_matrices", "comm_metrics",
     "confront", "csr_from_dense", "csr_from_edges", "edgecut", "gcn_normalize",
     "gemm", "greedy_tv_partition", "imbalance_pct", "init_weights", "local_spmm",
-    "nnz_cols", "predict_1d", "predict_15d", "random_partition", "run_program",
+    "predict_1d", "predict_15d", "random_partition", "run_program",
     "run_spmm", "serial_reference", "serial_train", "softmax_xent", "spmm_kernel",
     "train", "transpose_csr", "volume_balanced_refine",
 ]

@@ -201,6 +201,8 @@ def _check_train_inputs(features, labels, train_mask):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(train_mask, dtype=bool)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {features.shape}")
     if not (features.shape[0] == labels.shape[0] == mask.shape[0]):
         raise ValueError("features, labels and train_mask must agree on the vertex count")
     if int(mask.sum()) == 0:

@@ -240,6 +240,8 @@ def apply_partition(a: CsrMatrix, h, part: Partition):
         raise ValueError("partition does not match the matrix")
     if h is not None:
         h = np.asarray(h, dtype=np.float64)
+        if h.ndim != 2:
+            raise ValueError(f"dense operand h must be 2-D, got shape {h.shape}")
         if h.shape[0] != a.n_rows:
             raise ValueError("row count of h must match the matrix")
     perm = part.perm

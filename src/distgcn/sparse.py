@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "CsrMatrix",
-    "NnzColsIndex",
     "csr_from_coo",
     "csr_from_dense",
     "csr_from_edges",
@@ -22,9 +21,14 @@ __all__ = [
     "gcn_normalize",
     "gemm",
     "local_spmm",
-    "nnz_cols",
     "transpose_csr",
 ]
+
+
+# Gathered values one local_spmm slice holds (1 MiB of float64). Many rank
+# threads multiply at once; unbounded nnz x f temporaries raised the peak
+# memory of a p=8, f=128 training run by a tenth.
+_SPMM_STEP_ELEMS = 1 << 17
 
 
 @dataclass
@@ -59,7 +63,8 @@ class CsrMatrix:
         if self.col_idx.size:
             if self.col_idx.min() < 0 or self.col_idx.max() >= self.n_cols:
                 raise ValueError("column index out of range")
-            same_row = self.row_of_nnz()[1:] == self.row_of_nnz()[:-1]
+            rows = self.row_of_nnz()
+            same_row = rows[1:] == rows[:-1]
             if np.any(same_row & (np.diff(self.col_idx) <= 0)):
                 raise ValueError("column indices must be strictly increasing within each row")
 
@@ -89,22 +94,6 @@ class CsrMatrix:
     def copy(self) -> "CsrMatrix":
         return CsrMatrix(self.n_rows, self.n_cols, self.row_ptr.copy(),
                          self.col_idx.copy(), self.values.copy())
-
-
-@dataclass
-class NnzColsIndex:
-    """Sorted local column indices that hold at least one stored entry of
-    one block of a partitioned sparse matrix.
-
-    Membership is structural: a stored entry with value 0.0 still marks its
-    column as occupied.
-    """
-
-    owner_block: tuple
-    indices: np.ndarray
-
-    def __len__(self):
-        return int(self.indices.size)
 
 
 def csr_from_coo(n_rows, n_cols, rows, cols, vals, drop_zeros=True) -> CsrMatrix:
@@ -208,9 +197,13 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
 def local_spmm(a: CsrMatrix, h) -> np.ndarray:
     """Sparse-times-dense product a @ h.
 
-    Accumulation follows storage order (row-major, ascending column), so
-    repeated runs are bit-identical and block-structured callers can rely
-    on a fixed summation order.
+    Each output entry starts at 0.0 and adds its row's terms in storage
+    order (ascending column), so repeated runs are bit-identical, and a
+    caller that renumbers columns in ascending order (as the halo layout
+    of `distgcn.spmm` does) keeps the summation order of the original
+    matrix. Entries go in storage-order slices of at most
+    `_SPMM_STEP_ELEMS` gathered values, which bounds the temporaries
+    without changing that order.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
@@ -218,8 +211,12 @@ def local_spmm(a: CsrMatrix, h) -> np.ndarray:
     if a.n_cols != h.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {h.shape}")
     out = np.zeros((a.n_rows, h.shape[1]))
-    if a.nnz:
-        np.add.at(out, a.row_of_nnz(), a.values[:, None] * h[a.col_idx])
+    rows = a.row_of_nnz()
+    step = max(1, _SPMM_STEP_ELEMS // max(1, h.shape[1]))
+    for lo in range(0, a.nnz, step):
+        terms = h[a.col_idx[lo:lo + step]]
+        terms *= a.values[lo:lo + step, None]
+        np.add.at(out, rows[lo:lo + step], terms)
     return out
 
 
@@ -246,21 +243,3 @@ def transpose_csr(a: CsrMatrix) -> CsrMatrix:
     np.cumsum(counts, out=row_ptr[1:])
     return CsrMatrix(a.n_cols, a.n_rows, row_ptr, a.row_of_nnz()[order], a.values[order])
 
-
-def nnz_cols(a: CsrMatrix, block, boundaries) -> NnzColsIndex:
-    """Occupied local columns of one block of a row/column partitioned matrix.
-
-    `block` is an (i, j) pair of block coordinates and `boundaries` is
-    either a Partition or a sequence of (start, end) row ranges defining
-    the block grid. Indices are local to block column j.
-    """
-    bounds = getattr(boundaries, "boundaries", boundaries)
-    i, j = block
-    if not (0 <= i < len(bounds) and 0 <= j < len(bounds)):
-        raise ValueError(f"block ({i}, {j}) outside the {len(bounds)}-way block grid")
-    r0, r1 = bounds[i]
-    c0, c1 = bounds[j]
-    lo, hi = a.row_ptr[r0], a.row_ptr[r1]
-    cols = a.col_idx[lo:hi]
-    cols = cols[(cols >= c0) & (cols < c1)]
-    return NnzColsIndex((i, j), np.unique(cols) - c0)

@@ -6,10 +6,14 @@ stages), each in a sparsity-oblivious form that ships whole block rows of
 the dense operand and a sparsity-aware form that ships only the rows
 matching occupied columns of the relevant sparse blocks.
 
-Every variant accumulates its local result over source blocks in
-ascending order, so the oblivious and aware forms of a family produce
-bit-identical outputs and the replicated schedule with c=1 reproduces the
-1D one exactly.
+Each process holds one local operand per phase: its block row restricted
+to the block columns of its stages, with columns compressed to the
+occupied global columns in ascending order (a halo layout). A phase
+stacks the rows it holds or receives in ascending source order and makes
+one local multiply, so every entry accumulates in ascending global
+column. The oblivious and aware forms therefore produce bit-identical
+outputs, and the 1D variants and the replicated schedule with c=1 both
+reproduce `serial_reference` of the partitioned matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -39,31 +43,36 @@ VARIANTS = ("1d-oblivious", "1d-sparse", "15d-oblivious", "15d-sparse")
 
 @dataclass
 class DistOperand:
-    """One sparse operand split into a grid of blocks.
+    """One sparse operand in halo layout.
 
-    blocks[i][j] holds the rows of block row i restricted to block column
-    j, with column indices local to that block. nnz_cols[(i, j)] caches
-    the occupied local columns of blocks[i][j]; block row widths mirror
-    the boundary sizes.
+    Block columns are split into column groups of s consecutive blocks,
+    the s = p/c**2 stages of the grid (one group of all p blocks in 1D).
+    local[(i, g)] holds the rows of block row i restricted to column group
+    g, with its columns compressed to the occupied global columns of that
+    range in ascending order. Those columns are, block by block,
+    nnz_cols[(i, j)]: the occupied columns of block (i, j), local to block
+    column j, in ascending order. A stored entry with value 0.0 still
+    occupies its column. widths[j] is the row count of block row j.
     """
 
-    blocks: list
+    local: dict
     nnz_cols: dict
     widths: list
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.widths)
 
 
 @dataclass
 class DistMatrices:
-    """Block layout of the multiply operands on a process grid.
+    """Halo layout of the multiply operands on a process grid.
 
-    `fwd` holds the blocks of the transposed adjacency (the operand of the
-    forward product); `bwd` holds the blocks of the adjacency itself and
-    aliases `fwd` when the matrix is symmetric. With c > 1 each process in
-    a grid row works from the same block row, so one copy is stored.
+    `fwd` holds the transposed adjacency (the operand of the forward
+    product); `bwd` holds the adjacency itself and aliases `fwd` when the
+    matrix is symmetric. Process (i, j) multiplies with local[(i, j)] of
+    either operand, so the c processes of grid row i hold the c column
+    groups of block row i and sum their partial products.
     """
 
     grid: ProcessGrid
@@ -77,43 +86,41 @@ class DistMatrices:
         return self.bwd is self.fwd
 
 
-def _extract_operand(mat: CsrMatrix, boundaries) -> DistOperand:
+def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
     nb = len(boundaries)
-    blocks = []
-    cache = {}
     widths = [e - s for s, e in boundaries]
     starts = np.array([s for s, _ in boundaries] + [mat.n_cols], dtype=np.int64)
     row_all = mat.row_of_nnz()
+    local, cache = {}, {}
     for i, (r0, r1) in enumerate(boundaries):
         lo, hi = mat.row_ptr[r0], mat.row_ptr[r1]
         rows = row_all[lo:hi] - r0
-        cols = mat.col_idx[lo:hi]
-        vals = mat.values[lo:hi]
-        owner = np.searchsorted(starts, cols, side="right") - 1
-        row_blocks = []
+        halo, comp = np.unique(mat.col_idx[lo:hi], return_inverse=True)
+        # halo is ascending, so each block column owns one contiguous run
+        cuts = np.searchsorted(halo, starts)
         for j in range(nb):
-            sel = owner == j
-            sub_rows, sub_cols = rows[sel], cols[sel] - starts[j]
-            counts = (np.bincount(sub_rows, minlength=r1 - r0)
-                      if sub_rows.size else np.zeros(r1 - r0, np.int64))
+            cache[(i, j)] = halo[cuts[j]:cuts[j + 1]] - starts[j]
+        for g in range(nb // stages):
+            c0, c1 = cuts[g * stages], cuts[(g + 1) * stages]
+            sel = (comp >= c0) & (comp < c1)
+            counts = np.bincount(rows[sel], minlength=r1 - r0)
             row_ptr = np.zeros(r1 - r0 + 1, dtype=np.int64)
             np.cumsum(counts, out=row_ptr[1:])
-            block = CsrMatrix(r1 - r0, widths[j], row_ptr, sub_cols, vals[sel])
-            row_blocks.append(block)
-            cache[(i, j)] = np.unique(sub_cols)
-        blocks.append(row_blocks)
-    return DistOperand(blocks, cache, widths)
+            local[(i, g)] = CsrMatrix(r1 - r0, c1 - c0, row_ptr,
+                                      comp[sel] - c0, mat.values[lo:hi][sel])
+    return DistOperand(local, cache, widths)
 
 
 def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid) -> DistMatrices:
-    """Split a (already permuted to match `boundaries`) into the block
+    """Split a (already permuted to match `boundaries`) into the halo
     layout for `grid`. Needs one block row per grid row."""
     bounds = list(getattr(boundaries, "boundaries", boundaries))
     if len(bounds) != grid.n_rows:
         raise ValueError(f"need {grid.n_rows} block rows for this grid, got {len(bounds)}")
+    stages = grid.stage_count()
     at = transpose_csr(a)
-    fwd = _extract_operand(at, bounds)
-    bwd = fwd if csr_equal(at, a) else _extract_operand(a, bounds)
+    fwd = _extract_operand(at, bounds, stages)
+    bwd = fwd if csr_equal(at, a) else _extract_operand(a, bounds, stages)
     return DistMatrices(grid, bounds, fwd, bwd, a.n_rows)
 
 
@@ -163,67 +170,51 @@ def exchange_index_lists(comm: Comm, op: DistOperand, variant: str):
                     comm.recv(grid.rank_of(l, j), tag=(tag, k))
 
 
-def _scatter(idx, payload, width, f) -> np.ndarray:
-    buf = np.zeros((width, f))
-    buf[idx] = payload
-    return buf
-
-
 def _kernel_1d_oblivious(comm: Comm, op: DistOperand, h_block):
     r = comm.rank
-    f = h_block.shape[1]
-    z = np.zeros((op.blocks[r][r].n_rows, f))
+    halo = []
     for j in range(comm.p):
         hj = comm.broadcast(j, h_block if j == r else None)
-        z += local_spmm(op.blocks[r][j], hj)
-    return z
+        halo.append(hj[op.nnz_cols[(r, j)]])
+    return local_spmm(op.local[(r, 0)], np.vstack(halo))
 
 
 def _kernel_1d_sparse(comm: Comm, op: DistOperand, h_block):
     r = comm.rank
-    f = h_block.shape[1]
-    sends = [h_block[op.nnz_cols[(dst, r)]] for dst in range(comm.p)]
-    received = comm.all_to_allv(sends)
-    z = np.zeros((op.blocks[r][r].n_rows, f))
-    for j in range(comm.p):
-        hj = _scatter(op.nnz_cols[(r, j)], received[j], op.widths[j], f)
-        z += local_spmm(op.blocks[r][j], hj)
-    return z
+    # received rows come in ascending source order, which is halo order;
+    # nothing but the stacked halo stays alive through the multiply
+    halo = np.vstack(comm.all_to_allv([h_block[op.nnz_cols[(dst, r)]]
+                                       for dst in range(comm.p)]))
+    return local_spmm(op.local[(r, 0)], halo)
 
 
 def _kernel_15d(comm: Comm, op: DistOperand, h_block, sparse):
     grid = comm.grid
     i, j = comm.coords
     s = grid.stage_count()
-    f = h_block.shape[1]
     tag = ("spmm", comm.next_phase())
-    z = np.zeros((op.blocks[i][i].n_rows, f))
+    halo = []
     for k in range(s):
         q = j * s + k
+        idx = op.nnz_cols[(i, q)]
         if q == i:
             # this process owns the stage's block row: serve its column
             for l in range(grid.n_rows):
                 if l == i:
                     continue
                 if sparse:
-                    idx = op.nnz_cols[(l, q)]
-                    if idx.size == 0:
+                    need = op.nnz_cols[(l, q)]
+                    if need.size == 0:
                         continue
-                    comm.isend(grid.rank_of(l, j), h_block[idx], tag=(tag, k))
+                    comm.isend(grid.rank_of(l, j), h_block[need], tag=(tag, k))
                 else:
                     comm.isend(grid.rank_of(l, j), h_block, tag=(tag, k))
-            hq = (_scatter(op.nnz_cols[(i, q)], h_block[op.nnz_cols[(i, q)]],
-                           op.widths[q], f) if sparse else h_block)
-        elif sparse:
-            idx = op.nnz_cols[(i, q)]
-            if idx.size:
-                payload = comm.recv(grid.rank_of(q, j), tag=(tag, k))
-                hq = _scatter(idx, payload, op.widths[q], f)
-            else:
-                hq = np.zeros((op.widths[q], f))
-        else:
-            hq = comm.recv(grid.rank_of(q, j), tag=(tag, k))
-        z += local_spmm(op.blocks[i][q], hq)
+            halo.append(h_block[idx])
+        elif not sparse:
+            halo.append(comm.recv(grid.rank_of(q, j), tag=(tag, k))[idx])
+        elif idx.size:
+            halo.append(comm.recv(grid.rank_of(q, j), tag=(tag, k)))
+    z = local_spmm(op.local[(i, j)], np.vstack(halo) if halo else h_block[:0])
     return comm.all_reduce_sum(z, group=grid.row_group(i))
 
 

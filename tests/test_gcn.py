@@ -178,6 +178,20 @@ def test_empty_mask_rejected():
         serial_train(a, features, labels, np.zeros(8, dtype=bool), cfg)
 
 
+def test_serial_train_rejects_1d_features():
+    a, features, labels, mask = random_problem(9)
+    cfg = TrainConfig(epochs=1, variant="serial")
+    with pytest.raises(ValueError, match="features must be 2-D"):
+        serial_train(a, features[:, 0], labels, mask, cfg)
+
+
+def test_train_rejects_1d_features():
+    a, features, labels, mask = random_problem(9)
+    cfg = TrainConfig(epochs=1, variant="1d-sparse")
+    with pytest.raises(ValueError, match="features must be 2-D"):
+        train(a, features[:, 0], labels, mask, cfg, p=2, c=1)
+
+
 def test_replication_invariant_all_ranks():
     a, features, labels, mask = random_problem(10, n=16)
     cfg = TrainConfig(layers=3, hidden=4, lr=0.05, epochs=3, seed=5, variant="15d-sparse")

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distgcn
 from distgcn import io
 from distgcn.cli import main
 from distgcn.partition import block_partition, random_partition
@@ -287,15 +290,19 @@ def test_cli_outputs_bit_identical_across_runs(tmp_path, argv):
 
 
 def test_cli_entrypoint_via_subprocess(tmp_path):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(distgcn.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "distgcn.cli", "partition", "--gen", "grid",
          "--n", "16", "--k", "2", "--out-dir", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     proc = subprocess.run(
         [sys.executable, "-m", "distgcn.cli", "spmm-bench", "--gen", "grid",
          "--n", "16", "--p", "4", "--c", "2", "--variant", "1d-sparse",
          "--out-dir", str(tmp_path / "o2")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "c == 1" in json.loads(proc.stderr)["error"]

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from distgcn.graphgen import clique_blocks, sbm
-from distgcn.partition import block_partition, comm_metrics, greedy_tv_partition
+from distgcn.partition import (apply_partition, block_partition, comm_metrics,
+                               greedy_tv_partition)
 from distgcn.runtime import ProcessGrid
-from distgcn.sparse import csr_from_dense, gcn_normalize, nnz_cols, transpose_csr
+from distgcn.sparse import csr_from_dense, gcn_normalize, transpose_csr
 from distgcn.spmm import (VARIANTS, build_dist_matrices, run_spmm,
                           serial_reference, validate_variant_grid)
 
-from oracles import matmul_triple_loop, random_csr_dense
+from oracles import matmul_triple_loop, nnz_cols_dense_scan, random_csr_dense
 
 
 def random_instance(seed, n=24, f=3, density=0.15, symmetric=False):
@@ -21,28 +22,42 @@ def random_instance(seed, n=24, f=3, density=0.15, symmetric=False):
 
 # ---- layout construction ---------------------------------------------------
 
-def test_blocks_tile_matrix_exactly():
-    a, _ = random_instance(0, n=20)
-    part = block_partition(20, 4)
-    dm = build_dist_matrices(a, part.boundaries, ProcessGrid(4, 1))
+def test_halo_operands_tile_matrix_exactly():
+    a, _ = random_instance(0, n=22)
     at = transpose_csr(a).to_dense()
-    for i in range(4):
-        r0, r1 = part.boundaries[i]
-        for j in range(4):
-            c0, c1 = part.boundaries[j]
-            np.testing.assert_array_equal(dm.fwd.blocks[i][j].to_dense(),
-                                          at[r0:r1, c0:c1])
+    for p, c in ((4, 1), (8, 2)):
+        grid = ProcessGrid(p, c)
+        part = block_partition(22, grid.n_rows)
+        dm = build_dist_matrices(a, part.boundaries, grid)
+        s = grid.stage_count()
+        for i, (r0, r1) in enumerate(part.boundaries):
+            for g in range(c):
+                group = range(g * s, (g + 1) * s)
+                halo = np.concatenate([dm.fwd.nnz_cols[(i, j)] + part.boundaries[j][0]
+                                       for j in group])
+                assert np.all(np.diff(halo) > 0)
+                local = dm.fwd.local[(i, g)]
+                assert local.shape == (r1 - r0, halo.size)
+                expanded = np.zeros((r1 - r0, 22))
+                expanded[:, halo] = local.to_dense()
+                c0, c1 = part.boundaries[group[0]][0], part.boundaries[group[-1]][1]
+                expected = np.zeros((r1 - r0, 22))
+                expected[:, c0:c1] = at[r0:r1, c0:c1]
+                np.testing.assert_array_equal(expanded, expected)
 
 
 def test_nnz_cache_matches_fresh_computation():
     a, _ = random_instance(1, n=18)
-    part = block_partition(18, 3)
-    dm = build_dist_matrices(a, part.boundaries, ProcessGrid(3, 1))
-    at = transpose_csr(a)
-    for i in range(3):
-        for j in range(3):
-            fresh = nnz_cols(at, (i, j), part.boundaries)
-            np.testing.assert_array_equal(dm.fwd.nnz_cols[(i, j)], fresh.indices)
+    part = greedy_tv_partition(a, 3)
+    a2, _ = apply_partition(a, None, part)
+    dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(3, 1))
+    assert not dm.symmetric
+    dense = a2.to_dense()
+    for op, mat in ((dm.fwd, dense.T), (dm.bwd, dense)):
+        for i in range(3):
+            for j in range(3):
+                expected = nnz_cols_dense_scan(mat, part.boundaries, i, j)
+                assert op.nnz_cols[(i, j)].tolist() == expected
 
 
 def test_symmetric_matrix_shares_operand():
@@ -97,6 +112,21 @@ def test_variants_match_oracle_on_variable_boundaries():
     for variant in ("1d-oblivious", "1d-sparse"):
         run = run_spmm(a, h, 3, 1, variant, partition=part)
         np.testing.assert_allclose(run.z, serial_reference(a, h), atol=1e-10)
+
+
+def test_c1_variants_match_serial_reference_bitwise():
+    # every c=1 variant accumulates in ascending column of the partitioned
+    # matrix, as the serial product of that matrix does
+    a, h = random_instance(37, n=40, f=5, density=0.3, symmetric=True)
+    for part in (block_partition(40, 4), greedy_tv_partition(a, 4)):
+        a2, h2 = apply_partition(a, h, part)
+        ref = serial_reference(a2, h2)[part.perm]
+        for variant in VARIANTS:
+            run = run_spmm(a, h, 4, 1, variant, partition=part)
+            assert np.array_equal(run.z, ref), variant
+    # the block partition keeps the vertex order, so there the product is
+    # bitwise the unpermuted one
+    assert np.array_equal(run_spmm(a, h, 4, 1, "1d-sparse").z, serial_reference(a, h))
 
 
 # ---- volumes ---------------------------------------------------------------
@@ -221,6 +251,12 @@ def test_run_rejects_wrong_partition_size():
     a, h = random_instance(29, n=16)
     with pytest.raises(ValueError, match="parts"):
         run_spmm(a, h, 4, 1, "1d-sparse", partition=block_partition(16, 3))
+
+
+def test_run_rejects_1d_dense_operand():
+    a, h = random_instance(29, n=16)
+    with pytest.raises(ValueError, match="must be 2-D"):
+        run_spmm(a, h[:, 0], 4, 1, "1d-sparse")
 
 
 def test_gather_respects_partition_permutation():
