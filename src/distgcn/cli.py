@@ -337,7 +337,7 @@ def main(argv=None) -> int:
         json.dump({"error": str(exc), **exc.details}, sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
         return 2
-    except (ValueError, io.ParseError) as exc:
+    except (ValueError, FloatingPointError, io.ParseError) as exc:
         json.dump({"error": str(exc)}, sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
         return 2

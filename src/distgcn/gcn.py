@@ -6,7 +6,9 @@ multiply in the forward direction and one in the backward direction
 (2*(layers-1) collective multiply phases in total) plus one small
 weight-gradient all-reduce per weight layer. Weights are replicated:
 every rank initializes them from the same seed and applies bit-identical
-updates, so no weight broadcast is ever needed.
+updates, so no weight broadcast is ever needed; the same holds for the
+non-finite check after each update, which every rank makes locally and
+fails at the same epoch without any extra communication.
 
 The serial path runs the identical arithmetic on the undistributed
 matrices and is the correctness reference for the distributed one.
@@ -43,19 +45,17 @@ class TrainConfig:
 
     `layers` counts representation levels (input features are level 0), so
     layers=3 trains two weight matrices with one hidden level of width
-    `hidden`. `variant` selects the distributed multiply or "serial" for
-    the reference path.
+    `hidden` and ReLU activations; the output width is the number of
+    classes, labels.max() + 1. `variant` selects the distributed multiply
+    or "serial" for the reference path.
     """
 
     layers: int = 3
     hidden: int = 16
     lr: float = 0.01
     epochs: int = 100
-    activation: str = "relu"
     seed: int = 0
     variant: str = "1d-sparse"
-    f_in: int = None
-    f_out: int = None
 
     def __post_init__(self):
         if self.layers < 2:
@@ -66,8 +66,6 @@ class TrainConfig:
             raise ValueError("learning rate must be non-negative")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     def layer_dims(self, f_in, f_out):
         return [f_in] + [self.hidden] * (self.layers - 2) + [f_out]
@@ -203,6 +201,8 @@ def _check_train_inputs(features, labels, train_mask):
     mask = np.asarray(train_mask, dtype=bool)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite (found NaN or inf)")
     if not (features.shape[0] == labels.shape[0] == mask.shape[0]):
         raise ValueError("features, labels and train_mask must agree on the vertex count")
     if int(mask.sum()) == 0:
@@ -210,11 +210,18 @@ def _check_train_inputs(features, labels, train_mask):
     return features, labels, mask
 
 
+def _check_finite_weights(weights, epoch):
+    """Stop a diverged run instead of training on with inf/NaN weights."""
+    if not all(np.isfinite(w).all() for w in weights):
+        raise FloatingPointError(
+            f"weights became non-finite in epoch {epoch}; training diverged "
+            "(a smaller learning rate may help)")
+
+
 def serial_train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig) -> TrainResult:
     """Full-batch gradient descent on one process; the reference run."""
     features, labels, mask = _check_train_inputs(features, labels, train_mask)
-    f_out = cfg.f_out if cfg.f_out is not None else int(labels.max()) + 1
-    weights = init_weights(cfg, features.shape[1], f_out)
+    weights = init_weights(cfg, features.shape[1], int(labels.max()) + 1)
     net = SerialGcn(a_hat, weights)
     denom = int(mask.sum())
     history = []
@@ -224,6 +231,7 @@ def serial_train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfi
         ys = net.backward(grad)
         for w, y in zip(weights, ys):
             w -= cfg.lr * y
+        _check_finite_weights(weights, epoch)
         history.append({"epoch": epoch, "loss": float(loss_sum / denom),
                         "train_acc": float(correct / denom)})
     return TrainResult(history, weights)
@@ -253,9 +261,8 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
     inv = part.inv_perm
     labels2, mask2 = labels[inv], mask[inv]
     dm = build_dist_matrices(a2, part.boundaries, grid)
-    f_out = cfg.f_out if cfg.f_out is not None else int(labels.max()) + 1
     denom = int(mask.sum())
-    weights0 = init_weights(cfg, features.shape[1], f_out)
+    weights0 = init_weights(cfg, features.shape[1], int(labels.max()) + 1)
 
     def program(comm):
         i, j = comm.coords
@@ -283,6 +290,7 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
                 if l > 0:
                     g = gemm(m, ws[l].T) * relu_grad(zs[l - 1])
                 ws[l] -= cfg.lr * y
+            _check_finite_weights(ws, epoch)
             stats[epoch] = (loss_sum, correct)
             comm.ledger_mark(("epoch", epoch))
         return {"stats": stats, "weights": ws}

@@ -4,6 +4,11 @@ Provides the block and random baselines, a BFS-grown partitioner refined
 for total edgecut, and a move-based refiner that additionally drives down
 the bottleneck part's send volume. Send volume is counted in dense-matrix
 rows; multiply by the feature width and 8 to get bytes.
+
+Both refiners keep one vertex-by-part table of neighbor counts, built by
+`_part_counts`, and score all of a vertex's target parts with array
+operations on it; `comm_metrics` applies the same foreign-part rule to the
+distinct (vertex, neighbor part) pairs of the matrix.
 """
 
 from __future__ import annotations
@@ -202,29 +207,22 @@ def comm_metrics(a: CsrMatrix, part: Partition, f=1) -> CommMetrics:
     """Exact per-part send volumes for one sparsity-aware multiply.
 
     A vertex contributes one row for every foreign part that holds an
-    out-neighbor; the block-pair counts feeding cut_p are accumulated from
-    the same scan.
+    out-neighbor; the block-pair counts feeding cut_p come from the same
+    distinct (vertex, neighbor part) pairs.
     """
     if a.n_rows != a.n_cols or a.n_rows != part.n:
         raise ValueError("partition does not match the matrix")
     k = part.k
     assign = part.assignment
-    send = np.zeros(k, dtype=np.int64)
-    pair_rows = np.zeros((k, k), dtype=np.int64)
-    for v in range(a.n_rows):
-        cols, _ = a.row(v)
-        if cols.size == 0:
-            continue
-        nbr_parts = np.unique(assign[cols])
-        own = assign[v]
-        foreign = nbr_parts[nbr_parts != own]
-        send[own] += foreign.size
-        pair_rows[foreign, own] += 1
+    v, t = np.divmod(np.unique(a.row_of_nnz() * k + assign[a.col_idx]), k)
+    own = assign[v]
+    foreign = t != own
+    send = np.bincount(own[foreign], minlength=k)
+    pair_rows = np.bincount(t[foreign] * k + own[foreign])
     total = int(send.sum())
-    mx = float(send.max()) if k else 0.0
+    mx = float(send.max())
     avg = total / k
-    off_diag = pair_rows[~np.eye(k, dtype=bool)]
-    cut_p = int(off_diag.max()) if off_diag.size else 0
+    cut_p = int(pair_rows.max()) if pair_rows.size else 0
     return CommMetrics(send, total, mx, avg, imbalance_pct(avg, mx), cut_p, f)
 
 
@@ -312,30 +310,32 @@ def _bfs_order(pat: CsrMatrix) -> np.ndarray:
     return order
 
 
+def _part_counts(m: CsrMatrix, assignment, k) -> np.ndarray:
+    """counts[v, t]: off-diagonal entries of row v whose column lies in part t."""
+    rows, cols = m.row_of_nnz(), m.col_idx
+    off = rows != cols
+    keys = rows[off] * k + assignment[cols[off]]
+    return np.bincount(keys, minlength=m.n_rows * k).reshape(m.n_rows, k)
+
+
 def _refine_edgecut(pat, assignment, k, weight, cap, max_passes):
-    n = pat.n_rows
-    nbr_cnt = np.zeros((n, k), dtype=np.int64)
-    for v in range(n):
-        np.add.at(nbr_cnt[v], assignment[pat.row(v)[0]], 1)
+    nbr_cnt = _part_counts(pat, assignment, k)
     part_w = np.bincount(assignment, weights=weight, minlength=k)
     for _ in range(max_passes):
         moved = 0
-        for v in range(n):
+        for v in range(pat.n_rows):
             s = assignment[v]
-            best_t, best_delta = -1, 0
-            for t in range(k):
-                if t == s or part_w[t] + weight[v] > cap:
-                    continue
-                delta = nbr_cnt[v, s] - nbr_cnt[v, t]
-                if delta < best_delta:
-                    best_t, best_delta = t, delta
-            if best_t >= 0:
-                assignment[v] = best_t
+            allowed = part_w + weight[v] <= cap
+            allowed[s] = False
+            delta = np.where(allowed, nbr_cnt[v, s] - nbr_cnt[v], 0)
+            t = int(np.argmin(delta))
+            if delta[t] < 0:
+                assignment[v] = t
                 part_w[s] -= weight[v]
-                part_w[best_t] += weight[v]
+                part_w[t] += weight[v]
                 nbrs = pat.row(v)[0]
                 nbr_cnt[nbrs, s] -= 1
-                nbr_cnt[nbrs, best_t] += 1
+                nbr_cnt[nbrs, t] += 1
                 moved += 1
         if moved == 0:
             break
@@ -351,6 +351,13 @@ def volume_balanced_refine(a: CsrMatrix, part: Partition, lambda_max=None,
     vertices in ascending id and breaking score ties toward the lowest
     target part. The score is monotone non-increasing across passes and
     the input is returned unchanged when no move helps.
+
+    The state is the vertex-by-part table of out-neighbor counts, self-loops
+    ignored; a vertex sends one row per foreign part with a nonzero count.
+    Moving v from s to t changes the send rows of v and of its in-neighbors
+    u only: u stops sending to s when v was its last out-neighbor there and
+    starts sending to t when it had none there. All targets of v are
+    scored at once as a (targets x k) array of per-part send-row changes.
     """
     if a.n_rows != a.n_cols or a.n_rows != part.n:
         raise ValueError("partition does not match the matrix")
@@ -364,17 +371,8 @@ def volume_balanced_refine(a: CsrMatrix, part: Partition, lambda_max=None,
     cap = max((1.0 + epsilon) * weight.sum() / k, float(weight.max()))
     part_w = np.bincount(assignment, weights=weight, minlength=k)
 
-    # out_cnt[v, t]: out-neighbors of v living in part t (self-loops ignored)
-    out_cnt = np.zeros((n, k), dtype=np.int64)
-    for v in range(n):
-        cols = a.row(v)[0]
-        np.add.at(out_cnt[v], assignment[cols[cols != v]], 1)
-
-    def contribution(v, own):
-        c = int(np.count_nonzero(out_cnt[v]))
-        return c - 1 if out_cnt[v, own] > 0 else c
-
-    contrib = np.array([contribution(v, assignment[v]) for v in range(n)], dtype=np.int64)
+    out_cnt = _part_counts(a, assignment, k)
+    contrib = np.count_nonzero(out_cnt, axis=1) - (out_cnt[np.arange(n), assignment] > 0)
     part_send = np.zeros(k, dtype=np.int64)
     np.add.at(part_send, assignment, contrib)
 
@@ -384,43 +382,35 @@ def volume_balanced_refine(a: CsrMatrix, part: Partition, lambda_max=None,
             s = int(assignment[v])
             in_nbrs = at.row(v)[0]
             in_nbrs = in_nbrs[in_nbrs != v]
-            targets = set(np.flatnonzero(out_cnt[v]).tolist())
-            targets.update(assignment[in_nbrs].tolist())
-            targets.discard(s)
-            best = None  # (delta_cost, t, send_delta dict, new contribs)
-            for t in sorted(targets):
-                if part_w[t] + weight[v] > cap:
-                    continue
-                delta = {s: 0, t: 0}
-                new_contrib = {v: contribution(v, t)}
-                delta[s] = delta.get(s, 0) - contrib[v]
-                delta[t] = delta.get(t, 0) + new_contrib[v]
-                for u in in_nbrs:
-                    du = 0
-                    own_u = int(assignment[u])
-                    if s != own_u and out_cnt[u, s] == 1:
-                        du -= 1
-                    if t != own_u and out_cnt[u, t] == 0:
-                        du += 1
-                    if du:
-                        new_contrib[int(u)] = contrib[u] + du
-                        delta[own_u] = delta.get(own_u, 0) + du
-                d_total = sum(delta.values())
-                new_send = part_send.copy()
-                for p_id, d in delta.items():
-                    new_send[p_id] += d
-                d_cost = d_total + lambda_max * (new_send.max() - part_send.max())
-                if d_cost < 0 and (best is None or d_cost < best[0]):
-                    best = (d_cost, t, delta, new_contrib)
-            if best is None:
+            own = assignment[in_nbrs]
+            cand = out_cnt[v] > 0
+            cand[own] = True
+            cand[s] = False
+            cand &= part_w + weight[v] <= cap
+            targets = np.flatnonzero(cand)
+            if targets.size == 0:
                 continue
-            _, t, delta, new_contrib = best
+            # send[i, q]: change of part q's send rows if v moves to targets[i]
+            v_contrib = np.count_nonzero(out_cnt[v]) - (out_cnt[v, targets] > 0)
+            stops = (own != s) & (out_cnt[in_nbrs, s] == 1)
+            starts = (own[:, None] != targets) & (out_cnt[in_nbrs[:, None], targets] == 0)
+            u_idx, t_idx = np.nonzero(starts)
+            send = np.bincount(t_idx * k + own[u_idx],
+                               minlength=targets.size * k).reshape(targets.size, k)
+            send -= np.bincount(own[stops], minlength=k)
+            send[:, s] -= contrib[v]
+            send[np.arange(targets.size), targets] += v_contrib
+            cost = send.sum(axis=1) + lambda_max * (
+                (part_send + send).max(axis=1) - part_send.max())
+            best = int(np.argmin(cost))
+            if cost[best] >= 0:
+                continue
+            t = int(targets[best])
+            contrib[v] = v_contrib[best]
+            contrib[in_nbrs] += starts[:, best].astype(np.int64) - stops
             out_cnt[in_nbrs, s] -= 1
             out_cnt[in_nbrs, t] += 1
-            for u, c in new_contrib.items():
-                contrib[u] = c
-            for p_id, d in delta.items():
-                part_send[p_id] += d
+            part_send += send[best]
             part_w[s] -= weight[v]
             part_w[t] += weight[v]
             assignment[v] = t

@@ -31,7 +31,6 @@ __all__ = [
     "CommLedger",
     "Comm",
     "DeadlockError",
-    "Message",
     "ProcessGrid",
     "RunResult",
     "SimulationError",
@@ -99,14 +98,6 @@ class ProcessGrid:
         if self.p % (self.c * self.c) != 0:
             raise ValueError(f"c*c must divide p (p={self.p}, c={self.c})")
         return self.p // (self.c * self.c)
-
-
-@dataclass
-class Message:
-    src: int
-    dst: int
-    tag: object
-    payload: np.ndarray
 
 
 class CommLedger:
@@ -316,8 +307,7 @@ class Comm:
         arr = _as_payload(payload)
         rt = self._rt
         with rt.cond:
-            rt.mail.setdefault((self.rank, dst, tag), deque()).append(
-                Message(self.rank, dst, tag, arr))
+            rt.mail.setdefault((self.rank, dst, tag), deque()).append(arr)
             if dst != self.rank:
                 nbytes = arr.size * 8
                 kind = CommLedger._kind(arr)
@@ -335,13 +325,13 @@ class Comm:
         with rt.cond:
             rt._wait_until(self.rank, lambda: rt.mail.get(key),
                            ("recv", src, self.rank, tag))
-            msg = rt.mail[key].popleft()
+            payload = rt.mail[key].popleft()
             if not rt.mail[key]:
                 del rt.mail[key]
             if src != self.rank:
-                rt.ledger.charge_recv("p2p", self.rank, msg.payload.size * 8,
-                                      CommLedger._kind(msg.payload))
-        return msg.payload
+                rt.ledger.charge_recv("p2p", self.rank, payload.size * 8,
+                                      CommLedger._kind(payload))
+        return payload
 
     # ---- collectives --------------------------------------------------
 
@@ -464,10 +454,6 @@ class Comm:
             return outputs
 
         return self._collective("allreduce", group, payload, complete)
-
-    def barrier(self):
-        group = tuple(range(self.p))
-        self._collective("barrier", group, None, lambda arrivals: {r: None for r in group})
 
     def ledger_mark(self, label):
         """Collective; snapshots the global per-primitive totals under

@@ -96,12 +96,13 @@ class CsrMatrix:
                          self.col_idx.copy(), self.values.copy())
 
 
-def csr_from_coo(n_rows, n_cols, rows, cols, vals, drop_zeros=True) -> CsrMatrix:
+def csr_from_coo(n_rows, n_cols, rows, cols, vals) -> CsrMatrix:
     """Build a canonical CSR matrix from coordinate triplets.
 
-    Duplicate coordinates are summed. Triplets are sorted by (row, col,
-    value) before reduction so the result does not depend on input order,
-    down to the bit pattern of the sums.
+    Duplicate coordinates are summed and entries whose sum is exactly zero
+    are not stored. Triplets are sorted by (row, col, value) before
+    reduction so the result does not depend on input order, down to the bit
+    pattern of the sums.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -116,10 +117,8 @@ def csr_from_coo(n_rows, n_cols, rows, cols, vals, drop_zeros=True) -> CsrMatrix
         group_start[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         starts = np.flatnonzero(group_start)
         vals = np.add.reduceat(vals, starts)
-        rows, cols = rows[starts], cols[starts]
-        if drop_zeros:
-            keep = vals != 0.0
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        keep = vals != 0.0
+        rows, cols, vals = rows[starts][keep], cols[starts][keep], vals[keep]
     counts = np.bincount(rows, minlength=n_rows) if rows.size else np.zeros(n_rows, np.int64)
     row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
@@ -175,12 +174,18 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
 
     Adds a unit self-loop to every vertex and rescales each entry by the
     inverse square roots of both endpoint degrees (degrees taken after the
-    self-loops are added). Weights are assumed non-negative. An isolated
-    vertex ends up with a single diagonal entry of 1. Symmetric input
-    yields symmetric output.
+    self-loops are added). Weights must be finite and non-negative; a
+    negative weight could make a degree zero or negative and its inverse
+    square root infinite or NaN. An isolated vertex ends up with a single
+    diagonal entry of 1. Symmetric input yields symmetric output.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("normalization requires a square matrix")
+    if not np.isfinite(a.values).all():
+        raise ValueError("normalization requires finite edge weights")
+    if a.nnz and a.values.min() < 0:
+        raise ValueError("normalization requires non-negative edge weights, "
+                         f"got {a.values.min()}")
     n = a.n_rows
     diag = np.arange(n, dtype=np.int64)
     rows = np.concatenate([a.row_of_nnz(), diag])

@@ -192,6 +192,34 @@ def test_train_rejects_1d_features():
         train(a, features[:, 0], labels, mask, cfg, p=2, c=1)
 
 
+def test_serial_train_rejects_non_finite_features():
+    a, features, labels, mask = random_problem(9)
+    cfg = TrainConfig(epochs=1, variant="serial")
+    for bad in (np.nan, np.inf):
+        features[2, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            serial_train(a, features, labels, mask, cfg)
+
+
+def test_train_rejects_non_finite_features():
+    a, features, labels, mask = random_problem(9)
+    cfg = TrainConfig(epochs=1, variant="1d-sparse")
+    for bad in (np.nan, -np.inf):
+        features[0, 0] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            train(a, features, labels, mask, cfg, p=2, c=1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_training_stops_at_first_non_finite_weight():
+    # every replica sees the same weights, so all ranks stop in the same epoch
+    a, features, labels, mask = random_problem(3, n=12)
+    for variant, p, c in [("serial", 1, 1), ("1d-sparse", 2, 1), ("15d-sparse", 4, 2)]:
+        cfg = TrainConfig(lr=1e150, epochs=20, variant=variant)
+        with pytest.raises(FloatingPointError, match="non-finite in epoch 2"):
+            train(a, features, labels, mask, cfg, p=p, c=c)
+
+
 def test_replication_invariant_all_ranks():
     a, features, labels, mask = random_problem(10, n=16)
     cfg = TrainConfig(layers=3, hidden=4, lr=0.05, epochs=3, seed=5, variant="15d-sparse")

@@ -253,6 +253,26 @@ def test_cli_train_rejects_all_unlabeled(tmp_path, capsys):
     assert "mask" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("weight, feature, lr, message", [
+    ("-3.0", "0.5", "0.01", "non-negative edge weights"),
+    ("1.0", "nan", "0.01", "features must be finite"),
+    ("1.0", "0.5", "1e300", "weights became non-finite"),
+], ids=["negative-weight", "nan-feature", "divergent-lr"])
+def test_cli_train_rejects_non_finite_runs(tmp_path, capsys, weight, feature, lr, message):
+    graph = tmp_path / "g.tsv"
+    graph.write_text(f"0\t1\t{weight}\n1\t2\n2\t3\n")
+    labels = tmp_path / "l.tsv"
+    labels.write_text("0\n1\n0\n1\n")
+    feats = tmp_path / "f.tsv"
+    feats.write_text(f"{feature}\t1.0\n0.2\t0.1\n0.3\t0.4\n1.0\t0.0\n")
+    rc = run_cli("train", "--graph", str(graph), "--labels", str(labels),
+                 "--features", str(feats), "--p", "2", "--lr", lr, "--epochs", "3",
+                 "--out-dir", str(tmp_path / "out"))
+    assert rc == 2
+    assert message in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_cli_malformed_graph_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.mtx"
     bad.write_text("%%MatrixMarket matrix coordinate real general\n"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -129,16 +131,22 @@ def test_metrics_single_part_all_zero():
 
 def test_metrics_match_brute_force():
     rng = np.random.default_rng(77)
-    dense = random_csr_dense(rng, 24, density=0.12)
-    a = csr_from_dense(dense)
-    part = block_partition(24, 3)
-    m = comm_metrics(a, part, f=4)
-    send, total = send_rows_brute_force(dense, part.assignment, 3)
-    assert m.per_part_send_rows.tolist() == send
-    assert m.total_rows == total
-    assert m.max_rows == max(send)
-    assert m.avg_rows == total / 3
-    assert m.cut_p == cut_p_brute_force(dense, part.boundaries)
+    block_dense = random_csr_dense(rng, 24, density=0.12)
+    looped = random_csr_dense(rng, 30, density=0.15)  # directed
+    np.fill_diagonal(looped, 1.0)
+    for dense, part in [(block_dense, block_partition(24, 3)),
+                        (looped, random_partition(30, 4, seed=6))]:
+        a = csr_from_dense(dense)
+        k = part.k
+        m = comm_metrics(a, part, f=4)
+        send, total = send_rows_brute_force(dense, part.assignment, k)
+        assert m.per_part_send_rows.tolist() == send
+        assert m.total_rows == total
+        assert m.max_rows == max(send)
+        assert m.avg_rows == total / k
+        # cut_p is taken over the blocks of the renumbered matrix
+        inv = part.inv_perm
+        assert m.cut_p == cut_p_brute_force(dense[np.ix_(inv, inv)], part.boundaries)
 
 
 def test_metrics_total_equals_connectivity_sum():
@@ -267,3 +275,29 @@ def test_refine_deterministic():
     r2 = volume_balanced_refine(a, part)
     assert np.array_equal(r1.assignment, r2.assignment)
     assert np.array_equal(r1.perm, r2.perm)
+
+
+def _directed_with_self_loops():
+    dense = random_csr_dense(np.random.default_rng(2024), 90, density=0.06)
+    np.fill_diagonal(dense, 1.0)
+    return csr_from_dense(dense)
+
+
+@pytest.mark.parametrize("graph, k, greedy_digest, refined_digest", [
+    (lambda: star_augmented(300, seed=0), 8,
+     "551fbcf0c45be09487d9d538a7d86ed213ee2e6376d8ec5392d3681e2dcf8f88",
+     "c17820d5b1d49b7cd73f32dc1b3b5d427e61ea9fb794e45d2e649645b63fccb6"),
+    (_directed_with_self_loops, 5,
+     "33285bbf8cdcacb3f91d6f4fad9cf5eecdad2e31979ea7314e22941e33e19143",
+     "5e66023e135dfba857b15f8b13dd5ae76ce0c8549a990ed12f007d2bda5c794d"),
+], ids=["star-augmented-k8", "directed-self-loops-k5"])
+def test_partitions_pinned(graph, k, greedy_digest, refined_digest):
+    # sha256 of assignment and perm bytes: a rewrite of the partitioners
+    # must keep every partition, down to tie-breaking between equal moves
+    def digest(part):
+        return hashlib.sha256(part.assignment.tobytes() + part.perm.tobytes()).hexdigest()
+
+    a = graph()
+    greedy = greedy_tv_partition(a, k)
+    assert digest(greedy) == greedy_digest
+    assert digest(volume_balanced_refine(a, greedy)) == refined_digest

@@ -99,6 +99,19 @@ def test_normalize_rejects_non_square():
         gcn_normalize(CsrMatrix(1, 2, [0, 0], [], []))
 
 
+def test_normalize_rejects_negative_weight():
+    a = csr_from_edges([(0, 1, -3.0)], 2, symmetrize=True)
+    with pytest.raises(ValueError, match="non-negative edge weights"):
+        gcn_normalize(a)
+
+
+def test_normalize_rejects_non_finite_weight():
+    for bad in (np.nan, np.inf):
+        a = csr_from_edges([(0, 1, 1.0), (1, 2, bad)], 3, symmetrize=True)
+        with pytest.raises(ValueError, match="finite edge weights"):
+            gcn_normalize(a)
+
+
 def test_local_spmm_identity():
     eye = csr_from_dense(np.eye(5))
     h = np.arange(15.0).reshape(5, 3)
