@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .gcn import TrainConfig, train
 from .partition import (block_partition, comm_metrics, edgecut,
                         greedy_tv_partition, random_partition,
                         volume_balanced_refine)
+from .runtime import PRIMITIVES
 from .sparse import CsrMatrix, gcn_normalize
 from .spmm import VARIANTS, run_spmm, validate_variant_grid
 
@@ -69,8 +70,9 @@ def _detect_format(path, fmt):
     return "edge-list-tsv"
 
 
-def _load_graph(cfg: ExperimentConfig):
-    """Graph plus optional features/labels, from file or generator."""
+def _read_graph(cfg: ExperimentConfig):
+    """Graph plus optional features/labels, from file or generator, as
+    read: not normalized."""
     features = labels = None
     if cfg.gen:
         if cfg.gen == "sbm":
@@ -102,6 +104,12 @@ def _load_graph(cfg: ExperimentConfig):
             raise CliError(f"cannot read graph file: {exc}") from exc
         except io.ParseError as exc:
             raise CliError(str(exc), path=exc.path, line=exc.lineno) from exc
+    return a, features, labels
+
+
+def _load_graph(cfg: ExperimentConfig):
+    """_read_graph, with the adjacency normalized unless --raw is set."""
+    a, features, labels = _read_graph(cfg)
     if not cfg.raw:
         a = gcn_normalize(a)
     return a, features, labels
@@ -130,8 +138,9 @@ def _out_dir(cfg) -> Path:
 
 
 def cmd_gen_graph(cfg: ExperimentConfig) -> int:
+    # generation always writes the raw graph; normalization happens on load
     out = _out_dir(cfg)
-    a, features, labels = _load_graph_raw_for_gen(cfg)
+    a, features, labels = _read_graph(cfg)
     if cfg.fmt == "matrix-market":
         io.save_matrix_market(out / "graph.mtx", a)
     else:
@@ -144,12 +153,6 @@ def cmd_gen_graph(cfg: ExperimentConfig) -> int:
         "n": a.n_rows, "nnz": a.nnz, "generator": cfg.gen, "seed": cfg.seed,
     })
     return 0
-
-
-def _load_graph_raw_for_gen(cfg):
-    # generation always writes the raw graph; normalization happens on load
-    raw_cfg = ExperimentConfig(**{**cfg.__dict__, "raw": True})
-    return _load_graph(raw_cfg)
 
 
 def cmd_partition(cfg: ExperimentConfig, k: int) -> int:
@@ -220,12 +223,11 @@ def cmd_train(cfg: ExperimentConfig, train_cfg: TrainConfig,
     part = _build_partition(a, k, cfg) if train_cfg.variant != "serial" else None
     result = train(a, features, labels, mask, train_cfg, p=cfg.p, c=cfg.c,
                    partition=part)
-    prims = ("p2p", "alltoallv", "broadcast", "allreduce")
     with open(out / "history.csv", "w") as fh:
-        fh.write("epoch,loss,train_acc," + ",".join(f"{p}_bytes" for p in prims) + "\n")
+        fh.write("epoch,loss,train_acc," + ",".join(f"{p}_bytes" for p in PRIMITIVES) + "\n")
         for row in result.history:
             cells = [str(row["epoch"]), repr(row["loss"]), repr(row["train_acc"])]
-            cells += [repr(float(row.get(f"{p}_bytes", 0.0))) for p in prims]
+            cells += [repr(float(row.get(f"{p}_bytes", 0.0))) for p in PRIMITIVES]
             fh.write(",".join(cells) + "\n")
     totals = result.ledger.totals() if result.ledger is not None else {}
     io.write_json(out / "summary.json", {
@@ -250,9 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Distributed GCN training simulator and partitioning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, grid=True):
-        sp.add_argument("--graph", help="path to a graph file")
-        sp.add_argument("--format", choices=["matrix-market", "edge-list-tsv"],
+    def add_common(sp, experiment=True, grid=True):
+        sp.add_argument("--graph", dest="graph_path", metavar="GRAPH",
+                        help="path to a graph file")
+        sp.add_argument("--format", dest="fmt", choices=["matrix-market", "edge-list-tsv"],
                         help="graph file format (default: by extension)")
         sp.add_argument("--gen", choices=["sbm", "grid", "star", "cliques",
                                           "star-augmented"],
@@ -260,9 +263,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=256, help="synthetic graph size")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--f", type=int, default=4, help="feature width")
+        sp.add_argument("--out-dir", default=".")
+        if not experiment:
+            return
         sp.add_argument("--raw", action="store_true",
                         help="skip adjacency normalization after ingestion")
-        sp.add_argument("--out-dir", default=".")
         sp.add_argument("--partitioner", choices=PARTITIONERS, default="block")
         sp.add_argument("--epsilon", type=float, default=0.10)
         sp.add_argument("--lambda-max", type=float, default=None)
@@ -274,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             default="1d-sparse")
 
     g = sub.add_parser("gen-graph", help="write a synthetic graph to disk")
-    add_common(g, grid=False)
+    add_common(g, experiment=False)
 
     pt = sub.add_parser("partition", help="partition a graph and report volumes")
     add_common(pt, grid=False)
@@ -299,23 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        graph_path=args.graph,
-        fmt=args.format,
-        gen=args.gen,
-        n=args.n,
-        p=getattr(args, "p", 1),
-        c=getattr(args, "c", 1),
-        variant=getattr(args, "variant", "1d-sparse"),
-        partitioner=args.partitioner,
-        epsilon=args.epsilon,
-        lambda_max=args.lambda_max,
-        max_passes=args.max_passes,
-        f=args.f,
-        seed=args.seed,
-        raw=args.raw,
-        out_dir=args.out_dir,
-    )
+    # flags a subcommand does not register keep the dataclass defaults
+    names = {f.name for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def main(argv=None) -> int:

@@ -129,6 +129,8 @@ def validate_variant_grid(variant, p, c):
     naming the violated constraint."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if p < 1 or c < 1:
+        raise ValueError(f"p and c must be at least 1 (p={p}, c={c})")
     if variant.startswith("1d") and c != 1:
         raise ValueError(f"variant {variant} requires c == 1 (got c={c})")
     if p % c != 0:
@@ -252,14 +254,13 @@ class SpmmRun:
     grid: ProcessGrid
 
 
-def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None,
-             index_setup=True) -> SpmmRun:
+def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None) -> SpmmRun:
     """Drive one distributed multiply end to end.
 
     Permutes the inputs by `partition` (block partition by default),
     distributes them on the (p/c) x c grid, runs the chosen variant, and
     gathers the product back in the original row order. For the aware
-    variants the one-time index exchange is included unless disabled.
+    variants the one-time index exchange is included.
     """
     validate_variant_grid(variant, p, c)
     if a.n_rows != a.n_cols:
@@ -276,8 +277,7 @@ def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None,
         i, _ = comm.coords
         r0, r1 = dm.boundaries[i]
         hb = h2[r0:r1]
-        if index_setup:
-            exchange_index_lists(comm, dm.fwd, variant)
+        exchange_index_lists(comm, dm.fwd, variant)
         return spmm_kernel(comm, dm.fwd, hb, variant)
 
     run: RunResult = run_program(p, c, program)

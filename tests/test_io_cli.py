@@ -195,6 +195,25 @@ def test_cli_rejects_bad_grid_with_named_constraint(tmp_path, capsys):
     assert "c*c" in err["error"]
 
 
+@pytest.mark.parametrize("command", ["spmm-bench", "train"])
+def test_cli_rejects_non_positive_grid(tmp_path, capsys, command):
+    rc = run_cli(command, "--gen", "sbm", "--n", "32", "--p", "4", "--c", "0",
+                 "--variant", "15d-sparse", "--out-dir", str(tmp_path))
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "p and c must be at least 1" in err["error"]
+    assert (err["p"], err["c"]) == (4, 0)
+
+
+@pytest.mark.parametrize("flag", [["--raw"], ["--partitioner", "gvb"], ["--epsilon", "0.2"],
+                                  ["--lambda-max", "2"], ["--max-passes", "3"]])
+def test_cli_gen_graph_rejects_partition_flags(tmp_path, flag):
+    # gen-graph writes the raw generated graph; partition flags have no effect there
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen-graph", "--gen", "grid", "--n", "16", *flag, "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+
+
 def test_cli_train_lr_zero_flat_loss(tmp_path):
     out = tmp_path / "out"
     assert run_cli("train", "--gen", "sbm", "--n", "32", "--p", "2",
