@@ -17,10 +17,18 @@ cost nothing); broadcast charges the root (p-1) times the payload;
 all-reduce charges every group member 2*(g-1)/g times the payload, the
 ring schedule cost, which may be fractional. The conventions live in this
 module only, so swapping them does not touch the algorithms.
+
+Collectives do not copy their inputs on arrival: every member stays
+blocked until the last one to arrive has built the outputs, so no input
+can change in between, and every output is a fresh array. `isend` does
+copy, because the sender runs on while the message waits. `all_to_allv`
+receivers copy their rows out of the senders' buffers after the exchange
+returns, so a buffer handed to it must not be written to afterwards.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -147,6 +155,23 @@ class CommLedger:
             self.pair_max_bytes[key] = nbytes
         if kind == "data" and nbytes > self.pair_max_data_bytes.get(key, 0):
             self.pair_max_data_bytes[key] = nbytes
+
+    def charge_exchange(self, prim, nbytes, kind):
+        """Charge one call of `prim` on every rank that moves nbytes[s, d]
+        bytes from rank s to rank d (a p x p integer matrix); a zero entry
+        is no message, and the diagonal must be zero."""
+        c = self.counters[prim]
+        msgs = nbytes > 0
+        for direction, axis in (("sent", 1), ("received", 0)):
+            moved, count = nbytes.sum(axis=axis), msgs.sum(axis=axis)
+            c[f"bytes_{direction}"] += moved
+            c[f"{kind}_bytes_{direction}"] += moved
+            c[f"msgs_{direction}"] += count
+            c[f"{kind}_msgs_{direction}"] += count
+        c["calls"] += 1
+        src, dst = np.nonzero(msgs)
+        for s, d, b in zip(src.tolist(), dst.tolist(), nbytes[src, dst].tolist()):
+            self.note_pair(s, d, b, kind)
 
     def add_call(self, prim, rank):
         self.counters[prim]["calls"][rank] += 1
@@ -276,12 +301,13 @@ class _Runtime:
 
 
 def _as_payload(buf) -> np.ndarray:
+    """buf as an array, uncopied, after checking its dtype."""
     if buf is None:
         return np.zeros(0, dtype=np.float64)
     arr = np.asarray(buf)
     if arr.dtype not in (np.dtype(np.float64), np.dtype(np.int64)):
         raise TypeError(f"payloads must be float64 or int64, got {arr.dtype}")
-    return arr.copy()
+    return arr
 
 
 class Comm:
@@ -304,7 +330,7 @@ class Comm:
         at call time, so the caller may reuse its buffer."""
         if not 0 <= dst < self.p:
             raise ValueError(f"destination rank {dst} out of range")
-        arr = _as_payload(payload)
+        arr = _as_payload(payload).copy()
         rt = self._rt
         with rt.cond:
             rt.mail.setdefault((self.rank, dst, tag), deque()).append(arr)
@@ -366,34 +392,46 @@ class Comm:
                 raise slot.error
             return slot.outputs[self.rank]
 
-    def all_to_allv(self, send_bufs) -> list:
-        """Personalized exchange: element d of send_bufs goes to rank d;
-        the result lists received payloads in sender-rank order. Empty
-        payloads are allowed and cost nothing."""
-        if len(send_bufs) != self.p:
-            raise ValueError(f"need one send buffer per rank, got {len(send_bufs)}")
-        payload = [_as_payload(b) for b in send_bufs]
+    def all_to_allv(self, buf, counts) -> np.ndarray:
+        """Personalized exchange in MPI_Alltoallv form: consecutive row
+        segments of `buf`, counts[d] rows for rank d, go to ranks 0..p-1
+        in order, and the result stacks the rows received in sender-rank
+        order. Every rank must send the same dtype and row shape. A
+        segment of no rows is no message and costs nothing; the segment
+        addressed to the caller itself is a free local copy. `buf` must
+        not be written to after the call (see the module docstring)."""
+        arr = _as_payload(buf)
+        counts = np.asarray(counts)
+        if arr.ndim == 0:
+            raise ValueError("all_to_allv needs a buffer of rows, got a scalar")
+        if counts.shape != (self.p,) or not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"all_to_allv needs {self.p} integer counts, one per rank, "
+                             f"got {counts.dtype} of shape {counts.shape}")
+        if counts.min() < 0:
+            raise ValueError(f"all_to_allv counts must be non-negative, got {counts.min()}")
+        if counts.sum() != arr.shape[0]:
+            raise ValueError(f"all_to_allv counts sum to {counts.sum()} "
+                             f"but the buffer has {arr.shape[0]} rows")
         group = tuple(range(self.p))
         ledger = self._rt.ledger
 
         def complete(arrivals):
-            outputs = {}
-            for r in group:
-                ledger.add_call("alltoallv", r)
-                outputs[r] = [arrivals[s][r] for s in group]
-            for s in group:
-                for d in group:
-                    arr = arrivals[s][d]
-                    if s == d or arr.size == 0:
-                        continue
-                    nbytes = arr.size * 8
-                    kind = CommLedger._kind(arr)
-                    ledger.charge_send("alltoallv", s, nbytes, kind)
-                    ledger.charge_recv("alltoallv", d, nbytes, kind)
-                    ledger.note_pair(s, d, nbytes, kind)
-            return outputs
+            bufs = [arrivals[s][0] for s in group]
+            row_shapes = {(b.dtype.str, b.shape[1:]) for b in bufs}
+            if len(row_shapes) > 1:
+                raise ValueError("all_to_allv buffers differ in dtype or row shape: "
+                                 f"{sorted(row_shapes)}")
+            rows = np.stack([arrivals[s][1] for s in group]).astype(np.int64)
+            nbytes = rows * (8 * math.prod(bufs[0].shape[1:]))
+            np.fill_diagonal(nbytes, 0)
+            ledger.charge_exchange("alltoallv", nbytes, CommLedger._kind(bufs[0]))
+            ends = np.cumsum(rows, axis=1)
+            shared = (bufs, (ends - rows).T.tolist(), ends.T.tolist())
+            return dict.fromkeys(group, shared)
 
-        return self._collective("alltoallv", group, payload, complete)
+        bufs, starts, ends = self._collective("alltoallv", group, (arr, counts), complete)
+        d = self.rank
+        return np.concatenate([b[lo:hi] for b, lo, hi in zip(bufs, starts[d], ends[d])])
 
     def broadcast(self, root, buf=None) -> np.ndarray:
         """Every rank returns the root's payload. Linear accounting: the
@@ -413,7 +451,7 @@ class Comm:
             outputs = {}
             for r in group:
                 ledger.add_call("broadcast", r)
-                outputs[r] = arr if r == root else arr.copy()
+                outputs[r] = arr.copy()
                 if r != root:
                     ledger.charge_recv("broadcast", r, nbytes, kind)
                     ledger.note_pair(root, r, nbytes, kind)
@@ -436,7 +474,7 @@ class Comm:
             shapes = {arrivals[r].shape for r in group}
             if len(shapes) > 1:
                 raise ValueError(f"all_reduce_sum payload shapes differ: {sorted(shapes)}")
-            total = arrivals[group[0]].copy()
+            total = arrivals[group[0]]
             for r in group[1:]:
                 total = total + arrivals[r]
             g = len(group)

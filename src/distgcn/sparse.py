@@ -29,6 +29,8 @@ __all__ = [
 # threads multiply at once; unbounded nnz x f temporaries raised the peak
 # memory of a p=8, f=128 training run by a tenth.
 _SPMM_STEP_ELEMS = 1 << 17
+# Active rows of a chunk below which local_spmm stops adding level by level.
+_SPMM_TAIL_ROWS = 16
 
 
 @dataclass
@@ -206,23 +208,72 @@ def local_spmm(a: CsrMatrix, h) -> np.ndarray:
     order (ascending column), so repeated runs are bit-identical, and a
     caller that renumbers columns in ascending order (as the halo layout
     of `distgcn.spmm` does) keeps the summation order of the original
-    matrix. Entries go in storage-order slices of at most
-    `_SPMM_STEP_ELEMS` gathered values, which bounds the temporaries
-    without changing that order.
+    matrix.
+
+    Rows are taken in order of decreasing entry count (stable), in chunks
+    of at most `_SPMM_STEP_ELEMS / f` rows. Within a chunk, level k adds
+    the k-th entry of every row that has more than k entries; in degree
+    order those rows are a prefix, so a level is one in-place add of
+    contiguous rows, and levels are gathered in groups of at most
+    `_SPMM_STEP_ELEMS` values. Once fewer than `_SPMM_TAIL_ROWS` rows
+    remain, their remaining entries go through `np.add.at` in storage
+    order, so a hub row does not cost one Python step per entry. Every
+    add is one IEEE addition of the next term onto the running sum, in
+    the same order as a row-by-row loop, so the bits do not depend on the
+    chunks, groups or tail; a pairwise reduction such as `np.add.reduceat`
+    would change them.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
         raise ValueError("dense operand must be 2-D")
     if a.n_cols != h.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {h.shape}")
-    out = np.zeros((a.n_rows, h.shape[1]))
-    rows = a.row_of_nnz()
-    step = max(1, _SPMM_STEP_ELEMS // max(1, h.shape[1]))
-    for lo in range(0, a.nnz, step):
-        terms = h[a.col_idx[lo:lo + step]]
-        terms *= a.values[lo:lo + step, None]
-        np.add.at(out, rows[lo:lo + step], terms)
+    f = h.shape[1]
+    out = np.zeros((a.n_rows, f))
+    if a.nnz == 0 or f == 0:
+        return out
+    step = max(1, _SPMM_STEP_ELEMS // f)
+    deg = np.diff(a.row_ptr)
+    order = np.argsort(-deg, kind="stable")[:np.count_nonzero(deg)]
+    acc = np.empty((min(step, order.size), f))
+    for c0 in range(0, order.size, step):
+        rows = order[c0:c0 + step]
+        d, start = deg[rows], a.row_ptr[rows]
+        acc[:rows.size] = 0.0
+        levels = int(d[_SPMM_TAIL_ROWS - 1]) if rows.size >= _SPMM_TAIL_ROWS else 0
+        # active[k] rows of the chunk have more than k entries; level k's
+        # terms are bounds[k]:bounds[k+1] of the level-major term order
+        active = np.searchsorted(-d, -np.arange(levels + 1), side="left")
+        bounds = np.zeros(levels + 1, dtype=np.int64)
+        np.cumsum(active[:levels], out=bounds[1:])
+        k = 0
+        while k < levels:
+            # levels k..k1-1 hold at most `step` terms; one level always fits
+            k1 = max(k + 1, int(np.searchsorted(bounds, bounds[k] + step, side="right")) - 1)
+            width = active[k:k1]
+            row = np.arange(bounds[k1] - bounds[k]) - np.repeat(bounds[k:k1] - bounds[k], width)
+            terms = _spmm_terms(a, h, start[row] + np.repeat(np.arange(k, k1), width))
+            off = 0
+            for m in width.tolist():
+                acc[:m] += terms[off:off + m]
+                off += m
+            k = k1
+        # the fewer than _SPMM_TAIL_ROWS rows left finish in storage order
+        lens = d[:active[levels]] - levels
+        idx = np.repeat(start[:lens.size] + levels - np.cumsum(lens) + lens, lens)
+        idx += np.arange(idx.size)
+        dst = np.repeat(np.arange(lens.size), lens)
+        for lo in range(0, idx.size, step):
+            np.add.at(acc, dst[lo:lo + step], _spmm_terms(a, h, idx[lo:lo + step]))
+        out[rows] = acc[:rows.size]
     return out
+
+
+def _spmm_terms(a: CsrMatrix, h, idx) -> np.ndarray:
+    """Rows h[col] scaled by the values of the stored entries idx."""
+    terms = h[a.col_idx[idx]]
+    terms *= a.values[idx, None]
+    return terms
 
 
 def gemm(a, b) -> np.ndarray:

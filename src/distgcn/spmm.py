@@ -53,11 +53,18 @@ class DistOperand:
     nnz_cols[(i, j)]: the occupied columns of block (i, j), local to block
     column j, in ascending order. A stored entry with value 0.0 still
     occupies its column. widths[j] is the row count of block row j.
+
+    send_idx[j] and send_counts[j] are block row j's send plan for the 1D
+    sparsity-aware multiply: the concatenation of nnz_cols[(i, j)] over
+    i = 0..p-1, and the length of each of those runs, so one gather of
+    block row j's dense rows is the `all_to_allv` buffer for all ranks.
     """
 
     local: dict
     nnz_cols: dict
     widths: list
+    send_idx: list
+    send_counts: list
 
     @property
     def n_blocks(self) -> int:
@@ -108,7 +115,9 @@ def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
             np.cumsum(counts, out=row_ptr[1:])
             local[(i, g)] = CsrMatrix(r1 - r0, c1 - c0, row_ptr,
                                       comp[sel] - c0, mat.values[lo:hi][sel])
-    return DistOperand(local, cache, widths)
+    runs = [[cache[(i, j)] for i in range(nb)] for j in range(nb)]
+    return DistOperand(local, cache, widths, [np.concatenate(r) for r in runs],
+                       [np.array([c.size for c in r], dtype=np.int64) for r in runs])
 
 
 def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid) -> DistMatrices:
@@ -183,10 +192,8 @@ def _kernel_1d_oblivious(comm: Comm, op: DistOperand, h_block):
 
 def _kernel_1d_sparse(comm: Comm, op: DistOperand, h_block):
     r = comm.rank
-    # received rows come in ascending source order, which is halo order;
-    # nothing but the stacked halo stays alive through the multiply
-    halo = np.vstack(comm.all_to_allv([h_block[op.nnz_cols[(dst, r)]]
-                                       for dst in range(comm.p)]))
+    # received rows come in ascending source order, which is halo order
+    halo = comm.all_to_allv(h_block[op.send_idx[r]], op.send_counts[r])
     return local_spmm(op.local[(r, 0)], halo)
 
 

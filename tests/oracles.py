@@ -29,6 +29,17 @@ def matmul_triple_loop(a, b):
     return out
 
 
+def spmm_storage_order(a, h):
+    """a @ h for a CSR matrix, adding each row's terms one stored entry at a
+    time from 0.0 in storage order (vectorized over columns of h only)."""
+    out = np.zeros((a.n_rows, h.shape[1]))
+    for i in range(a.n_rows):
+        acc = out[i]
+        for k in range(a.row_ptr[i], a.row_ptr[i + 1]):
+            acc += h[a.col_idx[k]] * a.values[k]
+    return out
+
+
 def normalize_dense(a_dense):
     """Dense evaluation of the self-loop symmetric normalization."""
     n = a_dense.shape[0]
@@ -87,10 +98,19 @@ def edgecut_brute_force(a_dense, assignment):
     return cut
 
 
-def alltoallv_reference(send_bufs_by_rank):
-    """Sequential personalized exchange: recv[d][s] = send[s][d]."""
-    p = len(send_bufs_by_rank)
-    return [[np.asarray(send_bufs_by_rank[s][d]) for s in range(p)] for d in range(p)]
+def alltoallv_reference(bufs, counts):
+    """Sequential personalized exchange in (buf, counts) form: rank d
+    receives, in sender order, the counts[s][d] rows of bufs[s] that come
+    after its first counts[s][0] + ... + counts[s][d-1] rows."""
+    p = len(bufs)
+    recv = []
+    for d in range(p):
+        parts = []
+        for s in range(p):
+            lo = sum(counts[s][:d])
+            parts.append(np.asarray(bufs[s])[lo:lo + counts[s][d]])
+        recv.append(np.concatenate(parts))
+    return recv
 
 
 def numeric_gradient(loss_fn, weights, step=1e-5):

@@ -106,22 +106,21 @@ def test_many_interleaved_messages_bookkeeping():
 
 def test_alltoallv_empty():
     def program(comm):
-        out = comm.all_to_allv([np.zeros(0) for _ in range(comm.p)])
-        return [b.size for b in out]
+        return comm.all_to_allv(np.zeros(0), [0] * comm.p).size
 
     run = run_program(3, 1, program)
-    assert run.results == [[0, 0, 0]] * 3
+    assert run.results == [0] * 3
     assert run.ledger.total_bytes_sent() == 0.0
+    assert run.ledger.counters["alltoallv"]["msgs_sent"].sum() == 0
 
 
 def test_alltoallv_two_ranks():
     def program(comm):
-        bufs = [np.full(3, float(comm.rank)) for _ in range(comm.p)]
-        return comm.all_to_allv(bufs)
+        return comm.all_to_allv(np.full(3 * comm.p, float(comm.rank)), [3] * comm.p)
 
     run = run_program(2, 1, program)
-    assert run.results[0][1].tolist() == [1.0, 1.0, 1.0]
-    assert run.results[1][0].tolist() == [0.0, 0.0, 0.0]
+    assert run.results[0][3:].tolist() == [1.0, 1.0, 1.0]
+    assert run.results[1][:3].tolist() == [0.0, 0.0, 0.0]
     for r in range(2):
         assert run.ledger.counters["alltoallv"]["bytes_sent"][r] == 24.0
 
@@ -130,15 +129,61 @@ def test_alltoallv_matches_sequential_reference():
     rng = np.random.default_rng(9)
     p = 4
     payloads = [[rng.normal(size=rng.integers(0, 7)) for _ in range(p)] for _ in range(p)]
+    bufs = [np.concatenate(row) for row in payloads]
+    counts = [[b.size for b in row] for row in payloads]
 
     def program(comm):
-        return comm.all_to_allv(payloads[comm.rank])
+        return comm.all_to_allv(bufs[comm.rank], counts[comm.rank])
 
     run = run_program(p, 1, program)
-    expected = alltoallv_reference(payloads)
+    expected = alltoallv_reference(bufs, counts)
     for d in range(p):
-        for s in range(p):
-            np.testing.assert_array_equal(run.results[d][s], expected[d][s])
+        np.testing.assert_array_equal(run.results[d], expected[d])
+    sizes = np.array(counts)
+    np.fill_diagonal(sizes, 0)
+    c = run.ledger.counters["alltoallv"]
+    assert c["bytes_sent"].tolist() == (8.0 * sizes.sum(axis=1)).tolist()
+    assert c["bytes_received"].tolist() == (8.0 * sizes.sum(axis=0)).tolist()
+    assert c["msgs_sent"].tolist() == (sizes > 0).sum(axis=1).tolist()
+
+
+def test_alltoallv_moves_rows_of_2d_buffer():
+    def program(comm):
+        buf = np.arange(10.0).reshape(5, 2) + 10 * comm.rank
+        return comm.all_to_allv(buf, [2, 3] if comm.rank == 0 else [4, 1])
+
+    run = run_program(2, 1, program)
+    assert run.results[0].tolist() == [[0.0, 1.0], [2.0, 3.0],
+                                       [10.0, 11.0], [12.0, 13.0], [14.0, 15.0], [16.0, 17.0]]
+    assert run.results[1].tolist() == [[4.0, 5.0], [6.0, 7.0], [8.0, 9.0], [18.0, 19.0]]
+    assert run.ledger.counters["alltoallv"]["bytes_sent"].tolist() == [48.0, 64.0]
+    # pair maxima stay integers, as every other primitive records them
+    assert run.ledger.pair_max_data_bytes == {(0, 1): 48, (1, 0): 64}
+    assert all(type(v) is int for v in run.ledger.pair_max_bytes.values())
+
+
+@pytest.mark.parametrize("counts,match", [
+    ([2], "2 integer counts"),
+    ([1, 1, 0], "2 integer counts"),
+    ([1.0, 1.0], "2 integer counts"),
+    ([3, -1], "non-negative"),
+    ([1, 2], "sum to 3 but the buffer has 2 rows"),
+], ids=["too-few", "too-many", "float", "negative", "sum-differs"])
+def test_alltoallv_rejects_bad_counts(counts, match):
+    def program(comm):
+        comm.all_to_allv(np.ones(2), counts)
+
+    with pytest.raises(ValueError, match=match):
+        run_program(2, 1, program)
+
+
+def test_alltoallv_rejects_mixed_row_types():
+    def program(comm):
+        dtype = np.int64 if comm.rank == 1 else np.float64
+        comm.all_to_allv(np.ones(2, dtype=dtype), [1, 1])
+
+    with pytest.raises(ValueError, match="differ in dtype or row shape"):
+        run_program(2, 1, program)
 
 
 def test_broadcast_single_rank():
@@ -324,8 +369,9 @@ def test_ledger_marks_snapshot_totals():
 
 def _mixed_program(comm):
     rng = np.random.default_rng(comm.rank)
-    out = comm.all_to_allv([rng.normal(size=3) for _ in range(comm.p)])
-    red = comm.all_reduce_sum(np.concatenate(out))
+    out = comm.all_to_allv(np.concatenate([rng.normal(size=3) for _ in range(comm.p)]),
+                           [3] * comm.p)
+    red = comm.all_reduce_sum(out)
     if comm.rank == 0:
         comm.isend(comm.p - 1, red, tag=0)
         return red.sum()

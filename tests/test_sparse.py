@@ -11,7 +11,7 @@ from distgcn.runtime import ProcessGrid
 from distgcn.spmm import build_dist_matrices
 
 from oracles import (dense_from_edges, matmul_triple_loop, nnz_cols_dense_scan,
-                     normalize_dense, random_csr_dense)
+                     normalize_dense, random_csr_dense, spmm_storage_order)
 
 
 def test_from_edges_empty_graph():
@@ -134,6 +134,35 @@ def test_local_spmm_matches_triple_loop(monkeypatch):
     np.testing.assert_array_equal(local_spmm(csr_from_dense(dense), h), expected)
     monkeypatch.setattr(distgcn.sparse, "_SPMM_STEP_ELEMS", 12)
     np.testing.assert_array_equal(local_spmm(csr_from_dense(dense), h), expected)
+
+
+def _mixed_degree_matrix(seed):
+    """Rows of 0, 1, 9, 17 and 5000 entries in shuffled order plus one hub
+    row of 10**5 entries, with signed values spanning 1e-8..1e8."""
+    rng = np.random.default_rng(seed)
+    n_cols = 10**5 + 7
+    degrees = np.array([0] * 5 + [1] * 30 + [9] * 30 + [17] * 30 + [5000] * 20 + [10**5])
+    rng.shuffle(degrees)
+    cols = [np.sort(rng.choice(n_cols, size=d, replace=False)) for d in degrees]
+    row_ptr = np.concatenate([[0], np.cumsum(degrees)])
+    col_idx = np.concatenate(cols)
+    values = rng.choice([-1.0, 1.0], col_idx.size) * 10.0 ** rng.uniform(-8, 8, col_idx.size)
+    return CsrMatrix(degrees.size, n_cols, row_ptr, col_idx, values)
+
+
+@pytest.mark.parametrize("f", [1, 2, 16])
+def test_local_spmm_adds_in_storage_order(monkeypatch, f):
+    # bit equality with a one-entry-at-a-time loop: any pairwise or blocked
+    # summation of the 5000- and 10**5-entry rows changes the bits
+    a = _mixed_degree_matrix(f)
+    rng = np.random.default_rng(100 + f)
+    h = rng.choice([-1.0, 1.0], (a.n_cols, f)) * 10.0 ** rng.uniform(-8, 8, (a.n_cols, f))
+    expected = spmm_storage_order(a, h).tobytes()
+    assert local_spmm(a, h).tobytes() == expected
+    # 40-row chunks: several chunks, level groups of one or two levels and
+    # an np.add.at tail of up to 15 rows in several slices
+    monkeypatch.setattr(distgcn.sparse, "_SPMM_STEP_ELEMS", 40 * f)
+    assert local_spmm(a, h).tobytes() == expected
 
 
 def test_local_spmm_rejects_mismatch():

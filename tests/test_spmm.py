@@ -1,11 +1,15 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from distgcn.gcn import TrainConfig, train
 from distgcn.graphgen import clique_blocks, sbm
 from distgcn.partition import (apply_partition, block_partition, comm_metrics,
                                greedy_tv_partition)
 from distgcn.runtime import ProcessGrid
-from distgcn.sparse import csr_from_dense, gcn_normalize, transpose_csr
+from distgcn.sparse import CsrMatrix, csr_from_dense, gcn_normalize, transpose_csr
 from distgcn.spmm import (VARIANTS, build_dist_matrices, run_spmm,
                           serial_reference, validate_variant_grid)
 
@@ -265,3 +269,60 @@ def test_gather_respects_partition_permutation():
     part = greedy_tv_partition(a, 4)
     run = run_spmm(a, h, 4, 1, "1d-sparse", partition=part)
     np.testing.assert_allclose(run.z, ref, atol=1e-10)
+
+
+# ---- pinned ledgers ----------------------------------------------------------
+
+def _pin_digest(ledger, *arrays):
+    """sha256 of the serialized ledger and the given arrays' bytes. The JSON
+    form tells an int pair maximum from an equal float one."""
+    digest = hashlib.sha256(json.dumps(ledger.to_dict(), sort_keys=True).encode())
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+# a rework of the kernels or collectives that keeps every product bit and
+# ledger byte keeps these
+_PINNED_RUNS = {
+    ("1d-oblivious", "block"):
+        "1eec086f80316f5757e149cef35d0193ab4792aecd90622dab07569b7167155c",
+    ("1d-oblivious", "greedy-tv"):
+        "0663619ebcdd73992cecb4c7fc4eba9a1090b19e1b15b9feea634301b0ad9628",
+    ("1d-sparse", "block"):
+        "f872ed7ddefe31fdc385acdc344eb3e4ac6677dfca5bce01b18471209fb9fd29",
+    ("1d-sparse", "greedy-tv"):
+        "872269ac051e7cbc647ce3cb79e16d4cb7651571ab219e801c071df5efc420c0",
+    ("15d-oblivious", "block"):
+        "6cd2b7697f5d19dbdc85fa27f033642721d3d6259c312f94b3f8519cd82ba895",
+    ("15d-oblivious", "greedy-tv"):
+        "28a1fc9d00e2800495f7cd4ec38a29783551bc5c71d40c9893227eb7b53bbe4a",
+    ("15d-sparse", "block"):
+        "a9c09be325cdaa66926dee6929cf258ff1e7053686ff1ff1b39f1bffd9c6a410",
+    ("15d-sparse", "greedy-tv"):
+        "86b6bb8e44ba5c0359dfe6bf476dd3d9812ee5ada46d79cd2653419c59fe4695",
+}
+_PINNED_TRAIN = "b8e5d12526a68bdf756d9f2ef4d0deb93f52d480b22e726089b40c35ab223a09"
+
+
+@pytest.mark.parametrize("variant,partitioner", sorted(_PINNED_RUNS))
+def test_ledger_and_product_pinned(variant, partitioner):
+    graph, h, _ = sbm(400, blocks=8, p_in=0.1, p_out=0.01, seed=3, feature_dim=8)
+    # signed weights from the seeded stream rather than gcn_normalize's
+    # power function, so the product bytes do not depend on the platform
+    weights = np.random.default_rng(3).uniform(-2.0, 2.0, graph.nnz)
+    a = CsrMatrix(400, 400, graph.row_ptr, graph.col_idx, weights)
+    c = 2 if variant.startswith("15d") else 1
+    rows = ProcessGrid(8, c).n_rows
+    part = block_partition(400, rows) if partitioner == "block" else greedy_tv_partition(a, rows)
+    run = run_spmm(a, h, 8, c, variant, partition=part)
+    assert _pin_digest(run.ledger, run.z) == _PINNED_RUNS[(variant, partitioner)]
+
+
+def test_train_ledger_pinned():
+    # bytes, messages and pair maxima depend on shapes only, so the ledger
+    # is pinned without the BLAS-dependent weights
+    graph, x, y = sbm(640, blocks=8, p_in=0.1, p_out=0.005, seed=4, feature_dim=8)
+    cfg = TrainConfig(epochs=2, variant="1d-sparse")
+    res = train(gcn_normalize(graph), x, y, np.arange(640) % 2 == 0, cfg, p=32)
+    assert _pin_digest(res.ledger) == _PINNED_TRAIN
