@@ -2,12 +2,22 @@
 
 Every rank runs the same procedure against a Comm handle offering
 non-blocking sends, blocking tagged receives, and the collectives used by
-the distributed kernels. Ranks execute on real threads, but all observable
-behavior is schedule-independent: point-to-point messages are matched
+the distributed kernels. Each rank has its own thread, but exactly one
+rank runs at a time: it holds a baton until it blocks or finishes, then
+hands it to the next rank in a FIFO ready queue. An event wakes only the
+ranks waiting on it: a send the receiver parked on its (src, dst, tag),
+the last arrival at a collective the members parked on it. A rank that
+blocks or finishes while no rank is ready and some rank is still blocked
+ends the run with a DeadlockError. Point-to-point messages are matched
 FIFO per (src, dst, tag), collectives act as barriers and reduce in
-ascending rank order, and every ledger charge is a pure function of the
-program. Two runs of the same program on the same inputs produce
-bit-identical results and ledgers.
+ascending rank order, every ledger charge is a pure function of the
+program, and the interleaving of the ranks is itself deterministic. Two
+runs of the same program on the same inputs produce bit-identical
+results and ledgers. Since only one rank runs at a time, the rank
+threads of a run share one CPU, the one the caller was on when the run
+started (where the platform can pin threads): otherwise every hand-off
+may wake the next rank on another idle CPU, and whether it does depends
+on the machine's load, not on the program.
 
 Payloads are numpy arrays of float64 (dense data) or int64 (index lists);
 either way a payload of m elements is charged as 8*m bytes. Accounting
@@ -20,15 +30,19 @@ module only, so swapping them does not touch the algorithms.
 
 Collectives do not copy their inputs on arrival: every member stays
 blocked until the last one to arrive has built the outputs, so no input
-can change in between, and every output is a fresh array. `isend` does
-copy, because the sender runs on while the message waits. `all_to_allv`
-receivers copy their rows out of the senders' buffers after the exchange
-returns, so a buffer handed to it must not be written to afterwards.
+can change in between. `all_reduce_sum` returns a fresh array to every
+member; `broadcast` returns one read-only copy of the root's payload,
+shared by every member. `isend` does copy, because the sender runs on
+while the message waits. `all_to_allv` receivers copy their rows out of
+the senders' buffers after the exchange returns, so a buffer handed to
+it must not be written to afterwards.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -191,11 +205,6 @@ class CommLedger:
         field = "bytes_sent" if kind is None else f"{kind}_bytes_sent"
         return float(sum(self.counters[prim][field][rank] for prim in PRIMITIVES))
 
-    def rank_msgs(self, rank) -> int:
-        return int(sum(self.counters[prim]["msgs_sent"][rank]
-                       + self.counters[prim]["msgs_received"][rank]
-                       for prim in PRIMITIVES))
-
     def max_pair_data_bytes(self) -> float:
         return max(self.pair_max_data_bytes.values(), default=0.0)
 
@@ -251,53 +260,67 @@ class _CollectiveSlot:
 
 
 class _Runtime:
+    """Shared state of one run and the baton that serializes its ranks.
+
+    Every rank thread parks on its own semaphore; the baton holder is the
+    only thread running program code, and it releases the next rank only
+    after its last write to shared state, so no lock is needed. `ready`
+    is the FIFO queue of ranks that can run, `waiters` maps a wait key,
+    ("mail", (src, dst, tag)) or ("slot", collective key), to the ranks
+    parked on it, and `blocked` maps each parked rank to what it waits
+    for. A rank that blocks or finishes with `ready` empty while `blocked`
+    is not is a deadlock: nothing left can wake anyone.
+    """
+
     def __init__(self, grid: ProcessGrid):
         self.grid = grid
-        self.cond = threading.Condition()
         self.mail = {}
         self.slots = {}
         self.ledger = CommLedger(grid.p)
-        self.alive = grid.p
-        self.waiting = 0
+        self.baton = [threading.Semaphore(0) for _ in range(grid.p)]
+        self.ready = deque(range(grid.p))
+        self.waiters = {}
         self.blocked = {}
         self.deadlock = None
         self.program_error = None
 
-    def _stuck(self) -> bool:
-        """True when every live rank is parked on a predicate that is
-        false right now. A woken-but-unscheduled rank has a true
-        predicate, so it does not count as stuck."""
-        if self.waiting != self.alive or self.alive == 0:
-            return False
-        return not any(pred() for _, pred in self.blocked.values())
+    def _hand_off(self):
+        """Give the baton to the next ready rank; the caller stops running."""
+        if not self.ready and self.blocked:
+            # nothing can wake the blocked ranks. This is the first such
+            # moment: after a deadlock or a program error every waiter is
+            # woken to abort, and no rank blocks again.
+            self.deadlock = DeadlockError(self.blocked)
+            self._wake_all()
+        if self.ready:
+            self.baton[self.ready.popleft()].release()
 
-    def _wait_until(self, rank, predicate, info):
-        # caller holds self.cond
+    def _wake(self, key):
+        for rank in self.waiters.pop(key, ()):
+            del self.blocked[rank]
+            self.ready.append(rank)
+
+    def _wake_all(self):
+        for key in list(self.waiters):
+            self._wake(key)
+
+    def _wait_until(self, rank, predicate, info, key):
+        # caller holds the baton
         while True:
             if self.deadlock is not None or self.program_error is not None:
                 raise _Abort()
             if predicate():
                 return
-            self.blocked[rank] = (info, predicate)
-            self.waiting += 1
-            if self._stuck():
-                self.deadlock = DeadlockError({r: i for r, (i, _) in self.blocked.items()})
-                self.waiting -= 1
-                del self.blocked[rank]
-                self.cond.notify_all()
-                raise _Abort()
-            self.cond.wait()
-            self.waiting -= 1
-            del self.blocked[rank]
+            self.blocked[rank] = info
+            self.waiters.setdefault(key, []).append(rank)
+            self._hand_off()
+            self.baton[rank].acquire()
 
     def finish(self, rank, error=None):
-        with self.cond:
-            self.alive -= 1
-            if error is not None and self.program_error is None:
-                self.program_error = (rank, error)
-            if self.deadlock is None and self.program_error is None and self._stuck():
-                self.deadlock = DeadlockError({r: i for r, (i, _) in self.blocked.items()})
-            self.cond.notify_all()
+        if error is not None and self.program_error is None:
+            self.program_error = (rank, error)
+            self._wake_all()
+        self._hand_off()
 
 
 def _as_payload(buf) -> np.ndarray:
@@ -332,14 +355,14 @@ class Comm:
             raise ValueError(f"destination rank {dst} out of range")
         arr = _as_payload(payload).copy()
         rt = self._rt
-        with rt.cond:
-            rt.mail.setdefault((self.rank, dst, tag), deque()).append(arr)
-            if dst != self.rank:
-                nbytes = arr.size * 8
-                kind = CommLedger._kind(arr)
-                rt.ledger.charge_send("p2p", self.rank, nbytes, kind)
-                rt.ledger.note_pair(self.rank, dst, nbytes, kind)
-            rt.cond.notify_all()
+        key = (self.rank, dst, tag)
+        rt.mail.setdefault(key, deque()).append(arr)
+        if dst != self.rank:
+            nbytes = arr.size * 8
+            kind = CommLedger._kind(arr)
+            rt.ledger.charge_send("p2p", self.rank, nbytes, kind)
+            rt.ledger.note_pair(self.rank, dst, nbytes, kind)
+        rt._wake(("mail", key))
 
     def recv(self, src, tag=0) -> np.ndarray:
         """Blocking receive matching (src, this rank, tag); messages on the
@@ -348,15 +371,14 @@ class Comm:
             raise ValueError(f"source rank {src} out of range")
         key = (src, self.rank, tag)
         rt = self._rt
-        with rt.cond:
-            rt._wait_until(self.rank, lambda: rt.mail.get(key),
-                           ("recv", src, self.rank, tag))
-            payload = rt.mail[key].popleft()
-            if not rt.mail[key]:
-                del rt.mail[key]
-            if src != self.rank:
-                rt.ledger.charge_recv("p2p", self.rank, payload.size * 8,
-                                      CommLedger._kind(payload))
+        rt._wait_until(self.rank, lambda: rt.mail.get(key),
+                       ("recv", src, self.rank, tag), ("mail", key))
+        payload = rt.mail[key].popleft()
+        if not rt.mail[key]:
+            del rt.mail[key]
+        if src != self.rank:
+            rt.ledger.charge_recv("p2p", self.rank, payload.size * 8,
+                                  CommLedger._kind(payload))
         return payload
 
     # ---- collectives --------------------------------------------------
@@ -370,27 +392,26 @@ class Comm:
         self._seq[(kind, group)] = seq + 1
         key = (kind, group, seq)
         rt = self._rt
-        with rt.cond:
-            slot = rt.slots.get(key)
-            if slot is None:
-                slot = rt.slots[key] = _CollectiveSlot(len(group))
-            slot.arrivals[self.rank] = payload
-            if len(slot.arrivals) == len(group):
-                try:
-                    slot.outputs = complete(slot.arrivals)
-                except Exception as exc:  # propagate to every member
-                    slot.error = exc
-                slot.done = True
-                rt.cond.notify_all()
-            else:
-                rt._wait_until(self.rank, lambda: slot.done,
-                               ("collective", kind, group, seq))
-            slot.remaining -= 1
-            if slot.remaining == 0:
-                del rt.slots[key]
-            if slot.error is not None:
-                raise slot.error
-            return slot.outputs[self.rank]
+        slot = rt.slots.get(key)
+        if slot is None:
+            slot = rt.slots[key] = _CollectiveSlot(len(group))
+        slot.arrivals[self.rank] = payload
+        if len(slot.arrivals) == len(group):
+            try:
+                slot.outputs = complete(slot.arrivals)
+            except Exception as exc:  # propagate to every member
+                slot.error = exc
+            slot.done = True
+            rt._wake(("slot", key))
+        else:
+            rt._wait_until(self.rank, lambda: slot.done,
+                           ("collective", kind, group, seq), ("slot", key))
+        slot.remaining -= 1
+        if slot.remaining == 0:
+            del rt.slots[key]
+        if slot.error is not None:
+            raise slot.error
+        return slot.outputs[self.rank]
 
     def all_to_allv(self, buf, counts) -> np.ndarray:
         """Personalized exchange in MPI_Alltoallv form: consecutive row
@@ -426,16 +447,22 @@ class Comm:
             np.fill_diagonal(nbytes, 0)
             ledger.charge_exchange("alltoallv", nbytes, CommLedger._kind(bufs[0]))
             ends = np.cumsum(rows, axis=1)
-            shared = (bufs, (ends - rows).T.tolist(), ends.T.tolist())
-            return dict.fromkeys(group, shared)
+            # non-empty segments by receiver, then in ascending sender order
+            dst, src = np.nonzero(rows.T)
+            his = ends[src, dst]
+            los = his - rows[src, dst]
+            segments = {d: [] for d in group}
+            for d, s, lo, hi in zip(dst.tolist(), src.tolist(), los.tolist(), his.tolist()):
+                segments[d].append(bufs[s][lo:hi])
+            return segments
 
-        bufs, starts, ends = self._collective("alltoallv", group, (arr, counts), complete)
-        d = self.rank
-        return np.concatenate([b[lo:hi] for b, lo, hi in zip(bufs, starts[d], ends[d])])
+        segments = self._collective("alltoallv", group, (arr, counts), complete)
+        return np.concatenate(segments) if segments else arr[:0].copy()
 
     def broadcast(self, root, buf=None) -> np.ndarray:
-        """Every rank returns the root's payload. Linear accounting: the
-        root is charged (p-1) messages of the payload size."""
+        """Every rank returns the root's payload, as one read-only array
+        shared by all ranks. Linear accounting: the root is charged (p-1)
+        messages of the payload size."""
         if not 0 <= root < self.p:
             raise ValueError(f"broadcast root {root} out of range")
         payload = _as_payload(buf) if self.rank == root else None
@@ -448,17 +475,17 @@ class Comm:
                 raise ValueError(f"broadcast root {root} supplied no buffer")
             nbytes = arr.size * 8
             kind = CommLedger._kind(arr)
-            outputs = {}
+            shared = arr.copy()
+            shared.setflags(write=False)
             for r in group:
                 ledger.add_call("broadcast", r)
-                outputs[r] = arr.copy()
                 if r != root:
                     ledger.charge_recv("broadcast", r, nbytes, kind)
                     ledger.note_pair(root, r, nbytes, kind)
             if self.p > 1:
                 ledger.charge_send("broadcast", root, nbytes * (self.p - 1), kind,
                                    msgs=self.p - 1)
-            return outputs
+            return dict.fromkeys(group, shared)
 
         return self._collective("broadcast", group, payload, complete)
 
@@ -512,6 +539,18 @@ class Comm:
         return self._phase
 
 
+def _caller_cpu():
+    """The CPU the calling thread is on, or None where threads cannot be
+    pinned to it."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        cpu = ctypes.CDLL(None).sched_getcpu()
+    except (AttributeError, OSError):
+        return None
+    return cpu if cpu in os.sched_getaffinity(0) else None
+
+
 @dataclass
 class RunResult:
     results: list
@@ -531,21 +570,28 @@ def run_program(p, c, program, args=()) -> RunResult:
     grid = ProcessGrid(p, c)
     rt = _Runtime(grid)
     results = [None] * p
+    cpu = _caller_cpu()
 
     def runner(rank):
         comm = Comm(rt, rank)
+        rt.baton[rank].acquire()
+        error = None
         try:
+            if cpu is not None:
+                os.sched_setaffinity(0, {cpu})  # this thread only
             results[rank] = program(comm, *args)
         except _Abort:
             pass
-        except Exception as exc:  # noqa: BLE001 - reported to the caller
-            rt.finish(rank, error=exc)
-            return
-        rt.finish(rank)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run_program
+            # whatever ends the rank, the baton must move on or every
+            # other rank stalls
+            error = exc
+        rt.finish(rank, error)
 
     threads = [threading.Thread(target=runner, args=(r,), name=f"rank-{r}") for r in range(p)]
     for t in threads:
         t.start()
+    rt._hand_off()
     for t in threads:
         t.join(timeout=600.0)
         if t.is_alive():

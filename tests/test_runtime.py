@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -162,6 +167,26 @@ def test_alltoallv_moves_rows_of_2d_buffer():
     assert all(type(v) is int for v in run.ledger.pair_max_bytes.values())
 
 
+def test_alltoallv_receiver_of_no_rows_gets_typed_empty():
+    # 2-D int64 rows; every rank sends only to its right neighbour, except
+    # rank 7, so rank 0 receives nothing
+    p = 8
+
+    def program(comm):
+        counts = np.zeros(p, dtype=np.int64)
+        if comm.rank < p - 1:
+            counts[comm.rank + 1] = 2
+        buf = np.full((int(counts.sum()), 3), comm.rank, dtype=np.int64)
+        return comm.all_to_allv(buf, counts)
+
+    run = run_program(p, 1, program)
+    assert run.results[0].shape == (0, 3)
+    assert run.results[0].dtype == np.int64
+    for d in range(1, p):
+        assert run.results[d].tolist() == [[d - 1] * 3] * 2
+    assert run.ledger.counters["alltoallv"]["msgs_received"].tolist() == [0] + [1] * (p - 1)
+
+
 @pytest.mark.parametrize("counts,match", [
     ([2], "2 integer counts"),
     ([1, 1, 0], "2 integer counts"),
@@ -214,6 +239,22 @@ def test_broadcast_payload_bit_identical_everywhere():
     run = run_program(8, 1, program)
     for r in range(8):
         assert np.array_equal(run.results[r], payload)
+
+
+def test_broadcast_shares_one_read_only_array():
+    payload = np.random.default_rng(4).normal(size=(5, 3))
+
+    def program(comm):
+        return comm.broadcast(2, payload if comm.rank == 2 else None)
+
+    run = run_program(4, 1, program)
+    for r in range(4):
+        assert np.array_equal(run.results[r], payload)
+        assert run.results[r] is run.results[0]
+    assert run.results[0] is not payload
+    with pytest.raises(ValueError, match="read-only"):
+        run.results[0][0, 0] = 1.0
+    assert run.ledger.counters["broadcast"]["bytes_sent"][2] == 3 * payload.nbytes
 
 
 def test_broadcast_rejects_bad_root():
@@ -390,3 +431,115 @@ def test_determinism_results_and_ledger():
 def test_conservation_after_mixed_program():
     run = run_program(4, 1, _mixed_program)
     assert run.ledger.conservation_ok()
+
+
+def _bounded(fn, seconds=60.0):
+    """fn() on a daemon thread, joined with a timeout; returns what fn
+    returned or raises what it raised."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            out["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert not t.is_alive(), f"run did not finish within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def test_one_rank_runs_at_a_time():
+    p, rounds = 16, 4
+    lock = threading.Lock()
+    active, peak = [0], [0]
+
+    def program_code():
+        with lock:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+        time.sleep(0)  # give any other runnable rank thread the interpreter
+        with lock:
+            active[0] -= 1
+
+    def program(comm):
+        r = comm.rank
+        got = []
+        for rnd in range(rounds):
+            program_code()
+            comm.isend((r + 1) % p, np.array([float(r + rnd)]), tag=rnd)
+            program_code()
+            got.append(comm.recv((r - 1) % p, tag=rnd)[0])
+            program_code()
+            counts = np.array([(r + d + rnd) % 3 for d in range(p)])
+            rows = comm.all_to_allv(np.full(int(counts.sum()), float(r)), counts)
+            program_code()
+            total = comm.all_reduce_sum(np.array([rows.sum()]))
+            program_code()
+            comm.ledger_mark(("round", rnd))
+            program_code()
+            got.append(total[0])
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run = _bounded(lambda: run_program(p, 1, program))
+    finally:
+        sys.setswitchinterval(interval)
+    assert peak[0] == 1
+    for r in range(p):
+        assert run.results[r][0::2] == [float((r - 1) % p + rnd) for rnd in range(rounds)]
+    assert len({tuple(res[1::2]) for res in run.results}) == 1
+    assert run.ledger.conservation_ok()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="threads cannot be pinned on this platform")
+def test_rank_threads_share_one_cpu():
+    caller = os.sched_getaffinity(0)
+
+    def program(comm):
+        comm.all_reduce_sum(np.ones(1))
+        return frozenset(os.sched_getaffinity(0))
+
+    run = _bounded(lambda: run_program(8, 1, program))
+    cpus = set(run.results)
+    assert len(cpus) == 1
+    (cpu_set,) = cpus
+    assert len(cpu_set) == 1 and cpu_set <= caller
+    assert os.sched_getaffinity(0) == caller
+
+
+def test_deadlock_at_p64_names_every_rank():
+    p = 64
+
+    def program(comm):
+        if comm.rank == 0:
+            comm.recv(1, tag="never")
+        else:
+            comm.all_reduce_sum(np.ones(2))
+
+    with pytest.raises(DeadlockError) as err:
+        _bounded(lambda: run_program(p, 1, program))
+    blocked = err.value.blocked
+    assert sorted(blocked) == list(range(p))
+    assert blocked[0] == ("recv", 1, 0, "never")
+    assert {blocked[r][:2] for r in range(1, p)} == {("collective", "allreduce")}
+
+
+@pytest.mark.parametrize("error", [RuntimeError, SystemExit])
+def test_error_at_p64_propagates_from_parked_collective(error):
+    p = 64
+
+    def program(comm):
+        if comm.rank == p - 1:
+            raise error("boom on the last rank")
+        comm.all_reduce_sum(np.ones(2))
+
+    with pytest.raises(error, match="boom on the last rank"):
+        _bounded(lambda: run_program(p, 1, program))
