@@ -245,7 +245,9 @@ def apply_partition(a: CsrMatrix, h, part: Partition):
     perm = part.perm
     new_rows = perm[a.row_of_nnz()]
     new_cols = perm[a.col_idx]
-    order = np.lexsort((new_cols, new_rows))
+    # (row, col) order by one distinct key below n**2, which int64 holds
+    # for n < 3.03e9
+    order = np.argsort(new_rows * a.n_cols + new_cols)
     counts = np.bincount(new_rows, minlength=a.n_rows) if a.nnz else np.zeros(a.n_rows, np.int64)
     row_ptr = np.zeros(a.n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])

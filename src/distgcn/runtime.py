@@ -143,6 +143,9 @@ class CommLedger:
             self.counters[prim] = fields
         self.pair_max_bytes = {}
         self.pair_max_data_bytes = {}
+        # data-pair maxima charge_exchange has noted: never above
+        # pair_max_data_bytes, which is never above pair_max_bytes
+        self._noted_data = np.zeros((p, p), dtype=np.int64)
         self.marks = {}
 
     @staticmethod
@@ -183,7 +186,11 @@ class CommLedger:
             c[f"msgs_{direction}"] += count
             c[f"{kind}_msgs_{direction}"] += count
         c["calls"] += 1
-        src, dst = np.nonzero(msgs)
+        # a pair at or below a noted data maximum changes neither dict, and
+        # the dicts only grow, so noting only the larger pairs is exact
+        src, dst = np.nonzero(nbytes > self._noted_data)
+        if kind == "data":
+            np.maximum(self._noted_data, nbytes, out=self._noted_data)
         for s, d, b in zip(src.tolist(), dst.tolist(), nbytes[src, dst].tolist()):
             self.note_pair(s, d, b, kind)
 

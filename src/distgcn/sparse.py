@@ -2,13 +2,20 @@
 
 Sparse matrices are CSR with int64 index arrays and float64 values; dense
 matrices are plain 2-D C-contiguous float64 numpy arrays. Every function
-here is pure with respect to its inputs and safe to call concurrently on
-shared read-only data.
+here returns the same result for the same inputs and leaves its inputs'
+arrays untouched. One piece of state is kept: `local_spmm` stores a
+matrix's level order on the matrix at its first multiply, so the arrays
+of a matrix must not change once it has been multiplied. Calls that
+share a matrix may run concurrently; two that race to store its level
+order compute equal orders, so either write is correct.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +36,7 @@ __all__ = [
 # threads multiply at once; unbounded nnz x f temporaries raised the peak
 # memory of a p=8, f=128 training run by a tenth.
 _SPMM_STEP_ELEMS = 1 << 17
-# Active rows of a chunk below which local_spmm stops adding level by level.
+# Active rows below which local_spmm stops adding level by level.
 _SPMM_TAIL_ROWS = 16
 
 
@@ -96,6 +103,11 @@ class CsrMatrix:
     def copy(self) -> "CsrMatrix":
         return CsrMatrix(self.n_rows, self.n_cols, self.row_ptr.copy(),
                          self.col_idx.copy(), self.values.copy())
+
+    @cached_property
+    def level_order(self) -> "LevelOrder":
+        """The pattern work of `local_spmm`, derived once per matrix."""
+        return _level_order(self)
 
 
 def csr_from_coo(n_rows, n_cols, rows, cols, vals) -> CsrMatrix:
@@ -210,18 +222,22 @@ def local_spmm(a: CsrMatrix, h) -> np.ndarray:
     of `distgcn.spmm` does) keeps the summation order of the original
     matrix.
 
-    Rows are taken in order of decreasing entry count (stable), in chunks
-    of at most `_SPMM_STEP_ELEMS / f` rows. Within a chunk, level k adds
-    the k-th entry of every row that has more than k entries; in degree
-    order those rows are a prefix, so a level is one in-place add of
-    contiguous rows, and levels are gathered in groups of at most
-    `_SPMM_STEP_ELEMS` values. Once fewer than `_SPMM_TAIL_ROWS` rows
-    remain, their remaining entries go through `np.add.at` in storage
-    order, so a hub row does not cost one Python step per entry. Every
-    add is one IEEE addition of the next term onto the running sum, in
-    the same order as a row-by-row loop, so the bits do not depend on the
-    chunks, groups or tail; a pairwise reduction such as `np.add.reduceat`
-    would change them.
+    The work that depends only on the sparsity pattern, the matrix's
+    level order (see `CsrMatrix.level_order`), is derived on its first
+    multiply and reused by every later one, whatever the width f. A call
+    takes the rows in that order in chunks of at most `_SPMM_STEP_ELEMS
+    / f` rows (never fewer than `_SPMM_TAIL_ROWS`). Within a chunk, level
+    k adds the k-th entry of every row that has more than k entries; in
+    degree order those rows are a prefix, so a level is one in-place add
+    of contiguous rows. Levels that lie wholly in the chunk are gathered
+    in groups of at most `_SPMM_STEP_ELEMS` values, and a level that runs
+    past the chunk adds only the chunk's rows. The fewer than
+    `_SPMM_TAIL_ROWS` rows that outlast the levels then finish through
+    `np.add.at` in storage order, so a hub row does not cost one Python
+    step per entry. Every add is one IEEE addition of the next term onto
+    the running sum, in the same order as a row-by-row loop, so the bits
+    do not depend on the chunks, groups or tail; a pairwise reduction
+    such as `np.add.reduceat` would change them.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
@@ -232,48 +248,83 @@ def local_spmm(a: CsrMatrix, h) -> np.ndarray:
     out = np.zeros((a.n_rows, f))
     if a.nnz == 0 or f == 0:
         return out
-    step = max(1, _SPMM_STEP_ELEMS // f)
-    deg = np.diff(a.row_ptr)
-    order = np.argsort(-deg, kind="stable")[:np.count_nonzero(deg)]
-    acc = np.empty((min(step, order.size), f))
-    for c0 in range(0, order.size, step):
-        rows = order[c0:c0 + step]
-        d, start = deg[rows], a.row_ptr[rows]
-        acc[:rows.size] = 0.0
-        levels = int(d[_SPMM_TAIL_ROWS - 1]) if rows.size >= _SPMM_TAIL_ROWS else 0
-        # active[k] rows of the chunk have more than k entries; level k's
-        # terms are bounds[k]:bounds[k+1] of the level-major term order
-        active = np.searchsorted(-d, -np.arange(levels + 1), side="left")
-        bounds = np.zeros(levels + 1, dtype=np.int64)
-        np.cumsum(active[:levels], out=bounds[1:])
+    lv = a.level_order
+    active, bounds = lv.active, lv.bounds
+    levels, n = len(bounds) - 1, lv.rows.size
+    step = max(_SPMM_TAIL_ROWS, _SPMM_STEP_ELEMS // f)
+    acc = np.empty((min(step, n), f))
+    for c0 in range(0, n, step):
+        c1 = min(c0 + step, n)
+        acc[:c1 - c0] = 0.0
         k = 0
-        while k < levels:
-            # levels k..k1-1 hold at most `step` terms; one level always fits
-            k1 = max(k + 1, int(np.searchsorted(bounds, bounds[k] + step, side="right")) - 1)
-            width = active[k:k1]
-            row = np.arange(bounds[k1] - bounds[k]) - np.repeat(bounds[k:k1] - bounds[k], width)
-            terms = _spmm_terms(a, h, start[row] + np.repeat(np.arange(k, k1), width))
+        while k < levels and active[k] > c0:
+            k1 = k + 1
+            if c0 == 0 and active[k] <= c1:
+                # levels k..k1-1 lie wholly in the chunk, so their terms are
+                # one range of at most `step`; one level always fits
+                k1 = max(k1, bisect.bisect_right(bounds, bounds[k] + step) - 1)
+            terms = lv.terms(h, bounds[k] + c0, bounds[k1 - 1] + min(active[k1 - 1], c1))
             off = 0
-            for m in width.tolist():
+            for m in active[k:k1]:
+                m = min(m, c1) - c0
                 acc[:m] += terms[off:off + m]
                 off += m
             k = k1
-        # the fewer than _SPMM_TAIL_ROWS rows left finish in storage order
-        lens = d[:active[levels]] - levels
-        idx = np.repeat(start[:lens.size] + levels - np.cumsum(lens) + lens, lens)
-        idx += np.arange(idx.size)
-        dst = np.repeat(np.arange(lens.size), lens)
-        for lo in range(0, idx.size, step):
-            np.add.at(acc, dst[lo:lo + step], _spmm_terms(a, h, idx[lo:lo + step]))
-        out[rows] = acc[:rows.size]
+        out[lv.rows[c0:c1]] = acc[:c1 - c0]
+    # the rows that outlast the levels finish in storage order
+    for lo in range(0, lv.tail_rows.size, step):
+        dst = lv.tail_rows[lo:lo + step]
+        np.add.at(out, dst, lv.terms(h, bounds[-1] + lo, bounds[-1] + lo + dst.size))
     return out
 
 
-def _spmm_terms(a: CsrMatrix, h, idx) -> np.ndarray:
-    """Rows h[col] scaled by the values of the stored entries idx."""
-    terms = h[a.col_idx[idx]]
-    terms *= a.values[idx, None]
-    return terms
+class LevelOrder(NamedTuple):
+    """The work of `local_spmm` that depends only on a matrix's pattern.
+
+    `rows` holds the non-empty rows by decreasing entry count (stable).
+    active[k] of them have more than k entries, for k = 0..levels, where
+    levels is the entry count of the `_SPMM_TAIL_ROWS`-th row (0 when
+    there are fewer rows), so fewer than `_SPMM_TAIL_ROWS` rows outlast
+    the levels. `cols` and `vals` hold the entries level-major: level k,
+    entries bounds[k]:bounds[k+1], is the k-th entry of each of the first
+    active[k] rows. The entries past bounds[levels] are the rest of the
+    rows that outlast the levels, each row in storage order, and
+    `tail_rows` names the row of each. `active` and `bounds` are lists of
+    Python ints, since a multiply walks them one level at a time.
+    """
+
+    rows: np.ndarray
+    active: list
+    bounds: list
+    cols: np.ndarray
+    vals: np.ndarray
+    tail_rows: np.ndarray
+
+    def terms(self, h, lo, hi) -> np.ndarray:
+        """Rows h[col] scaled by the values of entries lo:hi of the order."""
+        terms = h[self.cols[lo:hi]]
+        terms *= self.vals[lo:hi, None]
+        return terms
+
+
+def _level_order(a: CsrMatrix) -> LevelOrder:
+    deg = np.diff(a.row_ptr)
+    rows = np.argsort(-deg, kind="stable")[:np.count_nonzero(deg)]
+    d, start = deg[rows], a.row_ptr[rows]
+    levels = int(d[_SPMM_TAIL_ROWS - 1]) if rows.size >= _SPMM_TAIL_ROWS else 0
+    active = np.searchsorted(-d, -np.arange(levels + 1), side="left")
+    bounds = np.zeros(levels + 1, dtype=np.int64)
+    np.cumsum(active[:levels], out=bounds[1:])
+    # entry k of the i-th row in degree order is start[i] + k
+    width = active[:levels]
+    row = np.arange(bounds[-1]) - np.repeat(bounds[:-1], width)
+    level_idx = start[row] + np.repeat(np.arange(levels), width)
+    lens = d[:active[levels]] - levels
+    tail_idx = np.repeat(start[:lens.size] + levels - np.cumsum(lens) + lens, lens)
+    tail_idx += np.arange(tail_idx.size)
+    idx = np.concatenate([level_idx, tail_idx])
+    return LevelOrder(rows, active.tolist(), bounds.tolist(), a.col_idx[idx],
+                      a.values[idx], np.repeat(rows[:lens.size], lens))
 
 
 def gemm(a, b) -> np.ndarray:
@@ -293,9 +344,12 @@ def transpose_csr(a: CsrMatrix) -> CsrMatrix:
     Pure permutation of the stored entries, hence an involution down to
     the bit level.
     """
-    order = np.argsort(a.col_idx, kind="stable")
+    rows = a.row_of_nnz()
+    # (col, row) order, the stable column order, by one distinct key below
+    # n_rows * n_cols, which int64 holds for fewer than 2**63 cells
+    order = np.argsort(a.col_idx * a.n_rows + rows)
     counts = np.bincount(a.col_idx, minlength=a.n_cols) if a.nnz else np.zeros(a.n_cols, np.int64)
     row_ptr = np.zeros(a.n_cols + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
-    return CsrMatrix(a.n_cols, a.n_rows, row_ptr, a.row_of_nnz()[order], a.values[order])
+    return CsrMatrix(a.n_cols, a.n_rows, row_ptr, rows[order], a.values[order])
 

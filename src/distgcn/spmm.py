@@ -66,10 +66,6 @@ class DistOperand:
     send_idx: list
     send_counts: list
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.widths)
-
 
 @dataclass
 class DistMatrices:

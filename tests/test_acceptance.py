@@ -90,7 +90,7 @@ def test_criterion_2_volume_dominance(sweep):
             if a_bytes > o_bytes:
                 ok = False
             op = aware.dm.fwd
-            nb = op.n_blocks
+            nb = len(op.widths)
             slack = any(len(op.nnz_cols[(i, j)]) < op.widths[j]
                         for i in range(nb) for j in range(nb) if i != j)
             if slack:

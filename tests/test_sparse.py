@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import distgcn.sparse
 from distgcn.sparse import (CsrMatrix, csr_from_dense, csr_from_edges, csr_equal,
                             gcn_normalize, gemm, local_spmm, transpose_csr)
-from distgcn.partition import block_partition
+from distgcn.partition import Partition, apply_partition, block_partition
 from distgcn.runtime import ProcessGrid
 from distgcn.spmm import build_dist_matrices
 
@@ -165,6 +165,31 @@ def test_local_spmm_adds_in_storage_order(monkeypatch, f):
     assert local_spmm(a, h).tobytes() == expected
 
 
+def test_local_spmm_reuses_level_order_across_widths(monkeypatch):
+    # one level order serves every width and slice size: f=128 cuts the
+    # 2582 non-empty rows into 1024-row chunks that levels 0..4 run past,
+    # f=16 and f=1 take them in one chunk, and 40-row chunks at f=16 split
+    # every one of the 40 levels
+    rng = np.random.default_rng(21)
+    n_cols = 700
+    degrees = rng.choice([0, 1, 2, 5, 8, 13, 40, 400], size=2700,
+                         p=[.04, .2, .2, .2, .15, .15, .055, .005])
+    cols = [np.sort(rng.choice(n_cols, size=d, replace=False)) for d in degrees]
+    row_ptr = np.concatenate([[0], np.cumsum(degrees)])
+    col_idx = np.concatenate(cols)
+    values = rng.choice([-1.0, 1.0], col_idx.size) * 10.0 ** rng.uniform(-8, 8, col_idx.size)
+    a = CsrMatrix(degrees.size, n_cols, row_ptr, col_idx, values)
+    hs = {f: rng.normal(size=(n_cols, f)) * 10.0 ** rng.uniform(-8, 8, (n_cols, f))
+          for f in (1, 16, 128)}
+    expected = {f: spmm_storage_order(a, h).tobytes() for f, h in hs.items()}
+    for f in (16, 1, 128, 16):
+        assert local_spmm(a, hs[f]).tobytes() == expected[f]
+    order = a.level_order
+    monkeypatch.setattr(distgcn.sparse, "_SPMM_STEP_ELEMS", 40 * 16)
+    assert local_spmm(a, hs[16]).tobytes() == expected[16]
+    assert a.level_order is order
+
+
 def test_local_spmm_rejects_mismatch():
     a = csr_from_dense(np.eye(3))
     with pytest.raises(ValueError, match="mismatch"):
@@ -214,6 +239,39 @@ def test_transpose_involution_property(seed):
     m = int(rng.integers(1, 12))
     a = csr_from_dense(random_csr_dense(rng, n, density=0.3, square=False, n_cols=m))
     assert csr_equal(transpose_csr(transpose_csr(a)), a)
+
+
+def _sparse_with_empty_lines(rng, n_rows, n_cols):
+    """Random CSR matrix with every third row and fifth column empty."""
+    dense = random_csr_dense(rng, n_rows, density=0.4, square=False, n_cols=n_cols)
+    dense[::3] = 0.0
+    dense[:, ::5] = 0.0
+    return csr_from_dense(dense)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transpose_matches_lexsort_reference(seed):
+    rng = np.random.default_rng(seed)
+    a = _sparse_with_empty_lines(rng, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+    order = np.lexsort((a.row_of_nnz(), a.col_idx))
+    counts = np.bincount(a.col_idx, minlength=a.n_cols)
+    expected = CsrMatrix(a.n_cols, a.n_rows, np.concatenate([[0], np.cumsum(counts)]),
+                         a.row_of_nnz()[order], a.values[order])
+    assert csr_equal(transpose_csr(a), expected)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_partition_matches_lexsort_reference(seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+    a = _sparse_with_empty_lines(rng, n, n)
+    part = Partition.from_assignment(rng.integers(0, k, n), k)
+    rows, cols = part.perm[a.row_of_nnz()], part.perm[a.col_idx]
+    order = np.lexsort((cols, rows))
+    counts = np.bincount(rows, minlength=n)
+    expected = CsrMatrix(n, n, np.concatenate([[0], np.cumsum(counts)]),
+                         cols[order], a.values[order])
+    assert csr_equal(apply_partition(a, None, part)[0], expected)
 
 
 def occupied_cols(a, part):
