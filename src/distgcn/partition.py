@@ -9,17 +9,24 @@ Both refiners keep one vertex-by-part table of neighbor counts, built by
 `_part_counts`, and score all of a vertex's target parts with array
 operations on it; `comm_metrics` applies the same foreign-part rule to the
 distinct (vertex, neighbor part) pairs of the matrix.
+
+The BFS partitioner grows its parts along a level-synchronous BFS (one
+array step per level, in the order a queue would visit). Its edgecut
+passes visit only flagged vertices, those with some other part holding
+strictly more of their neighbors than their own: no other vertex can gain
+from a move, and a move changes only the flags of the moved vertex and its
+neighbors, so the moves are exactly those of scanning every vertex.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, csr_from_coo, transpose_csr
+from .sparse import CsrMatrix, transpose_csr
 
 __all__ = [
     "CommMetrics",
@@ -185,17 +192,25 @@ def _check_kn(n, k):
 
 def _sym_pattern(a: CsrMatrix) -> CsrMatrix:
     """Undirected pattern of a (union with its transpose), diagonal removed."""
-    rows = np.concatenate([a.row_of_nnz(), a.col_idx])
-    cols = np.concatenate([a.col_idx, a.row_of_nnz()])
-    keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    pat = csr_from_coo(a.n_rows, a.n_cols, rows, cols, np.ones(rows.size))
-    pat.values[:] = 1.0
-    return pat
+    n = a.n_rows
+    rows, cols = a.row_of_nnz(), a.col_idx
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    # each (row, col) pair as one key below n**2; sorted, distinct keys are
+    # the canonical CSR order (np.sort and a mask beat np.unique here)
+    keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
+    distinct = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    rows, cols = np.divmod(keys[distinct], n)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    return CsrMatrix(n, n, row_ptr, cols, np.ones(cols.size))
 
 
 def edgecut(a: CsrMatrix, part: Partition) -> int:
     """Number of undirected edges whose endpoints lie in different parts."""
+    if a.n_rows != a.n_cols or a.n_rows != part.n:
+        raise ValueError("partition does not match the matrix")
     pat = _sym_pattern(a)
     rows, cols = pat.row_of_nnz(), pat.col_idx
     upper = rows < cols
@@ -263,11 +278,19 @@ def greedy_tv_partition(a: CsrMatrix, k, epsilon=0.10, max_passes=10) -> Partiti
     nonzeros (cap (1+epsilon) times that), then single-vertex moves that
     strictly reduce the edgecut are applied while the cap is respected.
     The input pattern is treated as undirected. Deterministic.
+
+    The BFS runs one level at a time. Each refinement pass visits, in
+    ascending id, only the vertices flagged as having some other part hold
+    strictly more of their neighbors than their own part does; no other
+    vertex can gain from a move. A visit moves the vertex to the part under
+    the cap that holds the most of its neighbors, the lowest part id on
+    ties, so the moves are those of scanning every vertex.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("partitioning requires a square matrix")
     n = a.n_rows
     _check_kn(n, k)
+    _check_refine_params(epsilon, max_passes)
     pat = _sym_pattern(a)
     weight = np.maximum(np.diff(pat.row_ptr), 1)
     cap = (1.0 + epsilon) * weight.sum() / k
@@ -277,22 +300,41 @@ def greedy_tv_partition(a: CsrMatrix, k, epsilon=0.10, max_passes=10) -> Partiti
         cap = float(weight.max())
 
     order = _bfs_order(pat)
-    assignment = np.empty(n, dtype=np.int64)
+    part_in_order = []
     cur, cur_w = 0, 0
-    for idx, v in enumerate(order):
+    for idx, w in enumerate(weight[order].tolist()):
         must_leave = n - idx == k - cur - 1
-        if cur < k - 1 and cur_w > 0 and (cur_w + weight[v] > cap or must_leave):
+        if cur < k - 1 and cur_w > 0 and (cur_w + w > cap or must_leave):
             cur += 1
             cur_w = 0
-        assignment[v] = cur
-        cur_w += int(weight[v])
+        part_in_order.append(cur)
+        cur_w += w
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[order] = part_in_order
 
     _refine_edgecut(pat, assignment, k, weight, cap, max_passes)
     return Partition.from_assignment(assignment, k)
 
 
+def _check_refine_params(epsilon, max_passes, lambda_max=None):
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+    if max_passes < 0:
+        raise ValueError(f"max_passes must be non-negative, got {max_passes}")
+    if lambda_max is not None and not (np.isfinite(lambda_max) and lambda_max >= 0):
+        raise ValueError(f"lambda_max must be finite and non-negative, got {lambda_max}")
+
+
 def _bfs_order(pat: CsrMatrix) -> np.ndarray:
+    """Breadth-first vertex order, one level per step.
+
+    Each component starts at the smallest unvisited vertex. The next level
+    is the first occurrence of every unvisited vertex in the neighbor lists
+    of the current level, concatenated in level order: the order in which a
+    queue would discover them.
+    """
     n = pat.n_rows
+    row_ptr, col_idx = pat.row_ptr, pat.col_idx
     order = np.empty(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     pos = 0
@@ -300,15 +342,23 @@ def _bfs_order(pat: CsrMatrix) -> np.ndarray:
         if seen[start]:
             continue
         seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order[pos] = v
+        if row_ptr[start] == row_ptr[start + 1]:  # isolated: a whole component
+            order[pos] = start
             pos += 1
-            for u in pat.row(v)[0]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
+            continue
+        frontier = np.array([start])
+        while frontier.size:
+            order[pos:pos + frontier.size] = frontier
+            pos += frontier.size
+            lo, hi = row_ptr[frontier], row_ptr[frontier + 1]
+            lens = hi - lo
+            # positions lo[i] .. hi[i]-1 of every frontier vertex, in order
+            shift = np.repeat(lo - (np.cumsum(lens) - lens), lens)
+            nbrs = col_idx[np.arange(shift.size) + shift]
+            nbrs = nbrs[~seen[nbrs]]
+            uniq, first = np.unique(nbrs, return_index=True)
+            frontier = uniq[np.argsort(first)]
+            seen[frontier] = True
     return order
 
 
@@ -320,25 +370,55 @@ def _part_counts(m: CsrMatrix, assignment, k) -> np.ndarray:
     return np.bincount(keys, minlength=m.n_rows * k).reshape(m.n_rows, k)
 
 
+def _can_gain(nbr_cnt, assignment, vs):
+    """Whether some other part holds strictly more neighbors of each vertex
+    of vs than its own part does, which any edgecut-reducing move needs."""
+    return nbr_cnt[vs].max(axis=1) > nbr_cnt[vs, assignment[vs]]
+
+
 def _refine_edgecut(pat, assignment, k, weight, cap, max_passes):
+    """Greedy edgecut-reducing moves over the flagged vertices.
+
+    A vertex's flag (`_can_gain`) reads only its row of the count table and
+    its own part, and the pattern is symmetric without a diagonal, so a
+    move of v changes only the flags of v and its neighbors. Those are
+    recomputed after each move; a neighbor above v that becomes flagged
+    joins the current pass, which visits flagged vertices in ascending id.
+    """
+    n = pat.n_rows
+    row_ptr, col_idx = pat.row_ptr.tolist(), pat.col_idx
+    weights = weight.tolist()
     nbr_cnt = _part_counts(pat, assignment, k)
     part_w = np.bincount(assignment, weights=weight, minlength=k)
+    flag = _can_gain(nbr_cnt, assignment, np.arange(n))
     for _ in range(max_passes):
+        heap = np.flatnonzero(flag).tolist()  # ascending, hence a heap
+        queued = flag.copy()  # keeps a vertex from entering the heap twice
         moved = 0
-        for v in range(pat.n_rows):
-            s = assignment[v]
-            allowed = part_w + weight[v] <= cap
-            allowed[s] = False
-            delta = np.where(allowed, nbr_cnt[v, s] - nbr_cnt[v], 0)
-            t = int(np.argmin(delta))
-            if delta[t] < 0:
-                assignment[v] = t
-                part_w[s] -= weight[v]
-                part_w[t] += weight[v]
-                nbrs = pat.row(v)[0]
-                nbr_cnt[nbrs, s] -= 1
-                nbr_cnt[nbrs, t] += 1
-                moved += 1
+        while heap:
+            v = heapq.heappop(heap)
+            if not flag[v]:
+                continue
+            s, w, row = assignment[v], weights[v], nbr_cnt[v]
+            # parts under the cap score their neighbor count, the rest -1;
+            # argmax breaks ties toward the lowest part id
+            score = np.where(part_w + w <= cap, row, -1)
+            t = score.argmax()
+            if score[t] <= row[s]:
+                continue
+            assignment[v] = t
+            part_w[s] -= w
+            part_w[t] += w
+            nbrs = col_idx[row_ptr[v]:row_ptr[v + 1]]
+            nbr_cnt[nbrs, s] -= 1
+            nbr_cnt[nbrs, t] += 1
+            moved += 1
+            touched = np.concatenate((nbrs, [v]))
+            flag[touched] = _can_gain(nbr_cnt, assignment, touched)
+            new = nbrs[(nbrs > v) & flag[nbrs] & ~queued[nbrs]]
+            queued[new] = True
+            for u in new.tolist():
+                heapq.heappush(heap, u)
         if moved == 0:
             break
 
@@ -363,6 +443,7 @@ def volume_balanced_refine(a: CsrMatrix, part: Partition, lambda_max=None,
     """
     if a.n_rows != a.n_cols or a.n_rows != part.n:
         raise ValueError("partition does not match the matrix")
+    _check_refine_params(epsilon, max_passes, lambda_max)
     n, k = part.n, part.k
     if lambda_max is None:
         lambda_max = float(k)

@@ -5,6 +5,8 @@ sequential exchanges) and shares no code path with the implementations it
 verifies.
 """
 
+from collections import deque
+
 import numpy as np
 
 
@@ -139,3 +141,77 @@ def random_csr_dense(rng, n, density=0.15, square=True, n_cols=None):
     vals = rng.normal(size=(n, cols))
     vals[vals == 0.0] = 1.0
     return np.where(mask, vals, 0.0)
+
+
+def bfs_order_deque(pat):
+    """Queue-driven BFS over a CSR pattern: each component starts at the
+    smallest unvisited vertex, neighbors are enqueued in storage order."""
+    n = pat.n_rows
+    order = np.empty(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    pos = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            order[pos] = v
+            pos += 1
+            for u in pat.row(v)[0]:
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+    return order
+
+
+def refine_edgecut_full_scan(pat, assignment, k, weight, cap, max_passes):
+    """Greedy edgecut refinement that scores every vertex on every pass:
+    in ascending id, move each vertex to the allowed part holding the most
+    of its neighbors (lowest id on ties) when that strictly cuts fewer
+    edges; stop after a pass without moves. Updates `assignment` in place."""
+    nbr_cnt = np.zeros((pat.n_rows, k), dtype=np.int64)
+    for v in range(pat.n_rows):
+        for u in pat.row(v)[0]:
+            nbr_cnt[v, assignment[u]] += 1
+    part_w = np.bincount(assignment, weights=weight, minlength=k)
+    for _ in range(max_passes):
+        moved = 0
+        for v in range(pat.n_rows):
+            s = assignment[v]
+            allowed = part_w + weight[v] <= cap
+            allowed[s] = False
+            delta = np.where(allowed, nbr_cnt[v, s] - nbr_cnt[v], 0)
+            t = int(np.argmin(delta))
+            if delta[t] < 0:
+                assignment[v] = t
+                part_w[s] -= weight[v]
+                part_w[t] += weight[v]
+                nbrs = pat.row(v)[0]
+                nbr_cnt[nbrs, s] -= 1
+                nbr_cnt[nbrs, t] += 1
+                moved += 1
+        if moved == 0:
+            break
+
+
+def greedy_tv_reference(pat, k, epsilon=0.10, max_passes=10):
+    """Greedy-tv assignment on an undirected, diagonal-free pattern, built
+    from the queue BFS and the full-scan refiner: parts are grown along the
+    BFS order up to the balance cap (leaving at least one vertex for every
+    later part), then refined."""
+    n = pat.n_rows
+    weight = np.maximum(np.diff(pat.row_ptr), 1)
+    cap = max((1.0 + epsilon) * weight.sum() / k, float(weight.max()))
+    assignment = np.empty(n, dtype=np.int64)
+    cur, cur_w = 0, 0
+    for idx, v in enumerate(bfs_order_deque(pat)):
+        must_leave = n - idx == k - cur - 1
+        if cur < k - 1 and cur_w > 0 and (cur_w + weight[v] > cap or must_leave):
+            cur += 1
+            cur_w = 0
+        assignment[v] = cur
+        cur_w += int(weight[v])
+    refine_edgecut_full_scan(pat, assignment, k, weight, cap, max_passes)
+    return assignment

@@ -214,6 +214,19 @@ def test_cli_gen_graph_rejects_partition_flags(tmp_path, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, name", [(["--epsilon", "nan"], "epsilon"),
+                                        (["--epsilon", "-0.5"], "epsilon"),
+                                        (["--lambda-max", "-1"], "lambda_max"),
+                                        (["--max-passes", "-3"], "max_passes")])
+def test_cli_partition_rejects_bad_partitioner_parameters(tmp_path, capsys, flag, name):
+    out = tmp_path / "out"
+    rc = run_cli("partition", "--gen", "grid", "--n", "256", "--k", "4",
+                 "--partitioner", "gvb", *flag, "--out-dir", str(out))
+    assert rc == 2
+    assert name in json.loads(capsys.readouterr().err)["error"]
+    assert not (out / "partition.txt").exists()
+
+
 def test_cli_train_lr_zero_flat_loss(tmp_path):
     out = tmp_path / "out"
     assert run_cli("train", "--gen", "sbm", "--n", "32", "--p", "2",

@@ -3,15 +3,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from distgcn.graphgen import clique_blocks, grid2d, star, star_augmented
-from distgcn.partition import (Partition, apply_partition, block_partition,
-                               comm_metrics, edgecut, greedy_tv_partition,
-                               imbalance_pct, random_partition,
+from distgcn.graphgen import clique_blocks, grid2d, sbm, star, star_augmented
+from distgcn.partition import (Partition, _bfs_order, _sym_pattern, apply_partition,
+                               block_partition, comm_metrics, edgecut,
+                               greedy_tv_partition, imbalance_pct, random_partition,
                                volume_balanced_refine)
-from distgcn.sparse import csr_from_dense, csr_from_edges, csr_equal
+from distgcn.sparse import (csr_equal, csr_from_coo, csr_from_dense, csr_from_edges,
+                            gcn_normalize)
 
-from oracles import (cut_p_brute_force, edgecut_brute_force, random_csr_dense,
-                     send_rows_brute_force)
+from oracles import (bfs_order_deque, cut_p_brute_force, edgecut_brute_force,
+                     greedy_tv_reference, random_csr_dense, send_rows_brute_force)
 
 
 def path_graph(n):
@@ -206,6 +207,13 @@ def test_edgecut_matches_brute_force():
         assert edgecut(a, part) == edgecut_brute_force(dense, part.assignment)
 
 
+def test_edgecut_rejects_mismatched_matrix():
+    with pytest.raises(ValueError, match="does not match"):
+        edgecut(csr_from_dense(np.ones((4, 6))), block_partition(4, 2))
+    with pytest.raises(ValueError, match="does not match"):
+        edgecut(grid2d(3, 3), block_partition(8, 2))
+
+
 def test_greedy_tv_respects_balance():
     a = grid2d(8, 8)
     eps = 0.1
@@ -283,6 +291,12 @@ def _directed_with_self_loops():
     return csr_from_dense(dense)
 
 
+def _cliques_with_isolated(num_cliques=6, size=8, isolated=10):
+    a = clique_blocks(num_cliques, size)
+    n = a.n_rows + isolated
+    return csr_from_coo(n, n, a.row_of_nnz(), a.col_idx, a.values)
+
+
 @pytest.mark.parametrize("graph, k, greedy_digest, refined_digest", [
     (lambda: star_augmented(300, seed=0), 8,
      "551fbcf0c45be09487d9d538a7d86ed213ee2e6376d8ec5392d3681e2dcf8f88",
@@ -290,7 +304,17 @@ def _directed_with_self_loops():
     (_directed_with_self_loops, 5,
      "33285bbf8cdcacb3f91d6f4fad9cf5eecdad2e31979ea7314e22941e33e19143",
      "5e66023e135dfba857b15f8b13dd5ae76ce0c8549a990ed12f007d2bda5c794d"),
-], ids=["star-augmented-k8", "directed-self-loops-k5"])
+    (lambda: grid2d(32, 32), 32,
+     "78c432c921d57cc1f7649cee45c7d5daccaf75defa2d98b8782e22a6d932c1e2",
+     "908679352767d17d69c7de07a0cc0f8ead95c3d7470a20396ce0774f59a9ee0c"),
+    (lambda: gcn_normalize(sbm(1000, blocks=4, seed=3)[0]), 32,
+     "abc96168e1a46d7e2d0db2c1c7ef9b27549d050ca725a4f47236ea4760d591da",
+     "711923977b22dc819173eec3ecd789d68a5fd942fe85bb94761b1c9978caed7b"),
+    (_cliques_with_isolated, 4,
+     "44d1371e4e7b4d5a3a875f4e6ead6cb0e8a3c88d5b68ec010952213a66df3d5e",
+     "f0b40214f68fa99192ac0d493060c3e65f045c9f28bf9cc25d7d5acb401658b9"),
+], ids=["star-augmented-k8", "directed-self-loops-k5", "grid32-k32",
+        "sbm1000-normalized-k32", "cliques-isolated-k4"])
 def test_partitions_pinned(graph, k, greedy_digest, refined_digest):
     # sha256 of assignment and perm bytes: a rewrite of the partitioners
     # must keep every partition, down to tie-breaking between equal moves
@@ -301,3 +325,84 @@ def test_partitions_pinned(graph, k, greedy_digest, refined_digest):
     greedy = greedy_tv_partition(a, k)
     assert digest(greedy) == greedy_digest
     assert digest(volume_balanced_refine(a, greedy)) == refined_digest
+
+
+# ---- greedy-tv against the queue BFS and the full-scan refiner ---------------
+
+def _random_directed(seed, n, density):
+    dense = random_csr_dense(np.random.default_rng(seed), n, density=density)
+    np.fill_diagonal(dense, 1.0)
+    return csr_from_dense(dense)
+
+
+def _sparse_components(seed, n):
+    # few enough edges that isolated vertices and several components appear
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(0, n, size=(2, n))
+    return csr_from_coo(n, n, np.concatenate([u, v]), np.concatenate([v, u]),
+                        np.ones(u.size * 2))
+
+
+EQUIVALENCE_CASES = (
+    [(f"directed-loops-s{s}-k{k}", lambda s=s: _random_directed(s, 60 + 7 * s, 0.08), k)
+     for s, k in [(0, 3), (1, 5), (2, 7), (3, 4), (4, 6), (5, 9)]]
+    + [(f"components-s{s}-k{k}", lambda s=s: _sparse_components(s, 80 + 10 * s), k)
+       for s, k in [(0, 3), (1, 5), (2, 8), (3, 4)]]
+    + [("cliques-isolated-k4", _cliques_with_isolated, 4),
+       ("cliques-isolated-k7", lambda: _cliques_with_isolated(5, 7, 12), 7)]
+    + [(f"grid{r}x{c}-k32", lambda r=r, c=c: grid2d(r, c), 32)
+       for r, c in [(16, 16), (20, 24), (32, 32)]]
+    + [("star200-k4", lambda: star(200), 4), ("star200-k16", lambda: star(200), 16),
+       ("sbm300-normalized-k8",
+        lambda: gcn_normalize(sbm(300, blocks=4, p_in=0.05, p_out=0.005, seed=5)[0]), 8),
+       ("grid6x6-k1", lambda: grid2d(6, 6), 1),
+       ("grid5x5-k25", lambda: grid2d(5, 5), 25),
+       ("directed-loops-k-n", lambda: _random_directed(9, 14, 0.2), 14),
+       ("components-k-n", lambda: _sparse_components(9, 20), 20)]
+)
+
+
+@pytest.mark.parametrize("graph, k", [c[1:] for c in EQUIVALENCE_CASES],
+                         ids=[c[0] for c in EQUIVALENCE_CASES])
+def test_greedy_tv_matches_reference(graph, k):
+    a = graph()
+    pat = _sym_pattern(a)
+    assert np.array_equal(_bfs_order(pat), bfs_order_deque(pat))
+    part = greedy_tv_partition(a, k)
+    assert np.array_equal(part.assignment, greedy_tv_reference(pat, k))
+
+
+@pytest.mark.parametrize("epsilon, max_passes", [(0.0, 10), (0.3, 2), (0.1, 0)])
+def test_greedy_tv_matches_reference_across_parameters(epsilon, max_passes):
+    a = _random_directed(11, 120, 0.05)
+    part = greedy_tv_partition(a, 6, epsilon=epsilon, max_passes=max_passes)
+    expected = greedy_tv_reference(_sym_pattern(a), 6, epsilon, max_passes)
+    assert np.array_equal(part.assignment, expected)
+
+
+# ---- parameter validation ----------------------------------------------------
+
+BAD_PARAMETERS = [({"epsilon": -0.5}, "epsilon"), ({"epsilon": float("nan")}, "epsilon"),
+                  ({"epsilon": float("inf")}, "epsilon"), ({"max_passes": -3}, "max_passes")]
+
+
+@pytest.mark.parametrize("kwargs, name", BAD_PARAMETERS)
+def test_greedy_tv_rejects_bad_parameters(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        greedy_tv_partition(grid2d(8, 8), 4, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", BAD_PARAMETERS + [
+    ({"lambda_max": -1.0}, "lambda_max"), ({"lambda_max": float("nan")}, "lambda_max"),
+    ({"lambda_max": float("inf")}, "lambda_max")])
+def test_refine_rejects_bad_parameters(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        volume_balanced_refine(grid2d(8, 8), block_partition(64, 4), **kwargs)
+
+
+def test_partitioners_accept_boundary_parameters():
+    a = grid2d(8, 8)
+    part = greedy_tv_partition(a, 4, epsilon=0.0, max_passes=0)
+    refined = volume_balanced_refine(a, part, lambda_max=0.0, epsilon=0.0, max_passes=0)
+    assert np.array_equal(refined.assignment, part.assignment)
+    assert volume_balanced_refine(a, part, lambda_max=None).k == 4
