@@ -190,6 +190,14 @@ def _check_kn(n, k):
         raise ValueError(f"cannot split {n} vertices into {k} parts")
 
 
+def _sorted_distinct(keys) -> np.ndarray:
+    """Distinct values, ascending (np.sort and a mask beat np.unique here)."""
+    keys = np.sort(keys)
+    distinct = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    return keys[distinct]
+
+
 def _sym_pattern(a: CsrMatrix) -> CsrMatrix:
     """Undirected pattern of a (union with its transpose), diagonal removed."""
     n = a.n_rows
@@ -197,11 +205,9 @@ def _sym_pattern(a: CsrMatrix) -> CsrMatrix:
     off = rows != cols
     rows, cols = rows[off], cols[off]
     # each (row, col) pair as one key below n**2; sorted, distinct keys are
-    # the canonical CSR order (np.sort and a mask beat np.unique here)
-    keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
-    distinct = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    rows, cols = np.divmod(keys[distinct], n)
+    # the canonical CSR order
+    rows, cols = np.divmod(_sorted_distinct(np.concatenate([rows * n + cols,
+                                                            cols * n + rows])), n)
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
     return CsrMatrix(n, n, row_ptr, cols, np.ones(cols.size))
@@ -229,7 +235,7 @@ def comm_metrics(a: CsrMatrix, part: Partition, f=1) -> CommMetrics:
         raise ValueError("partition does not match the matrix")
     k = part.k
     assign = part.assignment
-    v, t = np.divmod(np.unique(a.row_of_nnz() * k + assign[a.col_idx]), k)
+    v, t = np.divmod(_sorted_distinct(a.row_of_nnz() * k + assign[a.col_idx]), k)
     own = assign[v]
     foreign = t != own
     send = np.bincount(own[foreign], minlength=k)

@@ -100,10 +100,6 @@ class CsrMatrix:
             out[self.row_of_nnz(), self.col_idx] = self.values
         return out
 
-    def copy(self) -> "CsrMatrix":
-        return CsrMatrix(self.n_rows, self.n_cols, self.row_ptr.copy(),
-                         self.col_idx.copy(), self.values.copy())
-
     @cached_property
     def level_order(self) -> "LevelOrder":
         """The pattern work of `local_spmm`, derived once per matrix."""

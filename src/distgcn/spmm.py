@@ -8,7 +8,8 @@ matching occupied columns of the relevant sparse blocks.
 
 Each process holds one local operand per phase: its block row restricted
 to the block columns of its stages, with columns compressed to the
-occupied global columns in ascending order (a halo layout). A phase
+occupied global columns in ascending order (a halo layout), which one
+owner-major index, `DistOperand.cols`, lists block by block. A phase
 stacks the rows it holds or receives in ascending source order and makes
 one local multiply, so every entry accumulates in ascending global
 column. The oblivious and aware forms therefore produce bit-identical
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Partition, apply_partition, block_partition
+from .partition import apply_partition, block_partition
 from .runtime import Comm, ProcessGrid, RunResult, run_program
 from .sparse import CsrMatrix, csr_equal, local_spmm, transpose_csr
 
@@ -48,23 +49,25 @@ class DistOperand:
     Block columns are split into column groups of s consecutive blocks,
     the s = p/c**2 stages of the grid (one group of all p blocks in 1D).
     local[(i, g)] holds the rows of block row i restricted to column group
-    g, with its columns compressed to the occupied global columns of that
-    range in ascending order. Those columns are, block by block,
-    nnz_cols[(i, j)]: the occupied columns of block (i, j), local to block
-    column j, in ascending order. A stored entry with value 0.0 still
-    occupies its column. widths[j] is the row count of block row j.
+    g, its columns compressed to the occupied columns of that range:
+    cols(i, j) for each block column j of the group in turn.
 
-    send_idx[j] and send_counts[j] are block row j's send plan for the 1D
-    sparsity-aware multiply: the concatenation of nnz_cols[(i, j)] over
-    i = 0..p-1, and the length of each of those runs, so one gather of
-    block row j's dense rows is the `all_to_allv` buffer for all ranks.
+    cols(i, j), the occupied-column index of block (i, j), lists the
+    columns of block column j (local to it, ascending) that hold a stored
+    entry in block row i, even a stored 0.0: the rows owner j ships to
+    block row i. It is stored once, owner-major: `idx` holds cols(0, j),
+    ..., cols(nb-1, j) for each j in turn, bounded by row j of the
+    (nb, nb+1) offsets `ptr`. So idx[ptr[j, 0]:ptr[j, -1]], with run
+    lengths np.diff(ptr[j]), is owner j's 1D send plan: one gather of it
+    is the `all_to_allv` buffer for all ranks.
     """
 
     local: dict
-    nnz_cols: dict
-    widths: list
-    send_idx: list
-    send_counts: list
+    idx: np.ndarray
+    ptr: np.ndarray
+
+    def cols(self, i, j) -> np.ndarray:
+        return self.idx[self.ptr[j, i]:self.ptr[j, i + 1]]
 
 
 @dataclass
@@ -82,7 +85,6 @@ class DistMatrices:
     boundaries: list
     fwd: DistOperand
     bwd: DistOperand
-    n: int
 
     @property
     def symmetric(self) -> bool:
@@ -91,29 +93,38 @@ class DistMatrices:
 
 def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
     nb = len(boundaries)
-    widths = [e - s for s, e in boundaries]
-    starts = np.array([s for s, _ in boundaries] + [mat.n_cols], dtype=np.int64)
-    row_all = mat.row_of_nnz()
-    local, cache = {}, {}
+    starts = np.array([s for s, _ in boundaries], dtype=np.int64)
+    # block of every row and column index; a zero-width block owns none
+    block_of = np.repeat(np.arange(nb), [e - s for s, e in boundaries])
+    rows = mat.row_of_nnz()
+    blk = block_of[mat.col_idx] * nb + block_of[rows]  # owner-major block id
+    # one sorted pass over the (owner block, block row, column) keys
+    key = blk * mat.n_cols + mat.col_idx
+    order = np.argsort(key)
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    comp = np.empty(key.size, dtype=np.int64)
+    comp[order] = np.cumsum(first) - 1
+    idx = mat.col_idx[order[first]] - starts[blk[order[first]] // nb]
+    ptr = np.searchsorted(key[first], (np.arange(nb)[:, None] * nb
+                                       + np.arange(nb + 1)) * mat.n_cols)
+    # halo column of an entry: its place in idx, moved from its run's
+    # start there to the run's start within its column group of block row i
+    runs = np.diff(ptr, axis=1).T.reshape(nb, nb // stages, stages)
+    run_start = (np.cumsum(runs, axis=2) - runs).reshape(nb, nb)
+    comp += (run_start.T - ptr[:, :nb]).ravel()[blk]
+    local = {}
     for i, (r0, r1) in enumerate(boundaries):
         lo, hi = mat.row_ptr[r0], mat.row_ptr[r1]
-        rows = row_all[lo:hi] - r0
-        halo, comp = np.unique(mat.col_idx[lo:hi], return_inverse=True)
-        # halo is ascending, so each block column owns one contiguous run
-        cuts = np.searchsorted(halo, starts)
-        for j in range(nb):
-            cache[(i, j)] = halo[cuts[j]:cuts[j + 1]] - starts[j]
         for g in range(nb // stages):
-            c0, c1 = cuts[g * stages], cuts[(g + 1) * stages]
-            sel = (comp >= c0) & (comp < c1)
-            counts = np.bincount(rows[sel], minlength=r1 - r0)
+            sel = blk[lo:hi] // (nb * stages) == g
+            counts = np.bincount(rows[lo:hi][sel] - r0, minlength=r1 - r0)
             row_ptr = np.zeros(r1 - r0 + 1, dtype=np.int64)
             np.cumsum(counts, out=row_ptr[1:])
-            local[(i, g)] = CsrMatrix(r1 - r0, c1 - c0, row_ptr,
-                                      comp[sel] - c0, mat.values[lo:hi][sel])
-    runs = [[cache[(i, j)] for i in range(nb)] for j in range(nb)]
-    return DistOperand(local, cache, widths, [np.concatenate(r) for r in runs],
-                       [np.array([c.size for c in r], dtype=np.int64) for r in runs])
+            local[(i, g)] = CsrMatrix(r1 - r0, runs[i, g].sum(), row_ptr,
+                                      comp[lo:hi][sel], mat.values[lo:hi][sel])
+    return DistOperand(local, idx, ptr)
 
 
 def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid) -> DistMatrices:
@@ -126,7 +137,7 @@ def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid) -> DistMatr
     at = transpose_csr(a)
     fwd = _extract_operand(at, bounds, stages)
     bwd = fwd if csr_equal(at, a) else _extract_operand(a, bounds, stages)
-    return DistMatrices(grid, bounds, fwd, bwd, a.n_rows)
+    return DistMatrices(grid, bounds, fwd, bwd)
 
 
 def validate_variant_grid(variant, p, c):
@@ -149,32 +160,23 @@ def exchange_index_lists(comm: Comm, op: DistOperand, variant: str):
     send rows from. Each receiver announces to every relevant owner which
     of its rows it needs; the traffic is charged as index payloads. The
     sparse pattern is fixed for a whole training run, so this runs once
-    and its cost is amortized over every subsequent multiply."""
+    and its cost is amortized over every subsequent multiply. In 1D
+    (c=1) every owner is a stage, so every rank announces to all others."""
     if variant.endswith("oblivious"):
         return
     grid = comm.grid
     i, j = comm.coords
-    tag = ("idx", comm.next_phase())
-    if variant == "1d-sparse":
-        r = comm.rank
-        for dst in range(comm.p):
-            if dst != r and op.nnz_cols[(r, dst)].size:
-                comm.isend(dst, op.nnz_cols[(r, dst)], tag=tag)
-        for src in range(comm.p):
-            if src != r and op.nnz_cols[(src, r)].size:
-                comm.recv(src, tag=tag)
-        return
     s = grid.stage_count()
-    for k in range(s):
-        q = j * s + k
-        if q != i and op.nnz_cols[(i, q)].size:
-            comm.isend(grid.rank_of(q, j), op.nnz_cols[(i, q)], tag=(tag, k))
-    for k in range(s):
-        q = j * s + k
-        if q == i:
-            for l in range(grid.n_rows):
-                if l != i and op.nnz_cols[(l, q)].size:
-                    comm.recv(grid.rank_of(l, j), tag=(tag, k))
+    tag = ("idx", comm.next_phase())
+    for q in range(j * s, (j + 1) * s):
+        need = op.cols(i, q)
+        if q != i and need.size:
+            comm.isend(grid.rank_of(q, j), need, tag=tag)
+    if j * s <= i < (j + 1) * s:
+        # this process owns a stage's block row: hear from every reader
+        for l in range(grid.n_rows):
+            if l != i and op.cols(l, i).size:
+                comm.recv(grid.rank_of(l, j), tag=tag)
 
 
 def _kernel_1d_oblivious(comm: Comm, op: DistOperand, h_block):
@@ -182,15 +184,15 @@ def _kernel_1d_oblivious(comm: Comm, op: DistOperand, h_block):
     halo = []
     for j in range(comm.p):
         hj = comm.broadcast(j, h_block if j == r else None)
-        halo.append(hj[op.nnz_cols[(r, j)]])
+        halo.append(hj[op.cols(r, j)])
     return local_spmm(op.local[(r, 0)], np.vstack(halo))
 
 
 def _kernel_1d_sparse(comm: Comm, op: DistOperand, h_block):
-    r = comm.rank
+    ptr = op.ptr[comm.rank]
     # received rows come in ascending source order, which is halo order
-    halo = comm.all_to_allv(h_block[op.send_idx[r]], op.send_counts[r])
-    return local_spmm(op.local[(r, 0)], halo)
+    halo = comm.all_to_allv(h_block[op.idx[ptr[0]:ptr[-1]]], np.diff(ptr))
+    return local_spmm(op.local[(comm.rank, 0)], halo)
 
 
 def _kernel_15d(comm: Comm, op: DistOperand, h_block, sparse):
@@ -201,19 +203,14 @@ def _kernel_15d(comm: Comm, op: DistOperand, h_block, sparse):
     halo = []
     for k in range(s):
         q = j * s + k
-        idx = op.nnz_cols[(i, q)]
+        idx = op.cols(i, q)
         if q == i:
             # this process owns the stage's block row: serve its column
             for l in range(grid.n_rows):
-                if l == i:
-                    continue
-                if sparse:
-                    need = op.nnz_cols[(l, q)]
-                    if need.size == 0:
-                        continue
-                    comm.isend(grid.rank_of(l, j), h_block[need], tag=(tag, k))
-                else:
-                    comm.isend(grid.rank_of(l, j), h_block, tag=(tag, k))
+                need = op.cols(l, i)
+                if l != i and (need.size or not sparse):
+                    comm.isend(grid.rank_of(l, j), h_block[need] if sparse else h_block,
+                               tag=(tag, k))
             halo.append(h_block[idx])
         elif not sparse:
             halo.append(comm.recv(grid.rank_of(q, j), tag=(tag, k))[idx])
@@ -253,8 +250,6 @@ class SpmmRun:
     z: np.ndarray
     ledger: object
     dm: DistMatrices
-    partition: Partition
-    grid: ProcessGrid
 
 
 def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None) -> SpmmRun:
@@ -285,4 +280,4 @@ def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None) -> SpmmRun:
 
     run: RunResult = run_program(p, c, program)
     z2 = np.vstack([run.results[grid.rank_of(i, 0)] for i in range(grid.n_rows)])
-    return SpmmRun(z2[part.perm], run.ledger, dm, part, grid)
+    return SpmmRun(z2[part.perm], run.ledger, dm)

@@ -89,9 +89,9 @@ def test_criterion_2_volume_dominance(sweep):
             checked += 1
             if a_bytes > o_bytes:
                 ok = False
-            op = aware.dm.fwd
-            nb = len(op.widths)
-            slack = any(len(op.nnz_cols[(i, j)]) < op.widths[j]
+            widths = [e - s for s, e in aware.dm.boundaries]
+            nb = len(widths)
+            slack = any(aware.dm.fwd.cols(i, j).size < widths[j]
                         for i in range(nb) for j in range(nb) if i != j)
             if slack:
                 strict_checked += 1

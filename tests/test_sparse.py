@@ -278,7 +278,7 @@ def occupied_cols(a, part):
     """Occupied-column index of a's blocks, as the distributed layout
     stores it: the forward operand is the transpose of its input."""
     dm = build_dist_matrices(transpose_csr(a), part.boundaries, ProcessGrid(part.k, 1))
-    return dm.fwd.nnz_cols
+    return dm.fwd.cols
 
 
 def test_nnz_cols_diagonal_matrix_off_blocks_empty():
@@ -286,13 +286,13 @@ def test_nnz_cols_diagonal_matrix_off_blocks_empty():
     occ = occupied_cols(a, block_partition(8, 4))
     for i in range(4):
         for j in range(4):
-            assert (occ[(i, j)].size == 0) == (i != j)
+            assert (occ(i, j).size == 0) == (i != j)
 
 
 def test_nnz_cols_dense_block_full():
     a = csr_from_dense(np.ones((6, 6)))
     occ = occupied_cols(a, block_partition(6, 3))
-    np.testing.assert_array_equal(occ[(0, 2)], [0, 1])
+    np.testing.assert_array_equal(occ(0, 2), [0, 1])
 
 
 def test_nnz_cols_matches_dense_scan():
@@ -303,7 +303,7 @@ def test_nnz_cols_matches_dense_scan():
     occ = occupied_cols(a, part)
     for i in range(4):
         for j in range(4):
-            got = occ[(i, j)].tolist()
+            got = occ(i, j).tolist()
             assert got == nnz_cols_dense_scan(dense, part.boundaries, i, j)
 
 
@@ -311,8 +311,8 @@ def test_nnz_cols_counts_structural_zeros():
     # a stored entry with value 0.0 still occupies its column
     a = CsrMatrix(2, 2, [0, 1, 1], [1], [0.0])
     occ = occupied_cols(a, block_partition(2, 2))
-    np.testing.assert_array_equal(occ[(0, 1)], [0])
-    assert occ[(0, 0)].size == occ[(1, 0)].size == occ[(1, 1)].size == 0
+    np.testing.assert_array_equal(occ(0, 1), [0])
+    assert occ(0, 0).size == occ(1, 0).size == occ(1, 1).size == 0
 
 
 def test_nnz_cols_empty_iff_block_empty():
@@ -326,4 +326,4 @@ def test_nnz_cols_empty_iff_block_empty():
             r0, r1 = part.boundaries[i]
             c0, c1 = part.boundaries[j]
             empty = not np.any(dense[r0:r1, c0:c1] != 0)
-            assert (occ[(i, j)].size == 0) == empty
+            assert (occ(i, j).size == 0) == empty

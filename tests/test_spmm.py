@@ -6,10 +6,11 @@ import pytest
 
 from distgcn.gcn import TrainConfig, train
 from distgcn.graphgen import clique_blocks, sbm
-from distgcn.partition import (apply_partition, block_partition, comm_metrics,
+from distgcn.partition import (Partition, apply_partition, block_partition, comm_metrics,
                                greedy_tv_partition)
 from distgcn.runtime import ProcessGrid
-from distgcn.sparse import CsrMatrix, csr_from_dense, gcn_normalize, transpose_csr
+from distgcn.sparse import (CsrMatrix, csr_equal, csr_from_dense, gcn_normalize,
+                            transpose_csr)
 from distgcn.spmm import (VARIANTS, build_dist_matrices, run_spmm,
                           serial_reference, validate_variant_grid)
 
@@ -37,7 +38,7 @@ def test_halo_operands_tile_matrix_exactly():
         for i, (r0, r1) in enumerate(part.boundaries):
             for g in range(c):
                 group = range(g * s, (g + 1) * s)
-                halo = np.concatenate([dm.fwd.nnz_cols[(i, j)] + part.boundaries[j][0]
+                halo = np.concatenate([dm.fwd.cols(i, j) + part.boundaries[j][0]
                                        for j in group])
                 assert np.all(np.diff(halo) > 0)
                 local = dm.fwd.local[(i, g)]
@@ -52,16 +53,24 @@ def test_halo_operands_tile_matrix_exactly():
 
 def test_nnz_cache_matches_fresh_computation():
     a, _ = random_instance(1, n=18)
-    part = greedy_tv_partition(a, 3)
-    a2, _ = apply_partition(a, None, part)
-    dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(3, 1))
-    assert not dm.symmetric
-    dense = a2.to_dense()
-    for op, mat in ((dm.fwd, dense.T), (dm.bwd, dense)):
-        for i in range(3):
-            for j in range(3):
-                expected = nnz_cols_dense_scan(mat, part.boundaries, i, j)
-                assert op.nnz_cols[(i, j)].tolist() == expected
+    for p, c in ((3, 1), (8, 2)):
+        rows = ProcessGrid(p, c).n_rows
+        part = greedy_tv_partition(a, rows)
+        a2, _ = apply_partition(a, None, part)
+        dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(p, c))
+        assert not dm.symmetric
+        dense = a2.to_dense()
+        for op, mat in ((dm.fwd, dense.T), (dm.bwd, dense)):
+            for j in range(rows):
+                for i in range(rows):
+                    expected = nnz_cols_dense_scan(mat, part.boundaries, i, j)
+                    assert op.cols(i, j).tolist() == expected
+                # owner j's send plan is its column's runs, in block-row order
+                plan = op.idx[op.ptr[j, 0]:op.ptr[j, -1]]
+                np.testing.assert_array_equal(
+                    plan, np.concatenate([op.cols(i, j) for i in range(rows)]))
+                np.testing.assert_array_equal(
+                    np.diff(op.ptr[j]), [op.cols(i, j).size for i in range(rows)])
 
 
 def test_symmetric_matrix_shares_operand():
@@ -119,6 +128,16 @@ def test_variants_match_oracle_on_variable_boundaries():
     for variant in ("1d-oblivious", "1d-sparse"):
         run = run_spmm(a, h, 3, 1, variant, partition=part)
         np.testing.assert_allclose(run.z, serial_reference(a, h), atol=1e-10)
+    # part 2 is unused: a zero-width block row, so two blocks start at the
+    # same row
+    assignment = np.arange(30) % 3
+    assignment[assignment == 2] = 3
+    part = Partition.from_assignment(assignment, 4)
+    assert part.boundaries[2] == (20, 20)
+    for variant, p, c in [(v, 4, 1) for v in VARIANTS] + [("15d-oblivious", 8, 2),
+                                                         ("15d-sparse", 8, 2)]:
+        run = run_spmm(a, h, p, c, variant, partition=part)
+        np.testing.assert_allclose(run.z, serial_reference(a, h), atol=1e-10)
 
 
 def test_c1_variants_match_serial_reference_bitwise():
@@ -163,7 +182,7 @@ def test_sparse_messages_sized_by_occupied_columns():
     m = comm_metrics(a, part, f=3)
     for (s, d), nbytes in run.ledger.pair_max_data_bytes.items():
         rows = nbytes / (8 * 3)
-        assert rows == len(dm.fwd.nnz_cols[(d, s)])
+        assert rows == dm.fwd.cols(d, s).size
         assert rows <= m.cut_p
 
 
@@ -182,8 +201,8 @@ def test_dominance_strict_when_off_diagonal_column_empty():
     a, h = random_instance(11, n=32, f=2, density=0.05)
     run_s = run_spmm(a, h, 4, 1, "1d-sparse")
     dm = run_s.dm
-    widths = dm.fwd.widths
-    has_slack = any(len(dm.fwd.nnz_cols[(i, j)]) < widths[j]
+    widths = [e - s for s, e in dm.boundaries]
+    has_slack = any(dm.fwd.cols(i, j).size < widths[j]
                     for i in range(4) for j in range(4) if i != j)
     assert has_slack  # at 5% density some off-diagonal column is empty
     d_obl = run_spmm(a, h, 4, 1, "1d-oblivious").ledger.total_bytes_sent("data")
@@ -194,7 +213,7 @@ def test_index_traffic_charged_once_per_setup():
     a, h = random_instance(13, n=20, f=2)
     run = run_spmm(a, h, 4, 1, "1d-sparse")
     dm = run.dm
-    expected = 8 * sum(len(dm.fwd.nnz_cols[(i, j)])
+    expected = 8 * sum(dm.fwd.cols(i, j).size
                        for i in range(4) for j in range(4) if i != j)
     assert run.ledger.total_bytes_sent("index") == expected
 
@@ -303,6 +322,7 @@ _PINNED_RUNS = {
         "86b6bb8e44ba5c0359dfe6bf476dd3d9812ee5ada46d79cd2653419c59fe4695",
 }
 _PINNED_TRAIN = "b8e5d12526a68bdf756d9f2ef4d0deb93f52d480b22e726089b40c35ab223a09"
+_PINNED_TRAIN_15D = "40221b1663f6eeb08d685c78fb7a97e6b4deda8ec02ce6b42121338c537ca1d3"
 
 
 @pytest.mark.parametrize("variant,partitioner", sorted(_PINNED_RUNS))
@@ -326,3 +346,15 @@ def test_train_ledger_pinned():
     cfg = TrainConfig(epochs=2, variant="1d-sparse")
     res = train(gcn_normalize(graph), x, y, np.arange(640) % 2 == 0, cfg, p=32)
     assert _pin_digest(res.ledger) == _PINNED_TRAIN
+    # a non-symmetric matrix, so the backward operand is its own operand
+    # with its own index exchange, on a 1.5D grid with uneven block rows
+    graph, x, y = sbm(320, blocks=4, p_in=0.1, p_out=0.01, seed=5, feature_dim=8)
+    keep = np.random.default_rng(5).random(graph.nnz) < 0.7
+    counts = np.bincount(graph.row_of_nnz()[keep], minlength=320)
+    a = gcn_normalize(CsrMatrix(320, 320, np.concatenate([[0], np.cumsum(counts)]),
+                                graph.col_idx[keep], graph.values[keep]))
+    cfg = TrainConfig(epochs=2, variant="15d-sparse")
+    res = train(a, x, y, np.arange(320) % 2 == 0, cfg, p=8, c=2,
+                partition=greedy_tv_partition(a, 4))
+    assert not csr_equal(transpose_csr(a), a)
+    assert _pin_digest(res.ledger) == _PINNED_TRAIN_15D
