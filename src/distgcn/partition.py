@@ -16,6 +16,11 @@ passes visit only flagged vertices, those with some other part holding
 strictly more of their neighbors than their own: no other vertex can gain
 from a move, and a move changes only the flags of the moved vertex and its
 neighbors, so the moves are exactly those of scanning every vertex.
+
+The volume-balancing refiner scores a window of consecutive vertices at
+once and applies only the first improving move in it: up to that vertex
+nothing has moved, so the moves are exactly those of visiting every
+vertex in turn.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# Bound on the (vertex, target) x in-neighbor and (vertex, target) x part
+# elements one scoring window of `volume_balanced_refine` may hold.
+_GVB_WINDOW_ELEMS = 1 << 17
 
 
 @dataclass
@@ -431,21 +440,35 @@ def _refine_edgecut(pat, assignment, k, weight, cap, max_passes):
 
 def volume_balanced_refine(a: CsrMatrix, part: Partition, lambda_max=None,
                            epsilon=0.10, max_passes=10) -> Partition:
-    """Boundary-vertex refinement of both total and bottleneck send volume.
+    """Move-based refinement of both total and bottleneck send volume.
 
-    Candidate moves are scored by (change in total send rows) plus
-    lambda_max times (change in the maximum per-part send rows); only
-    strictly improving, balance-respecting moves are applied, scanning
-    vertices in ascending id and breaking score ties toward the lowest
-    target part. The score is monotone non-increasing across passes and
-    the input is returned unchanged when no move helps.
+    Each pass considers every vertex in ascending id. A vertex's targets
+    are the parts other than its own that hold one of its out- or
+    in-neighbors and stay under the balance cap; each target is scored by
+    (change in total send rows) plus lambda_max times (change in the
+    maximum per-part send rows), and the vertex moves to the lowest-cost
+    target, the lowest part id on ties, when that cost is negative, so the
+    score never rises. Passes stop after one without moves or after
+    max_passes. The assignment is returned unchanged when no move helps;
+    the layout is always the canonical one of `Partition.from_assignment`,
+    so the perm of, say, a `random_partition` input changes.
 
     The state is the vertex-by-part table of out-neighbor counts, self-loops
     ignored; a vertex sends one row per foreign part with a nonzero count.
     Moving v from s to t changes the send rows of v and of its in-neighbors
     u only: u stops sending to s when v was its last out-neighbor there and
-    starts sending to t when it had none there. All targets of v are
-    scored at once as a (targets x k) array of per-part send-row changes.
+    starts sending to t when it had none there.
+
+    Vertices are scored a window at a time (`_first_mover`): every
+    (vertex, target) pair of consecutive vertices [v0, v1) at once, as a
+    (k x pairs) array of per-part send-row changes. Up to the first vertex
+    with a negative cost no move has happened, so every vertex of the
+    window up to that one was scored against the state a one-by-one scan
+    would see: those before it stay, and its pick is the scan's. Only that
+    move is applied, and the next window starts just after it. The window
+    doubles while nothing moves; after a move it becomes the mean of its
+    last size and twice the mover's distance from the window start, so it
+    follows the spacing of recent moves. `_GVB_WINDOW_ELEMS` bounds it.
     """
     if a.n_rows != a.n_cols or a.n_rows != part.n:
         raise ValueError("partition does not match the matrix")
@@ -454,7 +477,14 @@ def volume_balanced_refine(a: CsrMatrix, part: Partition, lambda_max=None,
     if lambda_max is None:
         lambda_max = float(k)
     assignment = part.assignment.copy()
+    # in-neighbor lists, diagonal dropped, as one CSR
     at = transpose_csr(a)
+    at_rows = at.row_of_nnz()
+    off = at.col_idx != at_rows
+    in_nbr = at.col_idx[off]
+    in_row = at_rows[off]
+    in_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(in_row, minlength=n), out=in_ptr[1:])
     pat = _sym_pattern(a)
     weight = np.maximum(np.diff(pat.row_ptr), 1)
     cap = max((1.0 + epsilon) * weight.sum() / k, float(weight.max()))
@@ -464,46 +494,95 @@ def volume_balanced_refine(a: CsrMatrix, part: Partition, lambda_max=None,
     contrib = np.count_nonzero(out_cnt, axis=1) - (out_cnt[np.arange(n), assignment] > 0)
     part_send = np.zeros(k, dtype=np.int64)
     np.add.at(part_send, assignment, contrib)
+    state = (in_ptr, in_nbr, in_row, assignment, out_cnt, contrib, part_send, part_w, weight, cap,
+             lambda_max)
 
+    # reach[v]: the element bound of the vertices [0, v). A vertex has at
+    # most min(k - 1, weight) targets, each meeting its in-neighbors and
+    # the k parts.
+    reach = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.minimum(k - 1, weight) * (np.diff(in_ptr) + k), out=reach[1:])
+    size = 1
     for _ in range(max_passes):
         moved = 0
-        for v in range(n):
-            s = int(assignment[v])
-            in_nbrs = at.row(v)[0]
-            in_nbrs = in_nbrs[in_nbrs != v]
-            own = assignment[in_nbrs]
-            cand = out_cnt[v] > 0
-            cand[own] = True
-            cand[s] = False
-            cand &= part_w + weight[v] <= cap
-            targets = np.flatnonzero(cand)
-            if targets.size == 0:
-                continue
-            # send[i, q]: change of part q's send rows if v moves to targets[i]
-            v_contrib = np.count_nonzero(out_cnt[v]) - (out_cnt[v, targets] > 0)
-            stops = (own != s) & (out_cnt[in_nbrs, s] == 1)
-            starts = (own[:, None] != targets) & (out_cnt[in_nbrs[:, None], targets] == 0)
-            u_idx, t_idx = np.nonzero(starts)
-            send = np.bincount(t_idx * k + own[u_idx],
-                               minlength=targets.size * k).reshape(targets.size, k)
-            send -= np.bincount(own[stops], minlength=k)
-            send[:, s] -= contrib[v]
-            send[np.arange(targets.size), targets] += v_contrib
-            cost = send.sum(axis=1) + lambda_max * (
-                (part_send + send).max(axis=1) - part_send.max())
-            best = int(np.argmin(cost))
-            if cost[best] >= 0:
-                continue
-            t = int(targets[best])
-            contrib[v] = v_contrib[best]
-            contrib[in_nbrs] += starts[:, best].astype(np.int64) - stops
-            out_cnt[in_nbrs, s] -= 1
-            out_cnt[in_nbrs, t] += 1
-            part_send += send[best]
-            part_w[s] -= weight[v]
-            part_w[t] += weight[v]
-            assignment[v] = t
-            moved += 1
+        v0 = 0
+        while v0 < n:
+            fits = int(np.searchsorted(reach, reach[v0] + _GVB_WINDOW_ELEMS, "right")) - 1
+            v1 = min(v0 + size, max(fits, v0 + 1))
+            v = _first_mover(v0, v1, *state)
+            if v < 0:
+                size = 2 * (v1 - v0)
+                v0 = v1
+            else:
+                size = (size + 2 * (v + 1 - v0)) // 2
+                v0 = v + 1
+                moved += 1
         if moved == 0:
             break
     return Partition.from_assignment(assignment, k)
+
+
+def _first_mover(v0, v1, in_ptr, in_nbr, in_row, assignment, out_cnt, contrib, part_send,
+                 part_w, weight, cap, lambda_max):
+    """Score every (vertex, target) pair of [v0, v1) against the current
+    state, apply the move of the first vertex with a negative cost and
+    return that vertex, or -1 when no vertex of the window moves."""
+    k = out_cnt.shape[1]
+    nv = v1 - v0
+    lo, hi = in_ptr[v0], in_ptr[v1]
+    nbr = in_nbr[lo:hi]
+    ent_v = in_row[lo:hi] - v0  # window vertex of each in-neighbor entry
+    own = assignment[nbr]
+    s = assignment[v0:v1]
+    occ = out_cnt[v0:v1] > 0
+    cand = occ.copy()
+    cand[ent_v, own] = True
+    cand[np.arange(nv), s] = False
+    cand &= part_w + weight[v0:v1, None] <= cap
+    cells = cand.ravel().nonzero()[0]  # (vertex, target) pairs, by vertex, then target
+    pv, pt = np.divmod(cells, k)
+    n_pairs = pv.size
+    if n_pairs == 0:
+        return -1
+    cnt_flat = out_cnt.ravel()
+    nbr_k = nbr * k
+    s_ent = s[ent_v]
+    stops = (own != s_ent) & (cnt_flat[nbr_k + s_ent] == 1)
+    # pair i meets the in-neighbor entries of its vertex at e[pair == i]
+    pv_global = v0 + pv
+    pfirst = in_ptr[pv_global]
+    pdeg = in_ptr[pv_global + 1] - pfirst
+    pend = np.cumsum(pdeg)
+    pair = np.repeat(np.arange(n_pairs), pdeg)
+    e = np.arange(pair.size) + np.repeat(pfirst - lo - (pend - pdeg), pdeg)
+    t_e = pt[pair]
+    own_e = own[e]
+    starts = (own_e != t_e) & (cnt_flat[nbr_k[e] + t_e] == 0)
+    # send[q, i]: change of part q's send rows if pair i's move is made;
+    # the integer weights sum exactly in float64
+    pair_ar = np.arange(n_pairs)
+    v_contrib = occ.sum(axis=1)[pv] - occ.ravel()[cells]
+    send = np.bincount(
+        np.concatenate((own_e * n_pairs + pair, s[pv] * n_pairs + pair_ar, pt * n_pairs + pair_ar)),
+        np.concatenate((starts.view(np.int8) - stops[e].view(np.int8), -contrib[pv_global], v_contrib)),
+        k * n_pairs).astype(np.int64).reshape(k, n_pairs)
+    cost = send.sum(axis=0) + lambda_max * (
+        (part_send[:, None] + send).max(axis=0) - part_send.max())
+    neg = cost < 0
+    first = int(neg.argmax())
+    if not neg[first]:
+        return -1
+    w = pv[first]
+    best = first + int(np.argmin(cost[first:np.searchsorted(pv, w, "right")]))
+    v, t, s_v = v0 + int(w), int(pt[best]), int(s[w])
+    ents = slice(in_ptr[v] - lo, in_ptr[v + 1] - lo)
+    nbrs = nbr[ents]
+    contrib[v] = v_contrib[best]
+    contrib[nbrs] += starts[pend[best] - pdeg[best]:pend[best]].astype(np.int64) - stops[ents]
+    out_cnt[nbrs, s_v] -= 1
+    out_cnt[nbrs, t] += 1
+    part_send += send[:, best]
+    part_w[s_v] -= weight[v]
+    part_w[t] += weight[v]
+    assignment[v] = t
+    return v

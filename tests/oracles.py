@@ -215,3 +215,78 @@ def greedy_tv_reference(pat, k, epsilon=0.10, max_passes=10):
         cur_w += int(weight[v])
     refine_edgecut_full_scan(pat, assignment, k, weight, cap, max_passes)
     return assignment
+
+
+def volume_balanced_refine_full_scan(a, assignment, k, lambda_max=None, epsilon=0.10,
+                                     max_passes=10):
+    """Volume-balancing refinement that scores one vertex at a time: in
+    ascending id, move each vertex to the allowed target part with the
+    lowest cost (change in total send rows plus lambda_max times the change
+    in the largest part's send rows; lowest id on ties) when that cost is
+    negative; stop after a pass without moves. Targets are the parts other
+    than its own that hold an out-neighbor or an in-neighbor and stay under
+    the cap. Returns the new assignment and its canonical perm."""
+    n = a.n_rows
+    if lambda_max is None:
+        lambda_max = float(k)
+    assignment = np.array(assignment, dtype=np.int64)
+    rows, cols = a.row_of_nnz(), a.col_idx
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    # vertex weight: undirected off-diagonal degree, at least 1
+    und = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    weight = np.maximum(np.bincount(und // n, minlength=n), 1)
+    cap = max((1.0 + epsilon) * weight.sum() / k, float(weight.max()))
+    part_w = np.bincount(assignment, weights=weight, minlength=k)
+    in_lists = [[] for _ in range(n)]
+    out_cnt = np.zeros((n, k), dtype=np.int64)
+    for u, v in zip(rows.tolist(), cols.tolist()):
+        in_lists[v].append(u)
+        out_cnt[u, assignment[v]] += 1
+    contrib = np.count_nonzero(out_cnt, axis=1) - (out_cnt[np.arange(n), assignment] > 0)
+    part_send = np.zeros(k, dtype=np.int64)
+    np.add.at(part_send, assignment, contrib)
+
+    for _ in range(max_passes):
+        moved = 0
+        for v in range(n):
+            s = int(assignment[v])
+            in_nbrs = np.array(sorted(in_lists[v]), dtype=np.int64)
+            own = assignment[in_nbrs]
+            cand = out_cnt[v] > 0
+            cand[own] = True
+            cand[s] = False
+            cand &= part_w + weight[v] <= cap
+            targets = np.flatnonzero(cand)
+            if targets.size == 0:
+                continue
+            # send[i, q]: change of part q's send rows if v moves to targets[i]
+            v_contrib = np.count_nonzero(out_cnt[v]) - (out_cnt[v, targets] > 0)
+            stops = (own != s) & (out_cnt[in_nbrs, s] == 1)
+            starts = (own[:, None] != targets) & (out_cnt[in_nbrs[:, None], targets] == 0)
+            u_idx, t_idx = np.nonzero(starts)
+            send = np.bincount(t_idx * k + own[u_idx],
+                               minlength=targets.size * k).reshape(targets.size, k)
+            send -= np.bincount(own[stops], minlength=k)
+            send[:, s] -= contrib[v]
+            send[np.arange(targets.size), targets] += v_contrib
+            cost = send.sum(axis=1) + lambda_max * (
+                (part_send + send).max(axis=1) - part_send.max())
+            best = int(np.argmin(cost))
+            if cost[best] >= 0:
+                continue
+            t = int(targets[best])
+            contrib[v] = v_contrib[best]
+            contrib[in_nbrs] += starts[:, best].astype(np.int64) - stops
+            out_cnt[in_nbrs, s] -= 1
+            out_cnt[in_nbrs, t] += 1
+            part_send += send[best]
+            part_w[s] -= weight[v]
+            part_w[t] += weight[v]
+            assignment[v] = t
+            moved += 1
+        if moved == 0:
+            break
+    perm = np.empty(n, dtype=np.int64)
+    perm[np.argsort(assignment, kind="stable")] = np.arange(n)
+    return assignment, perm

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from distgcn.graphgen import clique_blocks, grid2d, sbm, star, star_augmented
+import distgcn.partition
 from distgcn.partition import (Partition, _bfs_order, _sym_pattern, apply_partition,
                                block_partition, comm_metrics, edgecut,
                                greedy_tv_partition, imbalance_pct, random_partition,
@@ -12,7 +13,8 @@ from distgcn.sparse import (csr_equal, csr_from_coo, csr_from_dense, csr_from_ed
                             gcn_normalize)
 
 from oracles import (bfs_order_deque, cut_p_brute_force, edgecut_brute_force,
-                     greedy_tv_reference, random_csr_dense, send_rows_brute_force)
+                     greedy_tv_reference, random_csr_dense, send_rows_brute_force,
+                     volume_balanced_refine_full_scan)
 
 
 def path_graph(n):
@@ -313,8 +315,11 @@ def _cliques_with_isolated(num_cliques=6, size=8, isolated=10):
     (_cliques_with_isolated, 4,
      "44d1371e4e7b4d5a3a875f4e6ead6cb0e8a3c88d5b68ec010952213a66df3d5e",
      "f0b40214f68fa99192ac0d493060c3e65f045c9f28bf9cc25d7d5acb401658b9"),
+    (lambda: gcn_normalize(star_augmented(1000, seed=1)), 16,
+     "afb759fb70ef190eb0f752f61146f4aae5317d0872bd0193fb8a3b2d5ed3f256",
+     "4bcde04cd6dd290008a58348745c8a1cf4344724d9ca7b3f199d68f2a3c710ea"),
 ], ids=["star-augmented-k8", "directed-self-loops-k5", "grid32-k32",
-        "sbm1000-normalized-k32", "cliques-isolated-k4"])
+        "sbm1000-normalized-k32", "cliques-isolated-k4", "star1000-normalized-k16"])
 def test_partitions_pinned(graph, k, greedy_digest, refined_digest):
     # sha256 of assignment and perm bytes: a rewrite of the partitioners
     # must keep every partition, down to tie-breaking between equal moves
@@ -378,6 +383,74 @@ def test_greedy_tv_matches_reference_across_parameters(epsilon, max_passes):
     part = greedy_tv_partition(a, 6, epsilon=epsilon, max_passes=max_passes)
     expected = greedy_tv_reference(_sym_pattern(a), 6, epsilon, max_passes)
     assert np.array_equal(part.assignment, expected)
+
+
+# ---- volume-balanced refinement against the one-vertex-at-a-time scan -------
+
+def _hub_above_cap(n, k, seed):
+    # a star_augmented graph whose hubs carry more weight than the balance cap
+    a = star_augmented(n, seed=seed)
+    weight = np.maximum(np.diff(_sym_pattern(a).row_ptr), 1)
+    assert weight.max() > 1.1 * weight.sum() / k
+    return a
+
+
+def _greedy(k, epsilon=0.10):
+    return lambda a: greedy_tv_partition(a, k, epsilon=epsilon)
+
+
+def _random(k, seed=1):
+    return lambda a: random_partition(a.n_rows, k, seed=seed)
+
+
+# (id, graph, starting partition, refiner keyword arguments)
+GVB_CASES = (
+    [(f"directed-loops-s{s}-k{k}-{kind}", lambda s=s: _random_directed(s, 50 + 10 * s, 0.08),
+      start(k), {})
+     for s, k in [(0, 3), (1, 5), (2, 7), (3, 4)]
+     for kind, start in [("greedy", _greedy), ("random", _random)]]
+    + [(f"star{n}-hubs-above-cap-k{k}", lambda n=n, k=k: _hub_above_cap(n, k, 2), start, {})
+       for n, k, start in [(150, 48, _greedy(48)), (200, 60, _random(60, 4))]]
+    + [("star120-normalized-k8-greedy", lambda: gcn_normalize(star_augmented(120, seed=5)),
+        _greedy(8), {})]
+    + [(f"grid{r}x{c}-tight-cap-k{k}", lambda r=r, c=c: grid2d(r, c), _random(k, seed),
+        {"epsilon": eps})
+       for r, c, k, seed, eps in [(10, 10, 4, 3, 0.02), (12, 9, 6, 2, 0.0)]]
+    + [("cliques-isolated-k4-random", _cliques_with_isolated, _random(4, 3), {}),
+       ("components-k5-greedy", lambda: _sparse_components(4, 90), _greedy(5), {}),
+       ("components-k3-random", lambda: _sparse_components(5, 70), _random(3, 5), {})]
+    + [("grid6x6-k1", lambda: grid2d(6, 6), _greedy(1), {}),
+       ("directed-loops-k-n", lambda: _random_directed(9, 14, 0.2), _random(14), {}),
+       ("components-k-n", lambda: _sparse_components(9, 20), _greedy(20), {})]
+    + [(f"sbm150-lambda{lam}-passes{passes}",
+        lambda: gcn_normalize(sbm(150, blocks=3, p_in=0.08, p_out=0.01, seed=7)[0]),
+        _random(6, 7), {"lambda_max": lam, "max_passes": passes})
+       for lam, passes in [(0.0, 10), (1.0, 10), (6.0, 1), (1.0, 0), (0.0, 1)]]
+)
+
+
+@pytest.mark.parametrize("graph, start, kwargs", [c[1:] for c in GVB_CASES],
+                         ids=[c[0] for c in GVB_CASES])
+def test_gvb_matches_reference(graph, start, kwargs):
+    a = graph()
+    part = start(a)
+    refined = volume_balanced_refine(a, part, **kwargs)
+    assignment, perm = volume_balanced_refine_full_scan(a, part.assignment, part.k, **kwargs)
+    assert refined.assignment.tobytes() == assignment.tobytes()
+    assert refined.perm.tobytes() == perm.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 300])
+def test_gvb_matches_reference_in_small_windows(monkeypatch, budget):
+    # budget 1 scores one vertex per window; 300 allows a few vertices, so
+    # every pass runs through many windows
+    monkeypatch.setattr(distgcn.partition, "_GVB_WINDOW_ELEMS", budget)
+    a = _random_directed(3, 80, 0.08)
+    part = greedy_tv_partition(a, 4)
+    refined = volume_balanced_refine(a, part)
+    assignment, perm = volume_balanced_refine_full_scan(a, part.assignment, 4)
+    assert refined.assignment.tobytes() == assignment.tobytes()
+    assert refined.perm.tobytes() == perm.tobytes()
 
 
 # ---- parameter validation ----------------------------------------------------
