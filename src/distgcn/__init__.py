@@ -8,7 +8,7 @@ and replicated (1.5D) layouts, full GCN training over any of them, and a
 latency-bandwidth cost model checked against measured volumes.
 """
 
-from .costmodel import CostParams, confront, predict_1d, predict_15d
+from .costmodel import CostParams, confront
 from .gcn import SerialGcn, TrainConfig, init_weights, serial_train, softmax_xent, train
 from .partition import (CommMetrics, Partition, apply_partition, block_partition,
                         comm_metrics, edgecut, greedy_tv_partition, imbalance_pct,
@@ -29,7 +29,7 @@ __all__ = [
     "apply_partition", "block_partition", "build_dist_matrices", "comm_metrics",
     "confront", "csr_from_dense", "csr_from_edges", "edgecut", "gcn_normalize",
     "gemm", "greedy_tv_partition", "imbalance_pct", "init_weights", "local_spmm",
-    "predict_1d", "predict_15d", "random_partition", "run_program",
+    "random_partition", "run_program",
     "run_spmm", "serial_reference", "serial_train", "softmax_xent", "spmm_kernel",
     "train", "transpose_csr", "volume_balanced_refine",
 ]

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from .runtime import CommLedger
 
-__all__ = ["CostParams", "confront", "predict_1d", "predict_1d_terms",
-           "predict_15d", "predict_15d_terms"]
+__all__ = ["CostParams", "confront", "predict_1d_terms", "predict_15d_terms"]
 
 
 @dataclass
@@ -49,10 +48,6 @@ def predict_1d_terms(cp: CostParams) -> dict:
     return {"latency": latency, "bandwidth": bandwidth, "total": latency + bandwidth}
 
 
-def predict_1d(cp: CostParams) -> float:
-    return predict_1d_terms(cp)["total"]
-
-
 def predict_15d_terms(cp: CostParams) -> dict:
     """Decomposition of the replicated-layout bound:
     2L * (alpha*(P/c^2)*log2(P/c^2) + (P/c^2)*cut_p*f*beta); the log term
@@ -64,10 +59,6 @@ def predict_15d_terms(cp: CostParams) -> dict:
     latency = 2.0 * cp.l_layers * cp.alpha * s * log_s
     bandwidth = 2.0 * cp.l_layers * s * cp.cut_p * cp.f * cp.beta
     return {"latency": latency, "bandwidth": bandwidth, "total": latency + bandwidth}
-
-
-def predict_15d(cp: CostParams) -> float:
-    return predict_15d_terms(cp)["total"]
 
 
 def confront(model_terms: dict, ledger: CommLedger, cp: CostParams, phases=1,

@@ -78,6 +78,7 @@ class Partition:
         """Partition with the canonical layout: parts in ascending order,
         original vertex order preserved inside each part."""
         assignment = np.asarray(assignment, dtype=np.int64)
+        _check_part_ids(assignment, k)
         n = assignment.size
         order = np.argsort(assignment, kind="stable")
         perm = np.empty(n, dtype=np.int64)
@@ -90,8 +91,7 @@ class Partition:
             raise ValueError("k must be at least 1")
         if self.assignment.shape != (self.n,):
             raise ValueError("assignment must have one entry per vertex")
-        if self.assignment.size and (self.assignment.min() < 0 or self.assignment.max() >= self.k):
-            raise ValueError("part ids must lie in [0, k)")
+        _check_part_ids(self.assignment, self.k)
         if not np.array_equal(np.sort(self.perm), np.arange(self.n)):
             raise ValueError("perm must be a bijection on [0, n)")
         if len(self.boundaries) != self.k:
@@ -154,6 +154,11 @@ class CommMetrics:
             "total_bytes": float(self.total_rows * self.f * 8),
             "max_bytes": float(self.max_rows * self.f * 8),
         }
+
+
+def _check_part_ids(assignment, k):
+    if assignment.size and (assignment.min() < 0 or assignment.max() >= k):
+        raise ValueError("part ids must lie in [0, k)")
 
 
 def _boundaries_from_sizes(sizes):

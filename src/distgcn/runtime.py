@@ -25,8 +25,11 @@ conventions: point-to-point and all-to-all charge exactly the payload
 bytes between distinct ranks (self-addressed payloads are local copies and
 cost nothing); broadcast charges the root (p-1) times the payload;
 all-reduce charges every group member 2*(g-1)/g times the payload, the
-ring schedule cost, which may be fractional. The conventions live in this
-module only, so swapping them does not touch the algorithms.
+ring schedule cost, which may be fractional. Each primitive charges all
+the ranks it involves through one `CommLedger.charge` per direction and
+raises the ledger's p x p arrays of largest message per rank pair. The
+conventions live in this module only, so swapping them does not touch the
+algorithms.
 
 Collectives do not copy their inputs on arrival: every member stays
 blocked until the last one to arrive has built the outputs, so no input
@@ -126,9 +129,14 @@ class CommLedger:
     """Per-rank, per-primitive byte and message counters for one run.
 
     Byte counters are floats because the ring all-reduce convention can
-    charge fractional bytes; message counters are integers. `pair_max_*`
-    record the largest single message per ordered (src, dst) pair;
-    `marks` hold global totals snapshotted at program-defined points.
+    charge fractional bytes; `msgs_*` and `calls` are integers, while the
+    per-kind `data_msgs_*` and `index_msgs_*` are floats. Bytes and
+    messages move through `charge`, which charges any number of ranks at
+    once; a collective charges each member one call.
+    `pair_max_bytes[s, d]` and `pair_max_data_bytes[s, d]` hold the
+    largest single message (of any kind, of data) from rank s to rank d,
+    as p x p integer arrays in which zero means no message; `marks` hold
+    global totals snapshotted at program-defined points.
     """
 
     def __init__(self, p):
@@ -141,61 +149,31 @@ class CommLedger:
                 fields[name] = np.zeros(p, dtype=dtype)
             fields["calls"] = np.zeros(p, dtype=np.int64)
             self.counters[prim] = fields
-        self.pair_max_bytes = {}
-        self.pair_max_data_bytes = {}
-        # data-pair maxima charge_exchange has noted: never above
-        # pair_max_data_bytes, which is never above pair_max_bytes
-        self._noted_data = np.zeros((p, p), dtype=np.int64)
+        self.pair_max_bytes = np.zeros((p, p), dtype=np.int64)
+        self.pair_max_data_bytes = np.zeros((p, p), dtype=np.int64)
         self.marks = {}
 
     @staticmethod
     def _kind(payload) -> str:
         return "data" if payload.dtype == np.float64 else "index"
 
-    def charge_send(self, prim, rank, nbytes, kind, msgs=1):
+    def charge(self, prim, direction, ranks, nbytes, kind, msgs=1):
+        """Charge `ranks`, one rank or a sequence of distinct ranks, nbytes
+        and msgs each in `direction` ("sent" or "received"); nbytes and
+        msgs are scalars or arrays aligned with `ranks`."""
         c = self.counters[prim]
-        c["bytes_sent"][rank] += nbytes
-        c[f"{kind}_bytes_sent"][rank] += nbytes
-        c["msgs_sent"][rank] += msgs
-        c[f"{kind}_msgs_sent"][rank] += msgs
+        c[f"bytes_{direction}"][ranks] += nbytes
+        c[f"{kind}_bytes_{direction}"][ranks] += nbytes
+        c[f"msgs_{direction}"][ranks] += msgs
+        c[f"{kind}_msgs_{direction}"][ranks] += msgs
 
-    def charge_recv(self, prim, rank, nbytes, kind, msgs=1):
-        c = self.counters[prim]
-        c["bytes_received"][rank] += nbytes
-        c[f"{kind}_bytes_received"][rank] += nbytes
-        c["msgs_received"][rank] += msgs
-        c[f"{kind}_msgs_received"][rank] += msgs
-
-    def note_pair(self, src, dst, nbytes, kind):
-        key = (src, dst)
-        if nbytes > self.pair_max_bytes.get(key, 0):
-            self.pair_max_bytes[key] = nbytes
-        if kind == "data" and nbytes > self.pair_max_data_bytes.get(key, 0):
-            self.pair_max_data_bytes[key] = nbytes
-
-    def charge_exchange(self, prim, nbytes, kind):
-        """Charge one call of `prim` on every rank that moves nbytes[s, d]
-        bytes from rank s to rank d (a p x p integer matrix); a zero entry
-        is no message, and the diagonal must be zero."""
-        c = self.counters[prim]
-        msgs = nbytes > 0
-        for direction, axis in (("sent", 1), ("received", 0)):
-            moved, count = nbytes.sum(axis=axis), msgs.sum(axis=axis)
-            c[f"bytes_{direction}"] += moved
-            c[f"{kind}_bytes_{direction}"] += moved
-            c[f"msgs_{direction}"] += count
-            c[f"{kind}_msgs_{direction}"] += count
-        c["calls"] += 1
-        # a pair at or below a noted data maximum changes neither dict, and
-        # the dicts only grow, so noting only the larger pairs is exact
-        src, dst = np.nonzero(nbytes > self._noted_data)
-        if kind == "data":
-            np.maximum(self._noted_data, nbytes, out=self._noted_data)
-        for s, d, b in zip(src.tolist(), dst.tolist(), nbytes[src, dst].tolist()):
-            self.note_pair(s, d, b, kind)
-
-    def add_call(self, prim, rank):
-        self.counters[prim]["calls"][rank] += 1
+    def record_pairs(self, src, dst, nbytes, kind):
+        """Raise the pair maxima of the distinct (src, dst) cells that
+        `src` and `dst` index to at least nbytes."""
+        maxima = ((self.pair_max_bytes, self.pair_max_data_bytes) if kind == "data"
+                  else (self.pair_max_bytes,))
+        for pm in maxima:
+            pm[src, dst] = np.maximum(pm[src, dst], nbytes)
 
     def totals(self) -> dict:
         out = {}
@@ -213,7 +191,7 @@ class CommLedger:
         return float(sum(self.counters[prim][field][rank] for prim in PRIMITIVES))
 
     def max_pair_data_bytes(self) -> float:
-        return max(self.pair_max_data_bytes.values(), default=0.0)
+        return int(self.pair_max_data_bytes.max()) or 0.0
 
     def conservation_ok(self) -> bool:
         for prim in PRIMITIVES:
@@ -223,16 +201,8 @@ class CommLedger:
         return True
 
     def snapshot(self) -> dict:
-        snap = {}
-        for prim in PRIMITIVES:
-            c = self.counters[prim]
-            snap[prim] = {
-                "bytes_sent": float(c["bytes_sent"].sum()),
-                "data_bytes_sent": float(c["data_bytes_sent"].sum()),
-                "index_bytes_sent": float(c["index_bytes_sent"].sum()),
-                "msgs_sent": int(c["msgs_sent"].sum()),
-            }
-        return snap
+        keep = ("bytes_sent", "data_bytes_sent", "index_bytes_sent", "msgs_sent")
+        return {prim: {name: t[name] for name in keep} for prim, t in self.totals().items()}
 
     def to_dict(self) -> dict:
         per_rank = {}
@@ -243,12 +213,18 @@ class CommLedger:
             "p": self.p,
             "per_rank": per_rank,
             "totals": self.totals(),
-            "pair_max_bytes": {f"{s}->{d}": v for (s, d), v in
-                               sorted(self.pair_max_bytes.items())},
-            "pair_max_data_bytes": {f"{s}->{d}": v for (s, d), v in
-                                    sorted(self.pair_max_data_bytes.items())},
+            "pair_max_bytes": _pair_dict(self.pair_max_bytes),
+            "pair_max_data_bytes": _pair_dict(self.pair_max_data_bytes),
             "marks": {str(k): v for k, v in self.marks.items()},
         }
+
+
+def _pair_dict(maxima) -> dict:
+    """The nonzero cells of a p x p pair-maximum array in row-major order,
+    as {"s->d": int}."""
+    src, dst = np.nonzero(maxima)
+    return {f"{s}->{d}": v for s, d, v in
+            zip(src.tolist(), dst.tolist(), maxima[src, dst].tolist())}
 
 
 class _Abort(Exception):
@@ -332,8 +308,6 @@ class _Runtime:
 
 def _as_payload(buf) -> np.ndarray:
     """buf as an array, uncopied, after checking its dtype."""
-    if buf is None:
-        return np.zeros(0, dtype=np.float64)
     arr = np.asarray(buf)
     if arr.dtype not in (np.dtype(np.float64), np.dtype(np.int64)):
         raise TypeError(f"payloads must be float64 or int64, got {arr.dtype}")
@@ -367,8 +341,8 @@ class Comm:
         if dst != self.rank:
             nbytes = arr.size * 8
             kind = CommLedger._kind(arr)
-            rt.ledger.charge_send("p2p", self.rank, nbytes, kind)
-            rt.ledger.note_pair(self.rank, dst, nbytes, kind)
+            rt.ledger.charge("p2p", "sent", self.rank, nbytes, kind)
+            rt.ledger.record_pairs(self.rank, dst, nbytes, kind)
         rt._wake(("mail", key))
 
     def recv(self, src, tag=0) -> np.ndarray:
@@ -384,15 +358,16 @@ class Comm:
         if not rt.mail[key]:
             del rt.mail[key]
         if src != self.rank:
-            rt.ledger.charge_recv("p2p", self.rank, payload.size * 8,
-                                  CommLedger._kind(payload))
+            rt.ledger.charge("p2p", "received", self.rank, payload.size * 8,
+                             CommLedger._kind(payload))
         return payload
 
     # ---- collectives --------------------------------------------------
 
     def _collective(self, kind, group, payload, complete):
         """Rendezvous of every rank in `group`; the last arrival runs
-        `complete` exactly once to produce all outputs and ledger charges."""
+        `complete` exactly once to produce all outputs and ledger charges.
+        A collective of a ledger primitive charges every member one call."""
         if self.rank not in group:
             raise ValueError(f"rank {self.rank} is not in group {group}")
         seq = self._seq.get((kind, group), 0)
@@ -406,6 +381,8 @@ class Comm:
         if len(slot.arrivals) == len(group):
             try:
                 slot.outputs = complete(slot.arrivals)
+                if kind in PRIMITIVES:
+                    rt.ledger.counters[kind]["calls"][list(group)] += 1
             except Exception as exc:  # propagate to every member
                 slot.error = exc
             slot.done = True
@@ -450,9 +427,16 @@ class Comm:
                 raise ValueError("all_to_allv buffers differ in dtype or row shape: "
                                  f"{sorted(row_shapes)}")
             rows = np.stack([arrivals[s][1] for s in group]).astype(np.int64)
+            # nbytes[s, d] moves from s to d; a zero entry is no message
             nbytes = rows * (8 * math.prod(bufs[0].shape[1:]))
             np.fill_diagonal(nbytes, 0)
-            ledger.charge_exchange("alltoallv", nbytes, CommLedger._kind(bufs[0]))
+            kind = CommLedger._kind(bufs[0])
+            msgs = nbytes > 0
+            ranks = list(group)
+            ledger.charge("alltoallv", "sent", ranks, nbytes.sum(axis=1), kind, msgs.sum(axis=1))
+            ledger.charge("alltoallv", "received", ranks, nbytes.sum(axis=0), kind,
+                          msgs.sum(axis=0))
+            ledger.record_pairs(slice(None), slice(None), nbytes, kind)
             ends = np.cumsum(rows, axis=1)
             # non-empty segments by receiver, then in ascending sender order
             dst, src = np.nonzero(rows.T)
@@ -472,26 +456,22 @@ class Comm:
         messages of the payload size."""
         if not 0 <= root < self.p:
             raise ValueError(f"broadcast root {root} out of range")
+        if self.rank == root and buf is None:
+            raise ValueError(f"broadcast root {root} supplied no buffer")
         payload = _as_payload(buf) if self.rank == root else None
         group = tuple(range(self.p))
         ledger = self._rt.ledger
 
         def complete(arrivals):
             arr = arrivals[root]
-            if arr is None:
-                raise ValueError(f"broadcast root {root} supplied no buffer")
             nbytes = arr.size * 8
             kind = CommLedger._kind(arr)
             shared = arr.copy()
             shared.setflags(write=False)
-            for r in group:
-                ledger.add_call("broadcast", r)
-                if r != root:
-                    ledger.charge_recv("broadcast", r, nbytes, kind)
-                    ledger.note_pair(root, r, nbytes, kind)
-            if self.p > 1:
-                ledger.charge_send("broadcast", root, nbytes * (self.p - 1), kind,
-                                   msgs=self.p - 1)
+            others = np.delete(np.arange(self.p), root)
+            ledger.charge("broadcast", "sent", root, nbytes * others.size, kind, others.size)
+            ledger.charge("broadcast", "received", others, nbytes, kind)
+            ledger.record_pairs(root, others, nbytes, kind)
             return dict.fromkeys(group, shared)
 
         return self._collective("broadcast", group, payload, complete)
@@ -512,18 +492,12 @@ class Comm:
             for r in group[1:]:
                 total = total + arrivals[r]
             g = len(group)
-            nbytes = total.size * 8
             kind = CommLedger._kind(total)
-            wire = 2.0 * (g - 1) / g * nbytes if g > 1 else 0.0
-            msgs = 2 * (g - 1)
-            outputs = {}
-            for r in group:
-                ledger.add_call("allreduce", r)
-                outputs[r] = total.copy()
-                if g > 1:
-                    ledger.charge_send("allreduce", r, wire, kind, msgs=msgs)
-                    ledger.charge_recv("allreduce", r, wire, kind, msgs=msgs)
-            return outputs
+            wire = 2.0 * (g - 1) / g * (total.size * 8)
+            members = list(group)
+            ledger.charge("allreduce", "sent", members, wire, kind, 2 * (g - 1))
+            ledger.charge("allreduce", "received", members, wire, kind, 2 * (g - 1))
+            return {r: total.copy() for r in group}
 
         return self._collective("allreduce", group, payload, complete)
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distgcn.costmodel import (CostParams, confront, predict_1d, predict_1d_terms,
-                               predict_15d, predict_15d_terms)
+from distgcn.costmodel import CostParams, confront, predict_1d_terms, predict_15d_terms
 from distgcn.partition import block_partition, comm_metrics
 from distgcn.sparse import csr_from_dense
 from distgcn.spmm import run_spmm
@@ -26,12 +25,12 @@ def reimplementation_15d(alpha, beta, p, c, layers, f, cut):
 
 def test_single_process_costs_nothing():
     cp = CostParams(alpha=1.0, beta=1.0, p=1, l_layers=3, f=8, cut_p=100)
-    assert predict_1d(cp) == 0.0
+    assert predict_1d_terms(cp)["total"] == 0.0
 
 
 def test_direct_substitution():
     cp = CostParams(alpha=0.0, beta=1.0, p=3, l_layers=1, f=2, cut_p=5)
-    assert predict_1d(cp) == 40.0  # 2 * (2 * 5 * 2)
+    assert predict_1d_terms(cp)["total"] == 40.0  # 2 * (2 * 5 * 2)
 
 
 def test_1d_matches_reimplementation():
@@ -41,7 +40,7 @@ def test_1d_matches_reimplementation():
         p = int(rng.integers(1, 40))
         layers, f, cut = int(rng.integers(1, 6)), int(rng.integers(1, 64)), int(rng.integers(0, 500))
         cp = CostParams(alpha=alpha, beta=beta, p=p, l_layers=layers, f=f, cut_p=cut)
-        assert predict_1d(cp) == pytest.approx(
+        assert predict_1d_terms(cp)["total"] == pytest.approx(
             reimplementation_1d(alpha, beta, p, layers, f, cut), rel=1e-15)
 
 
@@ -54,7 +53,7 @@ def test_15d_matches_reimplementation():
         p = s * c * c
         layers, f, cut = int(rng.integers(1, 6)), int(rng.integers(1, 64)), int(rng.integers(0, 500))
         cp = CostParams(alpha=alpha, beta=beta, p=p, c=c, l_layers=layers, f=f, cut_p=cut)
-        assert predict_15d(cp) == pytest.approx(
+        assert predict_15d_terms(cp)["total"] == pytest.approx(
             reimplementation_15d(alpha, beta, p, c, layers, f, cut), rel=1e-15)
 
 
@@ -67,20 +66,20 @@ def test_15d_latency_vanishes_when_one_stage():
 
 def test_15d_rejects_bad_grid():
     with pytest.raises(ValueError, match="divide"):
-        predict_15d(CostParams(alpha=1, beta=1, p=6, c=2))
+        predict_15d_terms(CostParams(alpha=1, beta=1, p=6, c=2))["total"]
 
 
 def test_1d_rejects_replication():
     with pytest.raises(ValueError, match="c == 1"):
-        predict_1d(CostParams(alpha=1, beta=1, p=4, c=2))
+        predict_1d_terms(CostParams(alpha=1, beta=1, p=4, c=2))["total"]
 
 
 def test_monotone_in_each_parameter():
     base = dict(alpha=1.0, beta=2.0, p=8, l_layers=2, f=4, cut_p=10)
-    t0 = predict_1d(CostParams(**base))
+    t0 = predict_1d_terms(CostParams(**base))["total"]
     for key, bump in [("alpha", 2.0), ("beta", 3.0), ("l_layers", 3), ("f", 8),
                       ("cut_p", 20)]:
-        t1 = predict_1d(CostParams(**{**base, key: bump}))
+        t1 = predict_1d_terms(CostParams(**{**base, key: bump}))["total"]
         assert t1 >= t0
 
 

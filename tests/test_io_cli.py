@@ -111,6 +111,13 @@ def test_partition_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.assignment, part.assignment)
 
 
+@pytest.mark.parametrize("k", [None, 3])
+def test_load_partition_rejects_negative_part_id(tmp_path, k):
+    (tmp_path / "p.txt").write_text("0\n2\n-1\n1\n")
+    with pytest.raises(ValueError, match=r"part ids must lie in \[0, k\)"):
+        io.load_partition(tmp_path / "p.txt", k)
+
+
 # ---- CLI ---------------------------------------------------------------------
 
 def run_cli(*argv):

@@ -234,6 +234,12 @@ def test_refine_leaves_aligned_blocks_alone():
     assert np.array_equal(refined.assignment, part.assignment)
 
 
+@pytest.mark.parametrize("assignment", [[0, -1, 1], [0, 2, 1]], ids=["negative", "k-or-above"])
+def test_from_assignment_rejects_part_ids_outside_range(assignment):
+    with pytest.raises(ValueError, match=r"part ids must lie in \[0, k\)"):
+        Partition.from_assignment(assignment, 2)
+
+
 def test_refine_star_does_not_worsen_max():
     a = star(12)
     assignment = np.array([0] + [i % 4 for i in range(12)], dtype=np.int64)

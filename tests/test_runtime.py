@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import sys
 import threading
@@ -162,9 +164,11 @@ def test_alltoallv_moves_rows_of_2d_buffer():
                                        [10.0, 11.0], [12.0, 13.0], [14.0, 15.0], [16.0, 17.0]]
     assert run.results[1].tolist() == [[4.0, 5.0], [6.0, 7.0], [8.0, 9.0], [18.0, 19.0]]
     assert run.ledger.counters["alltoallv"]["bytes_sent"].tolist() == [48.0, 64.0]
-    # pair maxima stay integers, as every other primitive records them
-    assert run.ledger.pair_max_data_bytes == {(0, 1): 48, (1, 0): 64}
-    assert all(type(v) is int for v in run.ledger.pair_max_bytes.values())
+    assert run.ledger.pair_max_data_bytes.tolist() == [[0, 48], [64, 0]]
+    # pair maxima serialize as integers, as every other primitive records them
+    pairs = run.ledger.to_dict()["pair_max_bytes"]
+    assert pairs == {"0->1": 48, "1->0": 64}
+    assert all(type(v) is int for v in pairs.values())
 
 
 def test_alltoallv_receiver_of_no_rows_gets_typed_empty():
@@ -260,6 +264,16 @@ def test_broadcast_shares_one_read_only_array():
 def test_broadcast_rejects_bad_root():
     with pytest.raises(ValueError, match="root"):
         run_program(2, 1, lambda comm: comm.broadcast(5, np.ones(1)))
+
+
+def test_broadcast_root_without_buffer_raises():
+    # a root's None is a missing payload, not an empty one
+    def program(comm):
+        comm.broadcast(1, None)
+        return comm.rank
+
+    with pytest.raises(ValueError, match="broadcast root 1 supplied no buffer"):
+        run_program(3, 1, program)
 
 
 def test_allreduce_group_of_one():
@@ -406,6 +420,43 @@ def test_ledger_marks_snapshot_totals():
     first = run.ledger.marks["after-first"]["allreduce"]["bytes_sent"]
     second = run.ledger.marks["after-second"]["allreduce"]["bytes_sent"]
     assert second == 2 * first > 0
+
+
+def _edge_case_program(comm):
+    """Every primitive on a 3 x 2 grid, over the ledger's corner cases."""
+    i, j = comm.coords
+    empty = comm.broadcast(1, np.zeros(0) if comm.rank == 1 else None)
+    index = comm.broadcast(4, np.arange(5, dtype=np.int64) if comm.rank == 4 else None)
+    counts = (np.arange(comm.p) + comm.rank) % 3
+    data = comm.all_to_allv(np.full(int(counts.sum()), float(comm.rank)), counts)
+    idx = comm.all_to_allv(np.full((int(counts[::-1].sum()), 2), comm.rank, dtype=np.int64),
+                           counts[::-1])
+    col = comm.all_reduce_sum(np.ones(3), group=comm.grid.col_group(j))
+    row = comm.all_reduce_sum(np.ones(4), group=comm.grid.row_group(i))
+    comm.ledger_mark("collectives")
+    if comm.rank == 0:
+        comm.isend(3, np.ones(2))
+        comm.isend(3, np.arange(7, dtype=np.int64))
+    if comm.rank == 3:
+        comm.recv(0)
+        comm.recv(0)
+    return empty.size, int(index.sum()), data.size, idx.shape, col.sum(), row.sum()
+
+
+# a rework of the ledger that keeps every serialized byte keeps this
+_PINNED_EDGE_CASES = "0c00f724b4754fd50e784b9ac1834c576007dda6229eb2453c4d1068460f50ab"
+
+
+def test_edge_case_ledger_pinned():
+    run = run_program(6, 2, _edge_case_program)
+    assert run.results == [(0, 10, 6, (6, 2), 9.0, 8.0)] * 6
+    # an empty broadcast still charges its root p-1 messages
+    assert run.ledger.counters["broadcast"]["msgs_sent"][1] == 5
+    # an index message above a data one raises pair_max_bytes only
+    assert run.ledger.pair_max_bytes[0, 3] == 56
+    assert run.ledger.pair_max_data_bytes[0, 3] == 16
+    digest = hashlib.sha256(json.dumps(run.ledger.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == _PINNED_EDGE_CASES
 
 
 def _mixed_program(comm):

@@ -180,10 +180,12 @@ def test_sparse_messages_sized_by_occupied_columns():
     run = run_spmm(a, h, 4, 1, "1d-sparse")
     dm = run.dm
     m = comm_metrics(a, part, f=3)
-    for (s, d), nbytes in run.ledger.pair_max_data_bytes.items():
-        rows = nbytes / (8 * 3)
-        assert rows == dm.fwd.cols(d, s).size
-        assert rows <= m.cut_p
+    # one message per rank pair with occupied columns, and none elsewhere
+    rows = np.array([[0 if s == d else dm.fwd.cols(d, s).size for d in range(4)]
+                     for s in range(4)])
+    np.testing.assert_array_equal(run.ledger.pair_max_data_bytes, rows * (8 * 3))
+    assert rows.max() <= m.cut_p
+    assert all(type(v) is int for v in run.ledger.to_dict()["pair_max_data_bytes"].values())
 
 
 def test_volume_dominance_within_families():
