@@ -110,25 +110,46 @@ def csr_from_coo(n_rows, n_cols, rows, cols, vals) -> CsrMatrix:
     """Build a canonical CSR matrix from coordinate triplets.
 
     Duplicate coordinates are summed and entries whose sum is exactly zero
-    are not stored. Triplets are sorted by (row, col, value) before
-    reduction so the result does not depend on input order, down to the bit
-    pattern of the sums.
+    are not stored. Triplets are summed in (row, col, value) order so the
+    result does not depend on input order, down to the bit pattern of the
+    sums. The build is one sort on the int64 key row * n_cols + col, after
+    which only the entries of duplicate keys are ordered by value.
+    Coordinates must lie inside the shape, and n_rows * n_cols must fit
+    the int64 key.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
     if not (rows.size == cols.size == vals.size):
         raise ValueError("rows, cols and vals must have equal length")
+    if int(n_rows) * int(n_cols) > np.iinfo(np.int64).max:
+        raise ValueError(f"shape ({n_rows}, {n_cols}) exceeds the int64 key space "
+                         "row * n_cols + col")
     if rows.size:
-        order = np.lexsort((vals, cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        group_start = np.empty(rows.size, dtype=bool)
+        for name, idx, bound in (("row", rows, n_rows), ("column", cols, n_cols)):
+            if idx.min() < 0 or idx.max() >= bound:
+                i = int(np.flatnonzero((idx < 0) | (idx >= bound))[0])
+                raise ValueError(f"triplet {i} has {name} index {int(idx[i])} "
+                                 f"outside [0, {bound})")
+        key = rows * n_cols + cols
+        order = np.argsort(key)
+        key, vals = key[order], vals[order]
+        group_start = np.empty(key.size, dtype=bool)
         group_start[0] = True
-        group_start[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        np.not_equal(key[1:], key[:-1], out=group_start[1:])
         starts = np.flatnonzero(group_start)
+        if starts.size < key.size:
+            # order each duplicate group by value. Equal values differ at most
+            # in the sign of a zero, which changes no nonzero sum, and zero
+            # sums are not stored, so neither sort needs to be stable.
+            dup = ~group_start
+            dup[:-1] |= ~group_start[1:]
+            at = np.flatnonzero(dup)
+            vals[at] = vals[at[np.lexsort((vals[at], key[at]))]]
         vals = np.add.reduceat(vals, starts)
         keep = vals != 0.0
-        rows, cols, vals = rows[starts][keep], cols[starts][keep], vals[keep]
+        key, vals = key[starts][keep], vals[keep]
+        rows, cols = np.divmod(key, n_cols)
     counts = np.bincount(rows, minlength=n_rows) if rows.size else np.zeros(n_rows, np.int64)
     row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
@@ -140,25 +161,31 @@ def csr_from_edges(edges, n, symmetrize=False) -> CsrMatrix:
 
     Duplicate edges are summed; entries whose sum is exactly zero are not
     stored. With symmetrize=True, every off-diagonal edge is mirrored so
-    both (u, v) and (v, u) carry the same weight.
+    both (u, v) and (v, u) carry the same weight. Endpoints must be
+    integral; 1.5 or NaN is rejected, not truncated.
     """
     arr = np.asarray(list(edges), dtype=np.float64)
     if arr.size == 0:
         return csr_from_coo(n, n, [], [], [])
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("edges must be (u, v, w) triples")
+    ends = arr[:, :2]
+    bad = ~np.isfinite(ends) | (np.floor(ends) != ends)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise ValueError(f"edge {i} = ({ends[i, 0]:g}, {ends[i, 1]:g}) has a "
+                         "non-integral or non-finite endpoint")
+    bad = (ends < 0) | (ends >= n)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise ValueError(
+            f"edge {i} = ({ends[i, 0]:g}, {ends[i, 1]:g}) has an endpoint outside [0, {n})")
     u = arr[:, 0].astype(np.int64)
     v = arr[:, 1].astype(np.int64)
     w = arr[:, 2]
-    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"edge {i} = ({int(u[i])}, {int(v[i])}) has an endpoint outside [0, {n})")
     if symmetrize:
         off = u != v
-        u = np.concatenate([u, v[off]])
-        v = np.concatenate([v, arr[:, 0].astype(np.int64)[off]])
+        u, v = np.concatenate([u, v[off]]), np.concatenate([v, u[off]])
         w = np.concatenate([w, w[off]])
     return csr_from_coo(n, n, u, v, w)
 
@@ -188,6 +215,13 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
     negative weight could make a degree zero or negative and its inverse
     square root infinite or NaN. An isolated vertex ends up with a single
     diagonal entry of 1. Symmetric input yields symmetric output.
+
+    Nothing is sorted: the input is canonical, so row i's diagonal slot is
+    its row start plus its count of entries left of column i. Missing
+    diagonals are inserted in one pass, every diagonal gains 1.0 in
+    place, and stored zeros off the diagonal are dropped. The result is the
+    canonical matrix `csr_from_coo` would build from the entries plus the
+    unit diagonal, bit for bit.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("normalization requires a square matrix")
@@ -198,15 +232,28 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
                          f"got {a.values.min()}")
     n = a.n_rows
     diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([a.row_of_nnz(), diag])
-    cols = np.concatenate([a.col_idx, diag])
-    vals = np.concatenate([a.values, np.ones(n)])
-    with_loops = csr_from_coo(n, n, rows, cols, vals)
-    deg = np.bincount(with_loops.row_of_nnz(), weights=with_loops.values, minlength=n)
+    rows, cols, vals = a.row_of_nnz(), a.col_idx, a.values
+    keep = (vals != 0.0) | (rows == cols)
+    if not keep.all():
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    below = np.bincount(rows[cols < rows], minlength=n)
+    slot = row_ptr[:-1] + below
+    has = slot < row_ptr[1:]
+    has[has] = cols[slot[has]] == diag[has]
+    missing = ~has
+    # a missing diagonal enters as 0.0, and 0.0 + 1.0 is exactly 1.0
+    cols = np.insert(cols, slot[missing], diag[missing])
+    vals = np.insert(vals, slot[missing], 0.0)
+    row_ptr[1:] += np.cumsum(missing)
+    vals[row_ptr[:-1] + below] += 1.0
+    rows = np.repeat(diag, np.diff(row_ptr))
+    deg = np.bincount(rows, weights=vals, minlength=n)
     dinv = deg ** -0.5
     # grouping the two scale factors keeps symmetric inputs bitwise symmetric
-    scaled = with_loops.values * (dinv[with_loops.row_of_nnz()] * dinv[with_loops.col_idx])
-    return CsrMatrix(n, n, with_loops.row_ptr, with_loops.col_idx, scaled)
+    scaled = vals * (dinv[rows] * dinv[cols])
+    return CsrMatrix(n, n, row_ptr, cols, scaled)
 
 
 def local_spmm(a: CsrMatrix, h) -> np.ndarray:

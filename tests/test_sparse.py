@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distgcn.sparse
-from distgcn.sparse import (CsrMatrix, csr_from_dense, csr_from_edges, csr_equal,
-                            gcn_normalize, gemm, local_spmm, transpose_csr)
+from distgcn.graphgen import sbm, star_augmented
+from distgcn.sparse import (CsrMatrix, csr_from_coo, csr_from_dense, csr_from_edges,
+                            csr_equal, gcn_normalize, gemm, local_spmm, transpose_csr)
 from distgcn.partition import Partition, apply_partition, block_partition
 from distgcn.runtime import ProcessGrid
 from distgcn.spmm import build_dist_matrices
 
-from oracles import (dense_from_edges, matmul_triple_loop, nnz_cols_dense_scan,
-                     normalize_dense, random_csr_dense, spmm_storage_order)
+from oracles import (csr_from_coo_lexsort, dense_from_edges, gcn_normalize_via_coo,
+                     matmul_triple_loop, nnz_cols_dense_scan, normalize_dense,
+                     random_csr_dense, spmm_storage_order)
 
 
 def test_from_edges_empty_graph():
@@ -50,9 +52,67 @@ def test_from_edges_rejects_out_of_range():
         csr_from_edges([(0, 1, 1.0), (0, 3, 1.0)], 3)
 
 
+@pytest.mark.parametrize("bad", [(0, 1.5), (0.9, 2), (np.nan, 1), (0, np.inf), (-np.inf, 0)])
+def test_from_edges_rejects_non_integral_endpoints(bad):
+    with pytest.raises(ValueError, match=r"edge 1 .* non-integral or non-finite endpoint"):
+        csr_from_edges([(0, 1, 1.0), (*bad, 2.0)], 3)
+
+
 def test_from_edges_drops_zero_sums():
     a = csr_from_edges([(0, 1, 1.0), (0, 1, -1.0), (1, 0, 2.0)], 2)
     assert a.nnz == 1
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape
+            and a.row_ptr.tobytes() == b.row_ptr.tobytes()
+            and a.col_idx.tobytes() == b.col_idx.tobytes()
+            and a.values.tobytes() == b.values.tobytes())
+
+
+# mixed magnitudes, signed zeros and values that cancel exactly in a group
+_COO_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, -0.3, 3.5, -3.5,
+                        1e-8, -1e-8, 1e8, -1e8, 1e16, -1e16])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
+def test_coo_matches_lexsort_reference(seed, n_rows, n_cols):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(0, 60)) if n_rows and n_cols else 0
+    rows, cols = rng.integers(0, max(n_rows, 1), m), rng.integers(0, max(n_cols, 1), m)
+    vals = rng.choice(_COO_VALUES, m) * rng.choice([1.0, 0.7], m)
+    # groups of 3 to 8 duplicates of a few cells, some summing to exactly zero
+    for _ in range(int(rng.integers(0, 4)) if m else 0):
+        i, size = int(rng.integers(m)), int(rng.integers(3, 9))
+        group = rng.choice(_COO_VALUES, size)
+        if rng.random() < 0.5:
+            group = np.concatenate([group, -group])
+        rows = np.concatenate([rows, np.full(group.size, rows[i])])
+        cols = np.concatenate([cols, np.full(group.size, cols[i])])
+        vals = np.concatenate([vals, group])
+    got = csr_from_coo(n_rows, n_cols, rows, cols, vals)
+    assert _same_bits(got, csr_from_coo_lexsort(n_rows, n_cols, rows, cols, vals))
+    order = rng.permutation(rows.size)
+    assert _same_bits(csr_from_coo(n_rows, n_cols, rows[order], cols[order], vals[order]),
+                      got)
+
+
+@pytest.mark.parametrize("rows,cols,match", [
+    ([0, 2], [0, 0], r"triplet 1 has row index 2 outside \[0, 2\)"),
+    ([0, -1], [0, 0], r"triplet 1 has row index -1 outside \[0, 2\)"),
+    ([0, 1], [3, 0], r"triplet 0 has column index 3 outside \[0, 3\)"),
+    ([0, 1], [0, -2], r"triplet 1 has column index -2 outside \[0, 3\)"),
+], ids=["row-high", "row-negative", "column-high", "column-negative"])
+def test_coo_rejects_out_of_range_coordinates(rows, cols, match):
+    with pytest.raises(ValueError, match=match):
+        csr_from_coo(2, 3, rows, cols, [1.0, 1.0])
+
+
+def test_coo_rejects_shape_beyond_int64_key():
+    with pytest.raises(ValueError, match="exceeds the int64 key space"):
+        csr_from_coo(2 ** 32, 2 ** 32, [0], [0], [1.0])
 
 
 def test_canonical_form_validation():
@@ -110,6 +170,41 @@ def test_normalize_rejects_non_finite_weight():
         a = csr_from_edges([(0, 1, 1.0), (1, 2, bad)], 3, symmetrize=True)
         with pytest.raises(ValueError, match="finite edge weights"):
             gcn_normalize(a)
+
+
+def _directed_with_stored_zeros(rng, n):
+    """Random directed matrix with weights spanning 1e-8..1e8, self-loops on
+    some rows, stored 0.0 and -0.0 on and off the diagonal and a few
+    isolated vertices."""
+    pattern = rng.random((n, n)) < rng.uniform(0.05, 0.5)
+    pattern[np.diag_indices(n)] = rng.random(n) < 0.5
+    isolated = rng.random(n) < 0.2
+    pattern[isolated] = False
+    pattern[:, isolated] = False
+    rows, cols = np.nonzero(pattern)
+    vals = 10.0 ** rng.uniform(-8, 8, rows.size)
+    vals[rng.random(rows.size) < 0.15] = 0.0
+    vals[rng.random(rows.size) < 0.1] = -0.0
+    counts = np.bincount(rows, minlength=n)
+    return CsrMatrix(n, n, np.concatenate([[0], np.cumsum(counts)]), cols, vals)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_normalize_matches_coo_rebuild(seed):
+    rng = np.random.default_rng(seed)
+    n = seed if seed < 2 else int(rng.integers(2, 30))  # n=0 and n=1 first
+    a = _directed_with_stored_zeros(rng, n)
+    assert _same_bits(gcn_normalize(a), gcn_normalize_via_coo(a))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sbm(4000, blocks=4, p_in=0.01, p_out=0.0005, feature_dim=64, seed=1)[0],
+    lambda: sbm(8000, blocks=4, p_in=0.005, p_out=0.00025, feature_dim=128, seed=1)[0],
+    lambda: star_augmented(4000, seed=1),
+], ids=["sbm4000", "sbm8000", "star4000"])
+def test_normalize_matches_coo_rebuild_on_benchmark_graphs(make):
+    a = make()
+    assert _same_bits(gcn_normalize(a), gcn_normalize_via_coo(a))
 
 
 def test_local_spmm_identity():
