@@ -33,9 +33,9 @@ algorithms.
 
 Collectives do not copy their inputs on arrival: every member stays
 blocked until the last one to arrive has built the outputs, so no input
-can change in between. `all_reduce_sum` returns a fresh array to every
-member; `broadcast` returns one read-only copy of the root's payload,
-shared by every member. `isend` does copy, because the sender runs on
+can change in between. `all_reduce_sum` returns one read-only sum and
+`broadcast` one read-only copy of the root's payload, each shared by every
+member of the group. `isend` does copy, because the sender runs on
 while the message waits. `all_to_allv` receivers copy their rows out of
 the senders' buffers after the exchange returns, so a buffer handed to
 it must not be written to afterwards.
@@ -477,9 +477,11 @@ class Comm:
         return self._collective("broadcast", group, payload, complete)
 
     def all_reduce_sum(self, buf, group=None) -> np.ndarray:
-        """Elementwise sum over the group, reduced in ascending rank order
-        so every member returns a bit-identical array. Ring accounting:
-        each member moves 2*(g-1)/g of the payload in each direction."""
+        """Elementwise sum over the group, reduced in ascending rank order,
+        as one read-only array shared by every member (a copy of the
+        payload for a group of one). Every member must send the same dtype
+        and shape. Ring accounting: each member moves 2*(g-1)/g of the
+        payload in each direction."""
         group = tuple(range(self.p)) if group is None else tuple(sorted(group))
         payload = _as_payload(buf)
         ledger = self._rt.ledger
@@ -488,16 +490,23 @@ class Comm:
             shapes = {arrivals[r].shape for r in group}
             if len(shapes) > 1:
                 raise ValueError(f"all_reduce_sum payload shapes differ: {sorted(shapes)}")
-            total = arrivals[group[0]]
-            for r in group[1:]:
-                total = total + arrivals[r]
+            dtypes = {arrivals[r].dtype.str for r in group}
+            if len(dtypes) > 1:
+                raise ValueError(f"all_reduce_sum payload dtypes differ: {sorted(dtypes)}")
             g = len(group)
+            first = arrivals[group[0]]
+            # the first add makes the sum's own array; later adds go in place,
+            # each the same IEEE addition as total + arrivals[r]
+            total = first + arrivals[group[1]] if g > 1 else first.copy()
+            for r in group[2:]:
+                total += arrivals[r]
+            total.setflags(write=False)
             kind = CommLedger._kind(total)
             wire = 2.0 * (g - 1) / g * (total.size * 8)
             members = list(group)
             ledger.charge("allreduce", "sent", members, wire, kind, 2 * (g - 1))
             ledger.charge("allreduce", "received", members, wire, kind, 2 * (g - 1))
-            return {r: total.copy() for r in group}
+            return dict.fromkeys(group, total)
 
         return self._collective("allreduce", group, payload, complete)
 

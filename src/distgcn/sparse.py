@@ -32,10 +32,13 @@ __all__ = [
 ]
 
 
-# Gathered values one local_spmm slice holds (1 MiB of float64). Many rank
-# threads multiply at once; unbounded nnz x f temporaries raised the peak
-# memory of a p=8, f=128 training run by a tenth.
-_SPMM_STEP_ELEMS = 1 << 17
+# Gathered values one local_spmm slice holds (256 KiB of float64). A slice's
+# terms, its accumulator rows and the output rows it fills then stay in a
+# core's L2 cache between the gather, the adds and the scatter; at 1 MiB they
+# spilled, and the f=128 multiplies of a p=8, c=2 training run ran 10-15%
+# slower. Unbounded nnz x f temporaries raised that run's peak memory by a
+# tenth.
+_SPMM_STEP_ELEMS = 1 << 15
 # Active rows below which local_spmm stops adding level by level.
 _SPMM_TAIL_ROWS = 16
 
@@ -345,7 +348,9 @@ class LevelOrder(NamedTuple):
 
     def terms(self, h, lo, hi) -> np.ndarray:
         """Rows h[col] scaled by the values of entries lo:hi of the order."""
-        terms = h[self.cols[lo:hi]]
+        # np.take gathers whole rows in one copy each; h[cols] goes through
+        # numpy's general fancy-index path, several times slower on narrow h
+        terms = np.take(h, self.cols[lo:hi], axis=0)
         terms *= self.vals[lo:hi, None]
         return terms
 

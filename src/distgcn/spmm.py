@@ -184,14 +184,14 @@ def _kernel_1d_oblivious(comm: Comm, op: DistOperand, h_block):
     halo = []
     for j in range(comm.p):
         hj = comm.broadcast(j, h_block if j == r else None)
-        halo.append(hj[op.cols(r, j)])
+        halo.append(np.take(hj, op.cols(r, j), axis=0))
     return local_spmm(op.local[(r, 0)], np.vstack(halo))
 
 
 def _kernel_1d_sparse(comm: Comm, op: DistOperand, h_block):
     ptr = op.ptr[comm.rank]
     # received rows come in ascending source order, which is halo order
-    halo = comm.all_to_allv(h_block[op.idx[ptr[0]:ptr[-1]]], np.diff(ptr))
+    halo = comm.all_to_allv(np.take(h_block, op.idx[ptr[0]:ptr[-1]], axis=0), np.diff(ptr))
     return local_spmm(op.local[(comm.rank, 0)], halo)
 
 
@@ -209,14 +209,19 @@ def _kernel_15d(comm: Comm, op: DistOperand, h_block, sparse):
             for l in range(grid.n_rows):
                 need = op.cols(l, i)
                 if l != i and (need.size or not sparse):
-                    comm.isend(grid.rank_of(l, j), h_block[need] if sparse else h_block,
+                    comm.isend(grid.rank_of(l, j),
+                               np.take(h_block, need, axis=0) if sparse else h_block,
                                tag=(tag, k))
-            halo.append(h_block[idx])
+            halo.append(np.take(h_block, idx, axis=0))
         elif not sparse:
-            halo.append(comm.recv(grid.rank_of(q, j), tag=(tag, k))[idx])
+            halo.append(np.take(comm.recv(grid.rank_of(q, j), tag=(tag, k)), idx, axis=0))
         elif idx.size:
             halo.append(comm.recv(grid.rank_of(q, j), tag=(tag, k)))
-    z = local_spmm(op.local[(i, j)], np.vstack(halo) if halo else h_block[:0])
+    halo = np.vstack(halo) if halo else h_block[:0]
+    z = local_spmm(op.local[(i, j)], halo)
+    # free the halo before parking at the all-reduce, where the rest of the
+    # grid row may still be gathering its own
+    del halo
     return comm.all_reduce_sum(z, group=grid.row_group(i))
 
 
@@ -225,7 +230,9 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str):
 
     h_block is this process's block row of the dense operand (replicated
     across each grid row when c > 1); the return value is the matching
-    block row of the product, replicated the same way.
+    block row of the product, replicated the same way. A 1.5D product is
+    the row all-reduce's read-only sum, one array shared by the grid row,
+    so a caller that wants to write to it must copy it first.
     """
     h_block = np.asarray(h_block, dtype=np.float64)
     if variant == "1d-oblivious":

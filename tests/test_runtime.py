@@ -261,6 +261,44 @@ def test_broadcast_shares_one_read_only_array():
     assert run.ledger.counters["broadcast"]["bytes_sent"][2] == 3 * payload.nbytes
 
 
+@pytest.mark.parametrize("g", [1, 2, 4])
+def test_allreduce_shares_one_read_only_sum(g):
+    rng = np.random.default_rng(g)
+    payloads = rng.normal(size=(4, 5, 3))
+    # -0.0 on every member sums to -0.0; one +0.0 among them makes +0.0
+    payloads[:, 0, :] = -0.0
+    payloads[1, 1, :] = 0.0
+    payloads[[0, 2, 3], 1, :] = -0.0
+
+    def program(comm):
+        i, _ = comm.coords
+        # the sum runs in ascending rank order whatever order the group names
+        group = tuple(reversed(comm.grid.row_group(i)))
+        return comm.all_reduce_sum(payloads[comm.rank], group=group)
+
+    run = run_program(4, g, program)
+    for i in range(4 // g):
+        members = run.grid.row_group(i)
+        expected = payloads[members[0]].copy()
+        for r in members[1:]:
+            expected = expected + payloads[r]
+        shared = run.results[members[0]]
+        assert shared.tobytes() == expected.tobytes()
+        assert all(run.results[r] is shared for r in members)
+        assert not any(np.shares_memory(shared, payloads[r]) for r in members)
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1.0
+
+
+def test_allreduce_rejects_dtype_mismatch():
+    def program(comm):
+        dtype = np.float64 if comm.rank == 0 else np.int64
+        return comm.all_reduce_sum(np.ones(2, dtype=dtype))
+
+    with pytest.raises(ValueError, match="dtypes differ"):
+        run_program(2, 1, program)
+
+
 def test_broadcast_rejects_bad_root():
     with pytest.raises(ValueError, match="root"):
         run_program(2, 1, lambda comm: comm.broadcast(5, np.ones(1)))

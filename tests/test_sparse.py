@@ -262,9 +262,10 @@ def test_local_spmm_adds_in_storage_order(monkeypatch, f):
 
 def test_local_spmm_reuses_level_order_across_widths(monkeypatch):
     # one level order serves every width and slice size: f=128 cuts the
-    # 2582 non-empty rows into 1024-row chunks that levels 0..4 run past,
-    # f=16 and f=1 take them in one chunk, and 40-row chunks at f=16 split
-    # every one of the 40 levels
+    # 2582 non-empty rows into 256-row chunks that levels 0..12 run past,
+    # f=16 into 2048-row chunks that levels 0 and 1 run past, f=1 takes
+    # them in one chunk, and 40-row chunks at f=16 split every one of the
+    # 40 levels
     rng = np.random.default_rng(21)
     n_cols = 700
     degrees = rng.choice([0, 1, 2, 5, 8, 13, 40, 400], size=2700,
@@ -280,6 +281,9 @@ def test_local_spmm_reuses_level_order_across_widths(monkeypatch):
     for f in (16, 1, 128, 16):
         assert local_spmm(a, hs[f]).tobytes() == expected[f]
     order = a.level_order
+    # the f=128 chunks still end inside some level, so that path is tested
+    f128_rows = distgcn.sparse._SPMM_STEP_ELEMS // 128
+    assert any(m > f128_rows for m in order.active[:-1])
     monkeypatch.setattr(distgcn.sparse, "_SPMM_STEP_ELEMS", 40 * 16)
     assert local_spmm(a, hs[16]).tobytes() == expected[16]
     assert a.level_order is order
