@@ -17,7 +17,12 @@ results and ledgers. Since only one rank runs at a time, the rank
 threads of a run share one CPU, the one the caller was on when the run
 started (where the platform can pin threads): otherwise every hand-off
 may wake the next rank on another idle CPU, and whether it does depends
-on the machine's load, not on the program.
+on the machine's load, not on the program. Each baton is a plain lock,
+created held, so a hand-off is one lock release with no Python-level
+wait queue behind it. Where the platform allows, the rank threads also
+run under SCHED_BATCH, so a woken rank waits for the rank that released
+it to drop the interpreter lock rather than preempting it, only to find
+that lock still taken and sleep again.
 
 Payloads are numpy arrays of float64 (dense data) or int64 (index lists);
 either way a payload of m elements is charged as 8*m bytes. Accounting
@@ -35,16 +40,19 @@ Collectives do not copy their inputs on arrival: every member stays
 blocked until the last one to arrive has built the outputs, so no input
 can change in between. `all_reduce_sum` returns one read-only sum and
 `broadcast` one read-only copy of the root's payload, each shared by every
-member of the group. `isend` does copy, because the sender runs on
-while the message waits. `all_to_allv` receivers copy their rows out of
-the senders' buffers after the exchange returns, so a buffer handed to
-it must not be written to afterwards.
+member of the group. Every other call returns arrays of the caller's
+own, and no call keeps a reference into a buffer handed to it: `isend`
+copies the rows it sends at call time, and the last arrival at an
+`all_to_allv` stacks the senders' buffers into the run's staging buffer,
+from which each receiver then gathers its rows. A caller may therefore
+write to any buffer it passed as soon as the call returns.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import mmap
 import os
 import threading
 from collections import deque
@@ -158,9 +166,10 @@ class CommLedger:
         return "data" if payload.dtype == np.float64 else "index"
 
     def charge(self, prim, direction, ranks, nbytes, kind, msgs=1):
-        """Charge `ranks`, one rank or a sequence of distinct ranks, nbytes
-        and msgs each in `direction` ("sent" or "received"); nbytes and
-        msgs are scalars or arrays aligned with `ranks`."""
+        """Charge `ranks`, one rank, a sequence of distinct ranks or
+        slice(None) for all of them, nbytes and msgs each in `direction`
+        ("sent" or "received"); nbytes and msgs are scalars or arrays
+        aligned with `ranks`."""
         c = self.counters[prim]
         c[f"bytes_{direction}"][ranks] += nbytes
         c[f"{kind}_bytes_{direction}"][ranks] += nbytes
@@ -245,7 +254,8 @@ class _CollectiveSlot:
 class _Runtime:
     """Shared state of one run and the baton that serializes its ranks.
 
-    Every rank thread parks on its own semaphore; the baton holder is the
+    Every rank thread parks on its own lock, `baton[rank]`, which is
+    created held and released once per hand-off; the baton holder is the
     only thread running program code, and it releases the next rank only
     after its last write to shared state, so no lock is needed. `ready`
     is the FIFO queue of ranks that can run, `waiters` maps a wait key,
@@ -260,12 +270,34 @@ class _Runtime:
         self.mail = {}
         self.slots = {}
         self.ledger = CommLedger(grid.p)
-        self.baton = [threading.Semaphore(0) for _ in range(grid.p)]
+        self.baton = [threading.Lock() for _ in range(grid.p)]
+        for baton in self.baton:
+            baton.acquire()
         self.ready = deque(range(grid.p))
         self.waiters = {}
         self.blocked = {}
         self.deadlock = None
         self.program_error = None
+        self._stage = None
+
+    def stage(self, shape, dtype, n_index):
+        """Two writable arrays in the run's staging buffer: the stacked
+        rows of an all_to_allv, of `shape` and `dtype`, and its gather
+        index of n_index int64 entries. Every exchange of a run reuses the
+        buffer: an exchange involves every rank, so each receiver has
+        gathered its rows from one exchange before the next one
+        completes. The buffer is an anonymous mapping, not heap memory, so
+        its pages go back to the system once the run is over. As heap
+        blocks, the two arrays would outlive the turn of the rank thread
+        that made them while other ranks allocate around them, and every
+        thread's malloc arena that ever held them would keep the space."""
+        n_values = math.prod(shape)
+        rows_bytes = n_values * np.dtype(dtype).itemsize
+        if self._stage is None or len(self._stage) < rows_bytes + 8 * n_index:
+            self._stage = mmap.mmap(-1, max(rows_bytes + 8 * n_index, 1))
+        stacked = np.frombuffer(self._stage, dtype=dtype, count=n_values).reshape(shape)
+        gather = np.frombuffer(self._stage, dtype=np.int64, count=n_index, offset=rows_bytes)
+        return stacked, gather
 
     def _hand_off(self):
         """Give the baton to the next ready rank; the caller stops running."""
@@ -314,6 +346,43 @@ def _as_payload(buf) -> np.ndarray:
     return arr
 
 
+def _as_rows(rows) -> np.ndarray:
+    """rows as a 1-D integer index array, uncopied; an empty list is a
+    valid empty index."""
+    idx = np.asarray(rows)
+    if idx.ndim == 1 and idx.size == 0:
+        return idx.astype(np.int64, copy=False)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError(f"rows must be a 1-D integer array, got {idx.dtype} "
+                         f"of shape {idx.shape}")
+    return idx
+
+
+def _count_matrix(counts, sent, indexed) -> np.ndarray:
+    """The p x p int64 matrix of all_to_allv counts, row s from rank s,
+    after checking every rank's counts against the sent[s] rows it
+    sends (picked by `rows` where indexed[s]); raises for the lowest rank
+    at fault."""
+    p = len(counts)
+    arrs = [np.asarray(c) for c in counts]
+    if all(a.shape == (p,) and a.dtype.kind in "iu" for a in arrs):
+        matrix = np.concatenate(arrs, dtype=np.int64).reshape(p, p)
+        if matrix.min() >= 0 and (matrix.sum(axis=1) == sent).all():
+            return matrix
+    for s, c in enumerate(arrs):
+        if c.shape != (p,) or c.dtype.kind not in "iu":
+            raise ValueError(f"rank {s}: all_to_allv needs {p} integer counts, one per rank, "
+                             f"got {c.dtype} of shape {c.shape}")
+        c = c.astype(np.int64, copy=False)
+        if c.min() < 0:
+            raise ValueError(f"rank {s}: all_to_allv counts must be non-negative, "
+                             f"got {c.min()}")
+        if c.sum() != sent[s]:
+            held = "rows selects" if indexed[s] else "the buffer has"
+            raise ValueError(f"rank {s}: all_to_allv counts sum to {c.sum()} "
+                             f"but {held} {sent[s]} rows")
+
+
 class Comm:
     """Per-rank communication handle passed to the rank procedure."""
 
@@ -329,12 +398,24 @@ class Comm:
 
     # ---- point to point ----------------------------------------------
 
-    def isend(self, dst, payload, tag=0):
-        """Buffered non-blocking send; never blocks. The payload is copied
-        at call time, so the caller may reuse its buffer."""
+    def isend(self, dst, buf, tag=0, rows=None):
+        """Buffered non-blocking send of `buf`, or of its rows `buf[rows]`
+        when `rows` is given (integer indices, each in [0, len(buf))); never
+        blocks. The rows sent are copied once, at call time, so the caller
+        may write to `buf` as soon as the call returns."""
         if not 0 <= dst < self.p:
             raise ValueError(f"destination rank {dst} out of range")
-        arr = _as_payload(payload).copy()
+        arr = _as_payload(buf)
+        if rows is None:
+            arr = arr.copy()
+        else:
+            rows = _as_rows(rows)
+            if arr.ndim == 0:
+                raise ValueError("isend with rows needs a buffer of rows, got a scalar")
+            if rows.size and (rows.min() < 0 or rows.max() >= arr.shape[0]):
+                raise ValueError(f"isend rows must lie in [0, {arr.shape[0]}), "
+                                 f"got {rows.min()}..{rows.max()}")
+            arr = np.take(arr, rows, axis=0)
         rt = self._rt
         key = (self.rank, dst, tag)
         rt.mail.setdefault(key, deque()).append(arr)
@@ -397,58 +478,82 @@ class Comm:
             raise slot.error
         return slot.outputs[self.rank]
 
-    def all_to_allv(self, buf, counts) -> np.ndarray:
-        """Personalized exchange in MPI_Alltoallv form: consecutive row
-        segments of `buf`, counts[d] rows for rank d, go to ranks 0..p-1
-        in order, and the result stacks the rows received in sender-rank
-        order. Every rank must send the same dtype and row shape. A
-        segment of no rows is no message and costs nothing; the segment
-        addressed to the caller itself is a free local copy. `buf` must
-        not be written to after the call (see the module docstring)."""
+    def all_to_allv(self, buf, counts, rows=None) -> np.ndarray:
+        """Personalized exchange in MPI_Alltoallv form. The rows sent are
+        `buf[rows]`, or all of `buf` when `rows` is None, as with an MPI
+        indexed datatype: no packed send buffer is made. They go in
+        consecutive segments, counts[d] rows for rank d, to ranks 0..p-1
+        in order. The result is a fresh writable array of the rows
+        received, stacked in sender-rank order. Every rank must send the
+        same dtype and row shape, and `rows` holds integer indices, each
+        in [0, len(buf)); the last rank to arrive checks every rank's
+        counts and rows. A segment of no rows is no message and costs
+        nothing; the segment addressed to the caller itself is a free
+        local copy. The caller may write to `buf` as soon as the call
+        returns (see the module docstring)."""
         arr = _as_payload(buf)
-        counts = np.asarray(counts)
         if arr.ndim == 0:
             raise ValueError("all_to_allv needs a buffer of rows, got a scalar")
-        if counts.shape != (self.p,) or not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError(f"all_to_allv needs {self.p} integer counts, one per rank, "
-                             f"got {counts.dtype} of shape {counts.shape}")
-        if counts.min() < 0:
-            raise ValueError(f"all_to_allv counts must be non-negative, got {counts.min()}")
-        if counts.sum() != arr.shape[0]:
-            raise ValueError(f"all_to_allv counts sum to {counts.sum()} "
-                             f"but the buffer has {arr.shape[0]} rows")
+        if rows is not None:
+            rows = _as_rows(rows)
         group = tuple(range(self.p))
         ledger = self._rt.ledger
 
         def complete(arrivals):
             bufs = [arrivals[s][0] for s in group]
+            picked = [arrivals[s][2] for s in group]
             row_shapes = {(b.dtype.str, b.shape[1:]) for b in bufs}
             if len(row_shapes) > 1:
                 raise ValueError("all_to_allv buffers differ in dtype or row shape: "
                                  f"{sorted(row_shapes)}")
-            rows = np.stack([arrivals[s][1] for s in group]).astype(np.int64)
-            # nbytes[s, d] moves from s to d; a zero entry is no message
-            nbytes = rows * (8 * math.prod(bufs[0].shape[1:]))
-            np.fill_diagonal(nbytes, 0)
+            n_rows = [b.shape[0] for b in bufs]
+            sent = [n if r is None else r.size for n, r in zip(n_rows, picked)]
+            counts = _count_matrix([arrivals[s][1] for s in group], sent,
+                                   [r is not None for r in picked])
+            row_shape, dtype = bufs[0].shape[1:], bufs[0].dtype
+            # src: the row of the stacked buffers behind every row sent, in
+            # send order (sender by sender, each in destination order)
+            src = np.concatenate([np.arange(n) if r is None else r
+                                  for n, r in zip(n_rows, picked)], dtype=np.int64)
+            senders = np.flatnonzero(sent)
+            first = (np.cumsum(sent) - sent)[senders]
+            if senders.size:
+                bad = ((np.minimum.reduceat(src, first) < 0)
+                       | (np.maximum.reduceat(src, first) >= np.take(n_rows, senders)))
+                if bad.any():
+                    s = int(senders[bad.argmax()])
+                    raise ValueError(f"rank {s}: all_to_allv rows must lie in [0, {n_rows[s]})")
+            src += np.repeat(np.cumsum(n_rows) - n_rows, sent)
+            # the non-empty segments (s, d), in send order; only the ones
+            # between distinct ranks that carry bytes are messages
+            seg_src, seg_dst = np.nonzero(counts)
+            seg_rows = counts[seg_src, seg_dst]
+            nbytes = seg_rows * (8 * math.prod(row_shape))
+            wire = (seg_src != seg_dst) & (nbytes > 0)
+            s_wire, d_wire, nbytes = seg_src[wire], seg_dst[wire], nbytes[wire]
             kind = CommLedger._kind(bufs[0])
-            msgs = nbytes > 0
-            ranks = list(group)
-            ledger.charge("alltoallv", "sent", ranks, nbytes.sum(axis=1), kind, msgs.sum(axis=1))
-            ledger.charge("alltoallv", "received", ranks, nbytes.sum(axis=0), kind,
-                          msgs.sum(axis=0))
-            ledger.record_pairs(slice(None), slice(None), nbytes, kind)
-            ends = np.cumsum(rows, axis=1)
-            # non-empty segments by receiver, then in ascending sender order
-            dst, src = np.nonzero(rows.T)
-            his = ends[src, dst]
-            los = his - rows[src, dst]
-            segments = {d: [] for d in group}
-            for d, s, lo, hi in zip(dst.tolist(), src.tolist(), los.tolist(), his.tolist()):
-                segments[d].append(bufs[s][lo:hi])
-            return segments
+            ledger.charge("alltoallv", "sent", slice(None), np.bincount(s_wire, nbytes, self.p),
+                          kind, np.bincount(s_wire, minlength=self.p))
+            ledger.charge("alltoallv", "received", slice(None),
+                          np.bincount(d_wire, nbytes, self.p), kind,
+                          np.bincount(d_wire, minlength=self.p))
+            ledger.record_pairs(s_wire, d_wire, nbytes, kind)
+            # receiver d gathers segments (0, d), ..., (p-1, d) in turn, each
+            # a run of consecutive places in src
+            seg_start = np.cumsum(seg_rows) - seg_rows
+            order = np.argsort(seg_dst, kind="stable")
+            seg_rows = seg_rows[order]
+            places = np.repeat(seg_start[order] - np.cumsum(seg_rows) + seg_rows, seg_rows)
+            places += np.arange(src.size)
+            stacked, gather = self._rt.stage((sum(n_rows),) + row_shape, dtype, src.size)
+            np.take(src, places, out=gather, mode="clip")  # in range: no buffered copy
+            np.concatenate(bufs, out=stacked)
+            bounds = [0] + np.cumsum(counts.sum(axis=0)).tolist()
+            return dict.fromkeys(group, (stacked, gather, bounds))
 
-        segments = self._collective("alltoallv", group, (arr, counts), complete)
-        return np.concatenate(segments) if segments else arr[:0].copy()
+        stacked, gather, bounds = self._collective("alltoallv", group, (arr, counts, rows),
+                                                   complete)
+        return np.take(stacked, gather[bounds[self.rank]:bounds[self.rank + 1]], axis=0)
 
     def broadcast(self, root, buf=None) -> np.ndarray:
         """Every rank returns the root's payload, as one read-only array
@@ -541,6 +646,18 @@ def _caller_cpu():
     return cpu if cpu in os.sched_getaffinity(0) else None
 
 
+def _batch_policy():
+    """Move the calling thread to SCHED_BATCH where the platform has it
+    and allows it; otherwise leave its policy as it is. A woken batch
+    thread does not preempt the thread that woke it."""
+    if not hasattr(os, "sched_setscheduler") or not hasattr(os, "SCHED_BATCH"):
+        return
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))  # this thread only
+    except OSError:
+        pass
+
+
 @dataclass
 class RunResult:
     results: list
@@ -569,6 +686,7 @@ def run_program(p, c, program, args=()) -> RunResult:
         try:
             if cpu is not None:
                 os.sched_setaffinity(0, {cpu})  # this thread only
+            _batch_policy()
             results[rank] = program(comm, *args)
         except _Abort:
             pass

@@ -191,7 +191,7 @@ def _kernel_1d_oblivious(comm: Comm, op: DistOperand, h_block):
 def _kernel_1d_sparse(comm: Comm, op: DistOperand, h_block):
     ptr = op.ptr[comm.rank]
     # received rows come in ascending source order, which is halo order
-    halo = comm.all_to_allv(np.take(h_block, op.idx[ptr[0]:ptr[-1]], axis=0), np.diff(ptr))
+    halo = comm.all_to_allv(h_block, np.diff(ptr), rows=op.idx[ptr[0]:ptr[-1]])
     return local_spmm(op.local[(comm.rank, 0)], halo)
 
 
@@ -209,9 +209,8 @@ def _kernel_15d(comm: Comm, op: DistOperand, h_block, sparse):
             for l in range(grid.n_rows):
                 need = op.cols(l, i)
                 if l != i and (need.size or not sparse):
-                    comm.isend(grid.rank_of(l, j),
-                               np.take(h_block, need, axis=0) if sparse else h_block,
-                               tag=(tag, k))
+                    comm.isend(grid.rank_of(l, j), h_block, tag=(tag, k),
+                               rows=need if sparse else None)
             halo.append(np.take(h_block, idx, axis=0))
         elif not sparse:
             halo.append(np.take(comm.recv(grid.rank_of(q, j), tag=(tag, k)), idx, axis=0))

@@ -7,7 +7,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import distgcn.runtime
 from distgcn.runtime import (CommLedger, DeadlockError, ProcessGrid,
                              SimulationError, run_program)
 
@@ -213,6 +216,145 @@ def test_alltoallv_rejects_mixed_row_types():
 
     with pytest.raises(ValueError, match="differ in dtype or row shape"):
         run_program(2, 1, program)
+
+
+def _indexed_exchange(rng, p, row_shape, dtype):
+    """Per-rank buffers, send rows (repeats and empty selections included)
+    and counts splitting them, empty segments included."""
+    bufs, rows, counts = [], [], []
+    for _ in range(p):
+        n = int(rng.integers(0, 5))
+        bufs.append((rng.normal(size=(n, *row_shape)) * 100).astype(dtype))
+        m = int(rng.integers(0, 9)) if n else 0
+        rows.append(rng.integers(0, n, size=m) if n else np.zeros(0, dtype=np.int64))
+        cuts = np.sort(rng.integers(0, m + 1, size=p - 1))
+        counts.append(np.diff(np.concatenate([[0], cuts, [m]])))
+    return bufs, rows, counts
+
+
+def _ledger_json(run):
+    return json.dumps(run.ledger.to_dict(), sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=1, max_value=6),
+       st.sampled_from([(), (0,), (3,)]), st.sampled_from([np.float64, np.int64]))
+def test_indexed_sends_match_reference_on_selected_rows(seed, p, row_shape, dtype):
+    rng = np.random.default_rng(seed)
+    bufs, rows, counts = _indexed_exchange(rng, p, row_shape, dtype)
+    selected = [b[r] for b, r in zip(bufs, rows)]
+    expected = alltoallv_reference(selected, counts)
+
+    def exchange(comm):
+        buf = bufs[comm.rank].copy()
+        got = comm.all_to_allv(buf, counts[comm.rank], rows=rows[comm.rank])
+        buf[...] = -7  # a sender may reuse its buffer once the call returns
+        return got
+
+    def exchange_packed(comm):
+        return comm.all_to_allv(selected[comm.rank], counts[comm.rank])
+
+    def sends(comm, indexed):
+        r = comm.rank
+        buf = bufs[r].copy()
+        ends = np.cumsum(counts[r])
+        for d in range(p):
+            seg = rows[r][ends[d] - counts[r][d]:ends[d]]
+            if indexed:
+                comm.isend(d, buf, rows=seg)
+            else:
+                comm.isend(d, bufs[r][seg])
+        buf[...] = -7
+        return np.concatenate([comm.recv(s) for s in range(p)])
+
+    indexed, packed = run_program(p, 1, exchange), run_program(p, 1, exchange_packed)
+    p2p = run_program(p, 1, sends, (True,))
+    p2p_packed = run_program(p, 1, sends, (False,))
+    for d in range(p):
+        for run in (indexed, p2p):
+            assert run.results[d].dtype == expected[d].dtype
+            assert run.results[d].shape == expected[d].shape
+            assert run.results[d].tobytes() == expected[d].tobytes()
+            assert run.results[d].flags.writeable
+    assert _ledger_json(indexed) == _ledger_json(packed)
+    assert _ledger_json(p2p) == _ledger_json(p2p_packed)
+
+
+def test_all_to_allv_results_are_independent_arrays():
+    def program(comm):
+        out = comm.all_to_allv(np.arange(4.0) + 10 * comm.rank, [2, 2], rows=[3, 0, 1, 1])
+        if comm.rank == 0:
+            out[:] = -1.0  # must not reach rank 1's result
+        comm.all_reduce_sum(np.zeros(1))
+        again = comm.all_to_allv(np.arange(2.0), [1, 1])
+        return out.tolist(), again.tolist()
+
+    run = run_program(2, 1, program)
+    assert run.results[0] == ([-1.0] * 4, [0.0, 0.0])
+    assert run.results[1] == ([1.0, 1.0, 11.0, 11.0], [1.0, 1.0])
+
+
+def test_exchanges_of_one_run_reuse_staging_safely():
+    # exchanges of growing and shrinking size, float and int rows, in one
+    # run: each result must hold its own exchange's rows
+    p = 4
+    sizes = [1, 5, 2, 9, 0, 3]
+
+    def program(comm):
+        out = []
+        for k, m in enumerate(sizes):
+            dtype = np.int64 if k % 2 else np.float64
+            buf = (np.arange(m * p * 2).reshape(m * p, 2) + 1000 * comm.rank + k).astype(dtype)
+            out.append(comm.all_to_allv(buf, [m] * p))
+        return out
+
+    run = run_program(p, 1, program)
+    for d in range(p):
+        for k, m in enumerate(sizes):
+            dtype = np.int64 if k % 2 else np.float64
+            expect = np.concatenate([(np.arange(m * p * 2).reshape(m * p, 2)
+                                      + 1000 * s + k).astype(dtype)[d * m:(d + 1) * m]
+                                     for s in range(p)])
+            assert run.results[d][k].dtype == dtype
+            assert run.results[d][k].tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("counts,match", [
+    ([1, 1], "rank 1: all_to_allv needs 3 integer counts"),
+    ([1.0, 1.0, 0.0], "rank 1: all_to_allv needs 3 integer counts"),
+    ([3, -1, 0], "rank 1: all_to_allv counts must be non-negative, got -1"),
+    ([1, 1, 1], "rank 1: all_to_allv counts sum to 3 but the buffer has 2 rows"),
+], ids=["wrong-length", "float", "negative", "sum-differs"])
+def test_alltoallv_bad_counts_on_one_rank_named(counts, match):
+    def program(comm):
+        comm.all_to_allv(np.ones(2), counts if comm.rank == 1 else [1, 1, 0])
+
+    with pytest.raises(ValueError, match=match):
+        run_program(3, 1, program)
+
+
+@pytest.mark.parametrize("rows,match", [
+    ([0, 2], r"rank 2: all_to_allv rows must lie in \[0, 2\)"),
+    ([-1, 0], r"rank 2: all_to_allv rows must lie in \[0, 2\)"),
+    ([0, 1, 1], "rank 2: all_to_allv counts sum to 2 but rows selects 3 rows"),
+    ([0.0, 1.0], "rows must be a 1-D integer array"),
+], ids=["past-end", "negative", "sum-differs", "float"])
+def test_alltoallv_bad_rows_on_one_rank_named(rows, match):
+    def program(comm):
+        comm.all_to_allv(np.ones(2), [1, 1, 0], rows=rows if comm.rank == 2 else None)
+
+    with pytest.raises(ValueError, match=match):
+        run_program(3, 1, program)
+
+
+@pytest.mark.parametrize("rows,match", [
+    ([0, 3], r"isend rows must lie in \[0, 3\), got 0..3"),
+    ([-1], r"isend rows must lie in \[0, 3\), got -1..-1"),
+    ([[0]], "rows must be a 1-D integer array"),
+], ids=["past-end", "negative", "two-d"])
+def test_isend_rejects_bad_rows(rows, match):
+    with pytest.raises(ValueError, match=match):
+        run_program(1, 1, lambda comm: comm.isend(0, np.ones(3), rows=rows))
 
 
 def test_broadcast_single_rank():
@@ -602,6 +744,56 @@ def test_rank_threads_share_one_cpu():
     (cpu_set,) = cpus
     assert len(cpu_set) == 1 and cpu_set <= caller
     assert os.sched_getaffinity(0) == caller
+
+
+def _baton_program(comm):
+    counts = (np.arange(comm.p) + comm.rank) % 3
+    rows = comm.all_to_allv(np.full(int(counts.sum()), float(comm.rank)), counts)
+    comm.isend((comm.rank + 1) % comm.p, rows)
+    got = comm.recv((comm.rank - 1) % comm.p)
+    return comm.all_reduce_sum(np.array([got.sum()]))[0], rows.tolist()
+
+
+def test_runs_without_batch_policy_match(monkeypatch):
+    plain = run_program(8, 1, _baton_program)
+
+    def refuse(*args):
+        raise PermissionError("scheduling policy not allowed")
+
+    monkeypatch.setattr(distgcn.runtime.os, "sched_setscheduler", refuse, raising=False)
+    refused = _bounded(lambda: run_program(8, 1, _baton_program))
+    assert refused.results == plain.results
+    assert _ledger_json(refused) == _ledger_json(plain)
+
+
+@pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"), reason="no SCHED_BATCH on this platform")
+def test_rank_threads_run_under_batch_policy():
+    caller = os.sched_getscheduler(0)
+    run = _bounded(lambda: run_program(4, 1, lambda comm: os.sched_getscheduler(0)))
+    assert run.results == [os.SCHED_BATCH] * 4
+    assert os.sched_getscheduler(0) == caller
+
+
+def test_every_rank_thread_ends_with_its_run():
+    def stuck(comm):
+        if comm.rank == 0:
+            comm.recv(1, tag="never")
+        comm.all_reduce_sum(np.ones(1))
+
+    def failing(comm):
+        if comm.rank == 2:
+            raise RuntimeError("rank 2 fails")
+        comm.all_reduce_sum(np.ones(1))
+
+    before = threading.active_count()
+    _bounded(lambda: run_program(8, 1, _baton_program))
+    assert threading.active_count() == before
+    with pytest.raises(DeadlockError):
+        _bounded(lambda: run_program(8, 1, stuck))
+    assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match="rank 2 fails"):
+        _bounded(lambda: run_program(8, 1, failing))
+    assert threading.active_count() == before
 
 
 def test_deadlock_at_p64_names_every_rank():

@@ -155,6 +155,21 @@ def test_c1_variants_match_serial_reference_bitwise():
     assert np.array_equal(run_spmm(a, h, 4, 1, "1d-sparse").z, serial_reference(a, h))
 
 
+def test_1d_sparse_at_p256_matches_serial_reference_bitwise():
+    # the paper's largest process count: ranks of two or three rows,
+    # greedy-tv parts of every size, some of them empty
+    a, h = random_instance(256, n=640, f=4, density=0.01)
+    for part in (block_partition(640, 256), greedy_tv_partition(a, 256)):
+        a2, h2 = apply_partition(a, h, part)
+        run = run_spmm(a, h, 256, 1, "1d-sparse", partition=part)
+        assert np.array_equal(run.z, serial_reference(a2, h2)[part.perm])
+        assert run.ledger.conservation_ok()
+        # every occupied column of an off-diagonal block moves once
+        op = run.dm.fwd
+        remote = op.idx.size - sum(op.cols(i, i).size for i in range(256))
+        assert run.ledger.counters["alltoallv"]["bytes_sent"].sum() == 8 * 4 * remote
+
+
 # ---- volumes ---------------------------------------------------------------
 
 def test_oblivious_broadcasts_full_rows_even_when_useless():
