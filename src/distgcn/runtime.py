@@ -43,16 +43,30 @@ can change in between. `all_reduce_sum` returns one read-only sum and
 member of the group. Every other call returns arrays of the caller's
 own, and no call keeps a reference into a buffer handed to it: `isend`
 copies the rows it sends at call time, and the last arrival at an
-`all_to_allv` stacks the senders' buffers into the run's staging buffer,
-from which each receiver then gathers its rows. A caller may therefore
-write to any buffer it passed as soon as the call returns.
+`all_to_allv` stacks the senders' buffers into one new array, from which
+each receiver then gathers its rows. A caller may therefore write to any
+buffer it passed as soon as the call returns.
+
+The rank threads share one heap. glibc gives every new thread a malloc
+arena of its own, so a rank's freed halos, products and sums would stay
+in its arena while the next rank, which runs after it on the same CPU,
+allocates in cold memory: the process would hold about one working set
+per rank. Before its first rank thread exists, a process's first run
+therefore caps glibc at one arena (`mallopt(M_ARENA_MAX, 1)`) and fixes
+both of glibc's thresholds, which otherwise adapt to the blocks freed:
+blocks below 32 MiB come from the heap, and the heap's top goes back to
+the system only once 64 MiB of it are free. With one arena and adaptive
+thresholds, the shared heap's top would be trimmed and regrown over and
+over, costing thousands of page faults per epoch. Where the C library is
+not glibc, or the environment configures the allocator (`MALLOC_*` or
+`GLIBC_TUNABLES`), the heap is left as it is. No output depends on it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
-import mmap
 import os
 import threading
 from collections import deque
@@ -278,26 +292,6 @@ class _Runtime:
         self.blocked = {}
         self.deadlock = None
         self.program_error = None
-        self._stage = None
-
-    def stage(self, shape, dtype, n_index):
-        """Two writable arrays in the run's staging buffer: the stacked
-        rows of an all_to_allv, of `shape` and `dtype`, and its gather
-        index of n_index int64 entries. Every exchange of a run reuses the
-        buffer: an exchange involves every rank, so each receiver has
-        gathered its rows from one exchange before the next one
-        completes. The buffer is an anonymous mapping, not heap memory, so
-        its pages go back to the system once the run is over. As heap
-        blocks, the two arrays would outlive the turn of the rank thread
-        that made them while other ranks allocate around them, and every
-        thread's malloc arena that ever held them would keep the space."""
-        n_values = math.prod(shape)
-        rows_bytes = n_values * np.dtype(dtype).itemsize
-        if self._stage is None or len(self._stage) < rows_bytes + 8 * n_index:
-            self._stage = mmap.mmap(-1, max(rows_bytes + 8 * n_index, 1))
-        stacked = np.frombuffer(self._stage, dtype=dtype, count=n_values).reshape(shape)
-        gather = np.frombuffer(self._stage, dtype=np.int64, count=n_index, offset=rows_bytes)
-        return stacked, gather
 
     def _hand_off(self):
         """Give the baton to the next ready rank; the caller stops running."""
@@ -510,7 +504,6 @@ class Comm:
             sent = [n if r is None else r.size for n, r in zip(n_rows, picked)]
             counts = _count_matrix([arrivals[s][1] for s in group], sent,
                                    [r is not None for r in picked])
-            row_shape, dtype = bufs[0].shape[1:], bufs[0].dtype
             # src: the row of the stacked buffers behind every row sent, in
             # send order (sender by sender, each in destination order)
             src = np.concatenate([np.arange(n) if r is None else r
@@ -528,7 +521,7 @@ class Comm:
             # between distinct ranks that carry bytes are messages
             seg_src, seg_dst = np.nonzero(counts)
             seg_rows = counts[seg_src, seg_dst]
-            nbytes = seg_rows * (8 * math.prod(row_shape))
+            nbytes = seg_rows * (8 * math.prod(bufs[0].shape[1:]))
             wire = (seg_src != seg_dst) & (nbytes > 0)
             s_wire, d_wire, nbytes = seg_src[wire], seg_dst[wire], nbytes[wire]
             kind = CommLedger._kind(bufs[0])
@@ -545,9 +538,7 @@ class Comm:
             seg_rows = seg_rows[order]
             places = np.repeat(seg_start[order] - np.cumsum(seg_rows) + seg_rows, seg_rows)
             places += np.arange(src.size)
-            stacked, gather = self._rt.stage((sum(n_rows),) + row_shape, dtype, src.size)
-            np.take(src, places, out=gather, mode="clip")  # in range: no buffered copy
-            np.concatenate(bufs, out=stacked)
+            stacked, gather = np.concatenate(bufs), src[places]
             bounds = [0] + np.cumsum(counts.sum(axis=0)).tolist()
             return dict.fromkeys(group, (stacked, gather, bounds))
 
@@ -634,16 +625,52 @@ class Comm:
         return self._phase
 
 
+@functools.cache
+def _libc():
+    """The process's C library as one ctypes handle, loaded once, or None
+    where it cannot be loaded."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+    for name, argtypes in (("sched_getcpu", ()), ("mallopt", (ctypes.c_int, ctypes.c_int))):
+        fn = getattr(libc, name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, ctypes.c_int
+    return libc
+
+
 def _caller_cpu():
     """The CPU the calling thread is on, or None where threads cannot be
     pinned to it."""
-    if not hasattr(os, "sched_setaffinity"):
+    getcpu = getattr(_libc(), "sched_getcpu", None)
+    if getcpu is None or not hasattr(os, "sched_setaffinity"):
         return None
-    try:
-        cpu = ctypes.CDLL(None).sched_getcpu()
-    except (AttributeError, OSError):
-        return None
+    cpu = getcpu()
     return cpu if cpu in os.sched_getaffinity(0) else None
+
+
+# glibc's mallopt parameters (malloc.h) and the values of the one-heap rule
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_ONE_HEAP = ((_M_ARENA_MAX, 1), (_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+_heap_configured = False
+
+
+def _configure_heap():
+    """Apply the one-heap rule of the module docstring, once per process.
+    glibc fixes its arena limit once it has made more than 8 arenas, so
+    this must run before the first rank thread exists."""
+    global _heap_configured
+    if _heap_configured:
+        return
+    _heap_configured = True
+    if "GLIBC_TUNABLES" in os.environ or any(k.startswith("MALLOC_") for k in os.environ):
+        return
+    libc = _libc()
+    if not hasattr(libc, "gnu_get_libc_version") or not hasattr(libc, "mallopt"):
+        return
+    for param, value in _ONE_HEAP:
+        libc.mallopt(param, value)
 
 
 def _batch_policy():
@@ -675,6 +702,7 @@ def run_program(p, c, program, args=()) -> RunResult:
     undelivered at program end. Exceptions inside a rank propagate.
     """
     grid = ProcessGrid(p, c)
+    _configure_heap()
     rt = _Runtime(grid)
     results = [None] * p
     cpu = _caller_cpu()

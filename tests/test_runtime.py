@@ -1,9 +1,13 @@
 import hashlib
 import json
 import os
+import platform
+import subprocess
 import sys
 import threading
 import time
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -824,3 +828,117 @@ def test_error_at_p64_propagates_from_parked_collective(error):
 
     with pytest.raises(error, match="boom on the last rank"):
         _bounded(lambda: run_program(p, 1, program))
+
+
+class _OtherLibc:
+    """A C library with a mallopt that records its calls, but not glibc."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class _Glibc(_OtherLibc):
+    def gnu_get_libc_version(self):
+        return b"2.36"
+
+
+class _GlibcWithoutMallopt:
+    def gnu_get_libc_version(self):
+        return b"2.36"
+
+
+@pytest.fixture
+def unconfigured_heap(monkeypatch):
+    """The process as if no run had configured its heap yet, in an
+    environment that leaves the allocator alone."""
+    monkeypatch.setattr(distgcn.runtime, "_heap_configured", False)
+    for var in list(os.environ):
+        if var.startswith("MALLOC_") or var == "GLIBC_TUNABLES":
+            monkeypatch.delenv(var)
+    return monkeypatch
+
+
+def test_heap_configured_once_per_process(unconfigured_heap):
+    libc = _Glibc()
+    unconfigured_heap.setattr(distgcn.runtime, "_libc", lambda: libc)
+    # M_ARENA_MAX, M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, as glibc numbers them
+    once = [(-8, 1), (-3, 32 << 20), (-1, 64 << 20)]
+    run_program(2, 1, lambda comm: comm.all_reduce_sum(np.ones(1)))
+    assert libc.calls == once
+    run_program(2, 1, lambda comm: None)
+    distgcn.runtime._configure_heap()
+    assert libc.calls == once
+
+
+@pytest.mark.parametrize("var,value", [
+    ("MALLOC_ARENA_MAX", "2"),
+    ("MALLOC_TOP_PAD_", "0"),
+    ("GLIBC_TUNABLES", "glibc.malloc.arena_max=2"),
+])
+def test_heap_left_alone_when_environment_configures_it(unconfigured_heap, var, value):
+    libc = _Glibc()
+    unconfigured_heap.setattr(distgcn.runtime, "_libc", lambda: libc)
+    unconfigured_heap.setenv(var, value)
+    run_program(2, 1, lambda comm: None)
+    assert libc.calls == []
+
+
+@pytest.mark.parametrize("libc", [_GlibcWithoutMallopt(), _OtherLibc(), None],
+                         ids=["no-mallopt", "not-glibc", "no-libc"])
+def test_heap_left_alone_without_glibc_mallopt(unconfigured_heap, libc):
+    unconfigured_heap.setattr(distgcn.runtime, "_libc", lambda: libc)
+    run = run_program(2, 1, lambda comm: comm.all_reduce_sum(np.ones(1))[0])
+    assert run.results == [2.0, 2.0]
+    assert getattr(libc, "calls", []) == []
+
+
+_HEAP_PROBE = """
+import numpy as np
+from distgcn.runtime import run_program
+
+
+def peak_kib():
+    # VmHWM, the peak of this process's own memory: Linux carries
+    # ru_maxrss across exec, so it would start at the parent's peak
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+def program(comm):
+    for _ in range(3):
+        block = np.ones(1 << 19)  # 4 MiB, every page touched
+        del block
+        comm.all_reduce_sum(np.zeros(1))
+
+
+before = peak_kib()
+run_program(16, 1, program)
+print((peak_kib() - before) / 1024)
+"""
+
+
+def _peak_growth_mib(**allocator_env):
+    """Growth of a fresh interpreter's peak RSS, in MiB, over a run in
+    which 16 ranks each allocate, touch and free 4 MiB in turn."""
+    src = str(Path(distgcn.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _HEAP_PROBE], capture_output=True,
+                          text=True, env={**env, **allocator_env}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"),
+                    reason="the one-heap rule is glibc's; the probe reads Linux's VmHWM")
+def test_rank_threads_share_one_heap():
+    # each rank reuses the block the rank before it freed
+    assert _peak_growth_mib() < 16
+    # the control: with the allocator configured from outside, every rank
+    # thread gets an arena of its own and each keeps its freed block
+    assert _peak_growth_mib(MALLOC_ARENA_MAX="16") > 40
