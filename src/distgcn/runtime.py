@@ -43,9 +43,10 @@ can change in between. `all_reduce_sum` returns one read-only sum and
 member of the group. Every other call returns arrays of the caller's
 own, and no call keeps a reference into a buffer handed to it: `isend`
 copies the rows it sends at call time, and the last arrival at an
-`all_to_allv` stacks the senders' buffers into one new array, from which
-each receiver then gathers its rows. A caller may therefore write to any
-buffer it passed as soon as the call returns.
+`all_to_allv` stacks the buffers of the ranks that send at least one row
+into one new array, from which each receiver then gathers its rows. A
+caller may therefore write to any buffer it passed as soon as the call
+returns.
 
 The rank threads share one heap. glibc gives every new thread a malloc
 arena of its own, so a rank's freed halos, products and sums would stay
@@ -151,10 +152,11 @@ class CommLedger:
     """Per-rank, per-primitive byte and message counters for one run.
 
     Byte counters are floats because the ring all-reduce convention can
-    charge fractional bytes; `msgs_*` and `calls` are integers, while the
-    per-kind `data_msgs_*` and `index_msgs_*` are floats. Bytes and
-    messages move through `charge`, which charges any number of ranks at
-    once; a collective charges each member one call.
+    charge fractional bytes; every message counter (`msgs_*`, `data_msgs_*`,
+    `index_msgs_*`) and `calls` are integers. Bytes and messages move
+    through `charge`, which charges any number of ranks at once; a
+    collective charges each member one call, and so do `isend` and `recv`
+    their caller, self-addressed calls included.
     `pair_max_bytes[s, d]` and `pair_max_data_bytes[s, d]` hold the
     largest single message (of any kind, of data) from rank s to rank d,
     as p x p integer arrays in which zero means no message; `marks` hold
@@ -167,7 +169,7 @@ class CommLedger:
         for prim in PRIMITIVES:
             fields = {}
             for name in _SENT_FIELDS + _RECV_FIELDS:
-                dtype = np.int64 if name.startswith("msgs") else np.float64
+                dtype = np.int64 if "msgs" in name else np.float64
                 fields[name] = np.zeros(p, dtype=dtype)
             fields["calls"] = np.zeros(p, dtype=np.int64)
             self.counters[prim] = fields
@@ -388,7 +390,6 @@ class Comm:
         self.c = runtime.grid.c
         self.coords = runtime.grid.coords(rank)
         self._seq = {}
-        self._phase = 0
 
     # ---- point to point ----------------------------------------------
 
@@ -413,6 +414,7 @@ class Comm:
         rt = self._rt
         key = (self.rank, dst, tag)
         rt.mail.setdefault(key, deque()).append(arr)
+        rt.ledger.counters["p2p"]["calls"][self.rank] += 1
         if dst != self.rank:
             nbytes = arr.size * 8
             kind = CommLedger._kind(arr)
@@ -432,6 +434,7 @@ class Comm:
         payload = rt.mail[key].popleft()
         if not rt.mail[key]:
             del rt.mail[key]
+        rt.ledger.counters["p2p"]["calls"][self.rank] += 1
         if src != self.rank:
             rt.ledger.charge("p2p", "received", self.rank, payload.size * 8,
                              CommLedger._kind(payload))
@@ -516,7 +519,9 @@ class Comm:
                 if bad.any():
                     s = int(senders[bad.argmax()])
                     raise ValueError(f"rank {s}: all_to_allv rows must lie in [0, {n_rows[s]})")
-            src += np.repeat(np.cumsum(n_rows) - n_rows, sent)
+            # only the buffers of ranks that send a row are stacked
+            held = [n if k else 0 for n, k in zip(n_rows, sent)]
+            src += np.repeat(np.cumsum(held) - held, sent)
             # the non-empty segments (s, d), in send order; only the ones
             # between distinct ranks that carry bytes are messages
             seg_src, seg_dst = np.nonzero(counts)
@@ -538,7 +543,8 @@ class Comm:
             seg_rows = seg_rows[order]
             places = np.repeat(seg_start[order] - np.cumsum(seg_rows) + seg_rows, seg_rows)
             places += np.arange(src.size)
-            stacked, gather = np.concatenate(bufs), src[places]
+            stacked = np.concatenate([b for b, k in zip(bufs, sent) if k] or [bufs[0][:0]])
+            gather = src[places]
             bounds = [0] + np.cumsum(counts.sum(axis=0)).tolist()
             return dict.fromkeys(group, (stacked, gather, bounds))
 
@@ -617,12 +623,6 @@ class Comm:
             return {r: None for r in group}
 
         self._collective("mark", group, None, complete)
-
-    def next_phase(self) -> int:
-        """Monotone per-rank counter; ranks calling in lockstep obtain
-        matching values, handy for building unique message tags."""
-        self._phase += 1
-        return self._phase
 
 
 @functools.cache

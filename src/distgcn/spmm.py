@@ -6,12 +6,20 @@ stages), each in a sparsity-oblivious form that ships whole block rows of
 the dense operand and a sparsity-aware form that ships only the rows
 matching occupied columns of the relevant sparse blocks.
 
+The four variants are one kernel: they differ only in c and in what a
+stage owner sends. Every phase is one whole-grid `all_to_allv`, in which
+each stage owner sends either whole block rows (oblivious) or just the
+occupied rows (aware) to its column group, followed, when c > 1, by an
+all-reduce over the grid row; 1D is the case c=1, in which every process
+owns a stage. The aware variants' one-time index exchange is one
+`all_to_allv` of index lists per operand.
+
 Each process holds one local operand per phase: its block row restricted
 to the block columns of its stages, with columns compressed to the
 occupied global columns in ascending order (a halo layout), which one
 owner-major index, `DistOperand.cols`, lists block by block. A phase
-stacks the rows it holds or receives in ascending source order and makes
-one local multiply, so every entry accumulates in ascending global
+receives its rows in ascending source order, which is halo order, and
+makes one local multiply, so every entry accumulates in ascending global
 column. The oblivious and aware forms therefore produce bit-identical
 outputs, and the 1D variants and the replicated schedule with c=1 both
 reproduce `serial_reference` of the partitioned matrix bit for bit.
@@ -58,13 +66,16 @@ class DistOperand:
     block row i. It is stored once, owner-major: `idx` holds cols(0, j),
     ..., cols(nb-1, j) for each j in turn, bounded by row j of the
     (nb, nb+1) offsets `ptr`. So idx[ptr[j, 0]:ptr[j, -1]], with run
-    lengths np.diff(ptr[j]), is owner j's 1D send plan: one gather of it
-    is the `all_to_allv` buffer for all ranks.
+    lengths np.diff(ptr[j]), is owner j's send plan: the rows it sends to
+    block rows 0, ..., nb-1 in one `all_to_allv`. `starts[j]` is the first
+    global row of block row j, where an oblivious receiver finds block j's
+    rows in a stack of whole blocks.
     """
 
     local: dict
     idx: np.ndarray
     ptr: np.ndarray
+    starts: np.ndarray
 
     def cols(self, i, j) -> np.ndarray:
         return self.idx[self.ptr[j, i]:self.ptr[j, i + 1]]
@@ -124,7 +135,7 @@ def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
             np.cumsum(counts, out=row_ptr[1:])
             local[(i, g)] = CsrMatrix(r1 - r0, runs[i, g].sum(), row_ptr,
                                       comp[lo:hi][sel], mat.values[lo:hi][sel])
-    return DistOperand(local, idx, ptr)
+    return DistOperand(local, idx, ptr, starts)
 
 
 def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid) -> DistMatrices:
@@ -155,73 +166,31 @@ def validate_variant_grid(variant, p, c):
         raise ValueError(f"variant {variant} requires c*c to divide p (p={p}, c={c})")
 
 
+def _need(op: DistOperand, i, q0, q1):
+    """What block row i reads from owners q0..q1-1: the places in op.idx
+    of cols(i, q0), ..., cols(i, q1-1) in turn, and each one's length."""
+    start = op.ptr[q0:q1, i]
+    lens = op.ptr[q0:q1, i + 1] - start
+    places = np.repeat(start - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    return places, lens
+
+
 def exchange_index_lists(comm: Comm, op: DistOperand, variant: str):
     """One-time exchange of the occupied-column lists the aware variants
-    send rows from. Each receiver announces to every relevant owner which
-    of its rows it needs; the traffic is charged as index payloads. The
-    sparse pattern is fixed for a whole training run, so this runs once
-    and its cost is amortized over every subsequent multiply. In 1D
-    (c=1) every owner is a stage, so every rank announces to all others."""
+    send rows from: one `all_to_allv` in which each process sends its need
+    lists to the stage owners of its column group, charged as index
+    payloads. The sparse pattern is fixed for a whole training run, so
+    this runs once and its cost is amortized over every subsequent
+    multiply. In 1D (c=1) every owner is a stage, so every rank announces
+    to all others."""
     if variant.endswith("oblivious"):
         return
-    grid = comm.grid
     i, j = comm.coords
-    s = grid.stage_count()
-    tag = ("idx", comm.next_phase())
-    for q in range(j * s, (j + 1) * s):
-        need = op.cols(i, q)
-        if q != i and need.size:
-            comm.isend(grid.rank_of(q, j), need, tag=tag)
-    if j * s <= i < (j + 1) * s:
-        # this process owns a stage's block row: hear from every reader
-        for l in range(grid.n_rows):
-            if l != i and op.cols(l, i).size:
-                comm.recv(grid.rank_of(l, j), tag=tag)
-
-
-def _kernel_1d_oblivious(comm: Comm, op: DistOperand, h_block):
-    r = comm.rank
-    halo = []
-    for j in range(comm.p):
-        hj = comm.broadcast(j, h_block if j == r else None)
-        halo.append(np.take(hj, op.cols(r, j), axis=0))
-    return local_spmm(op.local[(r, 0)], np.vstack(halo))
-
-
-def _kernel_1d_sparse(comm: Comm, op: DistOperand, h_block):
-    ptr = op.ptr[comm.rank]
-    # received rows come in ascending source order, which is halo order
-    halo = comm.all_to_allv(h_block, np.diff(ptr), rows=op.idx[ptr[0]:ptr[-1]])
-    return local_spmm(op.local[(comm.rank, 0)], halo)
-
-
-def _kernel_15d(comm: Comm, op: DistOperand, h_block, sparse):
-    grid = comm.grid
-    i, j = comm.coords
-    s = grid.stage_count()
-    tag = ("spmm", comm.next_phase())
-    halo = []
-    for k in range(s):
-        q = j * s + k
-        idx = op.cols(i, q)
-        if q == i:
-            # this process owns the stage's block row: serve its column
-            for l in range(grid.n_rows):
-                need = op.cols(l, i)
-                if l != i and (need.size or not sparse):
-                    comm.isend(grid.rank_of(l, j), h_block, tag=(tag, k),
-                               rows=need if sparse else None)
-            halo.append(np.take(h_block, idx, axis=0))
-        elif not sparse:
-            halo.append(np.take(comm.recv(grid.rank_of(q, j), tag=(tag, k)), idx, axis=0))
-        elif idx.size:
-            halo.append(comm.recv(grid.rank_of(q, j), tag=(tag, k)))
-    halo = np.vstack(halo) if halo else h_block[:0]
-    z = local_spmm(op.local[(i, j)], halo)
-    # free the halo before parking at the all-reduce, where the rest of the
-    # grid row may still be gathering its own
-    del halo
-    return comm.all_reduce_sum(z, group=grid.row_group(i))
+    s = comm.grid.stage_count()
+    places, lens = _need(op, i, j * s, (j + 1) * s)
+    counts = np.zeros(comm.p, dtype=np.int64)
+    counts[j::comm.c][j * s:(j + 1) * s] = lens
+    comm.all_to_allv(op.idx, counts, rows=places)
 
 
 def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str):
@@ -232,17 +201,43 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str):
     block row of the product, replicated the same way. A 1.5D product is
     the row all-reduce's read-only sum, one array shared by the grid row,
     so a caller that wants to write to it must copy it first.
+
+    Every variant is one `all_to_allv` over the whole grid: the owner of
+    a stage (j*s <= i < (j+1)*s) sends to the c-strided column group j,
+    an aware owner its send plan and an oblivious one its whole block row
+    to every member, and every other process sends nothing. The halo
+    arrives in ascending source order, i.e. ascending stage; oblivious
+    receivers then take their occupied columns from the whole blocks.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     h_block = np.asarray(h_block, dtype=np.float64)
-    if variant == "1d-oblivious":
-        return _kernel_1d_oblivious(comm, op, h_block)
-    if variant == "1d-sparse":
-        return _kernel_1d_sparse(comm, op, h_block)
-    if variant == "15d-oblivious":
-        return _kernel_15d(comm, op, h_block, sparse=False)
-    if variant == "15d-sparse":
-        return _kernel_15d(comm, op, h_block, sparse=True)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    grid = comm.grid
+    i, j = comm.coords
+    s = grid.stage_count()
+    aware = variant.endswith("sparse")
+    counts = np.zeros(comm.p, dtype=np.int64)
+    rows = op.idx[:0]
+    if j * s <= i < (j + 1) * s:
+        if aware:
+            ptr = op.ptr[i]
+            counts[j::comm.c] = np.diff(ptr)
+            rows = op.idx[ptr[0]:ptr[-1]]
+        else:
+            counts[j::comm.c] = len(h_block)
+            rows = np.tile(np.arange(len(h_block)), grid.n_rows)
+    halo = comm.all_to_allv(h_block, counts, rows=rows)
+    if not aware:
+        places, lens = _need(op, i, j * s, (j + 1) * s)
+        block_at = op.starts[j * s:(j + 1) * s] - op.starts[j * s]
+        halo = np.take(halo, op.idx[places] + np.repeat(block_at, lens), axis=0)
+    z = local_spmm(op.local[(i, j)], halo)
+    if comm.c == 1:
+        return z
+    # free the halo before parking at the all-reduce, where the rest of the
+    # grid row may still be gathering its own
+    del halo
+    return comm.all_reduce_sum(z, group=grid.row_group(i))
 
 
 def serial_reference(a: CsrMatrix, h) -> np.ndarray:

@@ -242,35 +242,36 @@ def test_distributed_losses_track_serial_over_epochs():
         assert np.abs(res.losses - serial.losses).max() < 1e-8
 
 
+def _check_epoch_phase_counts(variants):
+    _, features, labels, mask = random_problem(12, n=16)
+    # not symmetric, so the forward and backward operands differ and the
+    # aware variants exchange the index lists of both at set-up
+    dense = np.abs(random_csr_dense(np.random.default_rng(12), 16, density=0.3))
+    a = gcn_normalize(csr_from_dense(dense))
+    assert not np.array_equal(a.to_dense(), a.to_dense().T)
+    epochs, layers = 2, 4
+    for variant, c in variants:
+        cfg = TrainConfig(layers=layers, hidden=4, lr=0.01, epochs=epochs, seed=8,
+                          variant=variant)
+        res = train(a, features, labels, mask, cfg, p=4, c=c)
+        counters = res.ledger.counters
+        setup = 2 if variant.endswith("sparse") else 0
+        for r in range(4):
+            # one personalized exchange per multiply phase
+            assert counters["alltoallv"]["calls"][r] == epochs * 2 * (layers - 1) + setup
+            # one weight-gradient reduction per weight layer, plus one
+            # partial-sum reduction per multiply phase when c > 1
+            assert counters["allreduce"]["calls"][r] == epochs * (layers - 1) * (1 + 2 * (c > 1))
+            assert counters["p2p"]["msgs_sent"][r] == counters["p2p"]["msgs_received"][r] == 0
+            assert counters["broadcast"]["calls"][r] == 0
+
+
 def test_epoch_phase_counts():
-    a, features, labels, mask = random_problem(12, n=16)
-    epochs, layers = 3, 3
-    cfg = TrainConfig(layers=layers, hidden=4, lr=0.01, epochs=epochs, seed=8,
-                      variant="1d-sparse")
-    res = train(a, features, labels, mask, cfg, p=4, c=1)
-    ledger = res.ledger
-    for r in range(4):
-        # one personalized exchange per multiply phase
-        assert ledger.counters["alltoallv"]["calls"][r] == epochs * 2 * (layers - 1)
-        # one weight-gradient reduction per weight layer
-        assert ledger.counters["allreduce"]["calls"][r] == epochs * (layers - 1)
-        assert ledger.counters["broadcast"]["calls"][r] == 0
+    _check_epoch_phase_counts((("1d-oblivious", 1), ("1d-sparse", 1)))
 
 
 def test_epoch_phase_counts_replicated():
-    a, features, labels, mask = random_problem(14, n=16)
-    epochs, layers = 2, 4
-    cfg = TrainConfig(layers=layers, hidden=4, lr=0.01, epochs=epochs, seed=8,
-                      variant="15d-sparse")
-    res = train(a, features, labels, mask, cfg, p=4, c=2)
-    ledger = res.ledger
-    for r in range(4):
-        # each multiply phase ends in one partial-sum reduction, plus one
-        # weight-gradient reduction per weight layer
-        expect = epochs * (2 * (layers - 1) + (layers - 1))
-        assert ledger.counters["allreduce"]["calls"][r] == expect
-        assert ledger.counters["alltoallv"]["calls"][r] == 0
-        assert ledger.counters["broadcast"]["calls"][r] == 0
+    _check_epoch_phase_counts((("15d-oblivious", 2), ("15d-sparse", 2)))
 
 
 def test_partitioned_training_matches_serial():

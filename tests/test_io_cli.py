@@ -169,7 +169,7 @@ def test_cli_spmm_bench_block_diagonal(tmp_path):
     assert run_cli("spmm-bench", "--gen", "cliques", "--n", "32", "--p", "4",
                    "--variant", "1d-oblivious", "--out-dir", str(out_o)) == 0
     ledger_o = json.loads((out_o / "ledger.json").read_text())
-    assert ledger_o["totals"]["broadcast"]["data_bytes_sent"] > 0
+    assert ledger_o["totals"]["alltoallv"]["data_bytes_sent"] > 0
 
 
 def test_cli_spmm_bench_all_variants_dominance(tmp_path):

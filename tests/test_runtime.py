@@ -65,6 +65,8 @@ def test_self_send_costs_nothing():
     run = run_program(2, 1, program)
     assert run.results == [[1.0, 2.0], [1.0, 2.0]]
     assert run.ledger.total_bytes_sent() == 0.0
+    # a self-addressed call is still a call: one for isend, one for recv
+    assert run.ledger.counters["p2p"]["calls"].tolist() == [2, 2]
 
 
 def test_zero_length_payload_delivered_free():
@@ -628,7 +630,7 @@ def _edge_case_program(comm):
 
 
 # a rework of the ledger that keeps every serialized byte keeps this
-_PINNED_EDGE_CASES = "0c00f724b4754fd50e784b9ac1834c576007dda6229eb2453c4d1068460f50ab"
+_PINNED_EDGE_CASES = "555dceb20e9e24405df1f5f0d4d92365ab15c8f9fb0cdd339e98a88d3d491ec6"
 
 
 def test_edge_case_ledger_pinned():
@@ -639,6 +641,13 @@ def test_edge_case_ledger_pinned():
     # an index message above a data one raises pair_max_bytes only
     assert run.ledger.pair_max_bytes[0, 3] == 56
     assert run.ledger.pair_max_data_bytes[0, 3] == 16
+    # isend and recv charge their caller one call each
+    assert run.ledger.counters["p2p"]["calls"].tolist() == [2, 0, 0, 2, 0, 0]
+    # every message counter counts in integers
+    for fields in run.ledger.counters.values():
+        for name, arr in fields.items():
+            assert arr.dtype == (np.int64 if "msgs" in name or name == "calls"
+                                 else np.float64), name
     digest = hashlib.sha256(json.dumps(run.ledger.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == _PINNED_EDGE_CASES
 
