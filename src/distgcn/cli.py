@@ -3,7 +3,9 @@
 Subcommands: gen-graph (synthetic instances), partition, spmm-bench and
 train. Every command is deterministic given its flags and seed and writes
 byte-identical outputs on repeated runs. Errors are reported as one JSON
-object on stderr with a nonzero exit code.
+object on stderr with a nonzero exit code. The argparse parser is the only
+record of the flags and their defaults: each subcommand's handler reads
+the parsed namespace.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,72 +35,39 @@ class CliError(Exception):
         self.details = details
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated bundle of the flags shared by the experiment commands."""
-
-    graph_path: str = None
-    fmt: str = None
-    gen: str = None
-    n: int = 256
-    p: int = 1
-    c: int = 1
-    variant: str = "1d-sparse"
-    partitioner: str = "block"
-    epsilon: float = 0.10
-    lambda_max: float = None
-    max_passes: int = 10
-    f: int = 4
-    seed: int = 0
-    raw: bool = False
-    out_dir: str = "."
-
-    def validate_grid(self):
-        try:
-            validate_variant_grid(self.variant, self.p, self.c)
-        except ValueError as exc:
-            raise CliError(str(exc), variant=self.variant, p=self.p, c=self.c) from exc
+def _check_grid(args):
+    try:
+        validate_variant_grid(args.variant, args.p, args.c)
+    except ValueError as exc:
+        raise CliError(str(exc), variant=args.variant, p=args.p, c=args.c) from exc
 
 
-def _detect_format(path, fmt):
-    if fmt:
-        return fmt
-    suffix = Path(path).suffix.lower()
-    if suffix in (".mtx", ".mm"):
-        return "matrix-market"
-    return "edge-list-tsv"
-
-
-def _read_graph(cfg: ExperimentConfig):
+def _read_graph(args):
     """Graph plus optional features/labels, from file or generator, as
     read: not normalized."""
     features = labels = None
-    if cfg.gen:
-        if cfg.gen == "sbm":
-            a, features, labels = graphgen.sbm(cfg.n, seed=cfg.seed, feature_dim=cfg.f)
-        elif cfg.gen == "grid":
-            side = int(round(np.sqrt(cfg.n)))
-            a = graphgen.grid2d(side, side)
-        elif cfg.gen == "star":
-            a = graphgen.star(cfg.n - 1)
-        elif cfg.gen == "cliques":
-            size = max(2, cfg.n // 8)
-            a = graphgen.clique_blocks(cfg.n // size, size)
-        elif cfg.gen == "star-augmented":
-            a = graphgen.star_augmented(cfg.n, seed=cfg.seed)
-        else:
-            raise CliError(f"unknown generator {cfg.gen!r}")
+    if args.gen == "sbm":
+        a, features, labels = graphgen.sbm(args.n, seed=args.seed, feature_dim=args.f)
+    elif args.gen == "grid":
+        side = int(round(np.sqrt(args.n)))
+        a = graphgen.grid2d(side, side)
+    elif args.gen == "star":
+        a = graphgen.star(args.n - 1)
+    elif args.gen == "cliques":
+        size = max(2, args.n // 8)
+        a = graphgen.clique_blocks(args.n // size, size)
+    elif args.gen == "star-augmented":
+        a = graphgen.star_augmented(args.n, seed=args.seed)
+    elif not args.graph_path:
+        raise CliError("either --graph or --gen is required")
     else:
-        if not cfg.graph_path:
-            raise CliError("either --graph or --gen is required")
-        fmt = _detect_format(cfg.graph_path, cfg.fmt)
+        fmt = args.fmt
+        if fmt is None:
+            suffix = Path(args.graph_path).suffix.lower()
+            fmt = "matrix-market" if suffix in (".mtx", ".mm") else "edge-list-tsv"
+        load = io.load_matrix_market if fmt == "matrix-market" else io.load_edge_list_tsv
         try:
-            if fmt == "matrix-market":
-                a = io.load_matrix_market(cfg.graph_path)
-            elif fmt == "edge-list-tsv":
-                a = io.load_edge_list_tsv(cfg.graph_path)
-            else:
-                raise CliError(f"unknown graph format {fmt!r}")
+            a = load(args.graph_path)
         except FileNotFoundError as exc:
             raise CliError(f"cannot read graph file: {exc}") from exc
         except io.ParseError as exc:
@@ -107,41 +75,36 @@ def _read_graph(cfg: ExperimentConfig):
     return a, features, labels
 
 
-def _load_graph(cfg: ExperimentConfig):
+def _load_graph(args):
     """_read_graph, with the adjacency normalized unless --raw is set."""
-    a, features, labels = _read_graph(cfg)
-    if not cfg.raw:
+    a, features, labels = _read_graph(args)
+    if not args.raw:
         a = gcn_normalize(a)
     return a, features, labels
 
 
-def _build_partition(a: CsrMatrix, k, cfg: ExperimentConfig):
-    if k > a.n_rows:
-        raise CliError(f"cannot split {a.n_rows} vertices into {k} parts")
-    if cfg.partitioner == "block":
+def _build_partition(a: CsrMatrix, k, args):
+    if args.partitioner == "block":
         return block_partition(a.n_rows, k)
-    if cfg.partitioner == "random":
-        return random_partition(a.n_rows, k, cfg.seed)
-    if cfg.partitioner == "greedy-tv":
-        return greedy_tv_partition(a, k, cfg.epsilon, cfg.max_passes)
-    if cfg.partitioner == "gvb":
-        start = greedy_tv_partition(a, k, cfg.epsilon, cfg.max_passes)
-        return volume_balanced_refine(a, start, cfg.lambda_max, cfg.epsilon,
-                                      cfg.max_passes)
-    raise CliError(f"unknown partitioner {cfg.partitioner!r}")
+    if args.partitioner == "random":
+        return random_partition(a.n_rows, k, args.seed)
+    part = greedy_tv_partition(a, k, args.epsilon, args.max_passes)
+    if args.partitioner == "gvb":
+        part = volume_balanced_refine(a, part, args.lambda_max, args.epsilon, args.max_passes)
+    return part
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(cfg.out_dir)
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_gen_graph(cfg: ExperimentConfig) -> int:
+def cmd_gen_graph(args) -> int:
     # generation always writes the raw graph; normalization happens on load
-    out = _out_dir(cfg)
-    a, features, labels = _read_graph(cfg)
-    if cfg.fmt == "matrix-market":
+    out = _out_dir(args)
+    a, features, labels = _read_graph(args)
+    if args.fmt == "matrix-market":
         io.save_matrix_market(out / "graph.mtx", a)
     else:
         io.save_edge_list_tsv(out / "graph.tsv", a)
@@ -150,23 +113,23 @@ def cmd_gen_graph(cfg: ExperimentConfig) -> int:
     if labels is not None:
         io.save_labels(out / "labels.tsv", labels)
     io.write_json(out / "graph.json", {
-        "n": a.n_rows, "nnz": a.nnz, "generator": cfg.gen, "seed": cfg.seed,
+        "n": a.n_rows, "nnz": a.nnz, "generator": args.gen, "seed": args.seed,
     })
     return 0
 
 
-def cmd_partition(cfg: ExperimentConfig, k: int) -> int:
-    out = _out_dir(cfg)
-    a, _, _ = _load_graph(cfg)
-    part = _build_partition(a, k, cfg)
-    metrics = comm_metrics(a, part, cfg.f)
+def cmd_partition(args) -> int:
+    out = _out_dir(args)
+    a, _, _ = _load_graph(args)
+    part = _build_partition(a, args.k, args)
+    metrics = comm_metrics(a, part, args.f)
     io.save_partition(out / "partition.txt", part)
     io.write_json(out / "partition.json", {
-        "k": k,
-        "partitioner": cfg.partitioner,
-        "seed": cfg.seed,
-        "epsilon": cfg.epsilon,
-        "lambda_max": cfg.lambda_max if cfg.lambda_max is not None else float(k),
+        "k": args.k,
+        "partitioner": args.partitioner,
+        "seed": args.seed,
+        "epsilon": args.epsilon,
+        "lambda_max": args.lambda_max if args.lambda_max is not None else float(args.k),
         "boundaries": [[int(s), int(e)] for s, e in part.boundaries],
         "edgecut": edgecut(a, part),
         "metrics": metrics.to_dict(),
@@ -174,23 +137,22 @@ def cmd_partition(cfg: ExperimentConfig, k: int) -> int:
     return 0
 
 
-def cmd_spmm_bench(cfg: ExperimentConfig, alpha, beta, l_layers) -> int:
-    cfg.validate_grid()
-    out = _out_dir(cfg)
-    a, _, _ = _load_graph(cfg)
-    k = cfg.p // cfg.c
-    part = _build_partition(a, k, cfg)
-    h = graphgen.gaussian_features(a.n_rows, cfg.f, cfg.seed)
-    run = run_spmm(a, h, cfg.p, cfg.c, cfg.variant, partition=part)
-    metrics = comm_metrics(a, part, cfg.f)
-    cp = costmodel.CostParams(alpha=alpha, beta=beta, p=cfg.p, c=cfg.c,
-                              l_layers=l_layers, f=cfg.f, cut_p=metrics.cut_p)
-    if cfg.variant.startswith("1d"):
+def cmd_spmm_bench(args) -> int:
+    _check_grid(args)
+    out = _out_dir(args)
+    a, _, _ = _load_graph(args)
+    part = _build_partition(a, args.p // args.c, args)
+    h = graphgen.gaussian_features(a.n_rows, args.f, args.seed)
+    run = run_spmm(a, h, args.p, args.c, args.variant, partition=part)
+    metrics = comm_metrics(a, part, args.f)
+    cp = costmodel.CostParams(alpha=args.alpha, beta=args.beta, p=args.p, c=args.c,
+                              l_layers=args.layers, f=args.f, cut_p=metrics.cut_p)
+    if args.variant.startswith("1d"):
         terms = costmodel.predict_1d_terms(cp)
     else:
         terms = costmodel.predict_15d_terms(cp)
     # oblivious variants legitimately ship whole block rows
-    row_bound = (metrics.cut_p if cfg.variant.endswith("sparse")
+    row_bound = (metrics.cut_p if args.variant.endswith("sparse")
                  else max(e - s for s, e in part.boundaries))
     report = costmodel.confront(terms, run.ledger, cp, phases=1, row_bound=row_bound)
     io.write_json(out / "ledger.json", run.ledger.to_dict())
@@ -199,29 +161,30 @@ def cmd_spmm_bench(cfg: ExperimentConfig, alpha, beta, l_layers) -> int:
     return 0
 
 
-def cmd_train(cfg: ExperimentConfig, train_cfg: TrainConfig,
-              features_path=None, labels_path=None) -> int:
-    if train_cfg.variant != "serial":
-        cfg.validate_grid()
-    out = _out_dir(cfg)
-    a, features, labels = _load_graph(cfg)
-    if features_path:
-        features = io.load_features_tsv(features_path)
-    if labels_path:
-        labels, mask = io.load_labels(labels_path)
+def cmd_train(args) -> int:
+    train_cfg = TrainConfig(layers=args.layers, hidden=args.hidden, lr=args.lr,
+                            epochs=args.epochs, seed=args.seed, variant=args.variant)
+    serial = args.variant == "serial"
+    if not serial:
+        _check_grid(args)
+    out = _out_dir(args)
+    a, features, labels = _load_graph(args)
+    if args.features:
+        features = io.load_features_tsv(args.features)
+    if args.labels:
+        labels, mask = io.load_labels(args.labels)
     elif labels is not None:
         mask = np.ones(labels.shape[0], dtype=bool)
     else:
         raise CliError("labels are required: pass --labels or use --gen sbm")
     if features is None:
-        features = graphgen.gaussian_features(a.n_rows, cfg.f, cfg.seed)
+        features = graphgen.gaussian_features(a.n_rows, args.f, args.seed)
     if labels.shape[0] != a.n_rows:
         raise CliError(f"label count {labels.shape[0]} does not match n={a.n_rows}")
     if not mask.any():
         raise CliError("empty training mask: every label is -1")
-    k = max(cfg.p // cfg.c, 1)
-    part = _build_partition(a, k, cfg) if train_cfg.variant != "serial" else None
-    result = train(a, features, labels, mask, train_cfg, p=cfg.p, c=cfg.c,
+    part = None if serial else _build_partition(a, args.p // args.c, args)
+    result = train(a, features, labels, mask, train_cfg, p=args.p, c=args.c,
                    partition=part)
     with open(out / "history.csv", "w") as fh:
         fh.write("epoch,loss,train_acc," + ",".join(f"{p}_bytes" for p in PRIMITIVES) + "\n")
@@ -231,12 +194,12 @@ def cmd_train(cfg: ExperimentConfig, train_cfg: TrainConfig,
             fh.write(",".join(cells) + "\n")
     totals = result.ledger.totals() if result.ledger is not None else {}
     io.write_json(out / "summary.json", {
-        "epochs": train_cfg.epochs,
-        "variant": train_cfg.variant,
-        "partitioner": cfg.partitioner,
-        "p": cfg.p,
-        "c": cfg.c,
-        "seed": train_cfg.seed,
+        "epochs": args.epochs,
+        "variant": args.variant,
+        "partitioner": args.partitioner,
+        "p": args.p,
+        "c": args.c,
+        "seed": args.seed,
         "final_loss": result.history[-1]["loss"] if result.history else None,
         "final_accuracy": result.final_accuracy,
         "volume_by_primitive": {
@@ -280,10 +243,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-graph", help="write a synthetic graph to disk")
     add_common(g, experiment=False)
+    g.set_defaults(run=cmd_gen_graph)
 
     pt = sub.add_parser("partition", help="partition a graph and report volumes")
     add_common(pt, grid=False)
     pt.add_argument("--k", type=int, required=True, help="number of parts")
+    pt.set_defaults(run=cmd_partition)
 
     sb = sub.add_parser("spmm-bench", help="run one distributed multiply")
     add_common(sb)
@@ -291,6 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--beta", type=float, default=1e-9)
     sb.add_argument("--layers", type=int, default=1,
                     help="layer count used by the cost-model bound")
+    sb.set_defaults(run=cmd_spmm_bench)
 
     tr = sub.add_parser("train", help="train a GCN over a simulated grid")
     add_common(tr)
@@ -300,36 +266,17 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--hidden", type=int, default=16)
     tr.add_argument("--lr", type=float, default=0.01)
     tr.add_argument("--epochs", type=int, default=100)
+    tr.set_defaults(run=cmd_train)
     return parser
-
-
-def _config_from_args(args) -> ExperimentConfig:
-    # flags a subcommand does not register keep the dataclass defaults
-    names = {f.name for f in fields(ExperimentConfig)}
-    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "gen-graph":
-            return cmd_gen_graph(cfg)
-        if args.command == "partition":
-            return cmd_partition(cfg, args.k)
-        if args.command == "spmm-bench":
-            return cmd_spmm_bench(cfg, args.alpha, args.beta, args.layers)
-        if args.command == "train":
-            tc = TrainConfig(layers=args.layers, hidden=args.hidden, lr=args.lr,
-                             epochs=args.epochs, seed=args.seed, variant=args.variant)
-            return cmd_train(cfg, tc, args.features, args.labels)
-        raise CliError(f"unknown command {args.command!r}")
-    except CliError as exc:
-        json.dump({"error": str(exc), **exc.details}, sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
-    except (ValueError, FloatingPointError, io.ParseError) as exc:
-        json.dump({"error": str(exc)}, sys.stderr, sort_keys=True)
+        return args.run(args)
+    except (CliError, ValueError, FloatingPointError) as exc:
+        json.dump({"error": str(exc), **getattr(exc, "details", {})}, sys.stderr,
+                  sort_keys=True)
         sys.stderr.write("\n")
         return 2
 

@@ -59,18 +59,13 @@ def load_matrix_market(path) -> CsrMatrix:
     if symmetry not in ("general", "symmetric"):
         raise ParseError(path, 1, f"unsupported symmetry {symmetry!r}")
 
-    size_line = None
-    entries_start = None
-    for idx in range(1, len(lines)):
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = (idx + 1, stripped)
-        entries_start = idx + 1
-        break
-    if size_line is None:
-        raise ParseError(path, len(lines), "missing size line")
-    lineno, text = size_line
+    # one pass over the lines that are neither blank nor comments (the
+    # header is one too); the first is the size line
+    body = ((lineno, line.strip()) for lineno, line in enumerate(lines, start=1))
+    body = ((lineno, text) for lineno, text in body if text and not text.startswith("%"))
+    lineno, text = next(body, (len(lines), None))
+    if text is None:
+        raise ParseError(path, lineno, "missing size line")
     parts = text.split()
     if len(parts) != 3:
         raise ParseError(path, lineno, f"size line needs 'rows cols nnz', got {text!r}")
@@ -81,30 +76,24 @@ def load_matrix_market(path) -> CsrMatrix:
     if n_rows != n_cols:
         raise ParseError(path, lineno, f"adjacency matrix must be square, got {n_rows}x{n_cols}")
 
+    want = 2 if field == "pattern" else 3
     rows, cols, vals = [], [], []
-    count = 0
-    for idx in range(entries_start, len(lines)):
-        lineno = idx + 1
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        parts = stripped.split()
-        want = 2 if field == "pattern" else 3
+    for lineno, text in body:
+        parts = text.split()
         if len(parts) < want:
-            raise ParseError(path, lineno, f"expected {want} columns, got {stripped!r}")
+            raise ParseError(path, lineno, f"expected {want} columns, got {text!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
             w = 1.0 if field == "pattern" else float(parts[2])
         except ValueError:
-            raise ParseError(path, lineno, f"malformed entry {stripped!r}") from None
+            raise ParseError(path, lineno, f"malformed entry {text!r}") from None
         if not (1 <= u <= n_rows and 1 <= v <= n_cols):
             raise ParseError(path, lineno, f"entry ({u}, {v}) outside 1..{n_rows}")
         rows.append(u - 1)
         cols.append(v - 1)
         vals.append(w)
-        count += 1
-    if count != nnz:
-        raise ParseError(path, len(lines), f"size line promised {nnz} entries, found {count}")
+    if len(rows) != nnz:
+        raise ParseError(path, len(lines), f"size line promised {nnz} entries, found {len(rows)}")
     rows = np.array(rows, dtype=np.int64)
     cols = np.array(cols, dtype=np.int64)
     vals = np.array(vals, dtype=np.float64)
@@ -191,20 +180,33 @@ def save_features_tsv(path, features):
             fh.write("\t".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_labels(path):
-    """One integer label per line; -1 marks an unlabeled vertex. Returns
-    (labels, mask) with the mask false on unlabeled vertices."""
-    labels = []
+def _read_ints(path, what):
+    """One integer per non-blank line, as int64 arrays of (values, line
+    numbers); a line that is not an integer is a "malformed {what}"."""
+    values, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:
                 continue
             try:
-                labels.append(int(stripped))
+                values.append(int(stripped))
             except ValueError:
-                raise ParseError(path, lineno, f"malformed label {stripped!r}") from None
-    labels = np.array(labels, dtype=np.int64)
+                raise ParseError(path, lineno, f"malformed {what} {stripped!r}") from None
+            linenos.append(lineno)
+    return np.array(values, dtype=np.int64), np.array(linenos, dtype=np.int64)
+
+
+def load_labels(path):
+    """One integer label per line; -1 marks an unlabeled vertex and values
+    below -1 are rejected. Returns (labels, mask) with the mask false on
+    unlabeled vertices."""
+    labels, linenos = _read_ints(path, "label")
+    below = np.flatnonzero(labels < -1)
+    if below.size:
+        i = below[0]
+        raise ParseError(path, int(linenos[i]),
+                         f"label {labels[i]} is below -1 (-1 marks an unlabeled vertex)")
     return labels, labels >= 0
 
 
@@ -222,17 +224,7 @@ def save_partition(path, part: Partition):
 
 
 def load_partition(path, k=None) -> Partition:
-    assignment = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                assignment.append(int(stripped))
-            except ValueError:
-                raise ParseError(path, lineno, f"malformed part id {stripped!r}") from None
-    assignment = np.array(assignment, dtype=np.int64)
+    assignment, _ = _read_ints(path, "part id")
     if k is None:
         k = int(assignment.max()) + 1 if assignment.size else 1
     return Partition.from_assignment(assignment, k)

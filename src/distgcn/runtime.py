@@ -42,7 +42,7 @@ can change in between. `all_reduce_sum` returns one read-only sum and
 `broadcast` one read-only copy of the root's payload, each shared by every
 member of the group. Every other call returns arrays of the caller's
 own, and no call keeps a reference into a buffer handed to it: `isend`
-copies the rows it sends at call time, and the last arrival at an
+copies its payload at call time, and the last arrival at an
 `all_to_allv` stacks the buffers of the ranks that send at least one row
 into one new array, from which each receiver then gathers its rows. A
 caller may therefore write to any buffer it passed as soon as the call
@@ -393,24 +393,13 @@ class Comm:
 
     # ---- point to point ----------------------------------------------
 
-    def isend(self, dst, buf, tag=0, rows=None):
-        """Buffered non-blocking send of `buf`, or of its rows `buf[rows]`
-        when `rows` is given (integer indices, each in [0, len(buf))); never
-        blocks. The rows sent are copied once, at call time, so the caller
-        may write to `buf` as soon as the call returns."""
+    def isend(self, dst, buf, tag=0):
+        """Buffered non-blocking send of `buf`; never blocks. The payload
+        is copied at call time, so the caller may write to `buf` as soon as
+        the call returns."""
         if not 0 <= dst < self.p:
             raise ValueError(f"destination rank {dst} out of range")
-        arr = _as_payload(buf)
-        if rows is None:
-            arr = arr.copy()
-        else:
-            rows = _as_rows(rows)
-            if arr.ndim == 0:
-                raise ValueError("isend with rows needs a buffer of rows, got a scalar")
-            if rows.size and (rows.min() < 0 or rows.max() >= arr.shape[0]):
-                raise ValueError(f"isend rows must lie in [0, {arr.shape[0]}), "
-                                 f"got {rows.min()}..{rows.max()}")
-            arr = np.take(arr, rows, axis=0)
+        arr = _as_payload(buf).copy()
         rt = self._rt
         key = (self.rank, dst, tag)
         rt.mail.setdefault(key, deque()).append(arr)

@@ -153,10 +153,22 @@ def csr_from_coo(n_rows, n_cols, rows, cols, vals) -> CsrMatrix:
         keep = vals != 0.0
         key, vals = key[starts][keep], vals[keep]
         rows, cols = np.divmod(key, n_cols)
-    counts = np.bincount(rows, minlength=n_rows) if rows.size else np.zeros(n_rows, np.int64)
+    return CsrMatrix(n_rows, n_cols, _row_ptr(rows, n_rows), cols, vals)
+
+
+def _row_ptr(rows, n_rows) -> np.ndarray:
+    """CSR row pointers of entries in rows `rows` (int64, each in [0, n_rows))."""
     row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    return CsrMatrix(n_rows, n_cols, row_ptr, cols, vals)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=row_ptr[1:])
+    return row_ptr
+
+
+def _relabeled(n_rows, n_cols, rows, cols, vals) -> CsrMatrix:
+    """Canonical CSR of entries moved to distinct new coordinates (rows,
+    cols), values moved, not recomputed: one sort on the int64 key
+    row * n_cols + col, which needs n_rows * n_cols below 2**63."""
+    order = np.argsort(rows * n_cols + cols)
+    return CsrMatrix(n_rows, n_cols, _row_ptr(rows, n_rows), cols[order], vals[order])
 
 
 def csr_from_edges(edges, n, symmetrize=False) -> CsrMatrix:
@@ -239,8 +251,7 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
     keep = (vals != 0.0) | (rows == cols)
     if not keep.all():
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    row_ptr = _row_ptr(rows, n)
     below = np.bincount(rows[cols < rows], minlength=n)
     slot = row_ptr[:-1] + below
     has = slot < row_ptr[1:]
@@ -392,12 +403,5 @@ def transpose_csr(a: CsrMatrix) -> CsrMatrix:
     Pure permutation of the stored entries, hence an involution down to
     the bit level.
     """
-    rows = a.row_of_nnz()
-    # (col, row) order, the stable column order, by one distinct key below
-    # n_rows * n_cols, which int64 holds for fewer than 2**63 cells
-    order = np.argsort(a.col_idx * a.n_rows + rows)
-    counts = np.bincount(a.col_idx, minlength=a.n_cols) if a.nnz else np.zeros(a.n_cols, np.int64)
-    row_ptr = np.zeros(a.n_cols + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    return CsrMatrix(a.n_cols, a.n_rows, row_ptr, rows[order], a.values[order])
+    return _relabeled(a.n_cols, a.n_rows, a.col_idx, a.row_of_nnz(), a.values)
 

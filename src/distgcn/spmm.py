@@ -33,7 +33,7 @@ import numpy as np
 
 from .partition import apply_partition, block_partition
 from .runtime import Comm, ProcessGrid, RunResult, run_program
-from .sparse import CsrMatrix, csr_equal, local_spmm, transpose_csr
+from .sparse import CsrMatrix, _row_ptr, csr_equal, local_spmm, transpose_csr
 
 __all__ = [
     "DistMatrices",
@@ -130,10 +130,8 @@ def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
         lo, hi = mat.row_ptr[r0], mat.row_ptr[r1]
         for g in range(nb // stages):
             sel = blk[lo:hi] // (nb * stages) == g
-            counts = np.bincount(rows[lo:hi][sel] - r0, minlength=r1 - r0)
-            row_ptr = np.zeros(r1 - r0 + 1, dtype=np.int64)
-            np.cumsum(counts, out=row_ptr[1:])
-            local[(i, g)] = CsrMatrix(r1 - r0, runs[i, g].sum(), row_ptr,
+            local[(i, g)] = CsrMatrix(r1 - r0, runs[i, g].sum(),
+                                      _row_ptr(rows[lo:hi][sel] - r0, r1 - r0),
                                       comp[lo:hi][sel], mat.values[lo:hi][sel])
     return DistOperand(local, idx, ptr, starts)
 

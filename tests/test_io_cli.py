@@ -54,6 +54,41 @@ def test_mm_errors_carry_line_numbers(tmp_path):
                     "2 3 0\n")
     with pytest.raises(io.ParseError, match="square"):
         io.load_matrix_market(path)
+    path.write_text("%%MatrixMarket matrix coordinate real general\n")
+    with pytest.raises(io.ParseError, match=r"g\.mtx:1: missing size line"):
+        io.load_matrix_market(path)
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "% only a comment\n"
+                    "\n")
+    with pytest.raises(io.ParseError, match=r"g\.mtx:3: missing size line"):
+        io.load_matrix_market(path)
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 2\n"
+                    "1 2 1.0\n")
+    with pytest.raises(io.ParseError, match=r"g\.mtx:3: size line promised 2 entries, found 1"):
+        io.load_matrix_market(path)
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 1 7\n"
+                    "1 2 1.0\n")
+    with pytest.raises(io.ParseError, match=r"g\.mtx:2: size line needs 'rows cols nnz'"):
+        io.load_matrix_market(path)
+    # comment and blank lines anywhere after the header are skipped
+    plain = tmp_path / "plain.mtx"
+    plain.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "3 3 2\n"
+                     "1 2 1.5\n"
+                     "3 1 2.0\n")
+    spaced = tmp_path / "spaced.mtx"
+    spaced.write_text("%%MatrixMarket matrix coordinate real general\n"
+                      "% before the size line\n"
+                      "\n"
+                      "3 3 2\n"
+                      "% between entries\n"
+                      "1 2 1.5\n"
+                      "\n"
+                      "3 1 2.0\n"
+                      "% trailing\n")
+    assert csr_equal(io.load_matrix_market(spaced), io.load_matrix_market(plain))
 
 
 def test_mm_round_trip(tmp_path):
@@ -109,6 +144,16 @@ def test_partition_round_trip(tmp_path):
     io.save_partition(tmp_path / "p.txt", part)
     loaded = io.load_partition(tmp_path / "p.txt")
     np.testing.assert_array_equal(loaded.assignment, part.assignment)
+
+
+def test_load_labels_rejects_values_below_minus_one(tmp_path):
+    path = tmp_path / "l.tsv"
+    path.write_text("0\n-2\n1\n-1\n")
+    with pytest.raises(io.ParseError, match=r"l\.tsv:2: label -2 is below -1"):
+        io.load_labels(path)
+    path.write_text("0\n\nx\n")
+    with pytest.raises(io.ParseError, match=r"l\.tsv:3: malformed label 'x'"):
+        io.load_labels(path)
 
 
 @pytest.mark.parametrize("k", [None, 3])
@@ -310,6 +355,45 @@ def test_cli_train_rejects_non_finite_runs(tmp_path, capsys, weight, feature, lr
                  "--out-dir", str(tmp_path / "out"))
     assert rc == 2
     assert message in json.loads(capsys.readouterr().err)["error"]
+
+
+def _write_small_graph(tmp_path):
+    (tmp_path / "g.tsv").write_text("0\t1\n1\t2\n2\t3\n")
+    (tmp_path / "three.tsv").write_text("0\n1\n0\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["partition", "--k", "2"], "either --graph or --gen is required"),
+    (["partition", "--graph", "missing.mtx", "--k", "2"],
+     "cannot read graph file: [Errno 2] No such file or directory: 'missing.mtx'"),
+    (["partition", "--gen", "grid", "--n", "16", "--k", "40"],
+     "cannot split 16 vertices into 40 parts"),
+    (["partition", "--gen", "grid", "--n", "16", "--k", "40", "--partitioner", "gvb"],
+     "cannot split 16 vertices into 40 parts"),
+    (["partition", "--gen", "grid", "--n", "16", "--k", "0"], "k must be at least 1"),
+    (["train", "--gen", "sbm", "--n", "16", "--layers", "1"],
+     "need at least 2 layers (one weight matrix)"),
+    (["train", "--gen", "sbm", "--n", "16", "--lr", "-1"], "learning rate must be non-negative"),
+    (["train", "--graph", "g.tsv", "--labels", "three.tsv", "--p", "1", "--variant", "serial",
+      "--epochs", "1"], "label count 3 does not match n=4"),
+], ids=["no-graph", "missing-file", "k-above-n", "k-above-n-gvb", "k-zero", "one-layer",
+        "negative-lr", "label-count"])
+def test_cli_error_paths_pinned(tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    _write_small_graph(tmp_path)
+    assert run_cli(*argv, "--out-dir", "out") == 2
+    assert capsys.readouterr().err == json.dumps({"error": error}, sort_keys=True) + "\n"
+
+
+def test_cli_train_rejects_labels_below_minus_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_small_graph(tmp_path)
+    (tmp_path / "l.tsv").write_text("0\n-2\n1\n-1\n")
+    assert run_cli("train", "--graph", "g.tsv", "--labels", "l.tsv", "--p", "2",
+                   "--epochs", "2", "--out-dir", "out") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "l.tsv:2: label -2 is below -1 (-1 marks an unlabeled vertex)"}
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_cli_malformed_graph_reports_location(tmp_path, capsys):

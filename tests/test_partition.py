@@ -64,6 +64,20 @@ def test_random_partition_seeds_differ():
     assert not np.array_equal(a.perm, b.perm)
 
 
+@pytest.mark.parametrize("n, k, seed, expected", [
+    (30, 4, 3, "b7af3f3955f7d86ed3ccac45c89bee53a152b101dea467b151b89f55e0ff00c2"),
+    (17, 5, 0, "f24c06b2a5b1de7ad812b46ffb88d0a64eef1efec8b63fbb4b0c440a3b70c89c"),
+    (1000, 7, 2, "1c749ba4fb8daa5651987eadc495c51c9e9b71df384d94a689d8aba121c9b628"),
+    (6, 1, 9, "bc93a9b173d90e7fc2d5e6445649ce0792f31e22e9b416aa7cf4062157252e57"),
+])
+def test_random_partition_pinned(n, k, seed, expected):
+    # sha256 of the assignment, perm and boundary bytes, uneven splits included
+    part = random_partition(n, k, seed)
+    bounds = np.array(part.boundaries, dtype=np.int64)
+    got = hashlib.sha256(part.assignment.tobytes() + part.perm.tobytes() + bounds.tobytes())
+    assert got.hexdigest() == expected
+
+
 def test_partition_validation_rejects_bad_input():
     with pytest.raises(ValueError):
         Partition(3, 2, [0, 0, 2], [0, 1, 2], [(0, 2), (2, 3)])
