@@ -12,6 +12,13 @@ fails at the same epoch without any extra communication.
 
 The serial path runs the identical arithmetic on the undistributed
 matrices and is the correctness reference for the distributed one.
+
+Reruns are bit-identical for a fixed BLAS thread count. The dense
+products go to the BLAS, whose sums may change in their last bits with
+its thread count: a p=8, c=2 15d-sparse run's epoch-2 loss reads
+1.2037992819753673 with OpenBLAS's default threads and
+1.2037992819753676 with one thread, and the weights differ likewise.
+`bench/run.py` pins one BLAS thread.
 """
 
 from __future__ import annotations
@@ -95,13 +102,8 @@ def init_weights(cfg: TrainConfig, f_in, f_out):
 
 def _xent_parts(logits, labels, mask, denom):
     """Masked cross-entropy pieces: (sum of losses, gradient scaled by
-    1/denom, number of correct argmax predictions)."""
-    labels = np.asarray(labels)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.any():
-        sel = labels[mask]
-        if sel.min() < 0 or sel.max() >= logits.shape[1]:
-            raise ValueError(f"labels must lie in [0, {logits.shape[1]}) on masked rows")
+    1/denom, number of correct argmax predictions). Masked labels must lie
+    in [0, logits.shape[1]); the callers check them."""
     shift = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shift).sum(axis=1))
     grad = np.zeros_like(logits)
@@ -122,10 +124,14 @@ def softmax_xent(logits, labels, mask):
     """Mean cross-entropy over masked rows and its gradient (zero on
     unmasked rows), stabilized by max-subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels)
     mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     if count == 0:
         raise ValueError("softmax_xent needs at least one masked row")
+    sel = labels[mask]
+    if sel.min() < 0 or sel.max() >= logits.shape[1]:
+        raise ValueError(f"labels must lie in [0, {logits.shape[1]}) on masked rows")
     loss_sum, grad, _ = _xent_parts(logits, labels, mask, count)
     return loss_sum / count, grad
 
@@ -196,17 +202,37 @@ class TrainResult:
 
 
 def _check_train_inputs(features, labels, train_mask):
+    """The trust boundary of training, where labels are checked once:
+    one per vertex, each a finite integer and each masked one
+    non-negative. The class count is labels.max() + 1, so no label
+    reaches past it."""
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     mask = np.asarray(train_mask, dtype=bool)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
     if not np.isfinite(features).all():
         raise ValueError("features must be finite (found NaN or inf)")
+    if labels.ndim != 1 or mask.ndim != 1:
+        raise ValueError("labels and train_mask must be 1-D, got shapes "
+                         f"{labels.shape} and {mask.shape}")
     if not (features.shape[0] == labels.shape[0] == mask.shape[0]):
         raise ValueError("features, labels and train_mask must agree on the vertex count")
     if int(mask.sum()) == 0:
         raise ValueError("train_mask must select at least one vertex")
+    if labels.dtype.kind not in "biu":
+        as_float = labels.astype(np.float64)
+        bad = ~np.isfinite(as_float) | (np.floor(as_float) != as_float)
+        if bad.any():
+            v = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"vertex {v} has a non-integral or non-finite label "
+                             f"{as_float[v]:g}")
+    labels = labels.astype(np.int64)
+    below = mask & (labels < 0)
+    if below.any():
+        v = int(below.argmax())
+        raise ValueError(f"labels must lie in [0, {int(labels.max()) + 1}) on masked rows; "
+                         f"vertex {v} has label {labels[v]}")
     return features, labels, mask
 
 

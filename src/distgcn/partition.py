@@ -10,28 +10,26 @@ Both refiners keep one vertex-by-part table of neighbor counts, built by
 operations on it; `comm_metrics` applies the same foreign-part rule to the
 distinct (vertex, neighbor part) pairs of the matrix.
 
-The BFS partitioner grows its parts along a level-synchronous BFS (one
-array step per level, in the order a queue would visit). Its edgecut
-passes visit only flagged vertices, those with some other part holding
-strictly more of their neighbors than their own: no other vertex can gain
-from a move, and a move changes only the flags of the moved vertex and its
-neighbors, so the moves are exactly those of scanning every vertex.
-
-The volume-balancing refiner scores a window of consecutive vertices at
-once and applies only the first improving move in it: up to that vertex
+Both refiners run the same first-improvement scan (`_scan_passes`): each
+pass visits the vertices in ascending id and applies every strict
+improvement as it is found, and passes stop after one without moves. A
+pass scores a window of consecutive vertices at once against the current
+state and applies only the first improving move in it: up to that vertex
 nothing has moved, so the moves are exactly those of visiting every
-vertex in turn.
+vertex in turn. The next window starts just after the mover.
+
+The BFS partitioner grows its parts along a level-synchronous BFS (one
+array step per level, in the order a queue would visit).
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, _relabeled, _row_ptr, transpose_csr
+from .sparse import CsrMatrix, _ranges, _relabeled, _row_ptr, _run_starts, transpose_csr
 
 __all__ = [
     "CommMetrics",
@@ -48,9 +46,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Bound on the (vertex, target) x in-neighbor and (vertex, target) x part
-# elements one scoring window of `volume_balanced_refine` may hold.
-_GVB_WINDOW_ELEMS = 1 << 17
+# Bound on the scoring elements one window of `_scan_passes` may hold:
+# (vertex, part) cells for the edgecut refiner, (vertex, target) x
+# in-neighbor and (vertex, target) x part elements for volume balancing.
+_SCAN_WINDOW_ELEMS = 1 << 17
 
 
 @dataclass
@@ -197,9 +196,7 @@ def _check_kn(n, k):
 def _sorted_distinct(keys) -> np.ndarray:
     """Distinct values, ascending (np.sort and a mask beat np.unique here)."""
     keys = np.sort(keys)
-    distinct = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    return keys[distinct]
+    return keys[_run_starts(keys)]
 
 
 def _sym_pattern(a: CsrMatrix) -> CsrMatrix:
@@ -282,12 +279,12 @@ def greedy_tv_partition(a: CsrMatrix, k, epsilon=0.10, max_passes=10) -> Partiti
     strictly reduce the edgecut are applied while the cap is respected.
     The input pattern is treated as undirected. Deterministic.
 
-    The BFS runs one level at a time. Each refinement pass visits, in
-    ascending id, only the vertices flagged as having some other part hold
-    strictly more of their neighbors than their own part does; no other
-    vertex can gain from a move. A visit moves the vertex to the part under
-    the cap that holds the most of its neighbors, the lowest part id on
-    ties, so the moves are those of scanning every vertex.
+    The BFS runs one level at a time. Refinement is the module's
+    first-improvement scan (`_scan_passes`): a vertex moves to the part
+    under the cap that holds the most of its neighbors, the lowest part id
+    on ties, when that part holds strictly more of them than its own part
+    does. A window is scored as one masked argmax over its rows of the
+    neighbor-count table, k elements per vertex.
 
     The cap bounds a part from above only. Growth leaves every part at
     least one vertex, but refinement may move a part's last vertices
@@ -321,7 +318,11 @@ def greedy_tv_partition(a: CsrMatrix, k, epsilon=0.10, max_passes=10) -> Partiti
     assignment = np.empty(n, dtype=np.int64)
     assignment[order] = part_in_order
 
-    _refine_edgecut(pat, assignment, k, weight, cap, max_passes)
+    nbr_cnt = _part_counts(pat, assignment, k)
+    part_w = np.bincount(assignment, weights=weight, minlength=k)
+    _scan_passes(np.arange(n + 1, dtype=np.int64) * k, max_passes,
+                 lambda v0, v1: _edgecut_first_mover(v0, v1, pat, assignment, nbr_cnt,
+                                                     part_w, weight, cap))
     return Partition.from_assignment(assignment, k)
 
 
@@ -359,11 +360,9 @@ def _bfs_order(pat: CsrMatrix) -> np.ndarray:
         while frontier.size:
             order[pos:pos + frontier.size] = frontier
             pos += frontier.size
-            lo, hi = row_ptr[frontier], row_ptr[frontier + 1]
-            lens = hi - lo
-            # positions lo[i] .. hi[i]-1 of every frontier vertex, in order
-            shift = np.repeat(lo - (np.cumsum(lens) - lens), lens)
-            nbrs = col_idx[np.arange(shift.size) + shift]
+            lo = row_ptr[frontier]
+            # the neighbor lists of the frontier vertices, in order
+            nbrs = col_idx[_ranges(lo, row_ptr[frontier + 1] - lo)]
             nbrs = nbrs[~seen[nbrs]]
             uniq, first = np.unique(nbrs, return_index=True)
             frontier = uniq[np.argsort(first)]
@@ -379,55 +378,61 @@ def _part_counts(m: CsrMatrix, assignment, k) -> np.ndarray:
     return np.bincount(keys, minlength=m.n_rows * k).reshape(m.n_rows, k)
 
 
-def _can_gain(nbr_cnt, assignment, vs):
-    """Whether some other part holds strictly more neighbors of each vertex
-    of vs than its own part does, which any edgecut-reducing move needs."""
-    return nbr_cnt[vs].max(axis=1) > nbr_cnt[vs, assignment[vs]]
+def _edgecut_first_mover(v0, v1, pat, assignment, nbr_cnt, part_w, weight, cap):
+    """Apply the move of the first vertex of [v0, v1) whose best part
+    under the cap holds strictly more of its neighbors than its own part
+    does, and return that vertex, or -1 when no vertex of the window moves."""
+    rows = nbr_cnt[v0:v1]
+    # parts under the cap score their neighbor count, the rest -1
+    score = np.where(part_w + weight[v0:v1, None] <= cap, rows, -1)
+    gain = score.max(axis=1) > rows[np.arange(v1 - v0), assignment[v0:v1]]
+    first = int(gain.argmax())
+    if not gain[first]:
+        return -1
+    v = v0 + first
+    # argmax breaks ties toward the lowest part id
+    s, t, w = assignment[v], int(score[first].argmax()), weight[v]
+    nbrs = pat.col_idx[pat.row_ptr[v]:pat.row_ptr[v + 1]]
+    nbr_cnt[nbrs, s] -= 1
+    nbr_cnt[nbrs, t] += 1
+    part_w[s] -= w
+    part_w[t] += w
+    assignment[v] = t
+    return v
 
 
-def _refine_edgecut(pat, assignment, k, weight, cap, max_passes):
-    """Greedy edgecut-reducing moves over the flagged vertices.
+def _scan_passes(reach, max_passes, first_mover):
+    """The first-improvement scan both refiners run.
 
-    A vertex's flag (`_can_gain`) reads only its row of the count table and
-    its own part, and the pattern is symmetric without a diagonal, so a
-    move of v changes only the flags of v and its neighbors. Those are
-    recomputed after each move; a neighbor above v that becomes flagged
-    joins the current pass, which visits flagged vertices in ascending id.
+    Each pass walks the vertices in windows [v0, v1): `first_mover(v0,
+    v1)` scores the window against the current state, applies the move of
+    its first improving vertex and returns that vertex, or -1 when none
+    improves. The next window starts just after the mover, or after the
+    window when nothing moved. Passes stop after one without moves or
+    after max_passes.
+
+    reach[v] bounds the scoring elements of the vertices [0, v), and a
+    window holds at most `_SCAN_WINDOW_ELEMS` of them, but always one
+    vertex. The window doubles while nothing moves; after a move it
+    becomes the mean of its last size and twice the mover's distance from
+    the window start, so it follows the spacing of recent moves.
     """
-    n = pat.n_rows
-    row_ptr, col_idx = pat.row_ptr.tolist(), pat.col_idx
-    weights = weight.tolist()
-    nbr_cnt = _part_counts(pat, assignment, k)
-    part_w = np.bincount(assignment, weights=weight, minlength=k)
-    flag = _can_gain(nbr_cnt, assignment, np.arange(n))
+    n = reach.size - 1
+    size = 1
     for _ in range(max_passes):
-        heap = np.flatnonzero(flag).tolist()  # ascending, hence a heap
-        queued = flag.copy()  # keeps a vertex from entering the heap twice
         moved = 0
-        while heap:
-            v = heapq.heappop(heap)
-            if not flag[v]:
-                continue
-            s, w, row = assignment[v], weights[v], nbr_cnt[v]
-            # parts under the cap score their neighbor count, the rest -1;
-            # argmax breaks ties toward the lowest part id
-            score = np.where(part_w + w <= cap, row, -1)
-            t = score.argmax()
-            if score[t] <= row[s]:
-                continue
-            assignment[v] = t
-            part_w[s] -= w
-            part_w[t] += w
-            nbrs = col_idx[row_ptr[v]:row_ptr[v + 1]]
-            nbr_cnt[nbrs, s] -= 1
-            nbr_cnt[nbrs, t] += 1
-            moved += 1
-            touched = np.concatenate((nbrs, [v]))
-            flag[touched] = _can_gain(nbr_cnt, assignment, touched)
-            new = nbrs[(nbrs > v) & flag[nbrs] & ~queued[nbrs]]
-            queued[new] = True
-            for u in new.tolist():
-                heapq.heappush(heap, u)
+        v0 = 0
+        while v0 < n:
+            fits = int(np.searchsorted(reach, reach[v0] + _SCAN_WINDOW_ELEMS, "right")) - 1
+            v1 = min(v0 + size, max(fits, v0 + 1))
+            v = first_mover(v0, v1)
+            if v < 0:
+                size = 2 * (v1 - v0)
+                v0 = v1
+            else:
+                size = (size + 2 * (v + 1 - v0)) // 2
+                v0 = v + 1
+                moved += 1
         if moved == 0:
             break
 
@@ -453,16 +458,10 @@ def volume_balanced_refine(a: CsrMatrix, part: Partition, lambda_max=None,
     u only: u stops sending to s when v was its last out-neighbor there and
     starts sending to t when it had none there.
 
-    Vertices are scored a window at a time (`_first_mover`): every
-    (vertex, target) pair of consecutive vertices [v0, v1) at once, as a
-    (k x pairs) array of per-part send-row changes. Up to the first vertex
-    with a negative cost no move has happened, so every vertex of the
-    window up to that one was scored against the state a one-by-one scan
-    would see: those before it stay, and its pick is the scan's. Only that
-    move is applied, and the next window starts just after it. The window
-    doubles while nothing moves; after a move it becomes the mean of its
-    last size and twice the mover's distance from the window start, so it
-    follows the spacing of recent moves. `_GVB_WINDOW_ELEMS` bounds it.
+    The passes are the module's first-improvement scan (`_scan_passes`).
+    A window scores every (vertex, target) pair of its vertices at once
+    (`_volume_first_mover`), as a (k x pairs) array of per-part send-row
+    changes, and applies the first vertex's move with a negative cost.
 
     The cap bounds a part from above only, so a part may end empty, and
     its rank then holds no rows. A move may take a part's last vertex,
@@ -502,28 +501,12 @@ def volume_balanced_refine(a: CsrMatrix, part: Partition, lambda_max=None,
     # the k parts.
     reach = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.minimum(k - 1, weight) * (np.diff(in_ptr) + k), out=reach[1:])
-    size = 1
-    for _ in range(max_passes):
-        moved = 0
-        v0 = 0
-        while v0 < n:
-            fits = int(np.searchsorted(reach, reach[v0] + _GVB_WINDOW_ELEMS, "right")) - 1
-            v1 = min(v0 + size, max(fits, v0 + 1))
-            v = _first_mover(v0, v1, *state)
-            if v < 0:
-                size = 2 * (v1 - v0)
-                v0 = v1
-            else:
-                size = (size + 2 * (v + 1 - v0)) // 2
-                v0 = v + 1
-                moved += 1
-        if moved == 0:
-            break
+    _scan_passes(reach, max_passes, lambda v0, v1: _volume_first_mover(v0, v1, *state))
     return Partition.from_assignment(assignment, k)
 
 
-def _first_mover(v0, v1, in_ptr, in_nbr, in_row, assignment, out_cnt, contrib, part_send,
-                 part_w, weight, cap, lambda_max):
+def _volume_first_mover(v0, v1, in_ptr, in_nbr, in_row, assignment, out_cnt, contrib,
+                        part_send, part_w, weight, cap, lambda_max):
     """Score every (vertex, target) pair of [v0, v1) against the current
     state, apply the move of the first vertex with a negative cost and
     return that vertex, or -1 when no vertex of the window moves."""
@@ -554,7 +537,7 @@ def _first_mover(v0, v1, in_ptr, in_nbr, in_row, assignment, out_cnt, contrib, p
     pdeg = in_ptr[pv_global + 1] - pfirst
     pend = np.cumsum(pdeg)
     pair = np.repeat(np.arange(n_pairs), pdeg)
-    e = np.arange(pair.size) + np.repeat(pfirst - lo - (pend - pdeg), pdeg)
+    e = _ranges(pfirst - lo, pdeg)
     t_e = pt[pair]
     own_e = own[e]
     starts = (own_e != t_e) & (cnt_flat[nbr_k[e] + t_e] == 0)

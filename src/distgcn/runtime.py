@@ -75,6 +75,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sparse import _ranges
+
 __all__ = [
     "CommLedger",
     "Comm",
@@ -529,9 +531,7 @@ class Comm:
             # a run of consecutive places in src
             seg_start = np.cumsum(seg_rows) - seg_rows
             order = np.argsort(seg_dst, kind="stable")
-            seg_rows = seg_rows[order]
-            places = np.repeat(seg_start[order] - np.cumsum(seg_rows) + seg_rows, seg_rows)
-            places += np.arange(src.size)
+            places = _ranges(seg_start[order], seg_rows[order])
             stacked = np.concatenate([b for b, k in zip(bufs, sent) if k] or [bufs[0][:0]])
             gather = src[places]
             bounds = [0] + np.cumsum(counts.sum(axis=0)).tolist()

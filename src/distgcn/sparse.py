@@ -137,9 +137,7 @@ def csr_from_coo(n_rows, n_cols, rows, cols, vals) -> CsrMatrix:
         key = rows * n_cols + cols
         order = np.argsort(key)
         key, vals = key[order], vals[order]
-        group_start = np.empty(key.size, dtype=bool)
-        group_start[0] = True
-        np.not_equal(key[1:], key[:-1], out=group_start[1:])
+        group_start = _run_starts(key)
         starts = np.flatnonzero(group_start)
         if starts.size < key.size:
             # order each duplicate group by value. Equal values differ at most
@@ -161,6 +159,24 @@ def _row_ptr(rows, n_rows) -> np.ndarray:
     row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=row_ptr[1:])
     return row_ptr
+
+
+def _ranges(starts, lens) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lens[i]) concatenated, as int64;
+    `starts` may be one scalar for all ranges."""
+    lens = np.asarray(lens, dtype=np.int64)
+    ends = np.cumsum(lens)
+    out = np.repeat(np.asarray(starts - ends + lens, dtype=np.int64), lens)
+    out += np.arange(out.size)
+    return out
+
+
+def _run_starts(keys) -> np.ndarray:
+    """Mask of the entries of a sorted array that start a run of equal
+    keys, i.e. differ from their predecessor."""
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
 
 
 def _relabeled(n_rows, n_cols, rows, cols, vals) -> CsrMatrix:
@@ -376,11 +392,9 @@ def _level_order(a: CsrMatrix) -> LevelOrder:
     np.cumsum(active[:levels], out=bounds[1:])
     # entry k of the i-th row in degree order is start[i] + k
     width = active[:levels]
-    row = np.arange(bounds[-1]) - np.repeat(bounds[:-1], width)
-    level_idx = start[row] + np.repeat(np.arange(levels), width)
+    level_idx = start[_ranges(0, width)] + np.repeat(np.arange(levels), width)
     lens = d[:active[levels]] - levels
-    tail_idx = np.repeat(start[:lens.size] + levels - np.cumsum(lens) + lens, lens)
-    tail_idx += np.arange(tail_idx.size)
+    tail_idx = _ranges(start[:lens.size] + levels, lens)
     idx = np.concatenate([level_idx, tail_idx])
     return LevelOrder(rows, active.tolist(), bounds.tolist(), a.col_idx[idx],
                       a.values[idx], np.repeat(rows[:lens.size], lens))

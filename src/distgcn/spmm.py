@@ -33,7 +33,8 @@ import numpy as np
 
 from .partition import apply_partition, block_partition
 from .runtime import Comm, ProcessGrid, RunResult, run_program
-from .sparse import CsrMatrix, _row_ptr, csr_equal, local_spmm, transpose_csr
+from .sparse import (CsrMatrix, _ranges, _row_ptr, _run_starts, csr_equal, local_spmm,
+                     transpose_csr)
 
 __all__ = [
     "DistMatrices",
@@ -113,8 +114,7 @@ def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
     key = blk * mat.n_cols + mat.col_idx
     order = np.argsort(key)
     key = key[order]
-    first = np.ones(key.size, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = _run_starts(key)
     comp = np.empty(key.size, dtype=np.int64)
     comp[order] = np.cumsum(first) - 1
     idx = mat.col_idx[order[first]] - starts[blk[order[first]] // nb]
@@ -139,7 +139,7 @@ def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
 def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid) -> DistMatrices:
     """Split a (already permuted to match `boundaries`) into the halo
     layout for `grid`. Needs one block row per grid row."""
-    bounds = list(getattr(boundaries, "boundaries", boundaries))
+    bounds = list(boundaries)
     if len(bounds) != grid.n_rows:
         raise ValueError(f"need {grid.n_rows} block rows for this grid, got {len(bounds)}")
     stages = grid.stage_count()
@@ -169,8 +169,7 @@ def _need(op: DistOperand, i, q0, q1):
     of cols(i, q0), ..., cols(i, q1-1) in turn, and each one's length."""
     start = op.ptr[q0:q1, i]
     lens = op.ptr[q0:q1, i + 1] - start
-    places = np.repeat(start - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-    return places, lens
+    return _ranges(start, lens), lens
 
 
 def exchange_index_lists(comm: Comm, op: DistOperand, variant: str):

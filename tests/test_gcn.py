@@ -210,6 +210,52 @@ def test_train_rejects_non_finite_features():
             train(a, features, labels, mask, cfg, p=2, c=1)
 
 
+TRAIN_PATHS = [("serial", 1), ("1d-sparse", 2)]
+
+
+@pytest.mark.parametrize("variant, p", TRAIN_PATHS)
+def test_train_rejects_non_integral_label(variant, p):
+    a, features, labels, mask = random_problem(9)
+    labels = labels.astype(np.float64)
+    labels[3] = 1.7
+    cfg = TrainConfig(epochs=1, variant=variant)
+    with pytest.raises(ValueError, match="vertex 3 has a non-integral or non-finite label 1.7"):
+        train(a, features, labels, mask, cfg, p=p, c=1)
+
+
+@pytest.mark.parametrize("variant, p", TRAIN_PATHS)
+def test_train_rejects_nan_label(variant, p):
+    a, features, labels, mask = random_problem(9)
+    labels = labels.astype(np.float64)
+    labels[[5, 6]] = np.nan
+    cfg = TrainConfig(epochs=1, variant=variant)
+    with pytest.raises(ValueError, match="vertex 5 has a non-integral or non-finite label nan"):
+        train(a, features, labels, mask, cfg, p=p, c=1)
+
+
+@pytest.mark.parametrize("variant, p", TRAIN_PATHS)
+def test_train_rejects_column_of_labels(variant, p):
+    # an (n, 1) label column used to broadcast in the loss and train on
+    # a wrong loss without an error
+    a, features, labels, mask = random_problem(9)
+    cfg = TrainConfig(epochs=1, variant=variant)
+    with pytest.raises(ValueError, match=r"labels and train_mask must be 1-D.*\(8, 1\)"):
+        train(a, features, labels[:, None], mask, cfg, p=p, c=1)
+
+
+@pytest.mark.parametrize("variant, p", TRAIN_PATHS)
+def test_train_rejects_negative_masked_label_without_epochs(variant, p):
+    a, features, labels, mask = random_problem(9)
+    v = int(np.flatnonzero(mask)[0])
+    labels[v] = -1
+    cfg = TrainConfig(epochs=0, variant=variant)
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\) on masked rows"):
+        train(a, features, labels, mask, cfg, p=p, c=1)
+    # an unmasked -1 marks an unlabeled vertex and trains
+    mask[v] = False
+    assert train(a, features, labels, mask, cfg, p=p, c=1).history == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_training_stops_at_first_non_finite_weight():
     # every replica sees the same weights, so all ranks stop in the same epoch

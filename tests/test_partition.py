@@ -405,6 +405,23 @@ def test_greedy_tv_matches_reference_across_parameters(epsilon, max_passes):
     assert np.array_equal(part.assignment, expected)
 
 
+GREEDY_WINDOW_GRAPHS = [
+    ("directed-loops-k4", lambda: _random_directed(3, 80, 0.08), 4),
+    ("star150-normalized-k12", lambda: gcn_normalize(star_augmented(150, seed=2)), 12)]
+
+
+@pytest.mark.parametrize("budget", [1, 3, 40, 300])
+@pytest.mark.parametrize("graph, k", [g[1:] for g in GREEDY_WINDOW_GRAPHS],
+                         ids=[g[0] for g in GREEDY_WINDOW_GRAPHS])
+def test_greedy_tv_matches_reference_in_small_windows(monkeypatch, graph, k, budget):
+    # the edgecut scan scores k cells per vertex: budgets 1 and 3 score one
+    # vertex per window, 40 and 300 a few, so every pass runs through many
+    monkeypatch.setattr(distgcn.partition, "_SCAN_WINDOW_ELEMS", budget)
+    a = graph()
+    part = greedy_tv_partition(a, k)
+    assert part.assignment.tobytes() == greedy_tv_reference(_sym_pattern(a), k).tobytes()
+
+
 # ---- volume-balanced refinement against the one-vertex-at-a-time scan -------
 
 def _hub_above_cap(n, k, seed):
@@ -464,7 +481,7 @@ def test_gvb_matches_reference(graph, start, kwargs):
 def test_gvb_matches_reference_in_small_windows(monkeypatch, budget):
     # budget 1 scores one vertex per window; 300 allows a few vertices, so
     # every pass runs through many windows
-    monkeypatch.setattr(distgcn.partition, "_GVB_WINDOW_ELEMS", budget)
+    monkeypatch.setattr(distgcn.partition, "_SCAN_WINDOW_ELEMS", budget)
     a = _random_directed(3, 80, 0.08)
     part = greedy_tv_partition(a, 4)
     refined = volume_balanced_refine(a, part)

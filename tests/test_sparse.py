@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import distgcn.sparse
 from distgcn.graphgen import sbm, star_augmented
-from distgcn.sparse import (CsrMatrix, csr_from_coo, csr_from_dense, csr_from_edges,
-                            csr_equal, gcn_normalize, gemm, local_spmm, transpose_csr)
+from distgcn.sparse import (CsrMatrix, _ranges, _run_starts, csr_from_coo, csr_from_dense,
+                            csr_from_edges, csr_equal, gcn_normalize, gemm, local_spmm,
+                            transpose_csr)
 from distgcn.partition import Partition, apply_partition, block_partition
 from distgcn.runtime import ProcessGrid
 from distgcn.spmm import build_dist_matrices
@@ -426,3 +427,36 @@ def test_nnz_cols_empty_iff_block_empty():
             c0, c1 = part.boundaries[j]
             empty = not np.any(dense[r0:r1, c0:c1] != 0)
             assert (occ(i, j).size == 0) == empty
+
+
+# ---- index helpers -----------------------------------------------------------
+
+def _ranges_loop(starts, lens):
+    starts = np.broadcast_to(starts, np.shape(lens))
+    return [s + j for s, n in zip(starts.tolist(), list(lens)) for j in range(n)]
+
+
+@pytest.mark.parametrize("starts, lens", [
+    ([], []),
+    ([5], [0]),
+    ([3, 10, 0], [0, 0, 0]),
+    ([7, 2, 2, 9], [3, 0, 2, 1]),
+    ([4, 4], [2, 2]),
+    (0, [3, 0, 1, 2]),
+    (6, []),
+    (np.arange(40) * 3, np.arange(40) % 5)])
+def test_ranges_matches_loop(starts, lens):
+    got = _ranges(np.asarray(starts, dtype=np.int64) if np.ndim(starts) else starts,
+                  np.asarray(lens, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == _ranges_loop(starts, lens)
+
+
+@pytest.mark.parametrize("keys", [[], [4], [2, 2, 2], [1, 2, 3], [0, 0, 1, 5, 5, 5, 7],
+                                  list(np.sort(np.random.default_rng(3).integers(0, 9, 60)))])
+def test_run_starts_matches_loop(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    expected = [i == 0 or keys[i] != keys[i - 1] for i in range(keys.size)]
+    got = _run_starts(keys)
+    assert got.dtype == bool
+    assert got.tolist() == expected
