@@ -29,6 +29,18 @@ from .spmm import VARIANTS, run_spmm, validate_variant_grid
 PARTITIONERS = ("block", "random", "greedy-tv", "gvb")
 
 
+def _int_at_least(low):
+    """argparse type: an integer of at least `low`. A non-integer gets
+    argparse's own "invalid int value" message."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 class CliError(Exception):
     def __init__(self, message, **details):
         super().__init__(message)
@@ -223,9 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--gen", choices=["sbm", "grid", "star", "cliques",
                                           "star-augmented"],
                         help="generate a synthetic graph instead of reading one")
-        sp.add_argument("--n", type=int, default=256, help="synthetic graph size")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--f", type=int, default=4, help="feature width")
+        sp.add_argument("--n", type=_int_at_least(1), default=256,
+                        help="synthetic graph size")
+        sp.add_argument("--seed", type=_int_at_least(0), default=0)
+        sp.add_argument("--f", type=_int_at_least(0), default=4, help="feature width")
         sp.add_argument("--out-dir", default=".")
         if not experiment:
             return

@@ -23,15 +23,16 @@ its thread count: a p=8, c=2 15d-sparse run's epoch-2 loss reads
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partition import Partition, apply_partition, block_partition
+from .partition import apply_partition, block_partition
 from .runtime import ProcessGrid, run_program
 from .sparse import CsrMatrix, csr_equal, gemm, local_spmm, transpose_csr
-from .spmm import (DistMatrices, build_dist_matrices, exchange_index_lists,
-                   spmm_kernel, validate_variant_grid)
+from .spmm import build_dist_matrices, exchange_index_lists, spmm_kernel, validate_variant_grid
 
 __all__ = [
     "SerialGcn",
@@ -54,7 +55,8 @@ class TrainConfig:
     layers=3 trains two weight matrices with one hidden level of width
     `hidden` and ReLU activations; the output width is the number of
     classes, labels.max() + 1. `variant` selects the distributed multiply
-    or "serial" for the reference path.
+    or "serial" for the reference path. `layers`, `hidden`, `epochs` and
+    `seed` must be integers and `lr` finite.
     """
 
     layers: int = 3
@@ -65,14 +67,22 @@ class TrainConfig:
     variant: str = "1d-sparse"
 
     def __post_init__(self):
+        for name in ("layers", "hidden", "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.layers < 2:
             raise ValueError("need at least 2 layers (one weight matrix)")
         if self.hidden < 1:
             raise ValueError("hidden width must be at least 1")
         if self.lr < 0:
             raise ValueError("learning rate must be non-negative")
+        if not math.isfinite(self.lr):
+            raise ValueError(f"learning rate must be finite, got {self.lr}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def layer_dims(self, f_in, f_out):
         return [f_in] + [self.hidden] * (self.layers - 2) + [f_out]
@@ -102,8 +112,9 @@ def init_weights(cfg: TrainConfig, f_in, f_out):
 
 def _xent_parts(logits, labels, mask, denom):
     """Masked cross-entropy pieces: (sum of losses, gradient scaled by
-    1/denom, number of correct argmax predictions). Masked labels must lie
-    in [0, logits.shape[1]); the callers check them."""
+    1/denom, number of correct argmax predictions). Labels must be
+    integers, the masked ones in [0, logits.shape[1]); the callers check
+    them with `_check_labels`."""
     shift = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shift).sum(axis=1))
     grad = np.zeros_like(logits)
@@ -120,18 +131,38 @@ def _xent_parts(logits, labels, mask, denom):
     return loss_sum, grad, correct
 
 
+def _check_labels(labels, mask, k=None):
+    """Labels as int64, after one check: every label finite and integral,
+    every masked one in [0, k). k defaults to labels.max() + 1, the class
+    count of training, so there only a negative masked label is out."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu":
+        as_float = labels.astype(np.float64)
+        bad = ~np.isfinite(as_float) | (np.floor(as_float) != as_float)
+        if bad.any():
+            v = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"vertex {v} has a non-integral or non-finite label "
+                             f"{as_float[v]:g}")
+    labels = labels.astype(np.int64)
+    if k is None:
+        k = int(labels.max()) + 1
+    outside = mask & ((labels < 0) | (labels >= k))
+    if outside.any():
+        v = int(outside.argmax())
+        raise ValueError(f"labels must lie in [0, {k}) on masked rows; "
+                         f"vertex {v} has label {labels[v]}")
+    return labels
+
+
 def softmax_xent(logits, labels, mask):
     """Mean cross-entropy over masked rows and its gradient (zero on
     unmasked rows), stabilized by max-subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
     mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     if count == 0:
         raise ValueError("softmax_xent needs at least one masked row")
-    sel = labels[mask]
-    if sel.min() < 0 or sel.max() >= logits.shape[1]:
-        raise ValueError(f"labels must lie in [0, {logits.shape[1]}) on masked rows")
+    labels = _check_labels(labels, mask, logits.shape[1])
     loss_sum, grad, _ = _xent_parts(logits, labels, mask, count)
     return loss_sum / count, grad
 
@@ -189,7 +220,6 @@ class TrainResult:
     history: list
     weights: list
     ledger: object = None
-    partition: Partition = None
     weights_per_rank: list = field(default_factory=list)
 
     @property
@@ -202,10 +232,10 @@ class TrainResult:
 
 
 def _check_train_inputs(features, labels, train_mask):
-    """The trust boundary of training, where labels are checked once:
-    one per vertex, each a finite integer and each masked one
-    non-negative. The class count is labels.max() + 1, so no label
-    reaches past it."""
+    """The trust boundary of training, where labels are checked once
+    (`_check_labels`): one per vertex, each a finite integer and each
+    masked one non-negative. The class count is labels.max() + 1, so no
+    label reaches past it."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     mask = np.asarray(train_mask, dtype=bool)
@@ -220,20 +250,7 @@ def _check_train_inputs(features, labels, train_mask):
         raise ValueError("features, labels and train_mask must agree on the vertex count")
     if int(mask.sum()) == 0:
         raise ValueError("train_mask must select at least one vertex")
-    if labels.dtype.kind not in "biu":
-        as_float = labels.astype(np.float64)
-        bad = ~np.isfinite(as_float) | (np.floor(as_float) != as_float)
-        if bad.any():
-            v = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"vertex {v} has a non-integral or non-finite label "
-                             f"{as_float[v]:g}")
-    labels = labels.astype(np.int64)
-    below = mask & (labels < 0)
-    if below.any():
-        v = int(below.argmax())
-        raise ValueError(f"labels must lie in [0, {int(labels.max()) + 1}) on masked rows; "
-                         f"vertex {v} has label {labels[v]}")
-    return features, labels, mask
+    return features, _check_labels(labels, mask), mask
 
 
 def _check_finite_weights(weights, epoch):
@@ -335,4 +352,4 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
             row[f"{prim}_bytes"] = vals["bytes_sent"]
         history.append(row)
     weights_per_rank = [run.results[r]["weights"] for r in range(p)]
-    return TrainResult(history, weights_per_rank[0], run.ledger, part, weights_per_rank)
+    return TrainResult(history, weights_per_rank[0], run.ledger, weights_per_rank)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .partition import Partition
-from .sparse import CsrMatrix, csr_from_coo
+from .sparse import CsrMatrix, csr_from_edges
 
 __all__ = [
     "ParseError",
@@ -44,7 +44,9 @@ def load_matrix_market(path) -> CsrMatrix:
 
     Supports real/integer/pattern fields and general/symmetric symmetry;
     symmetric files get their off-diagonal entries mirrored. Only square
-    matrices are accepted.
+    matrices are accepted. Both edge readers build through
+    `csr_from_edges`: duplicate entries are summed and zero sums are not
+    stored.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -77,7 +79,7 @@ def load_matrix_market(path) -> CsrMatrix:
         raise ParseError(path, lineno, f"adjacency matrix must be square, got {n_rows}x{n_cols}")
 
     want = 2 if field == "pattern" else 3
-    rows, cols, vals = [], [], []
+    edges = []
     for lineno, text in body:
         parts = text.split()
         if len(parts) < want:
@@ -89,20 +91,10 @@ def load_matrix_market(path) -> CsrMatrix:
             raise ParseError(path, lineno, f"malformed entry {text!r}") from None
         if not (1 <= u <= n_rows and 1 <= v <= n_cols):
             raise ParseError(path, lineno, f"entry ({u}, {v}) outside 1..{n_rows}")
-        rows.append(u - 1)
-        cols.append(v - 1)
-        vals.append(w)
-    if len(rows) != nnz:
-        raise ParseError(path, len(lines), f"size line promised {nnz} entries, found {len(rows)}")
-    rows = np.array(rows, dtype=np.int64)
-    cols = np.array(cols, dtype=np.int64)
-    vals = np.array(vals, dtype=np.float64)
-    if symmetry == "symmetric":
-        off = rows != cols
-        rows, cols, vals = (np.concatenate([rows, cols[off]]),
-                            np.concatenate([cols, rows[off]]),
-                            np.concatenate([vals, vals[off]]))
-    return csr_from_coo(n_rows, n_cols, rows, cols, vals)
+        edges.append((u - 1, v - 1, w))
+    if len(edges) != nnz:
+        raise ParseError(path, len(lines), f"size line promised {nnz} entries, found {len(edges)}")
+    return csr_from_edges(edges, n_rows, symmetrize=symmetry == "symmetric")
 
 
 def save_matrix_market(path, a: CsrMatrix):
@@ -117,8 +109,9 @@ def save_matrix_market(path, a: CsrMatrix):
 
 def load_edge_list_tsv(path, n=None) -> CsrMatrix:
     """Tab-separated 0-indexed edge list: u, v and an optional weight
-    (default 1.0) per line. n is inferred as max id + 1 when omitted."""
-    us, vs, ws = [], [], []
+    (default 1.0) per line, and "#" comment lines. n is inferred as max
+    id + 1 when omitted."""
+    edges = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.rstrip("\n")
@@ -134,15 +127,13 @@ def load_edge_list_tsv(path, n=None) -> CsrMatrix:
                 raise ParseError(path, lineno, f"malformed edge {stripped!r}") from None
             if u < 0 or v < 0:
                 raise ParseError(path, lineno, f"negative vertex id in {stripped!r}")
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
+            edges.append((u, v, w))
+    top = max((max(u, v) for u, v, _ in edges), default=-1)
     if n is None:
-        n = max(max(us, default=-1), max(vs, default=-1)) + 1
-    if us and max(max(us), max(vs)) >= n:
+        n = top + 1
+    if top >= n:
         raise ParseError(path, 0, f"vertex id exceeds declared n={n}")
-    return csr_from_coo(n, n, np.array(us, np.int64), np.array(vs, np.int64),
-                        np.array(ws, np.float64))
+    return csr_from_edges(edges, n)
 
 
 def save_edge_list_tsv(path, a: CsrMatrix):
@@ -218,9 +209,7 @@ def save_labels(path, labels):
 
 def save_partition(path, part: Partition):
     """Text layout: line i holds the part of vertex i (original ids)."""
-    with open(path, "w") as fh:
-        for p in part.assignment:
-            fh.write(f"{int(p)}\n")
+    save_labels(path, part.assignment)
 
 
 def load_partition(path, k=None) -> Partition:

@@ -37,8 +37,10 @@ conventions live in this module only, so swapping them does not touch the
 algorithms.
 
 Collectives do not copy their inputs on arrival: every member stays
-blocked until the last one to arrive has built the outputs, so no input
-can change in between. `all_reduce_sum` returns one read-only sum and
+blocked until the last one to arrive has built the collective's one
+result, which every member returns, so no input can change in between.
+That last arrival also retires the collective, so the run keeps no state
+for a completed one. `all_reduce_sum` returns one read-only sum and
 `broadcast` one read-only copy of the root's payload, each shared by every
 member of the group. Every other call returns arrays of the caller's
 own, and no call keeps a reference into a buffer handed to it: `isend`
@@ -259,13 +261,12 @@ class _Abort(Exception):
 
 
 class _CollectiveSlot:
-    __slots__ = ("arrivals", "outputs", "done", "remaining", "error")
+    __slots__ = ("arrivals", "output", "done", "error")
 
-    def __init__(self, size):
+    def __init__(self):
         self.arrivals = {}
-        self.outputs = None
+        self.output = None
         self.done = False
-        self.remaining = size
         self.error = None
 
 
@@ -435,8 +436,10 @@ class Comm:
 
     def _collective(self, kind, group, payload, complete):
         """Rendezvous of every rank in `group`; the last arrival runs
-        `complete` exactly once to produce all outputs and ledger charges.
-        A collective of a ledger primitive charges every member one call."""
+        `complete` exactly once to build the one result every member
+        returns and the ledger charges, and retires the slot: every member
+        already holds it. A collective of a ledger primitive charges every
+        member one call."""
         if self.rank not in group:
             raise ValueError(f"rank {self.rank} is not in group {group}")
         seq = self._seq.get((kind, group), 0)
@@ -445,11 +448,12 @@ class Comm:
         rt = self._rt
         slot = rt.slots.get(key)
         if slot is None:
-            slot = rt.slots[key] = _CollectiveSlot(len(group))
+            slot = rt.slots[key] = _CollectiveSlot()
         slot.arrivals[self.rank] = payload
         if len(slot.arrivals) == len(group):
+            del rt.slots[key]
             try:
-                slot.outputs = complete(slot.arrivals)
+                slot.output = complete(slot.arrivals)
                 if kind in PRIMITIVES:
                     rt.ledger.counters[kind]["calls"][list(group)] += 1
             except Exception as exc:  # propagate to every member
@@ -459,12 +463,9 @@ class Comm:
         else:
             rt._wait_until(self.rank, lambda: slot.done,
                            ("collective", kind, group, seq), ("slot", key))
-        slot.remaining -= 1
-        if slot.remaining == 0:
-            del rt.slots[key]
         if slot.error is not None:
             raise slot.error
-        return slot.outputs[self.rank]
+        return slot.output
 
     def all_to_allv(self, buf, counts, rows=None) -> np.ndarray:
         """Personalized exchange in MPI_Alltoallv form. The rows sent are
@@ -535,7 +536,7 @@ class Comm:
             stacked = np.concatenate([b for b, k in zip(bufs, sent) if k] or [bufs[0][:0]])
             gather = src[places]
             bounds = [0] + np.cumsum(counts.sum(axis=0)).tolist()
-            return dict.fromkeys(group, (stacked, gather, bounds))
+            return stacked, gather, bounds
 
         stacked, gather, bounds = self._collective("alltoallv", group, (arr, counts, rows),
                                                    complete)
@@ -563,7 +564,7 @@ class Comm:
             ledger.charge("broadcast", "sent", root, nbytes * others.size, kind, others.size)
             ledger.charge("broadcast", "received", others, nbytes, kind)
             ledger.record_pairs(root, others, nbytes, kind)
-            return dict.fromkeys(group, shared)
+            return shared
 
         return self._collective("broadcast", group, payload, complete)
 
@@ -597,7 +598,7 @@ class Comm:
             members = list(group)
             ledger.charge("allreduce", "sent", members, wire, kind, 2 * (g - 1))
             ledger.charge("allreduce", "received", members, wire, kind, 2 * (g - 1))
-            return dict.fromkeys(group, total)
+            return total
 
         return self._collective("allreduce", group, payload, complete)
 
@@ -609,7 +610,6 @@ class Comm:
 
         def complete(arrivals):
             ledger.marks[label] = ledger.snapshot()
-            return {r: None for r in group}
 
         self._collective("mark", group, None, complete)
 

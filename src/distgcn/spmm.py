@@ -93,7 +93,6 @@ class DistMatrices:
     groups of block row i and sum their partial products.
     """
 
-    grid: ProcessGrid
     boundaries: list
     fwd: DistOperand
     bwd: DistOperand
@@ -146,7 +145,7 @@ def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid) -> DistMatr
     at = transpose_csr(a)
     fwd = _extract_operand(at, bounds, stages)
     bwd = fwd if csr_equal(at, a) else _extract_operand(a, bounds, stages)
-    return DistMatrices(grid, bounds, fwd, bwd)
+    return DistMatrices(bounds, fwd, bwd)
 
 
 def validate_variant_grid(variant, p, c):
@@ -256,12 +255,15 @@ def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None) -> SpmmRun:
     Permutes the inputs by `partition` (block partition by default),
     distributes them on the (p/c) x c grid, runs the chosen variant, and
     gathers the product back in the original row order. For the aware
-    variants the one-time index exchange is included.
+    variants the one-time index exchange is included. The dense operand
+    h must be finite.
     """
     validate_variant_grid(variant, p, c)
     if a.n_rows != a.n_cols:
         raise ValueError("distributed multiply requires a square matrix")
     h = np.asarray(h, dtype=np.float64)
+    if not np.isfinite(h).all():
+        raise ValueError("dense operand h must be finite (found NaN or inf)")
     grid = ProcessGrid(p, c)
     part = partition if partition is not None else block_partition(a.n_rows, grid.n_rows)
     if part.k != grid.n_rows:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -71,9 +73,44 @@ def test_xent_rejects_out_of_range_label():
         softmax_xent(np.zeros((2, 3)), np.array([0, 3]), np.ones(2, dtype=bool))
 
 
+def test_xent_rejects_non_integral_label_by_name():
+    mask = np.ones(2, bool)
+    with pytest.raises(ValueError, match="vertex 1 has a non-integral or non-finite label 1.5"):
+        softmax_xent(np.zeros((2, 3)), np.array([0.0, 1.5]), mask)
+    with pytest.raises(ValueError, match="vertex 0 has a non-integral or non-finite label nan"):
+        softmax_xent(np.zeros((2, 3)), np.array([np.nan, 1.0]), mask)
+    # integral float labels are labels
+    logits = np.arange(6.0).reshape(2, 3)
+    loss, grad = softmax_xent(logits, np.array([0.0, 2.0]), mask)
+    want_loss, want_grad = softmax_xent(logits, np.array([0, 2]), mask)
+    assert loss == want_loss and np.array_equal(grad, want_grad)
+
+
 def test_xent_rejects_empty_mask():
     with pytest.raises(ValueError, match="masked"):
         softmax_xent(np.zeros((2, 3)), np.zeros(2, dtype=int), np.zeros(2, dtype=bool))
+
+
+# ---- configuration -----------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(lr=float("inf")), "learning rate must be finite, got inf"),
+    (dict(lr=float("nan")), "learning rate must be finite, got nan"),
+    (dict(epochs=2.0), "epochs must be an integer, got 2.0"),
+    (dict(layers=3.0), "layers must be an integer, got 3.0"),
+    (dict(hidden=4.5), "hidden must be an integer, got 4.5"),
+    (dict(seed=-1), "seed must be non-negative"),
+], ids=["inf-lr", "nan-lr", "float-epochs", "float-layers", "fractional-hidden",
+        "negative-seed"])
+def test_train_config_rejects_by_field_name(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(**kwargs)
+
+
+def test_train_config_accepts_numpy_integers():
+    cfg = TrainConfig(layers=np.int64(3), hidden=np.int32(4), epochs=np.int64(2),
+                      seed=np.uint8(1))
+    assert cfg.layer_dims(5, 2) == [5, 4, 2]
 
 
 # ---- serial forward/backward -------------------------------------------------

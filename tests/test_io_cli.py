@@ -11,7 +11,7 @@ import distgcn
 from distgcn import io
 from distgcn.cli import main
 from distgcn.partition import block_partition, random_partition
-from distgcn.sparse import csr_equal, csr_from_dense
+from distgcn.sparse import csr_equal, csr_from_coo, csr_from_dense
 
 from oracles import random_csr_dense
 
@@ -91,6 +91,27 @@ def test_mm_errors_carry_line_numbers(tmp_path):
     assert csr_equal(io.load_matrix_market(spaced), io.load_matrix_market(plain))
 
 
+def test_mm_symmetric_sums_duplicates_drops_zero_sums_keeps_diagonal(tmp_path):
+    path = tmp_path / "g.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "4 4 6\n"
+                    "2 1 1.5\n"
+                    "3 1 0.1\n"
+                    "4 4 3.0\n"
+                    "2 1 0.25\n"
+                    "4 2 2.0\n"
+                    "3 1 -0.1\n")
+    # every off-diagonal entry mirrored by hand, the diagonal once
+    triples = [(1, 0, 1.5), (0, 1, 1.5), (2, 0, 0.1), (0, 2, 0.1), (3, 3, 3.0),
+               (1, 0, 0.25), (0, 1, 0.25), (3, 1, 2.0), (1, 3, 2.0),
+               (2, 0, -0.1), (0, 2, -0.1)]
+    rows, cols, vals = zip(*triples)
+    a = io.load_matrix_market(path)
+    assert csr_equal(a, csr_from_coo(4, 4, rows, cols, vals))
+    np.testing.assert_array_equal(a.to_dense(), [[0, 1.75, 0, 0], [1.75, 0, 0, 2],
+                                                 [0, 0, 0, 0], [0, 2, 0, 3]])
+
+
 def test_mm_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     a = csr_from_dense(random_csr_dense(rng, 15, density=0.2))
@@ -117,6 +138,19 @@ def test_tsv_weights_and_errors(tmp_path):
     path.write_text("0\t1\n0\n")
     with pytest.raises(io.ParseError, match=r"g\.tsv:2"):
         io.load_edge_list_tsv(path)
+
+
+def test_tsv_comment_default_weight_and_cancelling_pair(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("# u\tv\tw\n"
+                    "0\t1\n"
+                    "2\t0\t0.5\n"
+                    "1\t2\t2.5\n"
+                    "2\t0\t-0.5\n")
+    a = io.load_edge_list_tsv(path)
+    assert csr_equal(a, csr_from_coo(3, 3, [0, 2, 1, 2], [1, 0, 2, 0],
+                                     [1.0, 0.5, 2.5, -0.5]))
+    np.testing.assert_array_equal(a.to_dense(), [[0, 1, 0], [0, 0, 2.5], [0, 0, 0]])
 
 
 def test_tsv_round_trip(tmp_path):
@@ -376,13 +410,33 @@ def _write_small_graph(tmp_path):
     (["train", "--gen", "sbm", "--n", "16", "--lr", "-1"], "learning rate must be non-negative"),
     (["train", "--graph", "g.tsv", "--labels", "three.tsv", "--p", "1", "--variant", "serial",
       "--epochs", "1"], "label count 3 does not match n=4"),
+    (["train", "--gen", "sbm", "--n", "16", "--lr", "inf"], "learning rate must be finite, got inf"),
+    (["train", "--gen", "sbm", "--n", "16", "--lr", "nan"], "learning rate must be finite, got nan"),
 ], ids=["no-graph", "missing-file", "k-above-n", "k-above-n-gvb", "k-zero", "one-layer",
-        "negative-lr", "label-count"])
+        "negative-lr", "label-count", "infinite-lr", "nan-lr"])
 def test_cli_error_paths_pinned(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)
     _write_small_graph(tmp_path)
     assert run_cli(*argv, "--out-dir", "out") == 2
     assert capsys.readouterr().err == json.dumps({"error": error}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen-graph", "--gen", "sbm", "--n", "-5"], "--n"),
+    (["gen-graph", "--gen", "grid", "--n", "-4"], "--n"),
+    (["gen-graph", "--gen", "star", "--n", "0"], "--n"),
+    (["train", "--gen", "sbm", "--n", "16", "--seed", "-1"], "--seed"),
+    (["partition", "--gen", "grid", "--n", "16", "--k", "2", "--f", "-3"], "--f"),
+], ids=["sbm-negative-n", "grid-negative-n", "star-zero-n", "negative-seed", "negative-f"])
+def test_cli_rejects_out_of_range_size_flags(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    try:
+        rc = run_cli(*argv, "--out-dir", str(out))
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_train_rejects_labels_below_minus_one(tmp_path, monkeypatch, capsys):

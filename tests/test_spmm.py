@@ -303,6 +303,14 @@ def test_run_rejects_1d_dense_operand():
         run_spmm(a, h[:, 0], 4, 1, "1d-sparse")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_rejects_non_finite_dense_operand(bad):
+    a, h = random_instance(29, n=16)
+    h[5, 1] = bad
+    with pytest.raises(ValueError, match=r"dense operand h must be finite \(found NaN or inf\)"):
+        run_spmm(a, h, 4, 1, "1d-sparse")
+
+
 def test_gather_respects_partition_permutation():
     a, h = random_instance(31, n=21, f=2, symmetric=True)
     ref = serial_reference(a, h)
