@@ -132,9 +132,10 @@ def _xent_parts(logits, labels, mask, denom):
 
 
 def _check_labels(labels, mask, k=None):
-    """Labels as int64, after one check: every label finite and integral,
-    every masked one in [0, k). k defaults to labels.max() + 1, the class
-    count of training, so there only a negative masked label is out."""
+    """Labels as int64, after one check: every label finite, integral and
+    in int64's range, every masked one in [0, k). k defaults to
+    labels.max() + 1, the class count of training, so there only a
+    negative masked label is out."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "biu":
         as_float = labels.astype(np.float64)
@@ -143,6 +144,13 @@ def _check_labels(labels, mask, k=None):
             v = int(np.flatnonzero(bad)[0])
             raise ValueError(f"vertex {v} has a non-integral or non-finite label "
                              f"{as_float[v]:g}")
+        # int64 holds [-2**63, 2**63), and both bounds are exact floats
+        huge = (as_float < -2.0 ** 63) | (as_float >= 2.0 ** 63)
+    else:
+        huge = labels > np.iinfo(np.int64).max
+    if huge.any():
+        v = int(np.flatnonzero(huge)[0])
+        raise ValueError(f"vertex {v} has label {labels[v]:g}, outside the int64 range")
     labels = labels.astype(np.int64)
     if k is None:
         k = int(labels.max()) + 1

@@ -50,6 +50,17 @@ into one new array, from which each receiver then gathers its rows. A
 caller may therefore write to any buffer it passed as soon as the call
 returns.
 
+An `all_to_allv` may also take a `then`: the last arrival, which holds
+every sender's rows and every receiver's gather index, calls it once with
+both, and each member returns its own element of the result instead of
+its rows. So one call does the work of all receivers on the rows they
+received, e.g. one multiply for a whole superstep rather than one per
+rank. The runtime knows nothing of what it computes, charges the ledger
+as for the same exchange without it, and raises an exception it raises on
+every member. The trade-off is in the timing: the work of every receiver
+runs on the thread of the last arrival, so no rank's time is its own
+compute any more.
+
 The rank threads share one heap. glibc gives every new thread a malloc
 arena of its own, so a rank's freed halos, products and sums would stay
 in its arena while the next rank, which runs after it on the same CPU,
@@ -467,7 +478,7 @@ class Comm:
             raise slot.error
         return slot.output
 
-    def all_to_allv(self, buf, counts, rows=None) -> np.ndarray:
+    def all_to_allv(self, buf, counts, rows=None, then=None):
         """Personalized exchange in MPI_Alltoallv form. The rows sent are
         `buf[rows]`, or all of `buf` when `rows` is None, as with an MPI
         indexed datatype: no packed send buffer is made. They go in
@@ -479,7 +490,18 @@ class Comm:
         counts and rows. A segment of no rows is no message and costs
         nothing; the segment addressed to the caller itself is a free
         local copy. The caller may write to `buf` as soon as the call
-        returns (see the module docstring)."""
+        returns (see the module docstring).
+
+        With `then`, every rank instead returns its element of one result
+        that the last arrival computes for all of them: it calls
+        then(stacked, gather, bounds) once, where rank d's rows received
+        are np.take(stacked, gather[bounds[d]:bounds[d + 1]], axis=0),
+        and rank d returns element d of the sequence it returns. So the
+        work of all receivers on their rows runs as one call, on the rows
+        before any receiver gathers them. Every rank must pass a `then`,
+        or none; the callables must be interchangeable, and the lowest
+        rank's runs. The ledger charges are the exchange's, whatever
+        `then` does, and an exception it raises is raised on every rank."""
         arr = _as_payload(buf)
         if arr.ndim == 0:
             raise ValueError("all_to_allv needs a buffer of rows, got a scalar")
@@ -489,6 +511,10 @@ class Comm:
         ledger = self._rt.ledger
 
         def complete(arrivals):
+            without = [s for s in group if arrivals[s][3] is None]
+            if 0 < len(without) < len(group):
+                raise ValueError(f"all_to_allv: ranks {without} pass no `then` but others "
+                                 "do; every rank must pass one, or none")
             bufs = [arrivals[s][0] for s in group]
             picked = [arrivals[s][2] for s in group]
             row_shapes = {(b.dtype.str, b.shape[1:]) for b in bufs}
@@ -535,11 +561,16 @@ class Comm:
             places = _ranges(seg_start[order], seg_rows[order])
             stacked = np.concatenate([b for b, k in zip(bufs, sent) if k] or [bufs[0][:0]])
             gather = src[places]
-            bounds = [0] + np.cumsum(counts.sum(axis=0)).tolist()
+            bounds = np.zeros(self.p + 1, dtype=np.int64)
+            np.cumsum(counts.sum(axis=0), out=bounds[1:])
+            if not without:
+                return arrivals[group[0]][3](stacked, gather, bounds)
             return stacked, gather, bounds
 
-        stacked, gather, bounds = self._collective("alltoallv", group, (arr, counts, rows),
-                                                   complete)
+        out = self._collective("alltoallv", group, (arr, counts, rows, then), complete)
+        if then is not None:
+            return out[self.rank]
+        stacked, gather, bounds = out
         return np.take(stacked, gather[bounds[self.rank]:bounds[self.rank + 1]], axis=0)
 
     def broadcast(self, root, buf=None) -> np.ndarray:

@@ -86,6 +86,25 @@ def test_xent_rejects_non_integral_label_by_name():
     assert loss == want_loss and np.array_equal(grad, want_grad)
 
 
+@pytest.mark.parametrize("label,shown", [
+    (1e30, "1e+30"), (2.0 ** 63, "9.22337e+18"), (-1e19, "-1e+19"),
+    (np.uint64(2 ** 63), "9.22337e+18"),
+], ids=["1e30", "2**63", "-1e19", "uint64-2**63"])
+def test_labels_outside_int64_rejected_before_the_cast(label, shown):
+    # an invalid float-to-int64 cast warns (an error under this suite's
+    # filterwarnings) and yields -2**63; a uint64 past int64 wraps silently
+    labels = np.array([0, label], dtype=np.asarray(label).dtype)
+    match = re.escape(f"vertex 1 has label {shown}, outside the int64 range")
+    with pytest.raises(ValueError, match=match):
+        softmax_xent(np.zeros((2, 3)), labels, np.ones(2, bool))
+    # training checks its labels with the same rule
+    a, features, _, mask = random_problem(0)
+    labels = np.zeros(8, dtype=labels.dtype)
+    labels[1] = label
+    with pytest.raises(ValueError, match=match):
+        train(a, features, labels, mask, TrainConfig(epochs=1), p=2)
+
+
 def test_xent_rejects_empty_mask():
     with pytest.raises(ValueError, match="masked"):
         softmax_xent(np.zeros((2, 3)), np.zeros(2, dtype=int), np.zeros(2, dtype=bool))

@@ -348,6 +348,84 @@ def test_alltoallv_bad_rows_on_one_rank_named(rows, match):
         run_program(3, 1, program)
 
 
+def _gathering_then(calls):
+    """A `then` that returns each receiver's rows as the receiver would
+    gather them, and records one entry in `calls` per call."""
+    def then(stacked, gather, bounds):
+        calls.append(len(bounds) - 1)
+        return [np.take(stacked, gather[bounds[d]:bounds[d + 1]], axis=0)
+                for d in range(len(bounds) - 1)]
+    return then
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=1, max_value=6),
+       st.sampled_from([(), (3,)]), st.sampled_from([np.float64, np.int64]))
+def test_alltoallv_then_runs_once_and_charges_as_the_exchange(seed, p, row_shape, dtype):
+    rng = np.random.default_rng(seed)
+    bufs, rows, counts = _indexed_exchange(rng, p, row_shape, dtype)
+    calls = []
+    then = _gathering_then(calls)
+
+    def program(comm, fused):
+        return [comm.all_to_allv(bufs[comm.rank], counts[comm.rank], rows=rows[comm.rank],
+                                 then=then if fused else None) for _ in range(3)]
+
+    plain = run_program(p, 1, program, (False,))
+    fused = run_program(p, 1, program, (True,))
+    assert calls == [p] * 3  # once per collective, never per rank
+    for d in range(p):
+        for k in range(3):
+            assert fused.results[d][k].dtype == plain.results[d][k].dtype
+            assert fused.results[d][k].shape == plain.results[d][k].shape
+            assert fused.results[d][k].tobytes() == plain.results[d][k].tobytes()
+    for prim, fields in plain.ledger.counters.items():
+        for name, arr in fields.items():
+            assert np.array_equal(fused.ledger.counters[prim][name], arr), (prim, name)
+    assert np.array_equal(fused.ledger.pair_max_bytes, plain.ledger.pair_max_bytes)
+    assert np.array_equal(fused.ledger.pair_max_data_bytes, plain.ledger.pair_max_data_bytes)
+    assert _ledger_json(fused) == _ledger_json(plain)
+
+
+def test_alltoallv_then_of_the_lowest_rank_runs():
+    def program(comm):
+        def then(stacked, gather, bounds):
+            return [(comm.rank, d) for d in range(comm.p)]
+        return comm.all_to_allv(np.ones(3), [1, 1, 1], then=then)
+
+    assert run_program(3, 1, program).results == [(0, 0), (0, 1), (0, 2)]
+
+
+def test_alltoallv_then_error_raised_on_every_rank():
+    calls = []
+
+    def then(stacked, gather, bounds):
+        calls.append(None)
+        raise ArithmeticError("no product")
+
+    def program(comm):
+        try:
+            comm.all_to_allv(np.ones(2), [1, 1], then=then)
+        except ArithmeticError as exc:
+            return f"rank {comm.rank}: {exc}"
+        return "returned"
+
+    assert run_program(2, 1, program).results == ["rank 0: no product", "rank 1: no product"]
+    assert len(calls) == 1
+    with pytest.raises(ArithmeticError, match="no product"):
+        run_program(2, 1, lambda comm: comm.all_to_allv(np.ones(2), [1, 1], then=then))
+
+
+def test_alltoallv_ranks_disagreeing_on_then_named():
+    def program(comm):
+        then = None if comm.rank in (1, 2) else _gathering_then([])
+        comm.all_to_allv(np.ones(4), [1, 1, 1, 1], then=then)
+
+    with pytest.raises(ValueError, match=r"all_to_allv: ranks \[1, 2\] pass no `then` but "
+                                         "others do; every rank must pass one, or none"):
+        run_program(4, 1, program)
+
+
 def test_broadcast_single_rank():
     run = run_program(1, 1, lambda comm: comm.broadcast(0, np.array([4.0]))[0])
     assert run.results == [4.0]

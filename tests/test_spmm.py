@@ -4,15 +4,16 @@ import json
 import numpy as np
 import pytest
 
+import distgcn.spmm
 from distgcn.gcn import TrainConfig, train
 from distgcn.graphgen import clique_blocks, sbm
 from distgcn.partition import (Partition, apply_partition, block_partition, comm_metrics,
                                greedy_tv_partition)
-from distgcn.runtime import ProcessGrid
-from distgcn.sparse import (CsrMatrix, csr_equal, csr_from_dense, gcn_normalize,
+from distgcn.runtime import ProcessGrid, run_program
+from distgcn.sparse import (CsrMatrix, csr_equal, csr_from_dense, gcn_normalize, local_spmm,
                             transpose_csr)
-from distgcn.spmm import (VARIANTS, build_dist_matrices, run_spmm,
-                          serial_reference, validate_variant_grid)
+from distgcn.spmm import (VARIANTS, build_dist_matrices, exchange_index_lists, run_spmm,
+                          serial_reference, spmm_kernel, validate_variant_grid)
 
 from oracles import matmul_triple_loop, nnz_cols_dense_scan, random_csr_dense
 
@@ -27,6 +28,18 @@ def random_instance(seed, n=24, f=3, density=0.15, symmetric=False):
 
 # ---- layout construction ---------------------------------------------------
 
+def _rank_block(op, r) -> CsrMatrix:
+    """Rank r's operand: its row and column slice of the stacked `op.local`."""
+    loc = op.local
+    r0, r1 = op.row_off[r], op.row_off[r + 1]
+    c0, c1 = op.col_off[r], op.col_off[r + 1]
+    e0, e1 = loc.row_ptr[r0], loc.row_ptr[r1]
+    # the operand is block diagonal: rank r's rows hold only its columns
+    assert np.all((loc.col_idx[e0:e1] >= c0) & (loc.col_idx[e0:e1] < c1))
+    return CsrMatrix(r1 - r0, c1 - c0, loc.row_ptr[r0:r1 + 1] - e0, loc.col_idx[e0:e1] - c0,
+                     loc.values[e0:e1])
+
+
 def test_halo_operands_tile_matrix_exactly():
     a, _ = random_instance(0, n=22)
     at = transpose_csr(a).to_dense()
@@ -34,14 +47,17 @@ def test_halo_operands_tile_matrix_exactly():
         grid = ProcessGrid(p, c)
         part = block_partition(22, grid.n_rows)
         dm = build_dist_matrices(a, part.boundaries, grid)
+        op = dm.fwd
         s = grid.stage_count()
+        assert op.local.shape == (op.row_off[-1], op.col_off[-1])
+        assert op.row_off[0] == op.col_off[0] == 0
         for i, (r0, r1) in enumerate(part.boundaries):
             for g in range(c):
                 group = range(g * s, (g + 1) * s)
-                halo = np.concatenate([dm.fwd.cols(i, j) + part.boundaries[j][0]
+                halo = np.concatenate([op.cols(i, j) + part.boundaries[j][0]
                                        for j in group])
                 assert np.all(np.diff(halo) > 0)
-                local = dm.fwd.local[(i, g)]
+                local = _rank_block(op, grid.rank_of(i, g))
                 assert local.shape == (r1 - r0, halo.size)
                 expanded = np.zeros((r1 - r0, 22))
                 expanded[:, halo] = local.to_dense()
@@ -49,6 +65,15 @@ def test_halo_operands_tile_matrix_exactly():
                 expected = np.zeros((r1 - r0, 22))
                 expected[:, c0:c1] = at[r0:r1, c0:c1]
                 np.testing.assert_array_equal(expanded, expected)
+        # the ranks' blocks hold every stored entry of the stacked operand
+        assert sum(_rank_block(op, r).nnz for r in range(p)) == op.local.nnz == a.nnz
+        # the groups are consecutive runs of ranks, each its ranks' slice
+        assert [lo for lo, _, _ in op.groups] == [0] + [hi for _, hi, _ in op.groups[:-1]]
+        assert op.groups[-1][1] == p
+        for lo, hi, block in op.groups:
+            want = op.local.to_dense()[op.row_off[lo]:op.row_off[hi],
+                                       op.col_off[lo]:op.col_off[hi]]
+            np.testing.assert_array_equal(block.to_dense(), want)
 
 
 def test_nnz_cache_matches_fresh_computation():
@@ -173,6 +198,80 @@ def test_1d_sparse_at_p256_matches_serial_reference_bitwise():
         op = run.dm.fwd
         remote = op.idx.size - sum(op.cols(i, i).size for i in range(256))
         assert run.ledger.total_bytes_sent("data") == 8 * 4 * remote
+
+
+# ---- one multiply per group of ranks ---------------------------------------
+
+def _fused_and_per_rank_products(a, h, p, c, variant, part):
+    """Each rank's result of `spmm_kernel`, and the same as separate
+    per-rank multiplies make it: `local_spmm` of each rank's block with
+    its halo gathered from the dense operand, the c partial products of a
+    grid row summed in rank order."""
+    grid = ProcessGrid(p, c)
+    a2, h2 = apply_partition(a, h, part)
+    dm = build_dist_matrices(a2, part.boundaries, grid)
+    op = dm.fwd
+
+    def program(comm):
+        r0, r1 = dm.boundaries[comm.coords[0]]
+        exchange_index_lists(comm, op, variant)
+        return spmm_kernel(comm, op, h2[r0:r1], variant)
+
+    fused = run_program(p, c, program).results
+    s = grid.stage_count()
+    per_rank = []
+    for i in range(grid.n_rows):
+        z = None
+        for g in range(c):
+            halo = np.concatenate([op.cols(i, j) + part.boundaries[j][0]
+                                   for j in range(g * s, (g + 1) * s)])
+            zr = local_spmm(_rank_block(op, grid.rank_of(i, g)), h2[halo])
+            z = zr if z is None else z + zr
+        per_rank += [z] * c
+    return fused, per_rank, op
+
+
+def _dense_rows_instance():
+    # rows and columns 0..149 dense, the rest sparse: at p=8, c=2 rank 0
+    # alone holds 150 x 300 entries, over the group bound
+    rng = np.random.default_rng(41)
+    dense = random_csr_dense(rng, 600, density=0.01)
+    dense[:150] = rng.uniform(0.5, 1.5, size=(150, 600))
+    dense[:, :150] = dense[:150].T
+    return csr_from_dense(dense), rng.normal(size=(600, 3))
+
+
+_GRID_CASES = [(v, 8, 1) for v in VARIANTS] + [("15d-oblivious", 8, 2), ("15d-sparse", 8, 2)]
+
+
+@pytest.mark.parametrize("variant,p,c", _GRID_CASES)
+def test_fused_multiply_matches_per_rank_products_on_a_rank_over_the_bound(variant, p, c):
+    a, h = _dense_rows_instance()
+    part = block_partition(600, ProcessGrid(p, c).n_rows)
+    fused, per_rank, op = _fused_and_per_rank_products(a, h, p, c, variant, part)
+    bound = distgcn.spmm._GROUP_NNZ
+    assert any(hi - lo == 1 and _rank_block(op, lo).nnz > bound for lo, hi, _ in op.groups)
+    assert len(op.groups) > 1
+    for got, want in zip(fused, per_rank, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bound", [1, 16, 40, 1 << 14])
+@pytest.mark.parametrize("variant,p,c", [(v, 32, 1) for v in VARIANTS]
+                         + [("15d-oblivious", 64, 2), ("15d-sparse", 64, 2)])
+def test_fused_multiply_matches_per_rank_products_with_empty_ranks(variant, p, c, bound,
+                                                                   monkeypatch):
+    # groups of every size, from one rank each to the whole grid, some of
+    # them zero-row ranks only
+    monkeypatch.setattr(distgcn.spmm, "_GROUP_NNZ", bound)
+    graph, h, _ = sbm(100, blocks=4, p_in=0.1, p_out=0.01, seed=0, feature_dim=3)
+    a = gcn_normalize(graph)
+    part = greedy_tv_partition(a, ProcessGrid(p, c).n_rows)
+    assert any(s == e for s, e in part.boundaries)  # a zero-row rank
+    fused, per_rank, op = _fused_and_per_rank_products(a, h, p, c, variant, part)
+    assert len(op.groups) == 1 if bound == 1 << 14 else len(op.groups) > 1
+    for got, want in zip(fused, per_rank, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---- volumes ---------------------------------------------------------------
