@@ -13,16 +13,19 @@ FIFO per (src, dst, tag), collectives act as barriers and reduce in
 ascending rank order, every ledger charge is a pure function of the
 program, and the interleaving of the ranks is itself deterministic. Two
 runs of the same program on the same inputs produce bit-identical
-results and ledgers. Since only one rank runs at a time, the rank
-threads of a run share one CPU, the one the caller was on when the run
-started (where the platform can pin threads): otherwise every hand-off
-may wake the next rank on another idle CPU, and whether it does depends
-on the machine's load, not on the program. Each baton is a plain lock,
-created held, so a hand-off is one lock release with no Python-level
-wait queue behind it. Where the platform allows, the rank threads also
-run under SCHED_BATCH, so a woken rank waits for the rank that released
-it to drop the interpreter lock rather than preempting it, only to find
-that lock still taken and sleep again.
+results and ledgers, and the results do not depend on the interleaving
+either: run in any order of the ready ranks (`_Runtime.pick`), a program
+of the package's collectives computes the same bits. Since only one rank
+runs at a time, the rank threads of a run share one CPU, the one the
+caller was on when the run started (where the platform can pin
+threads): otherwise every hand-off may wake the next rank on another
+idle CPU, and whether it does depends on the machine's load, not on the
+program. Each baton is a plain lock, created held, so a hand-off is one
+lock release with no Python-level wait queue behind it. Where the
+platform allows, the rank threads also run under SCHED_BATCH, so a woken
+rank waits for the rank that released it to drop the interpreter lock
+rather than preempting it, only to find that lock still taken and sleep
+again.
 
 Payloads are numpy arrays of float64 (dense data) or int64 (index lists);
 either way a payload of m elements is charged as 8*m bytes. Accounting
@@ -46,9 +49,24 @@ member of the group. Every other call returns arrays of the caller's
 own, and no call keeps a reference into a buffer handed to it: `isend`
 copies its payload at call time, and the last arrival at an
 `all_to_allv` stacks the buffers of the ranks that send at least one row
-into one new array, from which each receiver then gathers its rows. A
-caller may therefore write to any buffer it passed as soon as the call
-returns.
+into one new array, each distinct buffer once, from which each receiver
+then gathers its rows. A caller may therefore write to any buffer it
+passed as soon as the call returns.
+
+An `all_to_allv` runs in two steps, as an inspector and an executor.
+The inspector turns the p senders' counts, rows and buffer heights into
+an `ExchangeSchedule`: it checks the count matrix and every row index
+once, and holds what every call of that pattern needs, namely the
+receivers' gather index and bounds, which senders' buffers are stacked,
+and the ledger charges in rows (per rank, and per message for the pair
+maxima). The executor checks only each buffer's height against the
+schedule's and the ranks' dtypes and row shapes, stacks the buffers and
+charges rows times the row width, so zero-width rows are no message. A
+call with counts is inspected by its last arrival and executed at once;
+an exchange that repeats is inspected once ahead of its calls
+(`plan_all_to_allv`, in the spirit of MPI-4's persistent
+`MPI_Alltoallv_init`) and each call passes that schedule. Both run the
+same executor.
 
 An `all_to_allv` may also take a `then`: the last arrival, which holds
 every sender's rows and every receiver's gather index, calls it once with
@@ -94,9 +112,11 @@ __all__ = [
     "CommLedger",
     "Comm",
     "DeadlockError",
+    "ExchangeSchedule",
     "ProcessGrid",
     "RunResult",
     "SimulationError",
+    "plan_all_to_allv",
     "run_program",
 ]
 
@@ -293,7 +313,15 @@ class _Runtime:
     parked on it, and `blocked` maps each parked rank to what it waits
     for. A rank that blocks or finishes with `ready` empty while `blocked`
     is not is a deadlock: nothing left can wake anyone.
+
+    `pick` chooses which ready rank runs next: None, the default, takes
+    the queue's head; a callable, pick(ready) -> position in `ready`, may
+    run any of them. It is a class attribute that only tests set (as a
+    staticmethod), to check that no result depends on the order in which
+    ready ranks run.
     """
+
+    pick = None
 
     def __init__(self, grid: ProcessGrid):
         self.grid = grid
@@ -318,7 +346,13 @@ class _Runtime:
             self.deadlock = DeadlockError(self.blocked)
             self._wake_all()
         if self.ready:
-            self.baton[self.ready.popleft()].release()
+            if self.pick is None:
+                rank = self.ready.popleft()
+            else:
+                at = self.pick(self.ready)
+                rank = self.ready[at]
+                del self.ready[at]
+            self.baton[rank].release()
 
     def _wake(self, key):
         for rank in self.waiters.pop(key, ()):
@@ -391,6 +425,115 @@ def _count_matrix(counts, sent, indexed) -> np.ndarray:
             held = "rows selects" if indexed[s] else "the buffer has"
             raise ValueError(f"rank {s}: all_to_allv counts sum to {c.sum()} "
                              f"but {held} {sent[s]} rows")
+
+
+@dataclass(frozen=True, eq=False)
+class ExchangeSchedule:
+    """One `all_to_allv` pattern, inspected once (`plan_all_to_allv`).
+
+    `heights[s]` is the number of rows sender s's buffer must have. The
+    buffers of the senders in `stacked`, the ones that send at least one
+    row, are stacked in that order, and receiver d's rows are
+    stacked[gather[bounds[d]:bounds[d + 1]]], in ascending sender order.
+    The ledger charges are held in rows, so a call charges them for its
+    own row width: per rank the rows and messages sent and received
+    between distinct ranks, and each such message (`wire_src`,
+    `wire_dst`, `wire_rows`) for the pair maxima.
+    """
+
+    heights: list
+    stacked: list
+    gather: np.ndarray
+    bounds: np.ndarray
+    sent_rows: np.ndarray
+    sent_msgs: np.ndarray
+    received_rows: np.ndarray
+    received_msgs: np.ndarray
+    wire_src: np.ndarray
+    wire_dst: np.ndarray
+    wire_rows: np.ndarray
+
+
+def plan_all_to_allv(counts, rows, heights) -> ExchangeSchedule:
+    """Inspect the `all_to_allv` in which rank s, whose buffer has
+    heights[s] rows, sends rows[s] (all of its buffer where rows[s] is
+    None) in segments of counts[s][d] rows to ranks d = 0..p-1. Checks
+    every rank's counts and rows as the call itself would, once, and
+    returns the schedule that calls passing `schedule=` then run with no
+    further inspection."""
+    heights = [int(h) for h in heights]
+    if not len(counts) == len(rows) == len(heights):
+        raise ValueError(f"all_to_allv schedule needs counts, rows and heights for every "
+                         f"rank, got {len(counts)}, {len(rows)} and {len(heights)}")
+    rows = [None if r is None else _as_rows(r) for r in rows]
+    return _inspect(counts, rows, heights, range(len(heights)))
+
+
+def _inspect(counts, rows, heights, buffer_of) -> ExchangeSchedule:
+    """The schedule of `plan_all_to_allv`, where senders with equal
+    buffer_of[s] pass the same buffer, so only the first of them that
+    sends a row has it stacked."""
+    p = len(heights)
+    sent = [h if r is None else r.size for h, r in zip(heights, rows)]
+    counts = _count_matrix(counts, sent, [r is not None for r in rows])
+    bounds = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=0), out=bounds[1:])
+    # where segment (s, d) starts in the gather index: receiver d takes the
+    # segments (0, d), ..., (p-1, d) in turn
+    seg_at = bounds[:-1] + (np.cumsum(counts, axis=0) - counts)
+    gather = np.empty(bounds[-1], dtype=np.int64)
+    stacked, stacked_at, top = [], {}, 0
+    for s in np.flatnonzero(sent).tolist():
+        offset = stacked_at.get(buffer_of[s])
+        if offset is None:
+            stacked.append(s)
+            offset = stacked_at[buffer_of[s]] = top
+            top += heights[s]
+        src = rows[s]
+        if src is None:
+            src = np.arange(offset, offset + heights[s])
+        else:
+            if src.min() < 0 or src.max() >= heights[s]:
+                raise ValueError(f"rank {s}: all_to_allv rows must lie in [0, {heights[s]})")
+            if offset:
+                src = src + offset
+        gather[_ranges(seg_at[s], counts[s])] = src
+    # only the segments between distinct ranks are messages
+    wire = counts.copy()
+    np.fill_diagonal(wire, 0)
+    wire_src, wire_dst = np.nonzero(wire)
+    on_wire = wire > 0
+    return ExchangeSchedule(heights, stacked, gather, bounds,
+                            wire.sum(axis=1), on_wire.sum(axis=1),
+                            wire.sum(axis=0), on_wire.sum(axis=0),
+                            wire_src, wire_dst, wire[wire_src, wire_dst])
+
+
+def _execute(plan: ExchangeSchedule, bufs, ledger) -> np.ndarray:
+    """Run one exchange of `plan` over the senders' buffers: check each
+    buffer's height and the ranks' dtypes and row shapes, charge the
+    ledger and return the stacked buffers."""
+    heights = [b.shape[0] for b in bufs]
+    if heights != plan.heights:
+        if len(heights) != len(plan.heights):
+            raise ValueError(f"all_to_allv schedule is for {len(plan.heights)} ranks, "
+                             f"not {len(heights)}")
+        s = next(s for s, (h, want) in enumerate(zip(heights, plan.heights)) if h != want)
+        raise ValueError(f"rank {s}: all_to_allv buffer has {heights[s]} rows but the "
+                         f"schedule sends from {plan.heights[s]}")
+    row_shapes = {(b.dtype.str, b.shape[1:]) for b in bufs}
+    if len(row_shapes) > 1:
+        raise ValueError("all_to_allv buffers differ in dtype or row shape: "
+                         f"{sorted(row_shapes)}")
+    width = 8 * math.prod(bufs[0].shape[1:])
+    if width:
+        kind = CommLedger._kind(bufs[0])
+        ledger.charge("alltoallv", "sent", slice(None), plan.sent_rows * width, kind,
+                      plan.sent_msgs)
+        ledger.charge("alltoallv", "received", slice(None), plan.received_rows * width, kind,
+                      plan.received_msgs)
+        ledger.record_pairs(plan.wire_src, plan.wire_dst, plan.wire_rows * width, kind)
+    return np.concatenate([bufs[s] for s in plan.stacked] or [bufs[0][:0]])
 
 
 class Comm:
@@ -478,7 +621,7 @@ class Comm:
             raise slot.error
         return slot.output
 
-    def all_to_allv(self, buf, counts, rows=None, then=None):
+    def all_to_allv(self, buf, counts=None, rows=None, then=None, schedule=None):
         """Personalized exchange in MPI_Alltoallv form. The rows sent are
         `buf[rows]`, or all of `buf` when `rows` is None, as with an MPI
         indexed datatype: no packed send buffer is made. They go in
@@ -486,11 +629,22 @@ class Comm:
         in order. The result is a fresh writable array of the rows
         received, stacked in sender-rank order. Every rank must send the
         same dtype and row shape, and `rows` holds integer indices, each
-        in [0, len(buf)); the last rank to arrive checks every rank's
-        counts and rows. A segment of no rows is no message and costs
-        nothing; the segment addressed to the caller itself is a free
-        local copy. The caller may write to `buf` as soon as the call
-        returns (see the module docstring).
+        in [0, len(buf)). A segment of no rows is no message and costs
+        nothing, nor does a segment of zero-width rows; the segment
+        addressed to the caller itself is a free local copy. The caller
+        may write to `buf` as soon as the call returns (see the module
+        docstring).
+
+        The last rank to arrive inspects the exchange once: it checks
+        every rank's counts and rows and builds its `ExchangeSchedule`.
+        A pattern that repeats can be inspected ahead of the calls
+        instead (`plan_all_to_allv`): then every rank passes the same
+        `schedule` and no counts or rows, and the last arrival checks
+        only each buffer's height against the schedule's and the ranks'
+        dtypes and row shapes. Either way one executor stacks the buffers
+        and charges the ledger from the schedule, for the row width of
+        this call's buffers. A buffer passed by several ranks is stacked
+        once.
 
         With `then`, every rank instead returns its element of one result
         that the last arrival computes for all of them: it calls
@@ -505,69 +659,40 @@ class Comm:
         arr = _as_payload(buf)
         if arr.ndim == 0:
             raise ValueError("all_to_allv needs a buffer of rows, got a scalar")
-        if rows is not None:
-            rows = _as_rows(rows)
+        if schedule is None:
+            if counts is None:
+                raise ValueError("all_to_allv needs counts or a schedule")
+            if rows is not None:
+                rows = _as_rows(rows)
+        elif counts is not None or rows is not None:
+            raise ValueError("all_to_allv takes counts and rows or a schedule, not both")
         group = tuple(range(self.p))
         ledger = self._rt.ledger
 
         def complete(arrivals):
-            without = [s for s in group if arrivals[s][3] is None]
-            if 0 < len(without) < len(group):
-                raise ValueError(f"all_to_allv: ranks {without} pass no `then` but others "
-                                 "do; every rank must pass one, or none")
-            bufs = [arrivals[s][0] for s in group]
-            picked = [arrivals[s][2] for s in group]
-            row_shapes = {(b.dtype.str, b.shape[1:]) for b in bufs}
-            if len(row_shapes) > 1:
-                raise ValueError("all_to_allv buffers differ in dtype or row shape: "
-                                 f"{sorted(row_shapes)}")
-            n_rows = [b.shape[0] for b in bufs]
-            sent = [n if r is None else r.size for n, r in zip(n_rows, picked)]
-            counts = _count_matrix([arrivals[s][1] for s in group], sent,
-                                   [r is not None for r in picked])
-            # src: the row of the stacked buffers behind every row sent, in
-            # send order (sender by sender, each in destination order)
-            src = np.concatenate([np.arange(n) if r is None else r
-                                  for n, r in zip(n_rows, picked)], dtype=np.int64)
-            senders = np.flatnonzero(sent)
-            first = (np.cumsum(sent) - sent)[senders]
-            if senders.size:
-                bad = ((np.minimum.reduceat(src, first) < 0)
-                       | (np.maximum.reduceat(src, first) >= np.take(n_rows, senders)))
-                if bad.any():
-                    s = int(senders[bad.argmax()])
-                    raise ValueError(f"rank {s}: all_to_allv rows must lie in [0, {n_rows[s]})")
-            # only the buffers of ranks that send a row are stacked
-            held = [n if k else 0 for n, k in zip(n_rows, sent)]
-            src += np.repeat(np.cumsum(held) - held, sent)
-            # the non-empty segments (s, d), in send order; only the ones
-            # between distinct ranks that carry bytes are messages
-            seg_src, seg_dst = np.nonzero(counts)
-            seg_rows = counts[seg_src, seg_dst]
-            nbytes = seg_rows * (8 * math.prod(bufs[0].shape[1:]))
-            wire = (seg_src != seg_dst) & (nbytes > 0)
-            s_wire, d_wire, nbytes = seg_src[wire], seg_dst[wire], nbytes[wire]
-            kind = CommLedger._kind(bufs[0])
-            ledger.charge("alltoallv", "sent", slice(None), np.bincount(s_wire, nbytes, self.p),
-                          kind, np.bincount(s_wire, minlength=self.p))
-            ledger.charge("alltoallv", "received", slice(None),
-                          np.bincount(d_wire, nbytes, self.p), kind,
-                          np.bincount(d_wire, minlength=self.p))
-            ledger.record_pairs(s_wire, d_wire, nbytes, kind)
-            # receiver d gathers segments (0, d), ..., (p-1, d) in turn, each
-            # a run of consecutive places in src
-            seg_start = np.cumsum(seg_rows) - seg_rows
-            order = np.argsort(seg_dst, kind="stable")
-            places = _ranges(seg_start[order], seg_rows[order])
-            stacked = np.concatenate([b for b, k in zip(bufs, sent) if k] or [bufs[0][:0]])
-            gather = src[places]
-            bounds = np.zeros(self.p + 1, dtype=np.int64)
-            np.cumsum(counts.sum(axis=0), out=bounds[1:])
-            if not without:
-                return arrivals[group[0]][3](stacked, gather, bounds)
-            return stacked, gather, bounds
+            args = [arrivals[s] for s in group]
+            for pos, what in ((3, "no `then`"), (4, "no schedule")):
+                without = [s for s in group if args[s][pos] is None]
+                if 0 < len(without) < len(group):
+                    raise ValueError(f"all_to_allv: ranks {without} pass {what} but others "
+                                     "do; every rank must pass one, or none")
+            bufs = [a[0] for a in args]
+            plan = args[0][4]
+            if plan is None:
+                # a buffer passed by several senders is stacked once
+                plan = _inspect([a[1] for a in args], [a[2] for a in args],
+                                [b.shape[0] for b in bufs], [id(b) for b in bufs])
+            else:
+                others = [s for s in group if args[s][4] is not plan]
+                if others:
+                    raise ValueError(f"all_to_allv: ranks {others} pass another schedule than "
+                                     "rank 0; every rank must pass the same one")
+            stacked = _execute(plan, bufs, ledger)
+            if args[0][3] is not None:
+                return args[0][3](stacked, plan.gather, plan.bounds)
+            return stacked, plan.gather, plan.bounds
 
-        out = self._collective("alltoallv", group, (arr, counts, rows, then), complete)
+        out = self._collective("alltoallv", group, (arr, counts, rows, then, schedule), complete)
         if then is not None:
             return out[self.rank]
         stacked, gather, bounds = out

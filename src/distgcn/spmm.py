@@ -19,15 +19,25 @@ block columns of its stages, with columns compressed to the occupied
 global columns in ascending order (a halo layout), which one owner-major
 index, `DistOperand.cols`, lists block by block. The operands of all
 processes are stacked in rank order into one block-diagonal matrix,
-`DistOperand.local`. A phase receives each process's rows in ascending
-source order, which is halo order, and the exchange's completion makes
-the local multiplies of the whole grid, one per group of consecutive
-ranks, so every entry accumulates in ascending global column. The
+`DistOperand.local`.
+
+The sparse pattern is fixed, so every phase of an operand exchanges the
+same rows: each operand's phase is planned once per form (aware or
+oblivious), on the driving thread of `train` and `run_spmm`, before any
+rank runs (`DistOperand.phase`). The plan holds the exchange's schedule,
+inspected once (`runtime.plan_all_to_allv`), and `local` with every
+column renumbered to the row of the exchange's stacked block rows that
+holds it. A phase then runs the exchange through that schedule, and its
+completion makes the local multiplies of the whole grid as one
+`local_spmm` straight from the stacked rows: no halo is gathered first,
+and no count matrix or gather index is built again. A rank's halo
+columns ascend in global column, and so do the stacked rows they map
+to, so every entry still accumulates in ascending global column. The
 oblivious and aware forms therefore produce bit-identical outputs, and
 the 1D variants and the replicated schedule with c=1 both reproduce
 `serial_reference` of the partitioned matrix bit for bit.
 
-Since one rank's thread makes the whole grid's multiplies of a phase,
+Since one rank's thread makes the whole grid's multiply of a phase,
 compute is no longer timed per rank: the time a rank spends in a phase
 says nothing of its own local work, which only a model of it (flops
 from its block's stored entries and the width) can give.
@@ -35,13 +45,12 @@ from its block's stored entries and the width) can give.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .partition import apply_partition, block_partition
-from .runtime import Comm, ProcessGrid, RunResult, run_program
+from .runtime import Comm, ExchangeSchedule, ProcessGrid, RunResult, plan_all_to_allv, run_program
 from .sparse import (CsrMatrix, _ranges, _row_ptr, _run_starts, csr_equal, local_spmm,
                      transpose_csr)
 
@@ -59,16 +68,6 @@ __all__ = [
 
 VARIANTS = ("1d-oblivious", "1d-sparse", "15d-oblivious", "15d-sparse")
 
-# Stored entries after which a run of ranks closes into one multiply of a
-# phase (`DistOperand.groups`). One multiply per rank pays a fixed cost
-# per call that dominates at small ranks; one multiply over the whole grid
-# gathers the whole halo at once, which raised a p=32 1d-sparse training
-# run's peak memory by a sixth, and its one level order spreads the
-# gathers of a p=8, c=2 run over a halo too large for the cache, which
-# made those f=128 multiplies 3-13% slower than per-rank ones. At 2**15
-# the p=32 peak rose again.
-_GROUP_NNZ = 1 << 14
-
 
 @dataclass
 class DistOperand:
@@ -84,10 +83,8 @@ class DistOperand:
     `local` stacks those p operands in rank order into one block-diagonal
     matrix: rank r's operand is rows row_off[r]:row_off[r+1] and columns
     col_off[r]:col_off[r+1] of it, and no entry lies outside these blocks.
-    `groups` covers the ranks with consecutive runs (lo, hi, a), where a
-    is the row and column slice of `local` for ranks lo..hi-1; a run
-    closes once it holds `_GROUP_NNZ` stored entries, so a rank whose
-    operand alone holds that many is a run of its own.
+    `phase(variant)` is the plan of the operand's multiply phase in that
+    variant's form, made once and kept with the operand.
 
     cols(i, j), the occupied-column index of block (i, j), lists the
     columns of block column j (local to it, ascending) that hold a stored
@@ -104,13 +101,24 @@ class DistOperand:
     local: CsrMatrix
     row_off: np.ndarray
     col_off: np.ndarray
-    groups: list
     idx: np.ndarray
     ptr: np.ndarray
     starts: np.ndarray
+    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def cols(self, i, j) -> np.ndarray:
         return self.idx[self.ptr[j, i]:self.ptr[j, i + 1]]
+
+    def phase(self, variant) -> "_Phase":
+        """The plan of this operand's multiply phase in `variant`'s form
+        (aware or oblivious), made by the first call and reused by every
+        later one. `train` and `run_spmm` make it on the driving thread,
+        before any rank runs."""
+        aware = variant.endswith("sparse")
+        plan = self._phases.get(aware)
+        if plan is None:
+            plan = self._phases[aware] = _plan_phase(self, aware)
+        return plan
 
 
 @dataclass
@@ -173,26 +181,7 @@ def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
     local_rows = row_off[rank] + rows[at] - starts[rank // c]
     local = CsrMatrix(row_off[-1], col_off[-1], _row_ptr(local_rows, row_off[-1]),
                       comp[at], mat.values[at])
-    return DistOperand(local, row_off, col_off, _groups(local, row_off, col_off),
-                       idx, ptr, starts)
-
-
-def _groups(local: CsrMatrix, row_off, col_off) -> list:
-    """`DistOperand.groups`: runs of consecutive ranks, each closed once it
-    holds `_GROUP_NNZ` stored entries, with their slices of `local`."""
-    entry_off = local.row_ptr[row_off]
-    p = len(row_off) - 1
-    groups, lo = [], 0
-    for hi in range(1, p + 1):
-        if hi < p and entry_off[hi] - entry_off[lo] < _GROUP_NNZ:
-            continue
-        r0, r1, c0 = row_off[lo], row_off[hi], col_off[lo]
-        e0, e1 = entry_off[lo], entry_off[hi]
-        groups.append((lo, hi, CsrMatrix(r1 - r0, col_off[hi] - c0,
-                                         local.row_ptr[r0:r1 + 1] - e0,
-                                         local.col_idx[e0:e1] - c0, local.values[e0:e1])))
-        lo = hi
-    return groups
+    return DistOperand(local, row_off, col_off, idx, ptr, starts)
 
 
 def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid) -> DistMatrices:
@@ -238,7 +227,8 @@ def exchange_index_lists(comm: Comm, op: DistOperand, variant: str):
     payloads. The sparse pattern is fixed for a whole training run, so
     this runs once and its cost is amortized over every subsequent
     multiply. In 1D (c=1) every owner is a stage, so every rank announces
-    to all others."""
+    to all others. Every rank sends its rows of the operand's one index
+    array, which the exchange stacks once, not once per rank."""
     if variant.endswith("oblivious"):
         return
     i, j = comm.coords
@@ -255,64 +245,82 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str):
     h_block is this process's block row of the dense operand (replicated
     across each grid row when c > 1); the return value is the matching
     block row of the product, replicated the same way. A 1D product is a
-    row slice of the product of its rank's group (`DistOperand.groups`),
-    and a 1.5D product is the row all-reduce's read-only sum, one array
-    shared by the grid row, so a caller that wants to write to it must
-    copy it first.
+    row slice of one product for the whole grid, and a 1.5D product is
+    the row all-reduce's read-only sum, one array shared by the grid row,
+    so a caller that wants to write to it must copy it first.
 
-    Every variant is one `all_to_allv` over the whole grid: the owner of
-    a stage (j*s <= i < (j+1)*s) sends to the c-strided column group j,
-    an aware owner its send plan and an oblivious one its whole block row
-    to every member, and every other process sends nothing. The halo
-    arrives in ascending source order, i.e. ascending stage; oblivious
-    receivers take their occupied columns from the whole blocks. The
-    local multiplies of all ranks run in the exchange's completion, one
-    per group (`_multiply_phase`).
+    Every variant is one `all_to_allv` over the whole grid, run through
+    the operand's planned schedule (`DistOperand.phase`): the owner of a
+    stage (j*s <= i < (j+1)*s) sends to the c-strided column group j, an
+    aware owner its send plan and an oblivious one its whole block row to
+    every member, and every other process sends nothing. The local
+    multiplies of all ranks run in the exchange's completion, as one
+    `local_spmm` of the planned operand with the stacked block rows
+    (`_Phase.multiply`).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     h_block = np.asarray(h_block, dtype=np.float64)
-    grid = comm.grid
-    i, j = comm.coords
-    s = grid.stage_count()
-    aware = variant.endswith("sparse")
-    counts = np.zeros(comm.p, dtype=np.int64)
-    rows = op.idx[:0]
-    if j * s <= i < (j + 1) * s:
-        if aware:
-            ptr = op.ptr[i]
-            counts[j::comm.c] = np.diff(ptr)
-            rows = op.idx[ptr[0]:ptr[-1]]
-        else:
-            counts[j::comm.c] = len(h_block)
-            rows = np.tile(np.arange(len(h_block)), grid.n_rows)
-    z = comm.all_to_allv(h_block, counts, rows=rows,
-                         then=functools.partial(_multiply_phase, op, aware))
+    phase = op.phase(variant)
+    z = comm.all_to_allv(h_block, schedule=phase.schedule, then=phase.multiply)
     if comm.c == 1:
         return z
-    return comm.all_reduce_sum(z, group=grid.row_group(i))
+    return comm.all_reduce_sum(z, group=comm.grid.row_group(comm.coords[0]))
 
 
-def _multiply_phase(op: DistOperand, aware, stacked, gather, bounds) -> list:
-    """Every rank's local product of one phase, as the `then` of its
-    exchange: receiver r's rows are stacked[gather[bounds[r]:bounds[r+1]]].
-    The ranks of each group gather their halos with one `np.take` and
-    multiply once with the group's slice of `op.local`; each rank's
-    product is its row slice of the group's. `local_spmm` sums each row in
-    storage order whatever the other rows are, so the products are bit for
-    bit the per-rank ones. An aware receiver's rows are its halo; an
-    oblivious one's are the whole blocks of its column group, from which
-    its halo columns are picked."""
-    pick = None if aware else _whole_block_rows(op, bounds)
-    out = []
-    for lo, hi, a in op.groups:
-        if pick is None:
-            sel = gather[bounds[lo]:bounds[hi]]
-        else:
-            sel = gather[pick[op.col_off[lo]:op.col_off[hi]]]
-        z = local_spmm(a, np.take(stacked, sel, axis=0))
-        out += np.split(z, op.row_off[lo + 1:hi] - op.row_off[lo])
-    return out
+@dataclass(frozen=True, eq=False)
+class _Phase:
+    """One operand's multiply phase, planned once: the exchange's
+    schedule, and `operand`, the operand's `local` with every column
+    renumbered to the row of the exchange's stacked block rows that holds
+    it, so the multiply reads the rows where they arrived."""
+
+    schedule: ExchangeSchedule
+    operand: CsrMatrix
+    row_off: np.ndarray
+
+    def multiply(self, stacked, gather, bounds) -> list:
+        """Every rank's local product of one phase, as the `then` of its
+        exchange: one multiply for the whole grid, of which each rank's
+        product is its row slice. `local_spmm` sums each row in storage
+        order whatever the other rows are, and the renumbering keeps each
+        row's storage order, so the products are bit for bit the per-rank
+        ones."""
+        return np.split(local_spmm(self.operand, stacked), self.row_off[1:-1])
+
+
+def _plan_phase(op: DistOperand, aware) -> _Phase:
+    """The schedule of op's exchange and its renumbered operand. Block row
+    i's stage owner, rank i*c + i//s, sends to every member of its column
+    group its send plan (aware) or its whole block row (oblivious)."""
+    nb = op.ptr.shape[0]
+    p = op.row_off.size - 1
+    c = p // nb
+    stages = nb // c
+    heights = np.diff(op.row_off)
+    block = np.arange(nb)
+    owners = block * c + block // stages
+    dests = (block // stages)[:, None] + c * block
+    counts = np.zeros((p, p), dtype=np.int64)
+    rows = [op.idx[:0]] * p
+    if aware:
+        counts[owners[:, None], dests] = np.diff(op.ptr, axis=1)
+        for b, r in enumerate(owners.tolist()):
+            rows[r] = op.idx[op.ptr[b, 0]:op.ptr[b, -1]]
+    else:
+        counts[owners[:, None], dests] = heights[owners, None]
+        for r in owners.tolist():
+            rows[r] = np.tile(np.arange(heights[r]), nb)
+    schedule = plan_all_to_allv(counts, rows, heights)
+    # an aware receiver's rows are its halo; an oblivious one's are the
+    # whole blocks of its column group, from which its halo is picked
+    at = schedule.gather
+    if not aware:
+        at = at[_whole_block_rows(op, schedule.bounds)]
+    loc = op.local
+    operand = CsrMatrix(loc.n_rows, int(heights[schedule.stacked].sum()), loc.row_ptr,
+                        at[loc.col_idx], loc.values)
+    return _Phase(schedule, operand, op.row_off)
 
 
 def _whole_block_rows(op: DistOperand, bounds) -> np.ndarray:
@@ -363,6 +371,7 @@ def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None) -> SpmmRun:
         raise ValueError(f"partition has {part.k} parts but the grid needs {grid.n_rows}")
     a2, h2 = apply_partition(a, h, part)
     dm = build_dist_matrices(a2, part.boundaries, grid)
+    dm.fwd.phase(variant)
 
     def program(comm):
         i, _ = comm.coords

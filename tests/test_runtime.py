@@ -358,6 +358,15 @@ def _gathering_then(calls):
     return then
 
 
+def _counters_equal(a, b):
+    for prim, fields in a.ledger.counters.items():
+        for name, arr in fields.items():
+            assert np.array_equal(b.ledger.counters[prim][name], arr), (prim, name)
+    assert np.array_equal(a.ledger.pair_max_bytes, b.ledger.pair_max_bytes)
+    assert np.array_equal(a.ledger.pair_max_data_bytes, b.ledger.pair_max_data_bytes)
+    assert _ledger_json(a) == _ledger_json(b)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=1, max_value=6),
        st.sampled_from([(), (3,)]), st.sampled_from([np.float64, np.int64]))
@@ -379,12 +388,7 @@ def test_alltoallv_then_runs_once_and_charges_as_the_exchange(seed, p, row_shape
             assert fused.results[d][k].dtype == plain.results[d][k].dtype
             assert fused.results[d][k].shape == plain.results[d][k].shape
             assert fused.results[d][k].tobytes() == plain.results[d][k].tobytes()
-    for prim, fields in plain.ledger.counters.items():
-        for name, arr in fields.items():
-            assert np.array_equal(fused.ledger.counters[prim][name], arr), (prim, name)
-    assert np.array_equal(fused.ledger.pair_max_bytes, plain.ledger.pair_max_bytes)
-    assert np.array_equal(fused.ledger.pair_max_data_bytes, plain.ledger.pair_max_data_bytes)
-    assert _ledger_json(fused) == _ledger_json(plain)
+    _counters_equal(plain, fused)
 
 
 def test_alltoallv_then_of_the_lowest_rank_runs():
@@ -424,6 +428,102 @@ def test_alltoallv_ranks_disagreeing_on_then_named():
     with pytest.raises(ValueError, match=r"all_to_allv: ranks \[1, 2\] pass no `then` but "
                                          "others do; every rank must pass one, or none"):
         run_program(4, 1, program)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=1, max_value=6),
+       st.sampled_from([(), (0,), (3,)]), st.sampled_from([np.float64, np.int64]),
+       st.booleans())
+def test_scheduled_exchange_equals_the_generic_call(seed, p, row_shape, dtype, fused):
+    # empty senders, self-segments and zero-width rows included; a
+    # schedule is run three times and inspected once
+    rng = np.random.default_rng(seed)
+    bufs, rows, counts = _indexed_exchange(rng, p, row_shape, dtype)
+    schedule = distgcn.runtime.plan_all_to_allv(counts, rows, [len(b) for b in bufs])
+    then = _gathering_then([]) if fused else None
+
+    def program(comm, planned):
+        if planned:
+            return [comm.all_to_allv(bufs[comm.rank], schedule=schedule, then=then)
+                    for _ in range(3)]
+        return [comm.all_to_allv(bufs[comm.rank], counts[comm.rank], rows=rows[comm.rank],
+                                 then=then) for _ in range(3)]
+
+    generic = run_program(p, 1, program, (False,))
+    planned = run_program(p, 1, program, (True,))
+    for d in range(p):
+        for k in range(3):
+            assert planned.results[d][k].dtype == generic.results[d][k].dtype
+            assert planned.results[d][k].shape == generic.results[d][k].shape
+            assert planned.results[d][k].tobytes() == generic.results[d][k].tobytes()
+    _counters_equal(generic, planned)
+
+
+def test_scheduled_exchange_rejects_a_buffer_of_another_height():
+    schedule = distgcn.runtime.plan_all_to_allv([[1, 1, 0]] * 3, [None, [0, 1], [1, 1]],
+                                                [2, 2, 2])
+
+    def program(comm):
+        try:
+            comm.all_to_allv(np.ones(3 if comm.rank == 1 else 2), schedule=schedule)
+        except ValueError as exc:
+            return str(exc)
+        return "returned"
+
+    assert run_program(3, 1, program).results == [
+        "rank 1: all_to_allv buffer has 3 rows but the schedule sends from 2"] * 3
+    with pytest.raises(ValueError, match="all_to_allv schedule is for 3 ranks, not 2"):
+        run_program(2, 1, lambda comm: comm.all_to_allv(np.ones(2), schedule=schedule))
+
+
+@pytest.mark.parametrize("counts,rows,match", [
+    ([[1, 1], [1, 1, 0]], [None, None], "rank 1: all_to_allv needs 2 integer counts"),
+    ([[1, 1], [2, 1]], [None, None], "rank 1: all_to_allv counts sum to 3 but the buffer has"),
+    ([[1, 1], [1, 1]], [None, [0, 2]], r"rank 1: all_to_allv rows must lie in \[0, 2\)"),
+    ([[1, 1]], [None], "counts, rows and heights for every rank, got 1, 1 and 2"),
+], ids=["wrong-length", "sum-differs", "past-end", "missing-rank"])
+def test_schedule_checks_counts_and_rows_as_the_call_does(counts, rows, match):
+    with pytest.raises(ValueError, match=match):
+        distgcn.runtime.plan_all_to_allv(counts, rows, [2, 2])
+
+
+def test_alltoallv_schedule_misuse_named():
+    schedule = distgcn.runtime.plan_all_to_allv([[1, 1], [1, 1]], [None, None], [2, 2])
+    other = distgcn.runtime.plan_all_to_allv([[1, 1], [1, 1]], [None, None], [2, 2])
+    with pytest.raises(ValueError, match="takes counts and rows or a schedule, not both"):
+        run_program(1, 1, lambda comm: comm.all_to_allv(np.ones(1), [1], schedule=schedule))
+    with pytest.raises(ValueError, match="needs counts or a schedule"):
+        run_program(1, 1, lambda comm: comm.all_to_allv(np.ones(1)))
+    with pytest.raises(ValueError, match=r"ranks \[1\] pass no schedule but others do"):
+        run_program(2, 1, lambda comm: comm.all_to_allv(
+            np.ones(2), [1, 1] if comm.rank else None, schedule=None if comm.rank else schedule))
+    with pytest.raises(ValueError, match=r"ranks \[1\] pass another schedule than rank 0"):
+        run_program(2, 1, lambda comm: comm.all_to_allv(
+            np.ones(2), schedule=other if comm.rank else schedule))
+
+
+def test_buffer_passed_by_several_ranks_is_stacked_once():
+    shared = np.arange(10.0)
+    heights = []
+
+    def then(stacked, gather, bounds):
+        heights.append(len(stacked))
+        return [np.take(stacked, gather[bounds[d]:bounds[d + 1]]) for d in range(4)]
+
+    def program(comm, fused):
+        # rank 0 sends no row of the shared buffer, rank 3 sends its own
+        if comm.rank == 3:
+            return comm.all_to_allv(np.full(2, -1.0), [1, 0, 0, 1], then=then if fused else None)
+        rows = [[], [9, 0], [4, 4, 5, 1]][comm.rank]
+        counts = [[0, 0, 0, 0], [1, 0, 1, 0], [0, 2, 1, 1]][comm.rank]
+        return comm.all_to_allv(shared, counts, rows=rows, then=then if fused else None)
+
+    plain, fused = run_program(4, 1, program, (False,)), run_program(4, 1, program, (True,))
+    assert heights == [12]
+    assert [r.tolist() for r in plain.results] == [[9.0, -1.0], [4.0, 4.0], [0.0, 5.0],
+                                                   [1.0, -1.0]]
+    assert [r.tolist() for r in fused.results] == [r.tolist() for r in plain.results]
+    _counters_equal(plain, fused)
 
 
 def test_broadcast_single_rank():

@@ -1,9 +1,13 @@
+import functools
 import hashlib
 import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import distgcn.runtime
 import distgcn.spmm
 from distgcn.gcn import TrainConfig, train
 from distgcn.graphgen import clique_blocks, sbm
@@ -67,13 +71,23 @@ def test_halo_operands_tile_matrix_exactly():
                 np.testing.assert_array_equal(expanded, expected)
         # the ranks' blocks hold every stored entry of the stacked operand
         assert sum(_rank_block(op, r).nnz for r in range(p)) == op.local.nnz == a.nnz
-        # the groups are consecutive runs of ranks, each its ranks' slice
-        assert [lo for lo, _, _ in op.groups] == [0] + [hi for _, hi, _ in op.groups[:-1]]
-        assert op.groups[-1][1] == p
-        for lo, hi, block in op.groups:
-            want = op.local.to_dense()[op.row_off[lo]:op.row_off[hi],
-                                       op.col_off[lo]:op.col_off[hi]]
-            np.testing.assert_array_equal(block.to_dense(), want)
+        # each planned phase keeps `local`'s rows and values, and renumbers
+        # every column to the row of the stacked senders' block rows that
+        # holds the same global column
+        global_col = np.concatenate([
+            op.cols(i, j) + part.boundaries[j][0]
+            for i in range(grid.n_rows) for g in range(c)
+            for j in range(g * s, (g + 1) * s)])
+        for variant in ("1d-sparse", "1d-oblivious"):
+            phase = op.phase(variant)
+            assert phase is op.phase(variant)  # planned once
+            stacked_rows = np.concatenate(
+                [np.arange(*part.boundaries[r // c]) for r in phase.schedule.stacked])
+            assert phase.operand.shape == (op.local.n_rows, stacked_rows.size)
+            np.testing.assert_array_equal(phase.operand.row_ptr, op.local.row_ptr)
+            np.testing.assert_array_equal(phase.operand.values, op.local.values)
+            np.testing.assert_array_equal(stacked_rows[phase.operand.col_idx],
+                                          global_col[op.local.col_idx])
 
 
 def test_nnz_cache_matches_fresh_computation():
@@ -140,11 +154,12 @@ def test_single_process_equals_local_product():
     ("1d-sparse", 2, 1), ("1d-sparse", 4, 1),
     ("15d-oblivious", 4, 2), ("15d-oblivious", 8, 2),
     ("15d-sparse", 4, 2), ("15d-sparse", 8, 2),
-])
+] + [(v, p, c) for v in ("15d-oblivious", "15d-sparse") for p, c in ((16, 4), (32, 4), (27, 3))])
 def test_variants_match_serial_oracle(variant, p, c):
     a, h = random_instance(p * 7 + c, n=32, f=4)
-    run = run_spmm(a, h, p, c, variant)
-    np.testing.assert_allclose(run.z, serial_reference(a, h), atol=1e-10)
+    for part in (None, greedy_tv_partition(a, ProcessGrid(p, c).n_rows)):
+        run = run_spmm(a, h, p, c, variant, partition=part)
+        np.testing.assert_allclose(run.z, serial_reference(a, h), atol=1e-10)
 
 
 def test_variants_match_oracle_on_variable_boundaries():
@@ -200,7 +215,7 @@ def test_1d_sparse_at_p256_matches_serial_reference_bitwise():
         assert run.ledger.total_bytes_sent("data") == 8 * 4 * remote
 
 
-# ---- one multiply per group of ranks ---------------------------------------
+# ---- one multiply per phase -------------------------------------------------
 
 def _fused_and_per_rank_products(a, h, p, c, variant, part):
     """Each rank's result of `spmm_kernel`, and the same as separate
@@ -233,7 +248,8 @@ def _fused_and_per_rank_products(a, h, p, c, variant, part):
 
 def _dense_rows_instance():
     # rows and columns 0..149 dense, the rest sparse: at p=8, c=2 rank 0
-    # alone holds 150 x 300 entries, over the group bound
+    # alone holds 150 x 300 entries, so the one multiply of a phase adds
+    # its rows' long levels past every other rank's short ones
     rng = np.random.default_rng(41)
     dense = random_csr_dense(rng, 600, density=0.01)
     dense[:150] = rng.uniform(0.5, 1.5, size=(150, 600))
@@ -249,27 +265,36 @@ def test_fused_multiply_matches_per_rank_products_on_a_rank_over_the_bound(varia
     a, h = _dense_rows_instance()
     part = block_partition(600, ProcessGrid(p, c).n_rows)
     fused, per_rank, op = _fused_and_per_rank_products(a, h, p, c, variant, part)
-    bound = distgcn.spmm._GROUP_NNZ
-    assert any(hi - lo == 1 and _rank_block(op, lo).nnz > bound for lo, hi, _ in op.groups)
-    assert len(op.groups) > 1
+    assert _rank_block(op, 0).nnz > 150 * 150
     for got, want in zip(fused, per_rank, strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("bound", [1, 16, 40, 1 << 14])
 @pytest.mark.parametrize("variant,p,c", [(v, 32, 1) for v in VARIANTS]
                          + [("15d-oblivious", 64, 2), ("15d-sparse", 64, 2)])
-def test_fused_multiply_matches_per_rank_products_with_empty_ranks(variant, p, c, bound,
-                                                                   monkeypatch):
-    # groups of every size, from one rank each to the whole grid, some of
-    # them zero-row ranks only
-    monkeypatch.setattr(distgcn.spmm, "_GROUP_NNZ", bound)
+def test_fused_multiply_matches_per_rank_products_with_empty_ranks(variant, p, c):
+    # zero-row ranks, which send nothing and multiply no row
     graph, h, _ = sbm(100, blocks=4, p_in=0.1, p_out=0.01, seed=0, feature_dim=3)
     a = gcn_normalize(graph)
     part = greedy_tv_partition(a, ProcessGrid(p, c).n_rows)
     assert any(s == e for s, e in part.boundaries)  # a zero-row rank
     fused, per_rank, op = _fused_and_per_rank_products(a, h, p, c, variant, part)
-    assert len(op.groups) == 1 if bound == 1 << 14 else len(op.groups) > 1
+    for got, want in zip(fused, per_rank, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("partitioner", ["block", "greedy-tv"])
+@pytest.mark.parametrize("variant,p,c", [(v, p, c) for v in ("15d-oblivious", "15d-sparse")
+                                         for p, c in ((16, 4), (32, 4), (27, 3))])
+def test_fused_multiply_matches_per_rank_products_on_c3_and_c4_grids(variant, p, c,
+                                                                     partitioner):
+    # column groups strided by 3 and 4, with one or two stages each
+    graph, h, _ = sbm(150, blocks=4, p_in=0.1, p_out=0.01, seed=1, feature_dim=3)
+    a = gcn_normalize(graph)
+    rows = ProcessGrid(p, c).n_rows
+    part = (block_partition(150, rows) if partitioner == "block"
+            else greedy_tv_partition(a, rows))
+    fused, per_rank, op = _fused_and_per_rank_products(a, h, p, c, variant, part)
     for got, want in zip(fused, per_rank, strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -453,17 +478,40 @@ _PINNED_TRAIN = "a5c8f4d9a4c245ba74cd3bb1efd88202427ca3065f5b28098232c07aa70f49a
 _PINNED_TRAIN_15D = "1a1fa4ba9afe69ce9596eb4c0bbcccd4e8ab9d3853205d932645291936115135"
 
 
-@pytest.mark.parametrize("variant,partitioner", sorted(_PINNED_RUNS))
-def test_ledger_and_product_pinned(variant, partitioner):
+def _pinned_spmm_input():
     graph, h, _ = sbm(400, blocks=8, p_in=0.1, p_out=0.01, seed=3, feature_dim=8)
     # signed weights from the seeded stream rather than gcn_normalize's
     # power function, so the product bytes do not depend on the platform
     weights = np.random.default_rng(3).uniform(-2.0, 2.0, graph.nnz)
-    a = CsrMatrix(400, 400, graph.row_ptr, graph.col_idx, weights)
+    return CsrMatrix(400, 400, graph.row_ptr, graph.col_idx, weights), h
+
+
+def _pinned_spmm(a, h, variant, partitioner):
     c = 2 if variant.startswith("15d") else 1
     rows = ProcessGrid(8, c).n_rows
     part = block_partition(400, rows) if partitioner == "block" else greedy_tv_partition(a, rows)
-    run = run_spmm(a, h, 8, c, variant, partition=part)
+    return run_spmm(a, h, 8, c, variant, partition=part)
+
+
+def _nonsymmetric_train_15d(epochs=2):
+    """A non-symmetric matrix, so the backward operand is its own operand
+    with its own index exchange, trained on a 1.5D grid with uneven block
+    rows."""
+    graph, x, y = sbm(320, blocks=4, p_in=0.1, p_out=0.01, seed=5, feature_dim=8)
+    keep = np.random.default_rng(5).random(graph.nnz) < 0.7
+    counts = np.bincount(graph.row_of_nnz()[keep], minlength=320)
+    a = gcn_normalize(CsrMatrix(320, 320, np.concatenate([[0], np.cumsum(counts)]),
+                                graph.col_idx[keep], graph.values[keep]))
+    assert not csr_equal(transpose_csr(a), a)
+    cfg = TrainConfig(epochs=epochs, variant="15d-sparse")
+    return train(a, x, y, np.arange(320) % 2 == 0, cfg, p=8, c=2,
+                 partition=greedy_tv_partition(a, 4))
+
+
+@pytest.mark.parametrize("variant,partitioner", sorted(_PINNED_RUNS))
+def test_ledger_and_product_pinned(variant, partitioner):
+    a, h = _pinned_spmm_input()
+    run = _pinned_spmm(a, h, variant, partitioner)
     assert _pin_digest(run.ledger, run.z) == _PINNED_RUNS[(variant, partitioner)]
 
 
@@ -474,15 +522,91 @@ def test_train_ledger_pinned():
     cfg = TrainConfig(epochs=2, variant="1d-sparse")
     res = train(gcn_normalize(graph), x, y, np.arange(640) % 2 == 0, cfg, p=32)
     assert _pin_digest(res.ledger) == _PINNED_TRAIN
-    # a non-symmetric matrix, so the backward operand is its own operand
-    # with its own index exchange, on a 1.5D grid with uneven block rows
-    graph, x, y = sbm(320, blocks=4, p_in=0.1, p_out=0.01, seed=5, feature_dim=8)
-    keep = np.random.default_rng(5).random(graph.nnz) < 0.7
-    counts = np.bincount(graph.row_of_nnz()[keep], minlength=320)
-    a = gcn_normalize(CsrMatrix(320, 320, np.concatenate([[0], np.cumsum(counts)]),
-                                graph.col_idx[keep], graph.values[keep]))
-    cfg = TrainConfig(epochs=2, variant="15d-sparse")
-    res = train(a, x, y, np.arange(320) % 2 == 0, cfg, p=8, c=2,
-                partition=greedy_tv_partition(a, 4))
-    assert not csr_equal(transpose_csr(a), a)
-    assert _pin_digest(res.ledger) == _PINNED_TRAIN_15D
+    assert _pin_digest(_nonsymmetric_train_15d().ledger) == _PINNED_TRAIN_15D
+
+
+# ---- results that do not depend on the schedule -----------------------------
+
+def _train_bytes(res):
+    return (json.dumps(res.history), json.dumps(res.ledger.to_dict(), sort_keys=True),
+            [[w.tobytes() for w in ws] for ws in res.weights_per_rank])
+
+
+def test_results_do_not_depend_on_which_ready_rank_runs(monkeypatch):
+    # the runtime may run any ready rank next: every product, ledger and
+    # weight must come out as under the FIFO order. Ten seeded random
+    # orders, and the one that always runs the highest ready rank.
+    a, h = _pinned_spmm_input()
+
+    def outputs():
+        runs = [_pinned_spmm(a, h, *case) for case in sorted(_PINNED_RUNS)]
+        return ([(run.z.tobytes(), json.dumps(run.ledger.to_dict(), sort_keys=True))
+                 for run in runs], _train_bytes(_nonsymmetric_train_15d()))
+
+    fifo = outputs()
+    policies = [random.Random(seed) for seed in range(10)]
+    policies = [lambda ready, rng=rng: rng.randrange(len(ready)) for rng in policies]
+    policies.append(lambda ready: max(range(len(ready)), key=ready.__getitem__))
+    for pick in policies:
+        monkeypatch.setattr(distgcn.runtime._Runtime, "pick", staticmethod(pick))
+        assert outputs() == fifo
+
+
+# ---- one inspection per operand ----------------------------------------------
+
+def test_each_exchange_pattern_is_inspected_once_per_run(monkeypatch):
+    # count matrices and gather indices are built once per operand and
+    # form, whatever the number of phases, and each phase multiplies once,
+    # straight from the stacked block rows
+    inspected, multiplies = [], []
+    inspect, spmm = distgcn.runtime._inspect, distgcn.spmm.local_spmm
+
+    def spy_inspect(counts, rows, heights, buffer_of):
+        inspected.append(len(heights))
+        return inspect(counts, rows, heights, buffer_of)
+
+    def spy_spmm(a, h):
+        multiplies.append((a.n_cols, h.shape[0]))
+        return spmm(a, h)
+
+    monkeypatch.setattr(distgcn.runtime, "_inspect", spy_inspect)
+    monkeypatch.setattr(distgcn.spmm, "local_spmm", spy_spmm)
+    for epochs in (1, 3):
+        inspected.clear()
+        multiplies.clear()
+        res = _nonsymmetric_train_15d(epochs)
+        # two operands, each with its index exchange and its one phase plan
+        assert inspected == [8] * 4
+        # one multiply per weight matrix forward and one backward, each of
+        # which reads all 320 stacked rows: every block row is a stage
+        # owner's, and an aware owner stacks its whole block row
+        phases = 2 * (TrainConfig().layers - 1) * epochs
+        assert multiplies == [(320, 320)] * phases
+        assert res.ledger.counters["alltoallv"]["calls"].tolist() == [2 + phases] * 8
+
+
+def test_index_exchange_stacks_the_shared_index_once():
+    # every rank passes the operand's one index array; stacking it once
+    # per sender would allocate p times its size. The runtime's own cost,
+    # a run of a program that does nothing, is not the exchange's.
+    graph, h, _ = sbm(8000, blocks=8, p_in=0.01, p_out=0.001, seed=2, feature_dim=1)
+    a = gcn_normalize(graph)
+    p = 64
+    part = block_partition(8000, p)
+    a2, _ = apply_partition(a, None, part)
+    op = build_dist_matrices(a2, part.boundaries, ProcessGrid(p, 1)).fwd
+
+    def peak(program):
+        run_program(p, 1, program)  # warm: thread and runtime state
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run = run_program(p, 1, program)
+            return run, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    _, idle = peak(lambda comm: None)
+    run, exchange = peak(functools.partial(exchange_index_lists, op=op, variant="1d-sparse"))
+    assert run.ledger.total_bytes_sent("index") > 0
+    assert exchange - idle < 4 * op.idx.nbytes, (exchange, idle, op.idx.nbytes)
