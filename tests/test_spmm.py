@@ -270,10 +270,17 @@ def test_fused_multiply_matches_per_rank_products_on_a_rank_over_the_bound(varia
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("seed", [1, 16, 40, 1 << 14])
 @pytest.mark.parametrize("variant,p,c", [(v, 32, 1) for v in VARIANTS]
                          + [("15d-oblivious", 64, 2), ("15d-sparse", 64, 2)])
-def test_fused_multiply_matches_per_rank_products_with_empty_ranks(variant, p, c):
-    # zero-row ranks, which send nothing and multiply no row
+def test_fused_multiply_matches_per_rank_products_with_empty_ranks(variant, p, c, seed,
+                                                                   monkeypatch):
+    # zero-row ranks, which send nothing and multiply no row, arriving in a
+    # seeded random order, so any of them may be the last arrival that
+    # completes a phase
+    rng = random.Random(seed)
+    monkeypatch.setattr(distgcn.runtime._Runtime, "pick",
+                        staticmethod(lambda ready: rng.randrange(len(ready))))
     graph, h, _ = sbm(100, blocks=4, p_in=0.1, p_out=0.01, seed=0, feature_dim=3)
     a = gcn_normalize(graph)
     part = greedy_tv_partition(a, ProcessGrid(p, c).n_rows)
