@@ -312,9 +312,6 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
     inv = part.inv_perm
     labels2, mask2 = labels[inv], mask[inv]
     dm = build_dist_matrices(a2, part.boundaries, grid)
-    # each operand's exchange schedule, inspected once before any rank runs
-    dm.fwd.phase(cfg.variant)
-    dm.bwd.phase(cfg.variant)
     denom = int(mask.sum())
     weights0 = init_weights(cfg, features.shape[1], int(labels.max()) + 1)
 

@@ -496,7 +496,8 @@ def _inspect(counts, rows, heights, buffer_of) -> ExchangeSchedule:
             if src.min() < 0 or src.max() >= heights[s]:
                 raise ValueError(f"rank {s}: all_to_allv rows must lie in [0, {heights[s]})")
             if offset:
-                src = src + offset
+                # in int64: rows of a narrower type would wrap past its range
+                src = src.astype(np.int64, copy=False) + offset
         gather[_ranges(seg_at[s], counts[s])] = src
     # only the segments between distinct ranks are messages
     wire = counts.copy()

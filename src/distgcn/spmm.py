@@ -23,8 +23,8 @@ processes are stacked in rank order into one block-diagonal matrix,
 
 The sparse pattern is fixed, so every phase of an operand exchanges the
 same rows: each operand's phase is planned once per form (aware or
-oblivious), on the driving thread of `train` and `run_spmm`, before any
-rank runs (`DistOperand.phase`). The plan holds the exchange's schedule,
+oblivious), by the first phase that needs it, and kept with the operand
+(`DistOperand.phase`). The plan holds the exchange's schedule,
 inspected once (`runtime.plan_all_to_allv`), and `local` with every
 column renumbered to the row of the exchange's stacked block rows that
 holds it. A phase then runs the exchange through that schedule, and its
@@ -111,9 +111,9 @@ class DistOperand:
 
     def phase(self, variant) -> "_Phase":
         """The plan of this operand's multiply phase in `variant`'s form
-        (aware or oblivious), made by the first call and reused by every
-        later one. `train` and `run_spmm` make it on the driving thread,
-        before any rank runs."""
+        (aware or oblivious), made by the first call, in whichever rank
+        runs the first phase (one rank runs at a time), and reused by
+        every later one."""
         aware = variant.endswith("sparse")
         plan = self._phases.get(aware)
         if plan is None:
@@ -371,7 +371,6 @@ def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None) -> SpmmRun:
         raise ValueError(f"partition has {part.k} parts but the grid needs {grid.n_rows}")
     a2, h2 = apply_partition(a, h, part)
     dm = build_dist_matrices(a2, part.boundaries, grid)
-    dm.fwd.phase(variant)
 
     def program(comm):
         i, _ = comm.coords

@@ -526,6 +526,26 @@ def test_buffer_passed_by_several_ranks_is_stacked_once():
     _counters_equal(plain, fused)
 
 
+@pytest.mark.parametrize("tall", [30000, 40000])
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8])
+def test_narrow_rows_behind_a_tall_stacked_buffer(dtype, tall):
+    # rank 1's rows sit past rank 0's stacked rows, beyond what `dtype` holds
+    bufs = [np.arange(float(tall)), -np.arange(5000.0)]
+    far = 4000 if dtype == np.int16 else 250
+    rows = [np.array([7], dtype), np.array([far, 3], dtype)]
+    counts = [[0, 1], [1, 1]]
+    schedule = distgcn.runtime.plan_all_to_allv(counts, rows, [len(b) for b in bufs])
+
+    def program(comm, planned):
+        if planned:
+            return comm.all_to_allv(bufs[comm.rank], schedule=schedule)
+        return comm.all_to_allv(bufs[comm.rank], counts[comm.rank], rows=rows[comm.rank])
+
+    for planned in (False, True):
+        run = run_program(2, 1, program, (planned,))
+        assert [r.tolist() for r in run.results] == [[-float(far)], [7.0, -3.0]]
+
+
 def test_broadcast_single_rank():
     run = run_program(1, 1, lambda comm: comm.broadcast(0, np.array([4.0]))[0])
     assert run.results == [4.0]
