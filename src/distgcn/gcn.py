@@ -4,7 +4,13 @@ A network with `layers` levels of node representations owns layers-1
 weight matrices. One epoch runs, per weight layer, one distributed
 multiply in the forward direction and one in the backward direction
 (2*(layers-1) collective multiply phases in total) plus one small
-weight-gradient all-reduce per weight layer. Weights are replicated:
+weight-gradient all-reduce per weight layer. Layer 0's forward product
+ÂᵀX depends only on the fixed features, so one training call multiplies
+it once: every later epoch still runs and charges that phase's exchange
+(and its row all-reduce when c > 1), and hands back the held product
+instead of multiplying again. So each epoch's ledger, collective calls
+and 2*(layers-1) phases are those of an epoch that multiplies in every
+phase. Weights are replicated:
 every rank initializes them from the same seed and applies bit-identical
 updates, so no weight broadcast is ever needed; the same holds for the
 non-finite check after each update, which every rank makes locally and
@@ -32,7 +38,8 @@ import numpy as np
 from .partition import apply_partition, block_partition
 from .runtime import ProcessGrid, run_program
 from .sparse import CsrMatrix, csr_equal, gemm, local_spmm, transpose_csr
-from .spmm import build_dist_matrices, exchange_index_lists, spmm_kernel, validate_variant_grid
+from .spmm import (_check_matrix, build_dist_matrices, exchange_index_lists, spmm_kernel,
+                   validate_variant_grid)
 
 __all__ = [
     "SerialGcn",
@@ -56,7 +63,8 @@ class TrainConfig:
     `hidden` and ReLU activations; the output width is the number of
     classes, labels.max() + 1. `variant` selects the distributed multiply
     or "serial" for the reference path. `layers`, `hidden`, `epochs` and
-    `seed` must be integers and `lr` finite.
+    `seed` must be integers and `lr` a finite real number, none of them a
+    bool.
     """
 
     layers: int = 3
@@ -75,6 +83,8 @@ class TrainConfig:
             raise ValueError("need at least 2 layers (one weight matrix)")
         if self.hidden < 1:
             raise ValueError("hidden width must be at least 1")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real):
+            raise ValueError(f"lr must be a real number, got {self.lr!r}")
         if self.lr < 0:
             raise ValueError("learning rate must be non-negative")
         if not math.isfinite(self.lr):
@@ -239,11 +249,13 @@ class TrainResult:
         return self.history[-1]["train_acc"] if self.history else None
 
 
-def _check_train_inputs(features, labels, train_mask):
-    """The trust boundary of training, where labels are checked once
+def _check_train_inputs(a_hat, features, labels, train_mask):
+    """The trust boundary of training, where the matrix is checked once
+    (`_check_matrix`: square and finite) and so are labels
     (`_check_labels`): one per vertex, each a finite integer and each
     masked one non-negative. The class count is labels.max() + 1, so no
     label reaches past it."""
+    _check_matrix(a_hat)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     mask = np.asarray(train_mask, dtype=bool)
@@ -256,6 +268,8 @@ def _check_train_inputs(features, labels, train_mask):
                          f"{labels.shape} and {mask.shape}")
     if not (features.shape[0] == labels.shape[0] == mask.shape[0]):
         raise ValueError("features, labels and train_mask must agree on the vertex count")
+    if a_hat.n_rows != features.shape[0]:
+        raise ValueError("feature rows must match the matrix")
     if int(mask.sum()) == 0:
         raise ValueError("train_mask must select at least one vertex")
     return features, _check_labels(labels, mask), mask
@@ -271,7 +285,7 @@ def _check_finite_weights(weights, epoch):
 
 def serial_train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig) -> TrainResult:
     """Full-batch gradient descent on one process; the reference run."""
-    features, labels, mask = _check_train_inputs(features, labels, train_mask)
+    features, labels, mask = _check_train_inputs(a_hat, features, labels, train_mask)
     weights = init_weights(cfg, features.shape[1], int(labels.max()) + 1)
     net = SerialGcn(a_hat, weights)
     denom = int(mask.sum())
@@ -301,9 +315,7 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
     if cfg.variant == "serial":
         return serial_train(a_hat, features, labels, train_mask, cfg)
     validate_variant_grid(cfg.variant, p, c)
-    features, labels, mask = _check_train_inputs(features, labels, train_mask)
-    if a_hat.n_rows != features.shape[0]:
-        raise ValueError("feature rows must match the matrix")
+    features, labels, mask = _check_train_inputs(a_hat, features, labels, train_mask)
     grid = ProcessGrid(p, c)
     part = partition if partition is not None else block_partition(a_hat.n_rows, grid.n_rows)
     if part.k != grid.n_rows:
@@ -314,6 +326,7 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
     dm = build_dist_matrices(a2, part.boundaries, grid)
     denom = int(mask.sum())
     weights0 = init_weights(cfg, features.shape[1], int(labels.max()) + 1)
+    held = []  # every rank's layer-0 forward product, made by epoch 0
 
     def program(comm):
         i, j = comm.coords
@@ -330,8 +343,10 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
         for epoch in range(cfg.epochs):
             hs, zs = [h0], []
             for l, w in enumerate(ws):
-                t = spmm_kernel(comm, dm.fwd, hs[-1], cfg.variant)
-                z = gemm(t, w)
+                # no name keeps the product past its gemm: layer 0's would
+                # live on through the next phase beside the held products
+                z = gemm(spmm_kernel(comm, dm.fwd, hs[-1], cfg.variant,
+                                     held=held if l == 0 else None), w)
                 zs.append(z)
                 hs.append(relu(z) if l < last else z)
             loss_sum, g, correct = _xent_parts(hs[-1], yb, mb, denom)

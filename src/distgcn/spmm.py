@@ -45,6 +45,7 @@ from its block's stored entries and the width) can give.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,6 +213,20 @@ def validate_variant_grid(variant, p, c):
         raise ValueError(f"variant {variant} requires c*c to divide p (p={p}, c={c})")
 
 
+def _check_matrix(a: CsrMatrix):
+    """The trust boundary's check of a graph matrix: square, and every
+    stored value finite. A NaN or inf entry would otherwise reach every
+    product row that reads its column, without an error."""
+    if a.n_rows != a.n_cols:
+        raise ValueError(f"the matrix must be square, got {a.n_rows}x{a.n_cols}")
+    bad = ~np.isfinite(a.values)
+    if bad.any():
+        e = int(bad.argmax())
+        row = int(np.searchsorted(a.row_ptr, e, side="right")) - 1
+        raise ValueError(f"the matrix must be finite, but entry ({row}, {a.col_idx[e]}) "
+                         f"is {a.values[e]}")
+
+
 def _need(op: DistOperand, i, q0, q1):
     """What block row i reads from owners q0..q1-1: the places in op.idx
     of cols(i, q0), ..., cols(i, q1-1) in turn, and each one's length."""
@@ -239,7 +254,7 @@ def exchange_index_lists(comm: Comm, op: DistOperand, variant: str):
     comm.all_to_allv(op.idx, counts, rows=places)
 
 
-def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str):
+def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str, held=None):
     """Run one distributed multiply phase from inside a rank procedure.
 
     h_block is this process's block row of the dense operand (replicated
@@ -257,12 +272,21 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str):
     multiplies of all ranks run in the exchange's completion, as one
     `local_spmm` of the planned operand with the stacked block rows
     (`_Phase.multiply`).
+
+    `held` serves a phase whose dense operand is the same in every call,
+    as layer 0's forward operand is in one training call: a list, empty
+    before the first call, that every rank passes. The first call's
+    multiply fills it with every rank's product, made read-only, and each
+    later call's completion returns those instead of multiplying. Every
+    call still runs the exchange and, when c > 1, the row all-reduce, so
+    the ledger and the collective calls are those of a multiplying phase.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     h_block = np.asarray(h_block, dtype=np.float64)
     phase = op.phase(variant)
-    z = comm.all_to_allv(h_block, schedule=phase.schedule, then=phase.multiply)
+    then = phase.multiply if held is None else functools.partial(_hold, held, phase.multiply)
+    z = comm.all_to_allv(h_block, schedule=phase.schedule, then=then)
     if comm.c == 1:
         return z
     return comm.all_reduce_sum(z, group=comm.grid.row_group(comm.coords[0]))
@@ -287,6 +311,16 @@ class _Phase:
         row's storage order, so the products are bit for bit the per-rank
         ones."""
         return np.split(local_spmm(self.operand, stacked), self.row_off[1:-1])
+
+
+def _hold(held: list, multiply, stacked, gather, bounds) -> list:
+    """A held phase's `then`: the products `held` keeps, which the first
+    call makes with `multiply` and makes read-only."""
+    if not held:
+        held.extend(multiply(stacked, gather, bounds))
+        for z in held:
+            z.setflags(write=False)
+    return held
 
 
 def _plan_phase(op: DistOperand, aware) -> _Phase:
@@ -356,12 +390,11 @@ def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None) -> SpmmRun:
     Permutes the inputs by `partition` (block partition by default),
     distributes them on the (p/c) x c grid, runs the chosen variant, and
     gathers the product back in the original row order. For the aware
-    variants the one-time index exchange is included. The dense operand
-    h must be finite.
+    variants the one-time index exchange is included. The matrix must be
+    square (`_check_matrix`), and it and the dense operand h finite.
     """
     validate_variant_grid(variant, p, c)
-    if a.n_rows != a.n_cols:
-        raise ValueError("distributed multiply requires a square matrix")
+    _check_matrix(a)
     h = np.asarray(h, dtype=np.float64)
     if not np.isfinite(h).all():
         raise ValueError("dense operand h must be finite (found NaN or inf)")

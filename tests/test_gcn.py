@@ -6,7 +6,7 @@ import pytest
 from distgcn.gcn import (SerialGcn, TrainConfig, init_weights, relu_grad,
                          serial_train, softmax_xent, train)
 from distgcn.graphgen import sbm
-from distgcn.sparse import csr_from_dense, gcn_normalize
+from distgcn.sparse import CsrMatrix, csr_from_dense, gcn_normalize
 from distgcn.partition import greedy_tv_partition
 
 from oracles import numeric_gradient, random_csr_dense
@@ -119,8 +119,12 @@ def test_xent_rejects_empty_mask():
     (dict(layers=3.0), "layers must be an integer, got 3.0"),
     (dict(hidden=4.5), "hidden must be an integer, got 4.5"),
     (dict(seed=-1), "seed must be non-negative"),
+    (dict(lr="0.1"), "lr must be a real number, got '0.1'"),
+    (dict(lr=None), "lr must be a real number, got None"),
+    (dict(lr=1 + 2j), "lr must be a real number, got (1+2j)"),
+    (dict(lr=True), "lr must be a real number, got True"),
 ], ids=["inf-lr", "nan-lr", "float-epochs", "float-layers", "fractional-hidden",
-        "negative-seed"])
+        "negative-seed", "string-lr", "none-lr", "complex-lr", "bool-lr"])
 def test_train_config_rejects_by_field_name(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         TrainConfig(**kwargs)
@@ -128,7 +132,7 @@ def test_train_config_rejects_by_field_name(kwargs, message):
 
 def test_train_config_accepts_numpy_integers():
     cfg = TrainConfig(layers=np.int64(3), hidden=np.int32(4), epochs=np.int64(2),
-                      seed=np.uint8(1))
+                      seed=np.uint8(1), lr=np.float32(0.5))
     assert cfg.layer_dims(5, 2) == [5, 4, 2]
 
 
@@ -267,6 +271,33 @@ def test_train_rejects_non_finite_features():
 
 
 TRAIN_PATHS = [("serial", 1), ("1d-sparse", 2)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("variant, p", TRAIN_PATHS)
+def test_train_rejects_non_finite_matrix(variant, p, bad):
+    # a NaN or inf entry used to train until the weights turned non-finite,
+    # and the error blamed the learning rate
+    a, features, labels, mask = random_problem(9)
+    values = a.values.copy()
+    values[5] = bad
+    a = CsrMatrix(a.n_rows, a.n_cols, a.row_ptr, a.col_idx, values)
+    message = f"the matrix must be finite, but entry ({a.row_of_nnz()[5]}, {a.col_idx[5]}) is {bad}"
+    cfg = TrainConfig(epochs=1, variant=variant)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(a, features, labels, mask, cfg, p=p, c=1)
+
+
+@pytest.mark.parametrize("variant, p", TRAIN_PATHS)
+def test_train_rejects_non_square_matrix_by_name(variant, p):
+    # the serial path used to fail in its first multiply with
+    # "dimension mismatch: (10, 8) @ (10, 16)"
+    rng = np.random.default_rng(4)
+    a = csr_from_dense(random_csr_dense(rng, 10, density=0.3, square=False, n_cols=8))
+    features, labels = rng.normal(size=(10, 3)), rng.integers(2, size=10)
+    cfg = TrainConfig(epochs=1, variant=variant)
+    with pytest.raises(ValueError, match="the matrix must be square, got 10x8"):
+        train(a, features, labels, np.ones(10, dtype=bool), cfg, p=p, c=1)
 
 
 @pytest.mark.parametrize("variant, p", TRAIN_PATHS)

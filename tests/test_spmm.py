@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -217,11 +218,23 @@ def test_1d_sparse_at_p256_matches_serial_reference_bitwise():
 
 # ---- one multiply per phase -------------------------------------------------
 
+def _own_products(op, grid, part, h2):
+    """Every rank's own product, in rank order: `local_spmm` of its block
+    with its halo gathered from the (partitioned) dense operand h2."""
+    s = grid.stage_count()
+    products = []
+    for r in range(grid.p):
+        i, g = grid.coords(r)
+        halo = np.concatenate([op.cols(i, j) + part.boundaries[j][0]
+                               for j in range(g * s, (g + 1) * s)])
+        products.append(local_spmm(_rank_block(op, r), h2[halo]))
+    return products
+
+
 def _fused_and_per_rank_products(a, h, p, c, variant, part):
     """Each rank's result of `spmm_kernel`, and the same as separate
-    per-rank multiplies make it: `local_spmm` of each rank's block with
-    its halo gathered from the dense operand, the c partial products of a
-    grid row summed in rank order."""
+    per-rank multiplies make it (`_own_products`), the c partial products
+    of a grid row summed in rank order."""
     grid = ProcessGrid(p, c)
     a2, h2 = apply_partition(a, h, part)
     dm = build_dist_matrices(a2, part.boundaries, grid)
@@ -233,14 +246,12 @@ def _fused_and_per_rank_products(a, h, p, c, variant, part):
         return spmm_kernel(comm, op, h2[r0:r1], variant)
 
     fused = run_program(p, c, program).results
-    s = grid.stage_count()
+    own = _own_products(op, grid, part, h2)
     per_rank = []
     for i in range(grid.n_rows):
         z = None
         for g in range(c):
-            halo = np.concatenate([op.cols(i, j) + part.boundaries[j][0]
-                                   for j in range(g * s, (g + 1) * s)])
-            zr = local_spmm(_rank_block(op, grid.rank_of(i, g)), h2[halo])
+            zr = own[grid.rank_of(i, g)]
             z = zr if z is None else z + zr
         per_rank += [z] * c
     return fused, per_rank, op
@@ -304,6 +315,44 @@ def test_fused_multiply_matches_per_rank_products_on_c3_and_c4_grids(variant, p,
     fused, per_rank, op = _fused_and_per_rank_products(a, h, p, c, variant, part)
     for got, want in zip(fused, per_rank, strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant,p,c", [("1d-sparse", 32, 1), ("1d-oblivious", 32, 1),
+                                         ("15d-sparse", 64, 2), ("15d-oblivious", 64, 2)])
+def test_training_hands_back_epoch_0s_layer_0_products_read_only(variant, p, c,
+                                                                  monkeypatch):
+    # layer 0's forward operand is the fixed features, so its products are
+    # multiplied in epoch 0 and handed back in later epochs, through zero-row
+    # ranks too: what every rank receives must be the bits of its own
+    # multiply, and no rank may write to them
+    received = {}  # rank -> what each of its multiplying exchanges returned
+    all_to_allv = distgcn.runtime.Comm.all_to_allv
+
+    def spy(comm, buf, counts=None, rows=None, then=None, schedule=None):
+        out = all_to_allv(comm, buf, counts, rows, then, schedule)
+        if then is not None:
+            received.setdefault(comm.rank, []).append(out)
+        return out
+
+    monkeypatch.setattr(distgcn.runtime.Comm, "all_to_allv", spy)
+    graph, x, y = sbm(100, blocks=4, p_in=0.1, p_out=0.01, seed=0, feature_dim=3)
+    a = gcn_normalize(graph)
+    grid = ProcessGrid(p, c)
+    part = greedy_tv_partition(a, grid.n_rows)
+    assert any(s == e for s, e in part.boundaries)  # a zero-row rank
+    cfg = TrainConfig(epochs=3, variant=variant)
+    train(a, x, y, np.arange(100) % 2 == 0, cfg, p=p, c=c, partition=part)
+    a2, x2 = apply_partition(a, x, part)
+    own = _own_products(build_dist_matrices(a2, part.boundaries, grid).fwd, grid, part, x2)
+    for r in range(p):
+        # each epoch's first multiplying phase is layer 0's forward one
+        first, *later = received[r][::2 * (cfg.layers - 1)]
+        assert len(later) == cfg.epochs - 1
+        assert first.tobytes() == own[r].tobytes()
+        for z in later:
+            assert z.shape == own[r].shape and z.tobytes() == first.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                z[...] = 0.0
 
 
 # ---- volumes ---------------------------------------------------------------
@@ -439,6 +488,18 @@ def test_run_rejects_non_finite_dense_operand(bad):
     a, h = random_instance(29, n=16)
     h[5, 1] = bad
     with pytest.raises(ValueError, match=r"dense operand h must be finite \(found NaN or inf\)"):
+        run_spmm(a, h, 4, 1, "1d-sparse")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_rejects_non_finite_matrix(bad):
+    # a NaN or inf entry used to come back as NaN or inf product rows
+    a, h = random_instance(29, n=16)
+    values = a.values.copy()
+    values[2] = bad
+    a = CsrMatrix(16, 16, a.row_ptr, a.col_idx, values)
+    message = f"the matrix must be finite, but entry ({a.row_of_nnz()[2]}, {a.col_idx[2]}) is {bad}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_spmm(a, h, 4, 1, "1d-sparse")
 
 
@@ -586,9 +647,11 @@ def test_each_exchange_pattern_is_inspected_once_per_run(monkeypatch):
         assert inspected == [8] * 4
         # one multiply per weight matrix forward and one backward, each of
         # which reads all 320 stacked rows: every block row is a stage
-        # owner's, and an aware owner stacks its whole block row
+        # owner's, and an aware owner stacks its whole block row. Layer 0's
+        # forward product is multiplied in epoch 0 only, but every epoch
+        # runs that phase's exchange.
         phases = 2 * (TrainConfig().layers - 1) * epochs
-        assert multiplies == [(320, 320)] * phases
+        assert multiplies == [(320, 320)] * (phases - (epochs - 1))
         assert res.ledger.counters["alltoallv"]["calls"].tolist() == [2 + phases] * 8
 
 
