@@ -49,35 +49,33 @@ member of the group. Every other call returns arrays of the caller's
 own, and no call keeps a reference into a buffer handed to it: `isend`
 copies its payload at call time, and the last arrival at an
 `all_to_allv` stacks the buffers of the ranks that send at least one row
-into one new array, each distinct buffer once, from which each receiver
-then gathers its rows. A caller may therefore write to any buffer it
-passed as soon as the call returns.
+into one new array, from which each receiver then gathers its rows. A
+caller may therefore write to any buffer it passed as soon as the call
+returns.
 
 An `all_to_allv` runs in two steps, as an inspector and an executor.
-The inspector turns the p senders' counts, rows and buffer heights into
-an `ExchangeSchedule`: it checks the count matrix and every row index
-once, and holds what every call of that pattern needs, namely the
-receivers' gather index and bounds, which senders' buffers are stacked,
-and the ledger charges in rows (per rank, and per message for the pair
-maxima). The executor checks only each buffer's height against the
-schedule's and the ranks' dtypes and row shapes, stacks the buffers and
-charges rows times the row width, so zero-width rows are no message. A
-call with counts is inspected by its last arrival and executed at once;
-an exchange that repeats is inspected once ahead of its calls
-(`plan_all_to_allv`, in the spirit of MPI-4's persistent
-`MPI_Alltoallv_init`) and each call passes that schedule. Both run the
-same executor.
+The inspector, `plan_all_to_allv`, runs once ahead of an exchange's
+calls, in the spirit of MPI-4's persistent `MPI_Alltoallv_init`: it
+turns the p senders' counts, rows and buffer heights into an
+`ExchangeSchedule`, checking the count matrix and every row index once,
+and holds what every call of that pattern needs, namely the receivers'
+gather index and bounds, which senders' buffers are stacked, and the
+ledger charges in rows (per rank, and per message for the pair maxima).
+Every call passes that schedule, and its last arrival runs the executor:
+it checks only each buffer's height against the schedule's and the
+ranks' dtypes and row shapes, and charges rows times the row width, so
+zero-width rows are no message.
 
-An `all_to_allv` may also take a `then`: the last arrival, which holds
-every sender's rows and every receiver's gather index, calls it once with
-both, and each member returns its own element of the result instead of
-its rows. So one call does the work of all receivers on the rows they
-received, e.g. one multiply for a whole superstep rather than one per
-rank. The runtime knows nothing of what it computes, charges the ledger
-as for the same exchange without it, and raises an exception it raises on
-every member. The trade-off is in the timing: the work of every receiver
-runs on the thread of the last arrival, so no rank's time is its own
-compute any more.
+An `all_to_allv` may also take a `then`: the last arrival calls it once
+with the buffers it would stack, in stacking order, and each member
+returns its own element of the result instead of its rows. So one call
+does the work of all receivers on the rows they received, e.g. one
+multiply for a whole superstep rather than one per rank, and a `then`
+that reads no row stacks none. The runtime knows nothing of what it
+computes, charges the ledger as for the same exchange without it, and
+raises an exception it raises on every member. The trade-off is in the
+timing: the work of every receiver runs on the thread of the last
+arrival, so no rank's time is its own compute any more.
 
 The rank threads share one heap. glibc gives every new thread a malloc
 arena of its own, so a rank's freed halos, products and sums would stay
@@ -245,10 +243,6 @@ class CommLedger:
     def total_bytes_sent(self, kind=None) -> float:
         field = "bytes_sent" if kind is None else f"{kind}_bytes_sent"
         return float(sum(self.counters[prim][field].sum() for prim in PRIMITIVES))
-
-    def rank_bytes_sent(self, rank, kind=None) -> float:
-        field = "bytes_sent" if kind is None else f"{kind}_bytes_sent"
-        return float(sum(self.counters[prim][field][rank] for prim in PRIMITIVES))
 
     def max_pair_data_bytes(self) -> float:
         return int(self.pair_max_data_bytes.max()) or 0.0
@@ -458,22 +452,14 @@ def plan_all_to_allv(counts, rows, heights) -> ExchangeSchedule:
     """Inspect the `all_to_allv` in which rank s, whose buffer has
     heights[s] rows, sends rows[s] (all of its buffer where rows[s] is
     None) in segments of counts[s][d] rows to ranks d = 0..p-1. Checks
-    every rank's counts and rows as the call itself would, once, and
-    returns the schedule that calls passing `schedule=` then run with no
-    further inspection."""
+    every rank's counts and rows once, naming the lowest rank at fault,
+    and returns the schedule that every call of the exchange passes."""
     heights = [int(h) for h in heights]
     if not len(counts) == len(rows) == len(heights):
         raise ValueError(f"all_to_allv schedule needs counts, rows and heights for every "
                          f"rank, got {len(counts)}, {len(rows)} and {len(heights)}")
-    rows = [None if r is None else _as_rows(r) for r in rows]
-    return _inspect(counts, rows, heights, range(len(heights)))
-
-
-def _inspect(counts, rows, heights, buffer_of) -> ExchangeSchedule:
-    """The schedule of `plan_all_to_allv`, where senders with equal
-    buffer_of[s] pass the same buffer, so only the first of them that
-    sends a row has it stacked."""
     p = len(heights)
+    rows = [None if r is None else _as_rows(r) for r in rows]
     sent = [h if r is None else r.size for h, r in zip(heights, rows)]
     counts = _count_matrix(counts, sent, [r is not None for r in rows])
     bounds = np.zeros(p + 1, dtype=np.int64)
@@ -482,13 +468,9 @@ def _inspect(counts, rows, heights, buffer_of) -> ExchangeSchedule:
     # segments (0, d), ..., (p-1, d) in turn
     seg_at = bounds[:-1] + (np.cumsum(counts, axis=0) - counts)
     gather = np.empty(bounds[-1], dtype=np.int64)
-    stacked, stacked_at, top = [], {}, 0
-    for s in np.flatnonzero(sent).tolist():
-        offset = stacked_at.get(buffer_of[s])
-        if offset is None:
-            stacked.append(s)
-            offset = stacked_at[buffer_of[s]] = top
-            top += heights[s]
+    stacked = np.flatnonzero(sent).tolist()
+    offset = 0
+    for s in stacked:
         src = rows[s]
         if src is None:
             src = np.arange(offset, offset + heights[s])
@@ -499,6 +481,7 @@ def _inspect(counts, rows, heights, buffer_of) -> ExchangeSchedule:
                 # in int64: rows of a narrower type would wrap past its range
                 src = src.astype(np.int64, copy=False) + offset
         gather[_ranges(seg_at[s], counts[s])] = src
+        offset += heights[s]
     # only the segments between distinct ranks are messages
     wire = counts.copy()
     np.fill_diagonal(wire, 0)
@@ -510,10 +493,11 @@ def _inspect(counts, rows, heights, buffer_of) -> ExchangeSchedule:
                             wire_src, wire_dst, wire[wire_src, wire_dst])
 
 
-def _execute(plan: ExchangeSchedule, bufs, ledger) -> np.ndarray:
+def _execute(plan: ExchangeSchedule, bufs, ledger) -> list:
     """Run one exchange of `plan` over the senders' buffers: check each
     buffer's height and the ranks' dtypes and row shapes, charge the
-    ledger and return the stacked buffers."""
+    ledger and return the buffers to stack, in stacking order (a zero-row
+    view of the first buffer where no rank sends a row)."""
     heights = [b.shape[0] for b in bufs]
     if heights != plan.heights:
         if len(heights) != len(plan.heights):
@@ -534,7 +518,7 @@ def _execute(plan: ExchangeSchedule, bufs, ledger) -> np.ndarray:
         ledger.charge("alltoallv", "received", slice(None), plan.received_rows * width, kind,
                       plan.received_msgs)
         ledger.record_pairs(plan.wire_src, plan.wire_dst, plan.wire_rows * width, kind)
-    return np.concatenate([bufs[s] for s in plan.stacked] or [bufs[0][:0]])
+    return [bufs[s] for s in plan.stacked] or [bufs[0][:0]]
 
 
 class Comm:
@@ -622,82 +606,61 @@ class Comm:
             raise slot.error
         return slot.output
 
-    def all_to_allv(self, buf, counts=None, rows=None, then=None, schedule=None):
-        """Personalized exchange in MPI_Alltoallv form. The rows sent are
-        `buf[rows]`, or all of `buf` when `rows` is None, as with an MPI
-        indexed datatype: no packed send buffer is made. They go in
-        consecutive segments, counts[d] rows for rank d, to ranks 0..p-1
-        in order. The result is a fresh writable array of the rows
-        received, stacked in sender-rank order. Every rank must send the
-        same dtype and row shape, and `rows` holds integer indices, each
-        in [0, len(buf)). A segment of no rows is no message and costs
-        nothing, nor does a segment of zero-width rows; the segment
-        addressed to the caller itself is a free local copy. The caller
-        may write to `buf` as soon as the call returns (see the module
-        docstring).
-
-        The last rank to arrive inspects the exchange once: it checks
-        every rank's counts and rows and builds its `ExchangeSchedule`.
-        A pattern that repeats can be inspected ahead of the calls
-        instead (`plan_all_to_allv`): then every rank passes the same
-        `schedule` and no counts or rows, and the last arrival checks
-        only each buffer's height against the schedule's and the ranks'
-        dtypes and row shapes. Either way one executor stacks the buffers
-        and charges the ledger from the schedule, for the row width of
-        this call's buffers. A buffer passed by several ranks is stacked
-        once.
+    def all_to_allv(self, buf, schedule, then=None):
+        """Personalized exchange in MPI_Alltoallv form, run through the
+        `ExchangeSchedule` that `plan_all_to_allv` made of its counts and
+        rows, which every rank passes. The rows this rank sends are
+        `buf[rows]`, or all of `buf`, as with an MPI indexed datatype: no
+        packed send buffer is made. The result is a fresh writable array
+        of the rows received, stacked in sender-rank order. Every rank
+        must send the same dtype and row shape, from a buffer of the
+        height the schedule was planned for; the last arrival checks
+        only these, stacks the buffers and charges the ledger from the
+        schedule for this call's row width. A segment of no rows is no
+        message and costs nothing, nor does a segment of zero-width rows;
+        the segment addressed to the caller itself is a free local copy.
+        The caller may write to `buf` as soon as the call returns (see
+        the module docstring).
 
         With `then`, every rank instead returns its element of one result
         that the last arrival computes for all of them: it calls
-        then(stacked, gather, bounds) once, where rank d's rows received
-        are np.take(stacked, gather[bounds[d]:bounds[d + 1]], axis=0),
-        and rank d returns element d of the sequence it returns. So the
-        work of all receivers on their rows runs as one call, on the rows
-        before any receiver gathers them. Every rank must pass a `then`,
-        or none; the callables must be interchangeable, and the lowest
-        rank's runs. The ledger charges are the exchange's, whatever
-        `then` does, and an exception it raises is raised on every rank."""
+        then(bufs) once with the buffers the exchange stacks, in
+        stacking order (`schedule.stacked`), and rank d returns element d
+        of the sequence it returns. Rank d's rows received are rows
+        gather[bounds[d]:bounds[d + 1]] of np.concatenate(bufs), in the
+        schedule's `gather` and `bounds`; a `then` that reads no row need
+        not stack them. Every rank must pass a `then`, or none; the
+        callables must be interchangeable, and the lowest rank's runs.
+        The ledger charges are the exchange's, whatever `then` does, and
+        an exception it raises is raised on every rank."""
         arr = _as_payload(buf)
         if arr.ndim == 0:
             raise ValueError("all_to_allv needs a buffer of rows, got a scalar")
-        if schedule is None:
-            if counts is None:
-                raise ValueError("all_to_allv needs counts or a schedule")
-            if rows is not None:
-                rows = _as_rows(rows)
-        elif counts is not None or rows is not None:
-            raise ValueError("all_to_allv takes counts and rows or a schedule, not both")
+        if not isinstance(schedule, ExchangeSchedule):
+            raise TypeError("all_to_allv needs the ExchangeSchedule of its exchange "
+                            f"(plan_all_to_allv), got {type(schedule).__name__}")
         group = tuple(range(self.p))
         ledger = self._rt.ledger
 
         def complete(arrivals):
             args = [arrivals[s] for s in group]
-            for pos, what in ((3, "no `then`"), (4, "no schedule")):
-                without = [s for s in group if args[s][pos] is None]
-                if 0 < len(without) < len(group):
-                    raise ValueError(f"all_to_allv: ranks {without} pass {what} but others "
-                                     "do; every rank must pass one, or none")
-            bufs = [a[0] for a in args]
-            plan = args[0][4]
-            if plan is None:
-                # a buffer passed by several senders is stacked once
-                plan = _inspect([a[1] for a in args], [a[2] for a in args],
-                                [b.shape[0] for b in bufs], [id(b) for b in bufs])
-            else:
-                others = [s for s in group if args[s][4] is not plan]
-                if others:
-                    raise ValueError(f"all_to_allv: ranks {others} pass another schedule than "
-                                     "rank 0; every rank must pass the same one")
-            stacked = _execute(plan, bufs, ledger)
-            if args[0][3] is not None:
-                return args[0][3](stacked, plan.gather, plan.bounds)
-            return stacked, plan.gather, plan.bounds
+            without = [s for s in group if args[s][2] is None]
+            if 0 < len(without) < len(group):
+                raise ValueError(f"all_to_allv: ranks {without} pass no `then` but others "
+                                 "do; every rank must pass one, or none")
+            plan, then = args[0][1:]
+            others = [s for s in group if args[s][1] is not plan]
+            if others:
+                raise ValueError(f"all_to_allv: ranks {others} pass another schedule than "
+                                 "rank 0; every rank must pass the same one")
+            bufs = _execute(plan, [a[0] for a in args], ledger)
+            return np.concatenate(bufs) if then is None else then(bufs)
 
-        out = self._collective("alltoallv", group, (arr, counts, rows, then, schedule), complete)
+        out = self._collective("alltoallv", group, (arr, schedule, then), complete)
         if then is not None:
             return out[self.rank]
-        stacked, gather, bounds = out
-        return np.take(stacked, gather[bounds[self.rank]:bounds[self.rank + 1]], axis=0)
+        lo, hi = schedule.bounds[self.rank:self.rank + 2]
+        return np.take(out, schedule.gather[lo:hi], axis=0)
 
     def broadcast(self, root, buf=None) -> np.ndarray:
         """Every rank returns the root's payload, as one read-only array

@@ -12,7 +12,9 @@ each stage owner sends either whole block rows (oblivious) or just the
 occupied rows (aware) to its column group, followed, when c > 1, by an
 all-reduce over the grid row; 1D is the case c=1, in which every process
 owns a stage. The aware variants' one-time index exchange is one
-`all_to_allv` of index lists per operand.
+`all_to_allv` of index lists per operand, the aware phase transposed:
+each process sends the stage owners of its column group its halo's
+column list.
 
 Each process has one local operand: its block row restricted to the
 block columns of its stages, with columns compressed to the occupied
@@ -21,14 +23,14 @@ index, `DistOperand.cols`, lists block by block. The operands of all
 processes are stacked in rank order into one block-diagonal matrix,
 `DistOperand.local`.
 
-The sparse pattern is fixed, so every phase of an operand exchanges the
-same rows: each operand's phase is planned once per form (aware or
-oblivious), by the first phase that needs it, and kept with the operand
-(`DistOperand.phase`). The plan holds the exchange's schedule,
-inspected once (`runtime.plan_all_to_allv`), and `local` with every
-column renumbered to the row of the exchange's stacked block rows that
-holds it. A phase then runs the exchange through that schedule, and its
-completion makes the local multiplies of the whole grid as one
+The sparse pattern is fixed, so every exchange of an operand is planned
+once, by its first call, and kept with the operand: its index exchange
+(`DistOperand.index_plan`) and its phase once per form, aware or
+oblivious (`DistOperand.phase`), each with its schedule inspected once
+(`runtime.plan_all_to_allv`). A phase's plan also holds `local` with
+every column renumbered to the row of the exchange's stacked block rows
+that holds it. A phase then runs the exchange through its schedule, and
+its completion makes the local multiplies of the whole grid as one
 `local_spmm` straight from the stacked rows: no halo is gathered first,
 and no count matrix or gather index is built again. A rank's halo
 columns ascend in global column, and so do the stacked rows they map
@@ -85,7 +87,8 @@ class DistOperand:
     matrix: rank r's operand is rows row_off[r]:row_off[r+1] and columns
     col_off[r]:col_off[r+1] of it, and no entry lies outside these blocks.
     `phase(variant)` is the plan of the operand's multiply phase in that
-    variant's form, made once and kept with the operand.
+    variant's form, and `index_plan()` that of its index exchange, each
+    made once and kept with the operand.
 
     cols(i, j), the occupied-column index of block (i, j), lists the
     columns of block column j (local to it, ascending) that hold a stored
@@ -116,10 +119,17 @@ class DistOperand:
         runs the first phase (one rank runs at a time), and reused by
         every later one."""
         aware = variant.endswith("sparse")
-        plan = self._phases.get(aware)
-        if plan is None:
-            plan = self._phases[aware] = _plan_phase(self, aware)
-        return plan
+        if aware not in self._phases:
+            self._phases[aware] = _plan_phase(self, aware)
+        return self._phases[aware]
+
+    def index_plan(self) -> tuple:
+        """The plan of this operand's index exchange, made by the first
+        call as `phase`'s are, without planning a phase: its schedule,
+        and halos[r], what rank r sends (`_plan_index`)."""
+        if "index" not in self._phases:
+            self._phases["index"] = _plan_index(self)
+        return self._phases["index"]
 
 
 @dataclass
@@ -227,14 +237,6 @@ def _check_matrix(a: CsrMatrix):
                          f"is {a.values[e]}")
 
 
-def _need(op: DistOperand, i, q0, q1):
-    """What block row i reads from owners q0..q1-1: the places in op.idx
-    of cols(i, q0), ..., cols(i, q1-1) in turn, and each one's length."""
-    start = op.ptr[q0:q1, i]
-    lens = op.ptr[q0:q1, i + 1] - start
-    return _ranges(start, lens), lens
-
-
 def exchange_index_lists(comm: Comm, op: DistOperand, variant: str):
     """One-time exchange of the occupied-column lists the aware variants
     send rows from: one `all_to_allv` in which each process sends its need
@@ -242,16 +244,12 @@ def exchange_index_lists(comm: Comm, op: DistOperand, variant: str):
     payloads. The sparse pattern is fixed for a whole training run, so
     this runs once and its cost is amortized over every subsequent
     multiply. In 1D (c=1) every owner is a stage, so every rank announces
-    to all others. Every rank sends its rows of the operand's one index
-    array, which the exchange stacks once, not once per rank."""
+    to all others. Returns what this rank received: on block q's stage
+    owner cols(0, q), cols(1, q), ... in turn, on any other rank none."""
     if variant.endswith("oblivious"):
-        return
-    i, j = comm.coords
-    s = comm.grid.stage_count()
-    places, lens = _need(op, i, j * s, (j + 1) * s)
-    counts = np.zeros(comm.p, dtype=np.int64)
-    counts[j::comm.c][j * s:(j + 1) * s] = lens
-    comm.all_to_allv(op.idx, counts, rows=places)
+        return None
+    schedule, halos = op.index_plan()
+    return comm.all_to_allv(halos[comm.rank], schedule)
 
 
 def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str, held=None):
@@ -277,16 +275,17 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str, held=None):
     as layer 0's forward operand is in one training call: a list, empty
     before the first call, that every rank passes. The first call's
     multiply fills it with every rank's product, made read-only, and each
-    later call's completion returns those instead of multiplying. Every
-    call still runs the exchange and, when c > 1, the row all-reduce, so
-    the ledger and the collective calls are those of a multiplying phase.
+    later call's completion returns those instead of multiplying, and so
+    stacks no row. Every call still runs the exchange and, when c > 1,
+    the row all-reduce, so the ledger and the collective calls are those
+    of a multiplying phase.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     h_block = np.asarray(h_block, dtype=np.float64)
     phase = op.phase(variant)
     then = phase.multiply if held is None else functools.partial(_hold, held, phase.multiply)
-    z = comm.all_to_allv(h_block, schedule=phase.schedule, then=then)
+    z = comm.all_to_allv(h_block, phase.schedule, then=then)
     if comm.c == 1:
         return z
     return comm.all_reduce_sum(z, group=comm.grid.row_group(comm.coords[0]))
@@ -303,46 +302,54 @@ class _Phase:
     operand: CsrMatrix
     row_off: np.ndarray
 
-    def multiply(self, stacked, gather, bounds) -> list:
+    def multiply(self, bufs) -> list:
         """Every rank's local product of one phase, as the `then` of its
-        exchange: one multiply for the whole grid, of which each rank's
-        product is its row slice. `local_spmm` sums each row in storage
-        order whatever the other rows are, and the renumbering keeps each
-        row's storage order, so the products are bit for bit the per-rank
-        ones."""
-        return np.split(local_spmm(self.operand, stacked), self.row_off[1:-1])
+        exchange: one multiply for the whole grid of the stacked senders'
+        block rows, of which each rank's product is its row slice.
+        `local_spmm` sums each row in storage order whatever the other
+        rows are, and the renumbering keeps each row's storage order, so
+        the products are bit for bit the per-rank ones."""
+        return np.split(local_spmm(self.operand, np.concatenate(bufs)), self.row_off[1:-1])
 
 
-def _hold(held: list, multiply, stacked, gather, bounds) -> list:
+def _hold(held: list, multiply, bufs) -> list:
     """A held phase's `then`: the products `held` keeps, which the first
     call makes with `multiply` and makes read-only."""
     if not held:
-        held.extend(multiply(stacked, gather, bounds))
+        held.extend(multiply(bufs))
         for z in held:
             z.setflags(write=False)
     return held
 
 
-def _plan_phase(op: DistOperand, aware) -> _Phase:
-    """The schedule of op's exchange and its renumbered operand. Block row
-    i's stage owner, rank i*c + i//s, sends to every member of its column
-    group its send plan (aware) or its whole block row (oblivious)."""
+def _owner_counts(op: DistOperand, sent) -> tuple:
+    """The count matrix of a phase in which block b's stage owner, rank
+    b*c + b//s, sends sent[b, i] rows to block row i's member of its
+    column group g, rank i*c + g; and the owners."""
     nb = op.ptr.shape[0]
     p = op.row_off.size - 1
     c = p // nb
-    stages = nb // c
-    heights = np.diff(op.row_off)
-    block = np.arange(nb)
-    owners = block * c + block // stages
-    dests = (block // stages)[:, None] + c * block
+    group = np.arange(nb) // (nb // c)
+    owners = np.arange(nb) * c + group
     counts = np.zeros((p, p), dtype=np.int64)
-    rows = [op.idx[:0]] * p
+    counts[owners[:, None], group[:, None] + c * np.arange(nb)] = sent
+    return counts, owners
+
+
+def _plan_phase(op: DistOperand, aware) -> _Phase:
+    """The schedule of op's exchange and its renumbered operand. Block
+    b's stage owner sends to every member of its column group its send
+    plan (aware) or its whole block row (oblivious)."""
+    nb = op.ptr.shape[0]
+    heights = np.diff(op.row_off)
+    rows = [op.idx[:0]] * heights.size
     if aware:
-        counts[owners[:, None], dests] = np.diff(op.ptr, axis=1)
+        counts, owners = _owner_counts(op, np.diff(op.ptr, axis=1))
         for b, r in enumerate(owners.tolist()):
             rows[r] = op.idx[op.ptr[b, 0]:op.ptr[b, -1]]
     else:
-        counts[owners[:, None], dests] = heights[owners, None]
+        # every member of grid row b has block b's height
+        counts, owners = _owner_counts(op, heights.reshape(nb, -1)[:, :1])
         for r in owners.tolist():
             rows[r] = np.tile(np.arange(heights[r]), nb)
     schedule = plan_all_to_allv(counts, rows, heights)
@@ -357,18 +364,34 @@ def _plan_phase(op: DistOperand, aware) -> _Phase:
     return _Phase(schedule, operand, op.row_off)
 
 
+def _plan_index(op: DistOperand) -> tuple:
+    """The index exchange is the aware phase transposed: rank r sends each
+    stage owner the runs cols(i, q) of its halo's column list, halos[r],
+    that its aware phase receives from that owner."""
+    counts, _ = _owner_counts(op, np.diff(op.ptr, axis=1))
+    halos = np.split(_halo_cols(op)[0], op.col_off[1:-1])
+    return plan_all_to_allv(counts.T, [None] * len(halos), np.diff(op.col_off)), halos
+
+
+def _halo_cols(op: DistOperand) -> tuple:
+    """op.idx in `local`'s column order, every rank's halo in rank order:
+    the runs cols(i, j) by block row i, then block column j; and the runs'
+    lengths."""
+    nb = op.ptr.shape[0]
+    runs = np.diff(op.ptr, axis=1).T.ravel()
+    return op.idx[_ranges(op.ptr[:, :nb].T.ravel(), runs)], runs
+
+
 def _whole_block_rows(op: DistOperand, bounds) -> np.ndarray:
     """For every column of `op.local`, the place in an oblivious phase's
     gather index of the row that holds it: its rank's offset in `bounds`
     plus its row in the whole blocks of the rank's column group."""
     nb = op.ptr.shape[0]
     stages = nb // ((op.row_off.size - 1) // nb)  # p = nb * c
-    # the runs cols(i, j) reader-major, as `local` takes them
-    runs = np.diff(op.ptr, axis=1).T.ravel()
+    cols, runs = _halo_cols(op)
     block = np.tile(np.arange(nb), nb)
     block_at = op.starts[block] - op.starts[block // stages * stages]
-    return (op.idx[_ranges(op.ptr[:, :nb].T.ravel(), runs)] + np.repeat(block_at, runs)
-            + np.repeat(bounds[:-1], np.diff(op.col_off)))
+    return cols + np.repeat(block_at, runs) + np.repeat(bounds[:-1], np.diff(op.col_off))
 
 
 def serial_reference(a: CsrMatrix, h) -> np.ndarray:

@@ -16,9 +16,15 @@ from hypothesis import strategies as st
 
 import distgcn.runtime
 from distgcn.runtime import (CommLedger, DeadlockError, ProcessGrid,
-                             SimulationError, run_program)
+                             SimulationError, plan_all_to_allv, run_program)
 
 from oracles import alltoallv_reference
+
+
+def _packed(counts):
+    """The schedule of the exchange in which rank s sends the whole of its
+    buffer, of sum(counts[s]) rows, in segments of counts[s][d] rows."""
+    return plan_all_to_allv(counts, [None] * len(counts), [int(np.sum(c)) for c in counts])
 
 
 def test_grid_layout_and_groups():
@@ -121,8 +127,10 @@ def test_many_interleaved_messages_bookkeeping():
 
 
 def test_alltoallv_empty():
+    schedule = _packed([[0] * 3] * 3)
+
     def program(comm):
-        return comm.all_to_allv(np.zeros(0), [0] * comm.p).size
+        return comm.all_to_allv(np.zeros(0), schedule).size
 
     run = run_program(3, 1, program)
     assert run.results == [0] * 3
@@ -131,8 +139,10 @@ def test_alltoallv_empty():
 
 
 def test_alltoallv_two_ranks():
+    schedule = _packed([[3, 3]] * 2)
+
     def program(comm):
-        return comm.all_to_allv(np.full(3 * comm.p, float(comm.rank)), [3] * comm.p)
+        return comm.all_to_allv(np.full(3 * comm.p, float(comm.rank)), schedule)
 
     run = run_program(2, 1, program)
     assert run.results[0][3:].tolist() == [1.0, 1.0, 1.0]
@@ -147,9 +157,10 @@ def test_alltoallv_matches_sequential_reference():
     payloads = [[rng.normal(size=rng.integers(0, 7)) for _ in range(p)] for _ in range(p)]
     bufs = [np.concatenate(row) for row in payloads]
     counts = [[b.size for b in row] for row in payloads]
+    schedule = _packed(counts)
 
     def program(comm):
-        return comm.all_to_allv(bufs[comm.rank], counts[comm.rank])
+        return comm.all_to_allv(bufs[comm.rank], schedule)
 
     run = run_program(p, 1, program)
     expected = alltoallv_reference(bufs, counts)
@@ -164,9 +175,11 @@ def test_alltoallv_matches_sequential_reference():
 
 
 def test_alltoallv_moves_rows_of_2d_buffer():
+    schedule = _packed([[2, 3], [4, 1]])
+
     def program(comm):
         buf = np.arange(10.0).reshape(5, 2) + 10 * comm.rank
-        return comm.all_to_allv(buf, [2, 3] if comm.rank == 0 else [4, 1])
+        return comm.all_to_allv(buf, schedule)
 
     run = run_program(2, 1, program)
     assert run.results[0].tolist() == [[0.0, 1.0], [2.0, 3.0],
@@ -184,13 +197,12 @@ def test_alltoallv_receiver_of_no_rows_gets_typed_empty():
     # 2-D int64 rows; every rank sends only to its right neighbour, except
     # rank 7, so rank 0 receives nothing
     p = 8
+    counts = np.eye(p, k=1, dtype=np.int64) * 2
+    schedule = _packed(counts)
 
     def program(comm):
-        counts = np.zeros(p, dtype=np.int64)
-        if comm.rank < p - 1:
-            counts[comm.rank + 1] = 2
-        buf = np.full((int(counts.sum()), 3), comm.rank, dtype=np.int64)
-        return comm.all_to_allv(buf, counts)
+        buf = np.full((int(counts[comm.rank].sum()), 3), comm.rank, dtype=np.int64)
+        return comm.all_to_allv(buf, schedule)
 
     run = run_program(p, 1, program)
     assert run.results[0].shape == (0, 3)
@@ -208,17 +220,16 @@ def test_alltoallv_receiver_of_no_rows_gets_typed_empty():
     ([1, 2], "sum to 3 but the buffer has 2 rows"),
 ], ids=["too-few", "too-many", "float", "negative", "sum-differs"])
 def test_alltoallv_rejects_bad_counts(counts, match):
-    def program(comm):
-        comm.all_to_allv(np.ones(2), counts)
-
     with pytest.raises(ValueError, match=match):
-        run_program(2, 1, program)
+        plan_all_to_allv([counts, counts], [None, None], [2, 2])
 
 
 def test_alltoallv_rejects_mixed_row_types():
+    schedule = _packed([[1, 1]] * 2)
+
     def program(comm):
         dtype = np.int64 if comm.rank == 1 else np.float64
-        comm.all_to_allv(np.ones(2, dtype=dtype), [1, 1])
+        comm.all_to_allv(np.ones(2, dtype=dtype), schedule)
 
     with pytest.raises(ValueError, match="differ in dtype or row shape"):
         run_program(2, 1, program)
@@ -250,15 +261,17 @@ def test_indexed_sends_match_reference_on_selected_rows(seed, p, row_shape, dtyp
     bufs, rows, counts = _indexed_exchange(rng, p, row_shape, dtype)
     selected = [b[r] for b, r in zip(bufs, rows)]
     expected = alltoallv_reference(selected, counts)
+    schedule = plan_all_to_allv(counts, rows, [len(b) for b in bufs])
+    packed_schedule = _packed(counts)
 
     def exchange(comm):
         buf = bufs[comm.rank].copy()
-        got = comm.all_to_allv(buf, counts[comm.rank], rows=rows[comm.rank])
+        got = comm.all_to_allv(buf, schedule)
         buf[...] = -7  # a sender may reuse its buffer once the call returns
         return got
 
     def exchange_packed(comm):
-        return comm.all_to_allv(selected[comm.rank], counts[comm.rank])
+        return comm.all_to_allv(selected[comm.rank], packed_schedule)
 
     indexed, packed = run_program(p, 1, exchange), run_program(p, 1, exchange_packed)
     for d in range(p):
@@ -282,12 +295,15 @@ def test_isend_copies_its_payload():
 
 
 def test_all_to_allv_results_are_independent_arrays():
+    indexed = plan_all_to_allv([[2, 2]] * 2, [[3, 0, 1, 1]] * 2, [4, 4])
+    packed = _packed([[1, 1]] * 2)
+
     def program(comm):
-        out = comm.all_to_allv(np.arange(4.0) + 10 * comm.rank, [2, 2], rows=[3, 0, 1, 1])
+        out = comm.all_to_allv(np.arange(4.0) + 10 * comm.rank, indexed)
         if comm.rank == 0:
             out[:] = -1.0  # must not reach rank 1's result
         comm.all_reduce_sum(np.zeros(1))
-        again = comm.all_to_allv(np.arange(2.0), [1, 1])
+        again = comm.all_to_allv(np.arange(2.0), packed)
         return out.tolist(), again.tolist()
 
     run = run_program(2, 1, program)
@@ -300,13 +316,14 @@ def test_exchanges_of_one_run_reuse_staging_safely():
     # run: each result must hold its own exchange's rows
     p = 4
     sizes = [1, 5, 2, 9, 0, 3]
+    schedules = [_packed([[m] * p] * p) for m in sizes]
 
     def program(comm):
         out = []
         for k, m in enumerate(sizes):
             dtype = np.int64 if k % 2 else np.float64
             buf = (np.arange(m * p * 2).reshape(m * p, 2) + 1000 * comm.rank + k).astype(dtype)
-            out.append(comm.all_to_allv(buf, [m] * p))
+            out.append(comm.all_to_allv(buf, schedules[k]))
         return out
 
     run = run_program(p, 1, program)
@@ -327,11 +344,8 @@ def test_exchanges_of_one_run_reuse_staging_safely():
     ([1, 1, 1], "rank 1: all_to_allv counts sum to 3 but the buffer has 2 rows"),
 ], ids=["wrong-length", "float", "negative", "sum-differs"])
 def test_alltoallv_bad_counts_on_one_rank_named(counts, match):
-    def program(comm):
-        comm.all_to_allv(np.ones(2), counts if comm.rank == 1 else [1, 1, 0])
-
     with pytest.raises(ValueError, match=match):
-        run_program(3, 1, program)
+        plan_all_to_allv([[1, 1, 0], counts, [1, 1, 0]], [None] * 3, [2] * 3)
 
 
 @pytest.mark.parametrize("rows,match", [
@@ -341,18 +355,19 @@ def test_alltoallv_bad_counts_on_one_rank_named(counts, match):
     ([0.0, 1.0], "rows must be a 1-D integer array"),
 ], ids=["past-end", "negative", "sum-differs", "float"])
 def test_alltoallv_bad_rows_on_one_rank_named(rows, match):
-    def program(comm):
-        comm.all_to_allv(np.ones(2), [1, 1, 0], rows=rows if comm.rank == 2 else None)
-
     with pytest.raises(ValueError, match=match):
-        run_program(3, 1, program)
+        plan_all_to_allv([[1, 1, 0]] * 3, [None, None, rows], [2] * 3)
 
 
-def _gathering_then(calls):
-    """A `then` that returns each receiver's rows as the receiver would
-    gather them, and records one entry in `calls` per call."""
-    def then(stacked, gather, bounds):
+def _gathering_then(calls, schedule):
+    """A `then` of `schedule`'s exchange that returns each receiver's rows
+    as the receiver would gather them, and records one entry in `calls`
+    per call."""
+    gather, bounds = schedule.gather, schedule.bounds
+
+    def then(bufs):
         calls.append(len(bounds) - 1)
+        stacked = np.concatenate(bufs)
         return [np.take(stacked, gather[bounds[d]:bounds[d + 1]], axis=0)
                 for d in range(len(bounds) - 1)]
     return then
@@ -367,49 +382,57 @@ def _counters_equal(a, b):
     assert _ledger_json(a) == _ledger_json(b)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=1, max_value=6),
-       st.sampled_from([(), (3,)]), st.sampled_from([np.float64, np.int64]))
+       st.sampled_from([(), (0,), (3,)]), st.sampled_from([np.float64, np.int64]))
 def test_alltoallv_then_runs_once_and_charges_as_the_exchange(seed, p, row_shape, dtype):
+    # empty senders, self-segments and zero-width rows included; a
+    # schedule is run three times and inspected once
     rng = np.random.default_rng(seed)
     bufs, rows, counts = _indexed_exchange(rng, p, row_shape, dtype)
+    expected = alltoallv_reference([b[r] for b, r in zip(bufs, rows)], counts)
+    schedule = plan_all_to_allv(counts, rows, [len(b) for b in bufs])
     calls = []
-    then = _gathering_then(calls)
+    then = _gathering_then(calls, schedule)
 
     def program(comm, fused):
-        return [comm.all_to_allv(bufs[comm.rank], counts[comm.rank], rows=rows[comm.rank],
-                                 then=then if fused else None) for _ in range(3)]
+        return [comm.all_to_allv(bufs[comm.rank], schedule, then=then if fused else None)
+                for _ in range(3)]
 
     plain = run_program(p, 1, program, (False,))
     fused = run_program(p, 1, program, (True,))
     assert calls == [p] * 3  # once per collective, never per rank
     for d in range(p):
         for k in range(3):
-            assert fused.results[d][k].dtype == plain.results[d][k].dtype
-            assert fused.results[d][k].shape == plain.results[d][k].shape
-            assert fused.results[d][k].tobytes() == plain.results[d][k].tobytes()
+            for got in (plain.results[d][k], fused.results[d][k]):
+                assert got.dtype == expected[d].dtype
+                assert got.shape == expected[d].shape
+                assert got.tobytes() == expected[d].tobytes()
     _counters_equal(plain, fused)
 
 
 def test_alltoallv_then_of_the_lowest_rank_runs():
+    schedule = _packed([[1, 1, 1]] * 3)
+
     def program(comm):
-        def then(stacked, gather, bounds):
+        def then(bufs):
             return [(comm.rank, d) for d in range(comm.p)]
-        return comm.all_to_allv(np.ones(3), [1, 1, 1], then=then)
+        return comm.all_to_allv(np.ones(3), schedule, then=then)
 
     assert run_program(3, 1, program).results == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_alltoallv_then_error_raised_on_every_rank():
     calls = []
+    schedule = _packed([[1, 1]] * 2)
 
-    def then(stacked, gather, bounds):
+    def then(bufs):
         calls.append(None)
         raise ArithmeticError("no product")
 
     def program(comm):
         try:
-            comm.all_to_allv(np.ones(2), [1, 1], then=then)
+            comm.all_to_allv(np.ones(2), schedule, then=then)
         except ArithmeticError as exc:
             return f"rank {comm.rank}: {exc}"
         return "returned"
@@ -417,46 +440,19 @@ def test_alltoallv_then_error_raised_on_every_rank():
     assert run_program(2, 1, program).results == ["rank 0: no product", "rank 1: no product"]
     assert len(calls) == 1
     with pytest.raises(ArithmeticError, match="no product"):
-        run_program(2, 1, lambda comm: comm.all_to_allv(np.ones(2), [1, 1], then=then))
+        run_program(2, 1, lambda comm: comm.all_to_allv(np.ones(2), schedule, then=then))
 
 
 def test_alltoallv_ranks_disagreeing_on_then_named():
+    schedule = _packed([[1, 1, 1, 1]] * 4)
+
     def program(comm):
-        then = None if comm.rank in (1, 2) else _gathering_then([])
-        comm.all_to_allv(np.ones(4), [1, 1, 1, 1], then=then)
+        then = None if comm.rank in (1, 2) else _gathering_then([], schedule)
+        comm.all_to_allv(np.ones(4), schedule, then=then)
 
     with pytest.raises(ValueError, match=r"all_to_allv: ranks \[1, 2\] pass no `then` but "
                                          "others do; every rank must pass one, or none"):
         run_program(4, 1, program)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=1, max_value=6),
-       st.sampled_from([(), (0,), (3,)]), st.sampled_from([np.float64, np.int64]),
-       st.booleans())
-def test_scheduled_exchange_equals_the_generic_call(seed, p, row_shape, dtype, fused):
-    # empty senders, self-segments and zero-width rows included; a
-    # schedule is run three times and inspected once
-    rng = np.random.default_rng(seed)
-    bufs, rows, counts = _indexed_exchange(rng, p, row_shape, dtype)
-    schedule = distgcn.runtime.plan_all_to_allv(counts, rows, [len(b) for b in bufs])
-    then = _gathering_then([]) if fused else None
-
-    def program(comm, planned):
-        if planned:
-            return [comm.all_to_allv(bufs[comm.rank], schedule=schedule, then=then)
-                    for _ in range(3)]
-        return [comm.all_to_allv(bufs[comm.rank], counts[comm.rank], rows=rows[comm.rank],
-                                 then=then) for _ in range(3)]
-
-    generic = run_program(p, 1, program, (False,))
-    planned = run_program(p, 1, program, (True,))
-    for d in range(p):
-        for k in range(3):
-            assert planned.results[d][k].dtype == generic.results[d][k].dtype
-            assert planned.results[d][k].shape == generic.results[d][k].shape
-            assert planned.results[d][k].tobytes() == generic.results[d][k].tobytes()
-    _counters_equal(generic, planned)
 
 
 def test_scheduled_exchange_rejects_a_buffer_of_another_height():
@@ -490,40 +486,13 @@ def test_schedule_checks_counts_and_rows_as_the_call_does(counts, rows, match):
 def test_alltoallv_schedule_misuse_named():
     schedule = distgcn.runtime.plan_all_to_allv([[1, 1], [1, 1]], [None, None], [2, 2])
     other = distgcn.runtime.plan_all_to_allv([[1, 1], [1, 1]], [None, None], [2, 2])
-    with pytest.raises(ValueError, match="takes counts and rows or a schedule, not both"):
-        run_program(1, 1, lambda comm: comm.all_to_allv(np.ones(1), [1], schedule=schedule))
-    with pytest.raises(ValueError, match="needs counts or a schedule"):
-        run_program(1, 1, lambda comm: comm.all_to_allv(np.ones(1)))
-    with pytest.raises(ValueError, match=r"ranks \[1\] pass no schedule but others do"):
+    with pytest.raises(TypeError, match=r"all_to_allv needs the ExchangeSchedule of its "
+                                        r"exchange \(plan_all_to_allv\), got list"):
         run_program(2, 1, lambda comm: comm.all_to_allv(
-            np.ones(2), [1, 1] if comm.rank else None, schedule=None if comm.rank else schedule))
+            np.ones(2), [1, 1] if comm.rank else schedule))
     with pytest.raises(ValueError, match=r"ranks \[1\] pass another schedule than rank 0"):
         run_program(2, 1, lambda comm: comm.all_to_allv(
             np.ones(2), schedule=other if comm.rank else schedule))
-
-
-def test_buffer_passed_by_several_ranks_is_stacked_once():
-    shared = np.arange(10.0)
-    heights = []
-
-    def then(stacked, gather, bounds):
-        heights.append(len(stacked))
-        return [np.take(stacked, gather[bounds[d]:bounds[d + 1]]) for d in range(4)]
-
-    def program(comm, fused):
-        # rank 0 sends no row of the shared buffer, rank 3 sends its own
-        if comm.rank == 3:
-            return comm.all_to_allv(np.full(2, -1.0), [1, 0, 0, 1], then=then if fused else None)
-        rows = [[], [9, 0], [4, 4, 5, 1]][comm.rank]
-        counts = [[0, 0, 0, 0], [1, 0, 1, 0], [0, 2, 1, 1]][comm.rank]
-        return comm.all_to_allv(shared, counts, rows=rows, then=then if fused else None)
-
-    plain, fused = run_program(4, 1, program, (False,)), run_program(4, 1, program, (True,))
-    assert heights == [12]
-    assert [r.tolist() for r in plain.results] == [[9.0, -1.0], [4.0, 4.0], [0.0, 5.0],
-                                                   [1.0, -1.0]]
-    assert [r.tolist() for r in fused.results] == [r.tolist() for r in plain.results]
-    _counters_equal(plain, fused)
 
 
 @pytest.mark.parametrize("tall", [30000, 40000])
@@ -534,16 +503,9 @@ def test_narrow_rows_behind_a_tall_stacked_buffer(dtype, tall):
     far = 4000 if dtype == np.int16 else 250
     rows = [np.array([7], dtype), np.array([far, 3], dtype)]
     counts = [[0, 1], [1, 1]]
-    schedule = distgcn.runtime.plan_all_to_allv(counts, rows, [len(b) for b in bufs])
-
-    def program(comm, planned):
-        if planned:
-            return comm.all_to_allv(bufs[comm.rank], schedule=schedule)
-        return comm.all_to_allv(bufs[comm.rank], counts[comm.rank], rows=rows[comm.rank])
-
-    for planned in (False, True):
-        run = run_program(2, 1, program, (planned,))
-        assert [r.tolist() for r in run.results] == [[-float(far)], [7.0, -3.0]]
+    schedule = plan_all_to_allv(counts, rows, [len(b) for b in bufs])
+    run = run_program(2, 1, lambda comm: comm.all_to_allv(bufs[comm.rank], schedule))
+    assert [r.tolist() for r in run.results] == [[-float(far)], [7.0, -3.0]]
 
 
 def test_broadcast_single_rank():
@@ -791,15 +753,20 @@ def test_ledger_marks_snapshot_totals():
     assert second == 2 * first > 0
 
 
+# rank s sends (s + d) % 3 rows to rank d, and reversed, on 6 ranks
+_EDGE_COUNTS = (np.arange(6)[:, None] + np.arange(6)) % 3
+_EDGE_SCHEDULES = (_packed(_EDGE_COUNTS), _packed(_EDGE_COUNTS[:, ::-1]))
+
+
 def _edge_case_program(comm):
     """Every primitive on a 3 x 2 grid, over the ledger's corner cases."""
     i, j = comm.coords
     empty = comm.broadcast(1, np.zeros(0) if comm.rank == 1 else None)
     index = comm.broadcast(4, np.arange(5, dtype=np.int64) if comm.rank == 4 else None)
-    counts = (np.arange(comm.p) + comm.rank) % 3
-    data = comm.all_to_allv(np.full(int(counts.sum()), float(comm.rank)), counts)
-    idx = comm.all_to_allv(np.full((int(counts[::-1].sum()), 2), comm.rank, dtype=np.int64),
-                           counts[::-1])
+    heights = [sch.heights[comm.rank] for sch in _EDGE_SCHEDULES]
+    data = comm.all_to_allv(np.full(heights[0], float(comm.rank)), _EDGE_SCHEDULES[0])
+    idx = comm.all_to_allv(np.full((heights[1], 2), comm.rank, dtype=np.int64),
+                           _EDGE_SCHEDULES[1])
     col = comm.all_reduce_sum(np.ones(3), group=comm.grid.col_group(j))
     row = comm.all_reduce_sum(np.ones(4), group=comm.grid.row_group(i))
     comm.ledger_mark("collectives")
@@ -835,10 +802,13 @@ def test_edge_case_ledger_pinned():
     assert digest.hexdigest() == _PINNED_EDGE_CASES
 
 
+_MIXED_SCHEDULE = _packed([[3] * 4] * 4)
+
+
 def _mixed_program(comm):
     rng = np.random.default_rng(comm.rank)
     out = comm.all_to_allv(np.concatenate([rng.normal(size=3) for _ in range(comm.p)]),
-                           [3] * comm.p)
+                           _MIXED_SCHEDULE)
     red = comm.all_reduce_sum(out)
     if comm.rank == 0:
         comm.isend(comm.p - 1, red, tag=0)
@@ -882,6 +852,9 @@ def _bounded(fn, seconds=60.0):
 
 def test_one_rank_runs_at_a_time():
     p, rounds = 16, 4
+    # rank r sends (r + d + rnd) % 3 rows to rank d in round rnd
+    schedules = [_packed((np.arange(p)[:, None] + np.arange(p) + rnd) % 3)
+                 for rnd in range(rounds)]
     lock = threading.Lock()
     active, peak = [0], [0]
 
@@ -902,8 +875,8 @@ def test_one_rank_runs_at_a_time():
             program_code()
             got.append(comm.recv((r - 1) % p, tag=rnd)[0])
             program_code()
-            counts = np.array([(r + d + rnd) % 3 for d in range(p)])
-            rows = comm.all_to_allv(np.full(int(counts.sum()), float(r)), counts)
+            schedule = schedules[rnd]
+            rows = comm.all_to_allv(np.full(schedule.heights[r], float(r)), schedule)
             program_code()
             total = comm.all_reduce_sum(np.array([rows.sum()]))
             program_code()
@@ -942,9 +915,13 @@ def test_rank_threads_share_one_cpu():
     assert os.sched_getaffinity(0) == caller
 
 
+# rank s sends (s + d) % 3 rows to rank d, on 8 ranks
+_BATON_SCHEDULE = _packed((np.arange(8)[:, None] + np.arange(8)) % 3)
+
+
 def _baton_program(comm):
-    counts = (np.arange(comm.p) + comm.rank) % 3
-    rows = comm.all_to_allv(np.full(int(counts.sum()), float(comm.rank)), counts)
+    schedule = _BATON_SCHEDULE
+    rows = comm.all_to_allv(np.full(schedule.heights[comm.rank], float(comm.rank)), schedule)
     comm.isend((comm.rank + 1) % comm.p, rows)
     got = comm.recv((comm.rank - 1) % comm.p)
     return comm.all_reduce_sum(np.array([got.sum()]))[0], rows.tolist()

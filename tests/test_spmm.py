@@ -328,8 +328,8 @@ def test_training_hands_back_epoch_0s_layer_0_products_read_only(variant, p, c,
     received = {}  # rank -> what each of its multiplying exchanges returned
     all_to_allv = distgcn.runtime.Comm.all_to_allv
 
-    def spy(comm, buf, counts=None, rows=None, then=None, schedule=None):
-        out = all_to_allv(comm, buf, counts, rows, then, schedule)
+    def spy(comm, buf, schedule, then=None):
+        out = all_to_allv(comm, buf, schedule, then)
         if then is not None:
             received.setdefault(comm.rank, []).append(out)
         return out
@@ -362,8 +362,9 @@ def test_oblivious_broadcasts_full_rows_even_when_useless():
     h = np.ones((24, 2))
     run = run_spmm(a, h, 4, 1, "1d-oblivious")
     np.testing.assert_allclose(run.z, serial_reference(a, h), atol=1e-12)
-    per_rank = [run.ledger.rank_bytes_sent(r, "data") for r in range(4)]
+    per_rank = run.ledger.counters["alltoallv"]["data_bytes_sent"].tolist()
     assert per_rank == [3 * 6 * 2 * 8.0] * 4  # (p-1) x block rows x f x 8
+    assert run.ledger.total_bytes_sent("data") == sum(per_rank)
 
 
 def test_sparse_block_diagonal_moves_nothing():
@@ -627,17 +628,17 @@ def test_each_exchange_pattern_is_inspected_once_per_run(monkeypatch):
     # form, whatever the number of phases, and each phase multiplies once,
     # straight from the stacked block rows
     inspected, multiplies = [], []
-    inspect, spmm = distgcn.runtime._inspect, distgcn.spmm.local_spmm
+    inspect, spmm = distgcn.spmm.plan_all_to_allv, distgcn.spmm.local_spmm
 
-    def spy_inspect(counts, rows, heights, buffer_of):
+    def spy_inspect(counts, rows, heights):
         inspected.append(len(heights))
-        return inspect(counts, rows, heights, buffer_of)
+        return inspect(counts, rows, heights)
 
     def spy_spmm(a, h):
         multiplies.append((a.n_cols, h.shape[0]))
         return spmm(a, h)
 
-    monkeypatch.setattr(distgcn.runtime, "_inspect", spy_inspect)
+    monkeypatch.setattr(distgcn.spmm, "plan_all_to_allv", spy_inspect)
     monkeypatch.setattr(distgcn.spmm, "local_spmm", spy_spmm)
     for epochs in (1, 3):
         inspected.clear()
@@ -655,28 +656,107 @@ def test_each_exchange_pattern_is_inspected_once_per_run(monkeypatch):
         assert res.ledger.counters["alltoallv"]["calls"].tolist() == [2 + phases] * 8
 
 
+def _traced_peak(p, c, program):
+    """A run of `program` and the peak of the memory it allocates, traced
+    after a first, warm-up run: thread and runtime state, and the plans
+    the program's operands make on their first call."""
+    run_program(p, c, program)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run = run_program(p, c, program)
+        return run, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_index_exchange_stacks_the_shared_index_once():
-    # every rank passes the operand's one index array; stacking it once
-    # per sender would allocate p times its size. The runtime's own cost,
-    # a run of a program that does nothing, is not the exchange's.
+    # every rank sends its halo's column list, a slice of one array, so the
+    # exchange stacks each index entry once; stacking the operand's whole
+    # index once per sender would allocate p times its size. The runtime's
+    # own cost, a run of a program that does nothing, is not the exchange's.
     graph, h, _ = sbm(8000, blocks=8, p_in=0.01, p_out=0.001, seed=2, feature_dim=1)
     a = gcn_normalize(graph)
     p = 64
     part = block_partition(8000, p)
     a2, _ = apply_partition(a, None, part)
     op = build_dist_matrices(a2, part.boundaries, ProcessGrid(p, 1)).fwd
-
-    def peak(program):
-        run_program(p, 1, program)  # warm: thread and runtime state
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run = run_program(p, 1, program)
-            return run, tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    _, idle = peak(lambda comm: None)
-    run, exchange = peak(functools.partial(exchange_index_lists, op=op, variant="1d-sparse"))
+    _, idle = _traced_peak(p, 1, lambda comm: None)
+    run, exchange = _traced_peak(
+        p, 1, functools.partial(exchange_index_lists, op=op, variant="1d-sparse"))
     assert run.ledger.total_bytes_sent("index") > 0
     assert exchange - idle < 4 * op.idx.nbytes, (exchange, idle, op.idx.nbytes)
+
+
+@pytest.mark.parametrize("variant", ["1d-sparse", "1d-oblivious"])
+def test_held_phase_stacks_no_row_after_its_first_call(variant):
+    # a later call of a held phase hands back the kept products, so its
+    # completion reads no row and must not copy the senders' rows into one
+    # stacked array: 1 MB here, which the first call does stack
+    graph, h, _ = sbm(4000, blocks=4, p_in=0.01, p_out=0.001, seed=2, feature_dim=32)
+    a = gcn_normalize(graph)
+    part = block_partition(4000, 4)
+    a2, h2 = apply_partition(a, h, part)
+    op = build_dist_matrices(a2, part.boundaries, ProcessGrid(4, 1)).fwd
+    held = []
+
+    def program(comm):
+        r0, r1 = part.boundaries[comm.rank]
+        return spmm_kernel(comm, op, h2[r0:r1], variant, held=held)
+
+    _, idle = _traced_peak(4, 1, lambda comm: None)
+    run, later = _traced_peak(4, 1, program)  # the warm-up run fills `held`
+    schedule = op.phase(variant).schedule
+    stacked = h2.itemsize * h2.shape[1] * sum(schedule.heights[s] for s in schedule.stacked)
+    assert stacked == h2.nbytes
+    assert later - idle < stacked / 4, (later, idle, stacked)
+    assert all(z is kept for z, kept in zip(run.results, held, strict=True))
+    np.testing.assert_array_equal(np.vstack(held), serial_reference(a2, h2))
+
+
+@pytest.mark.parametrize("p,c,symmetric", [(32, 1, True), (64, 2, True), (32, 4, True),
+                                             (8, 2, False)])
+def test_index_exchange_delivers_each_readers_columns(p, c, symmetric):
+    # every stage owner receives cols(i, q) of its block q from each reader
+    # i in turn, and the exchange is the aware phase transposed: a rank's
+    # index entries sent are the rows its aware phase receives. Greedy-tv
+    # leaves parts empty at 32 parts; the non-symmetric matrix has a
+    # backward operand of its own.
+    if symmetric:
+        graph, _, _ = sbm(100, blocks=4, p_in=0.1, p_out=0.01, seed=0, feature_dim=3)
+        a = gcn_normalize(graph)
+    else:
+        a, _ = random_instance(23, n=40)
+    grid = ProcessGrid(p, c)
+    part = greedy_tv_partition(a, grid.n_rows)
+    assert any(s == e for s, e in part.boundaries) == (grid.n_rows == 32)
+    a2, h2 = apply_partition(a, np.random.default_rng(0).normal(size=(a.n_rows, 1)), part)
+    dm = build_dist_matrices(a2, part.boundaries, grid)
+    assert dm.symmetric == symmetric
+    op = dm.fwd if symmetric else dm.bwd
+    variant = "1d-sparse" if c == 1 else "15d-sparse"
+    op.index_plan()
+    assert list(op._phases) == ["index"]  # planning the index exchange plans no phase
+
+    def program(comm):
+        r0, r1 = part.boundaries[comm.coords[0]]
+        got = exchange_index_lists(comm, op, variant)
+        spmm_kernel(comm, op, h2[r0:r1], variant)
+        return got
+
+    run = run_program(p, c, program)
+    s = grid.stage_count()
+    for r, got in enumerate(run.results):
+        i, g = grid.coords(r)
+        want = ([op.cols(reader, i) for reader in range(grid.n_rows)] if i // s == g else [])
+        assert got.dtype == np.int64
+        assert got.tolist() == np.concatenate([np.zeros(0, np.int64), *want]).tolist()
+    # one column index and one f=1 row are 8 bytes each
+    ledger = run.ledger.counters["alltoallv"]
+    for index, data in (("index_bytes_sent", "data_bytes_received"),
+                        ("index_msgs_sent", "data_msgs_received"),
+                        ("index_bytes_received", "data_bytes_sent")):
+        assert ledger[index].tolist() == ledger[data].tolist(), index
+    assert ledger["index_bytes_sent"].sum() > 0
+    np.testing.assert_array_equal(op.index_plan()[0].sent_rows,
+                                  op.phase(variant).schedule.received_rows)
