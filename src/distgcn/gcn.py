@@ -4,7 +4,13 @@ A network with `layers` levels of node representations owns layers-1
 weight matrices. One epoch runs, per weight layer, one distributed
 multiply in the forward direction and one in the backward direction
 (2*(layers-1) collective multiply phases in total) plus one small
-weight-gradient all-reduce per weight layer. Layer 0's forward product
+all-reduce of every weight layer's gradient at once, over the rank's
+column group: the gradients are bucketed, as in PyTorch DDP or
+Horovod's tensor fusion, so an epoch pays one reduction's latency
+whatever its depth, and the sum, elementwise in ascending rank order,
+has the bits of the per-layer sums. No layer's update is needed before
+the backward pass ends, since each layer's input gradient uses the
+weights of the epoch's start. Layer 0's forward product
 ÂᵀX depends only on the fixed features, so one training call multiplies
 it once: every later epoch still runs and charges that phase's exchange
 (and its row all-reduce when c > 1), and hands back the held product
@@ -126,7 +132,8 @@ def _xent_parts(logits, labels, mask, denom):
     integers, the masked ones in [0, logits.shape[1]); the callers check
     them with `_check_labels`."""
     shift = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shift).sum(axis=1))
+    exps = np.exp(shift)
+    log_norm = np.log(exps.sum(axis=1))
     grad = np.zeros_like(logits)
     loss_sum = 0.0
     correct = 0
@@ -134,7 +141,8 @@ def _xent_parts(logits, labels, mask, denom):
         rows = np.flatnonzero(mask)
         sel = labels[rows]
         loss_sum = float((log_norm[rows] - shift[rows, sel]).sum())
-        softmax = np.exp(shift[rows]) / np.exp(shift[rows]).sum(axis=1, keepdims=True)
+        softmax = exps[rows]
+        softmax /= softmax.sum(axis=1, keepdims=True)
         softmax[np.arange(rows.size), sel] -= 1.0
         grad[rows] = softmax / denom
         correct = int((logits[rows].argmax(axis=1) == sel).sum())
@@ -326,6 +334,7 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
     dm = build_dist_matrices(a2, part.boundaries, grid)
     denom = int(mask.sum())
     weights0 = init_weights(cfg, features.shape[1], int(labels.max()) + 1)
+    splits = np.cumsum([w.size for w in weights0])[:-1]  # of the gradient bucket
     held = []  # every rank's layer-0 forward product, made by epoch 0
 
     def program(comm):
@@ -350,12 +359,17 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
                 zs.append(z)
                 hs.append(relu(z) if l < last else z)
             loss_sum, g, correct = _xent_parts(hs[-1], yb, mb, denom)
+            ys = [None] * len(ws)
             for l in range(last, -1, -1):
                 m = spmm_kernel(comm, dm.bwd, g, cfg.variant)
-                y = comm.all_reduce_sum(gemm(hs[l].T, m), group=col_group)
+                ys[l] = gemm(hs[l].T, m).ravel()
                 if l > 0:
                     g = gemm(m, ws[l].T) * relu_grad(zs[l - 1])
-                ws[l] -= cfg.lr * y
+            # one bucketed reduction of every layer's gradient; the sum is
+            # elementwise, so each layer's part has the bits of its own sum
+            bucket = comm.all_reduce_sum(np.concatenate(ys), group=col_group)
+            for w, y in zip(ws, np.split(bucket, splits)):
+                w -= cfg.lr * y.reshape(w.shape)
             _check_finite_weights(ws, epoch)
             stats[epoch] = (loss_sum, correct)
             comm.ledger_mark(("epoch", epoch))

@@ -80,6 +80,18 @@ class CsrMatrix:
             if np.any(same_row & (np.diff(self.col_idx) <= 0)):
                 raise ValueError("column indices must be strictly increasing within each row")
 
+    @classmethod
+    def _derived(cls, n_rows, n_cols, row_ptr, col_idx, values) -> "CsrMatrix":
+        """A matrix whose arrays derive from a validated matrix by a map
+        that keeps canonical form, e.g. its columns renumbered by a
+        strictly increasing map, built without `__post_init__`'s checks.
+        The caller owns that proof and passes int64 indices and float64
+        values; every public build keeps its checks."""
+        mat = object.__new__(cls)
+        mat.n_rows, mat.n_cols = n_rows, n_cols
+        mat.row_ptr, mat.col_idx, mat.values = row_ptr, col_idx, values
+        return mat
+
     @property
     def nnz(self) -> int:
         return int(self.col_idx.size)

@@ -358,9 +358,11 @@ def _plan_phase(op: DistOperand, aware) -> _Phase:
     at = schedule.gather
     if not aware:
         at = at[_whole_block_rows(op, schedule.bounds)]
+    # `at` ascends within each rank's columns, so every row keeps its
+    # strictly increasing columns and `local`'s checks carry over
     loc = op.local
-    operand = CsrMatrix(loc.n_rows, int(heights[schedule.stacked].sum()), loc.row_ptr,
-                        at[loc.col_idx], loc.values)
+    operand = CsrMatrix._derived(loc.n_rows, int(heights[schedule.stacked].sum()),
+                                 loc.row_ptr, at[loc.col_idx], loc.values)
     return _Phase(schedule, operand, op.row_off)
 
 

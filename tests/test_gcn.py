@@ -5,7 +5,7 @@ import pytest
 
 from distgcn.gcn import (SerialGcn, TrainConfig, init_weights, relu_grad,
                          serial_train, softmax_xent, train)
-from distgcn.graphgen import sbm
+from distgcn.graphgen import clique_blocks, sbm
 from distgcn.sparse import CsrMatrix, csr_from_dense, gcn_normalize
 from distgcn.partition import greedy_tv_partition
 
@@ -392,9 +392,9 @@ def _check_epoch_phase_counts(variants):
         for r in range(4):
             # one personalized exchange per multiply phase
             assert counters["alltoallv"]["calls"][r] == epochs * 2 * (layers - 1) + setup
-            # one weight-gradient reduction per weight layer, plus one
+            # one bucketed weight-gradient reduction per epoch, plus one
             # partial-sum reduction per multiply phase when c > 1
-            assert counters["allreduce"]["calls"][r] == epochs * (layers - 1) * (1 + 2 * (c > 1))
+            assert counters["allreduce"]["calls"][r] == epochs * (1 + 2 * (layers - 1) * (c > 1))
             assert counters["p2p"]["msgs_sent"][r] == counters["p2p"]["msgs_received"][r] == 0
             assert counters["broadcast"]["calls"][r] == 0
 
@@ -443,3 +443,32 @@ def test_train_config_validation():
         TrainConfig(hidden=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=-0.1)
+
+
+@pytest.mark.parametrize("layers", [3, 5])
+@pytest.mark.parametrize("variant,c", [("1d-sparse", 1), ("15d-sparse", 1), ("15d-sparse", 2)])
+def test_disjoint_cliques_epoch_is_one_gradient_reduction(variant, c, layers):
+    # criterion 3's zero-byte case trained: cliques aligned with the block
+    # rows move no row, so an epoch's messages are the one bucketed
+    # gradient all-reduce over the column group, plus (c > 1) the row
+    # all-reduce of each multiply phase
+    p, size, epochs = 8, 5, 2
+    grid_rows = p // c
+    a = gcn_normalize(clique_blocks(grid_rows, size))
+    rng = np.random.default_rng(layers)
+    features = rng.normal(size=(a.n_rows, 3))
+    labels = rng.integers(3, size=a.n_rows)
+    mask = np.ones(a.n_rows, dtype=bool)
+
+    def run(n):
+        cfg = TrainConfig(layers=layers, hidden=4, lr=0.05, epochs=n, seed=3, variant=variant)
+        return train(a, features, labels, mask, cfg, p=p, c=c).ledger.counters
+
+    trained, setup = run(epochs), run(0)
+    per_epoch = {prim: {field: (trained[prim][field] - setup[prim][field]) / epochs
+                        for field in ("bytes_sent", "msgs_sent")} for prim in trained}
+    for prim in ("p2p", "alltoallv", "broadcast"):
+        assert per_epoch[prim]["bytes_sent"].tolist() == [0.0] * p
+        assert per_epoch[prim]["msgs_sent"].tolist() == [0] * p
+    assert per_epoch["allreduce"]["msgs_sent"].tolist() == (
+        [2 * (grid_rows - 1) + 2 * (layers - 1) * 2 * (c - 1)] * p)

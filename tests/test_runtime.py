@@ -661,6 +661,45 @@ def test_subgroup_allreduce_independent():
     assert run.results == [1.0, 1.0, 5.0, 5.0]
 
 
+@pytest.mark.parametrize("p,c", [(1, 1), (2, 1), (3, 1), (12, 2), (32, 1)])
+def test_allreduce_of_a_concatenation_is_the_per_part_sums(p, c):
+    # a bucket of gradients: one reduction of the parts laid end to end
+    # gives each part's own sum bit for bit, since the sum is elementwise
+    # in ascending rank order. (12, 2) reduces over a column group of 6.
+    shapes = [(5, 3), (3, 1), (4, 2)]
+    sizes = [a * b for a, b in shapes]
+    rng = np.random.default_rng(p)
+    payloads = rng.normal(size=(p, sum(sizes))) * 10.0 ** rng.integers(-8, 9, (p, sum(sizes)))
+    payloads[:, 0] = -0.0
+
+    def parts(comm):
+        group = comm.grid.col_group(comm.coords[1])
+        own = np.split(payloads[comm.rank], np.cumsum(sizes)[:-1])
+        return [comm.all_reduce_sum(x.reshape(s), group=group) for x, s in zip(own, shapes)]
+
+    def bucket(comm):
+        group = comm.grid.col_group(comm.coords[1])
+        total = comm.all_reduce_sum(payloads[comm.rank], group=group)
+        return [x.reshape(s) for x, s in zip(np.split(total, np.cumsum(sizes)[:-1]), shapes)]
+
+    apart, together = run_program(p, c, parts), run_program(p, c, bucket)
+    g = p // c
+    for r in range(p):
+        assert ([x.tobytes() for x in apart.results[r]]
+                == [x.tobytes() for x in together.results[r]])
+    ledgers = apart.ledger.counters["allreduce"], together.ledger.counters["allreduce"]
+    assert ledgers[0]["calls"].tolist() == [len(shapes)] * p
+    assert ledgers[1]["calls"].tolist() == [1] * p
+    assert ledgers[1]["msgs_sent"].tolist() == [2 * (g - 1)] * p
+    # the ring charge 2(g-1)/g x bytes is linear in the payload, and exact
+    # in floating point when g is a power of two
+    sent = [ledger["bytes_sent"] for ledger in ledgers]
+    if g & (g - 1) == 0:
+        assert sent[0].tolist() == sent[1].tolist()
+    else:
+        np.testing.assert_allclose(sent[1], sent[0], rtol=1e-15)
+
+
 def test_deadlock_unmatched_recv_reported():
     def program(comm):
         if comm.rank == 0:

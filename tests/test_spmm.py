@@ -543,8 +543,8 @@ _PINNED_RUNS = {
     ("15d-sparse", "greedy-tv"):
         "4956287d597fbcadee6734083e4386551474d142c6c12e6b93f2a3a121cd378d",
 }
-_PINNED_TRAIN = "a5c8f4d9a4c245ba74cd3bb1efd88202427ca3065f5b28098232c07aa70f49a3"
-_PINNED_TRAIN_15D = "1a1fa4ba9afe69ce9596eb4c0bbcccd4e8ab9d3853205d932645291936115135"
+_PINNED_TRAIN = "a783f77697d44697c44e376df5501a7bcfde70e4436727d47110d51dad00d20b"
+_PINNED_TRAIN_15D = "39baa55291ca432a38d3bda16092e8b27f2920c6df9bac9c43b1eaa40d7e650b"
 
 
 def _pinned_spmm_input():
@@ -654,6 +654,32 @@ def test_each_exchange_pattern_is_inspected_once_per_run(monkeypatch):
         phases = 2 * (TrainConfig().layers - 1) * epochs
         assert multiplies == [(320, 320)] * (phases - (epochs - 1))
         assert res.ledger.counters["alltoallv"]["calls"].tolist() == [2 + phases] * 8
+
+
+@pytest.mark.parametrize("variant", ["15d-sparse", "15d-oblivious"])
+def test_planned_operand_equals_a_validated_build(variant, monkeypatch):
+    # a phase plan renumbers the validated `local`'s columns and builds the
+    # result unchecked; the checked constructor accepts the same arrays,
+    # here for both operands of a non-symmetric matrix on uneven block rows
+    a, _ = random_instance(61, n=40, density=0.2)
+    assert not csr_equal(transpose_csr(a), a)
+    part = Partition.from_assignment(np.repeat(np.arange(4), [7, 13, 4, 16]), 4)
+    a2, _ = apply_partition(a, None, part)
+    dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(8, 2))
+
+    def no_checks(self):
+        raise AssertionError("a phase plan re-validated its operand")
+
+    for op in (dm.fwd, dm.bwd):
+        with monkeypatch.context() as patched:
+            patched.setattr(CsrMatrix, "__post_init__", no_checks)
+            planned = op.phase(variant).operand
+        checked = CsrMatrix(planned.n_rows, planned.n_cols, planned.row_ptr,
+                            planned.col_idx, planned.values)
+        assert planned.nnz == op.local.nnz > 0
+        assert csr_equal(planned, checked)
+        assert (planned.row_ptr.dtype, planned.col_idx.dtype, planned.values.dtype) == (
+            np.int64, np.int64, np.float64)
 
 
 def _traced_peak(p, c, program):
