@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .runtime import CommLedger
+from .runtime import CommLedger, ProcessGrid
 
 __all__ = ["CostParams", "confront", "predict_1d_terms", "predict_15d_terms"]
 
@@ -52,9 +52,7 @@ def predict_15d_terms(cp: CostParams) -> dict:
     """Decomposition of the replicated-layout bound:
     2L * (alpha*(P/c^2)*log2(P/c^2) + (P/c^2)*cut_p*f*beta); the log term
     is zero when P/c^2 == 1."""
-    if cp.p % (cp.c * cp.c) != 0:
-        raise ValueError(f"c*c must divide p (p={cp.p}, c={cp.c})")
-    s = cp.p // (cp.c * cp.c)
+    s = ProcessGrid(cp.p, cp.c).stage_count()
     log_s = math.log2(s) if s > 1 else 0.0
     latency = 2.0 * cp.l_layers * cp.alpha * s * log_s
     bandwidth = 2.0 * cp.l_layers * s * cp.cut_p * cp.f * cp.beta

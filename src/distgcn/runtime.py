@@ -151,10 +151,8 @@ class ProcessGrid:
     c: int = 1
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
-        if self.c < 1:
-            raise ValueError("replication factor c must be at least 1")
+        if self.p < 1 or self.c < 1:
+            raise ValueError(f"p and c must be at least 1 (p={self.p}, c={self.c})")
         if self.p % self.c != 0:
             raise ValueError(f"c must divide p (p={self.p}, c={self.c})")
 

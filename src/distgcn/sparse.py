@@ -12,7 +12,6 @@ order compute equal orders, so either write is correct.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -84,7 +83,8 @@ class CsrMatrix:
     def _derived(cls, n_rows, n_cols, row_ptr, col_idx, values) -> "CsrMatrix":
         """A matrix whose arrays derive from a validated matrix by a map
         that keeps canonical form, e.g. its columns renumbered by a
-        strictly increasing map, built without `__post_init__`'s checks.
+        strictly increasing map or its distinct entries moved and sorted,
+        built without `__post_init__`'s checks.
         The caller owns that proof and passes int64 indices and float64
         values; every public build keeps its checks."""
         mat = object.__new__(cls)
@@ -194,9 +194,13 @@ def _run_starts(keys) -> np.ndarray:
 def _relabeled(n_rows, n_cols, rows, cols, vals) -> CsrMatrix:
     """Canonical CSR of entries moved to distinct new coordinates (rows,
     cols), values moved, not recomputed: one sort on the int64 key
-    row * n_cols + col, which needs n_rows * n_cols below 2**63."""
+    row * n_cols + col, which needs n_rows * n_cols below 2**63. The
+    entries are a validated matrix's, given as int64 indices in range and
+    float64 values, and distinct sorted keys are canonical, so the result
+    is built unchecked."""
     order = np.argsort(rows * n_cols + cols)
-    return CsrMatrix(n_rows, n_cols, _row_ptr(rows, n_rows), cols[order], vals[order])
+    return CsrMatrix._derived(n_rows, n_cols, _row_ptr(rows, n_rows), cols[order],
+                              vals[order])
 
 
 def csr_from_edges(edges, n, symmetrize=False) -> CsrMatrix:
@@ -314,15 +318,13 @@ def local_spmm(a: CsrMatrix, h) -> np.ndarray:
     / f` rows (never fewer than `_SPMM_TAIL_ROWS`). Within a chunk, level
     k adds the k-th entry of every row that has more than k entries; in
     degree order those rows are a prefix, so a level is one in-place add
-    of contiguous rows. Levels that lie wholly in the chunk are gathered
-    in groups of at most `_SPMM_STEP_ELEMS` values, and a level that runs
-    past the chunk adds only the chunk's rows. The fewer than
+    of the chunk's contiguous rows, one level at a time. The fewer than
     `_SPMM_TAIL_ROWS` rows that outlast the levels then finish through
     `np.add.at` in storage order, so a hub row does not cost one Python
     step per entry. Every add is one IEEE addition of the next term onto
     the running sum, in the same order as a row-by-row loop, so the bits
-    do not depend on the chunks, groups or tail; a pairwise reduction
-    such as `np.add.reduceat` would change them.
+    do not depend on the chunks or the tail; a pairwise reduction such
+    as `np.add.reduceat` would change them.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
@@ -343,18 +345,9 @@ def local_spmm(a: CsrMatrix, h) -> np.ndarray:
         acc[:c1 - c0] = 0.0
         k = 0
         while k < levels and active[k] > c0:
-            k1 = k + 1
-            if c0 == 0 and active[k] <= c1:
-                # levels k..k1-1 lie wholly in the chunk, so their terms are
-                # one range of at most `step`; one level always fits
-                k1 = max(k1, bisect.bisect_right(bounds, bounds[k] + step) - 1)
-            terms = lv.terms(h, bounds[k] + c0, bounds[k1 - 1] + min(active[k1 - 1], c1))
-            off = 0
-            for m in active[k:k1]:
-                m = min(m, c1) - c0
-                acc[:m] += terms[off:off + m]
-                off += m
-            k = k1
+            m = min(active[k], c1)
+            acc[:m - c0] += lv.terms(h, bounds[k] + c0, bounds[k] + m)
+            k += 1
         out[lv.rows[c0:c1]] = acc[:c1 - c0]
     # the rows that outlast the levels finish in storage order
     for lo in range(0, lv.tail_rows.size, step):

@@ -186,12 +186,15 @@ def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
     # each entry's rank, and its row of `local`; within a rank the entries
     # keep their storage order, so a stable sort by rank is the stacking.
     # numpy sorts integers of up to 16 bits, p < 65536, in one radix pass.
+    # Every row keeps its entries in order and `comp` ascends with the
+    # column within a rank, so `local` is canonical and built unchecked.
     rank = (bi * c + bj // stages).astype(np.min_scalar_type(nb * c))
     at = np.argsort(rank, kind="stable")
     rank = rank[at]
     local_rows = row_off[rank] + rows[at] - starts[rank // c]
-    local = CsrMatrix(row_off[-1], col_off[-1], _row_ptr(local_rows, row_off[-1]),
-                      comp[at], mat.values[at])
+    n_rows = int(row_off[-1])
+    local = CsrMatrix._derived(n_rows, int(col_off[-1]), _row_ptr(local_rows, n_rows),
+                               comp[at], mat.values[at])
     return DistOperand(local, row_off, col_off, idx, ptr, starts)
 
 
@@ -210,15 +213,13 @@ def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid) -> DistMatr
 
 def validate_variant_grid(variant, p, c):
     """Reject (variant, p, c) combinations that break the grid contract,
-    naming the violated constraint."""
+    naming the violated constraint. `ProcessGrid` checks the grid itself:
+    p and c at least 1, and c dividing p."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if p < 1 or c < 1:
-        raise ValueError(f"p and c must be at least 1 (p={p}, c={c})")
     if variant.startswith("1d") and c != 1:
         raise ValueError(f"variant {variant} requires c == 1 (got c={c})")
-    if p % c != 0:
-        raise ValueError(f"c must divide p (p={p}, c={c})")
+    ProcessGrid(p, c)
     if variant.startswith("15d") and p % (c * c) != 0:
         raise ValueError(f"variant {variant} requires c*c to divide p (p={p}, c={c})")
 
@@ -353,13 +354,16 @@ def _plan_phase(op: DistOperand, aware) -> _Phase:
         for r in owners.tolist():
             rows[r] = np.tile(np.arange(heights[r]), nb)
     schedule = plan_all_to_allv(counts, rows, heights)
-    # an aware receiver's rows are its halo; an oblivious one's are the
-    # whole blocks of its column group, from which its halo is picked
-    at = schedule.gather
-    if not aware:
-        at = at[_whole_block_rows(op, schedule.bounds)]
+    # an aware receiver's rows are its halo, in the stacked rows' order.
+    # The oblivious owners stack their whole blocks once each, in block
+    # order, so column x of block j is stacked row starts[j] + x.
+    if aware:
+        at = schedule.gather
+    else:
+        cols, runs = _halo_cols(op)
+        at = cols + np.repeat(op.starts[np.tile(np.arange(nb), nb)], runs)
     # `at` ascends within each rank's columns, so every row keeps its
-    # strictly increasing columns and `local`'s checks carry over
+    # strictly increasing columns and `local`'s canonical form carries over
     loc = op.local
     operand = CsrMatrix._derived(loc.n_rows, int(heights[schedule.stacked].sum()),
                                  loc.row_ptr, at[loc.col_idx], loc.values)
@@ -382,18 +386,6 @@ def _halo_cols(op: DistOperand) -> tuple:
     nb = op.ptr.shape[0]
     runs = np.diff(op.ptr, axis=1).T.ravel()
     return op.idx[_ranges(op.ptr[:, :nb].T.ravel(), runs)], runs
-
-
-def _whole_block_rows(op: DistOperand, bounds) -> np.ndarray:
-    """For every column of `op.local`, the place in an oblivious phase's
-    gather index of the row that holds it: its rank's offset in `bounds`
-    plus its row in the whole blocks of the rank's column group."""
-    nb = op.ptr.shape[0]
-    stages = nb // ((op.row_off.size - 1) // nb)  # p = nb * c
-    cols, runs = _halo_cols(op)
-    block = np.tile(np.arange(nb), nb)
-    block_at = op.starts[block] - op.starts[block // stages * stages]
-    return cols + np.repeat(block_at, runs) + np.repeat(bounds[:-1], np.diff(op.col_off))
 
 
 def serial_reference(a: CsrMatrix, h) -> np.ndarray:

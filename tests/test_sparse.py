@@ -255,8 +255,8 @@ def test_local_spmm_adds_in_storage_order(monkeypatch, f):
     h = rng.choice([-1.0, 1.0], (a.n_cols, f)) * 10.0 ** rng.uniform(-8, 8, (a.n_cols, f))
     expected = spmm_storage_order(a, h).tobytes()
     assert local_spmm(a, h).tobytes() == expected
-    # 40-row chunks: several chunks, level groups of one or two levels and
-    # an np.add.at tail of up to 15 rows in several slices
+    # 40-row chunks: several chunks, each adding its levels one at a time,
+    # and an np.add.at tail of up to 15 rows in several slices
     monkeypatch.setattr(distgcn.sparse, "_SPMM_STEP_ELEMS", 40 * f)
     assert local_spmm(a, h).tobytes() == expected
 

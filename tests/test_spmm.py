@@ -132,6 +132,10 @@ def test_variant_grid_validation_names_constraint():
     for p, c in ((4, 0), (0, 1), (-2, 1)):
         with pytest.raises(ValueError, match="p and c must be at least 1"):
             validate_variant_grid("15d-sparse", p, c)
+    # the grid contract has one owner, which names both values
+    for p, c in ((0, 1), (4, 0)):
+        with pytest.raises(ValueError, match=rf"p and c must be at least 1 \(p={p}, c={c}\)"):
+            ProcessGrid(p, c)
     validate_variant_grid("15d-oblivious", 8, 2)
 
 
@@ -658,28 +662,34 @@ def test_each_exchange_pattern_is_inspected_once_per_run(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["15d-sparse", "15d-oblivious"])
 def test_planned_operand_equals_a_validated_build(variant, monkeypatch):
-    # a phase plan renumbers the validated `local`'s columns and builds the
+    # the permutation, the transpose, the halo layout and a phase plan each
+    # move or renumber the entries of a validated matrix and build the
     # result unchecked; the checked constructor accepts the same arrays,
-    # here for both operands of a non-symmetric matrix on uneven block rows
+    # here for both operands of a non-symmetric matrix on uneven block rows,
+    # one of them empty
     a, _ = random_instance(61, n=40, density=0.2)
     assert not csr_equal(transpose_csr(a), a)
-    part = Partition.from_assignment(np.repeat(np.arange(4), [7, 13, 4, 16]), 4)
-    a2, _ = apply_partition(a, None, part)
-    dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(8, 2))
+    part = Partition.from_assignment(np.repeat(np.arange(4), [7, 13, 0, 20]), 4)
 
     def no_checks(self):
-        raise AssertionError("a phase plan re-validated its operand")
+        raise AssertionError("a derived matrix was re-validated")
 
-    for op in (dm.fwd, dm.bwd):
-        with monkeypatch.context() as patched:
-            patched.setattr(CsrMatrix, "__post_init__", no_checks)
-            planned = op.phase(variant).operand
-        checked = CsrMatrix(planned.n_rows, planned.n_cols, planned.row_ptr,
-                            planned.col_idx, planned.values)
-        assert planned.nnz == op.local.nnz > 0
-        assert csr_equal(planned, checked)
-        assert (planned.row_ptr.dtype, planned.col_idx.dtype, planned.values.dtype) == (
+    with monkeypatch.context() as patched:
+        patched.setattr(CsrMatrix, "__post_init__", no_checks)
+        a2, _ = apply_partition(a, None, part)
+        at = transpose_csr(a2)
+        dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(8, 2))
+        planned = [op.phase(variant).operand for op in (dm.fwd, dm.bwd)]
+    assert not dm.symmetric
+    for op, plan in zip((dm.fwd, dm.bwd), planned):
+        assert plan.nnz == op.local.nnz > 0
+    for derived in (a2, at, dm.fwd.local, dm.bwd.local, *planned):
+        checked = CsrMatrix(derived.n_rows, derived.n_cols, derived.row_ptr,
+                            derived.col_idx, derived.values)
+        assert csr_equal(derived, checked)
+        assert (derived.row_ptr.dtype, derived.col_idx.dtype, derived.values.dtype) == (
             np.int64, np.int64, np.float64)
+    assert a2.nnz == at.nnz == a.nnz
 
 
 def _traced_peak(p, c, program):
