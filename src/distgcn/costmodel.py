@@ -32,8 +32,7 @@ class CostParams:
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
-        if self.p < 1 or self.c < 1:
-            raise ValueError("p and c must be positive")
+        ProcessGrid(self.p, self.c)
         if self.cut_p < 0 or self.f < 1 or self.l_layers < 1:
             raise ValueError("invalid model parameters")
 

@@ -32,8 +32,11 @@ either way a payload of m elements is charged as 8*m bytes. Accounting
 conventions: point-to-point and all-to-all charge exactly the payload
 bytes between distinct ranks (self-addressed payloads are local copies and
 cost nothing); broadcast charges the root (p-1) times the payload;
-all-reduce charges every group member 2*(g-1)/g times the payload, the
-ring schedule cost, which may be fractional. Each primitive charges all
+all-reduce charges each group member the whole elements it sends and
+receives in MPICH's schedule for the group size (`all_reduce_counts`):
+recursive halving then recursive doubling, 2*log2(g) steps, when g is a
+power of two, and the ring's 2(g-1) steps otherwise. Either way the
+members move 2(g-1) times the payload in all. Each primitive charges all
 the ranks it involves through one `CommLedger.charge` per direction and
 raises the ledger's p x p arrays of largest message per rank pair. The
 conventions live in this module only, so swapping them does not touch the
@@ -114,6 +117,7 @@ __all__ = [
     "ProcessGrid",
     "RunResult",
     "SimulationError",
+    "all_reduce_counts",
     "plan_all_to_allv",
     "run_program",
 ]
@@ -182,8 +186,8 @@ class ProcessGrid:
 class CommLedger:
     """Per-rank, per-primitive byte and message counters for one run.
 
-    Byte counters are floats because the ring all-reduce convention can
-    charge fractional bytes; every message counter (`msgs_*`, `data_msgs_*`,
+    Byte counters are float64 but hold whole bytes, since every charge
+    moves whole elements; every message counter (`msgs_*`, `data_msgs_*`,
     `index_msgs_*`) and `calls` are integers. Bytes and messages move
     through `charge`, which charges any number of ranks at once; a
     collective charges each member one call, and so do `isend` and `recv`
@@ -519,6 +523,52 @@ def _execute(plan: ExchangeSchedule, bufs, ledger) -> list:
     return [bufs[s] for s in plan.stacked] or [bufs[0][:0]]
 
 
+def all_reduce_counts(g, size):
+    """Each member's share of one all-reduce of `size` elements over a
+    group of g, as four int64 arrays indexed by the members' positions
+    0..g-1 in ascending rank order: elements sent, messages sent,
+    elements received, messages received. Every step moves whole
+    elements, and a step that moves no element is no message.
+
+    When g is a power of two the schedule is recursive halving (a
+    reduce-scatter) then recursive doubling (an allgather), 2*log2(g)
+    steps. At halving step d = g/2, ..., 1, positions i and i XOR d hold
+    the same segment [lo, hi): the lower keeps [lo, lo + (hi-lo)//2) and
+    sends the rest, the upper keeps the rest and sends the lower part. At
+    doubling step d = 1, ..., g/2 each sends the segment it holds, which
+    is the one it kept at halving step d. Otherwise the schedule is the
+    ring's 2(g-1) steps: the payload is cut into g chunks as
+    `np.array_split` cuts it, and at ring step k position i sends chunk
+    (i - k) mod g (reduce-scatter) or chunk (i + 1 - k) mod g (allgather)
+    to position (i + 1) mod g. Either way the members send 2(g-1)*size
+    elements in all."""
+    if g & (g - 1) == 0:
+        # before each halving step, sizes holds one segment per set of
+        # members sharing it, in position order, and sent and msgs those
+        # members' counts so far. A member sends one half of its segment
+        # at the halving step and the other half at the doubling step of
+        # the same distance, and receives the same: the whole segment
+        # each way, in one message per non-empty half, min(size, 2)
+        sizes = np.array([size], dtype=np.int64)
+        sent, msgs = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        while sizes.size < g:
+            sent = np.repeat(sent + sizes, 2)
+            msgs = np.repeat(msgs + np.minimum(sizes, 2), 2)
+            lower = sizes // 2
+            sizes = np.column_stack((lower, sizes - lower)).ravel()
+        return sent, msgs, sent, msgs
+    pos = np.arange(g)
+    chunks = size // g + (pos < size % g)
+    held = np.count_nonzero(chunks)
+    # the chunks a position does not send in the reduce-scatter and in the
+    # allgather
+    skip = chunks[(pos + 1) % g], chunks[(pos + 2) % g]
+    sent = 2 * size - skip[0] - skip[1]
+    msgs = 2 * held - (skip[0] > 0) - (skip[1] > 0)
+    # position i receives what position i - 1 sends
+    return sent, msgs, sent[pos - 1], msgs[pos - 1]
+
+
 class Comm:
     """Per-rank communication handle passed to the rank procedure."""
 
@@ -690,8 +740,11 @@ class Comm:
         """Elementwise sum over the group, reduced in ascending rank order,
         as one read-only array shared by every member (a copy of the
         payload for a group of one). Every member must send the same dtype
-        and shape. Ring accounting: each member moves 2*(g-1)/g of the
-        payload in each direction."""
+        and shape. Each member is charged the elements and messages it
+        sends and receives in the schedule `all_reduce_counts` gives for
+        the group size: 2*log2(g) messages each way for a group of a power
+        of two, and 2(g-1) in the ring otherwise, less the steps that move
+        no element."""
         group = tuple(range(self.p)) if group is None else tuple(sorted(group))
         payload = _as_payload(buf)
         ledger = self._rt.ledger
@@ -712,10 +765,10 @@ class Comm:
                 total += arrivals[r]
             total.setflags(write=False)
             kind = CommLedger._kind(total)
-            wire = 2.0 * (g - 1) / g * (total.size * 8)
+            sent, msgs, received, received_msgs = all_reduce_counts(g, total.size)
             members = list(group)
-            ledger.charge("allreduce", "sent", members, wire, kind, 2 * (g - 1))
-            ledger.charge("allreduce", "received", members, wire, kind, 2 * (g - 1))
+            ledger.charge("allreduce", "sent", members, sent * 8, kind, msgs)
+            ledger.charge("allreduce", "received", members, received * 8, kind, received_msgs)
             return total
 
         return self._collective("allreduce", group, payload, complete)

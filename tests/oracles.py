@@ -154,6 +154,66 @@ def alltoallv_reference(bufs, counts):
     return recv
 
 
+def allreduce_by_steps(payloads):
+    """Run one all-reduce of the g rows of `payloads`, the members in
+    ascending rank order, by moving real segments between g simulated
+    members one step at a time: recursive halving then recursive doubling
+    when g is a power of two, the ring over np.array_split's chunks
+    otherwise. Returns every member's final buffer and, per member, the
+    elements and messages sent and received, a message being a send of
+    at least one element."""
+    bufs = [np.array(row, dtype=np.float64) for row in payloads]
+    g, n = len(bufs), len(bufs[0])
+    counts = {name: [0] * g for name in ("sent", "msgs", "received", "received_msgs")}
+
+    def step(sends, combine):
+        # every send of a step leaves before any arrives
+        moved = [(src, dst, lo, bufs[src][lo:hi].copy()) for src, dst, lo, hi in sends]
+        for src, dst, lo, seg in moved:
+            if seg.size:
+                counts["sent"][src] += seg.size
+                counts["msgs"][src] += 1
+                counts["received"][dst] += seg.size
+                counts["received_msgs"][dst] += 1
+            if combine:
+                bufs[dst][lo:lo + seg.size] += seg
+            else:
+                bufs[dst][lo:lo + seg.size] = seg
+
+    if g & (g - 1) == 0:
+        seg = [(0, n)] * g
+        d = g // 2
+        while d >= 1:
+            sends, kept = [], []
+            for i in range(g):
+                lo, hi = seg[i]
+                mid = lo + (hi - lo) // 2
+                if i & d:
+                    sends.append((i, i ^ d, lo, mid))
+                    kept.append((mid, hi))
+                else:
+                    sends.append((i, i ^ d, mid, hi))
+                    kept.append((lo, mid))
+            step(sends, combine=True)
+            seg = kept
+            d //= 2
+        d = 1
+        while d < g:
+            step([(i, i ^ d, *seg[i]) for i in range(g)], combine=False)
+            seg = [(min(seg[i][0], seg[i ^ d][0]), max(seg[i][1], seg[i ^ d][1]))
+                   for i in range(g)]
+            d *= 2
+    else:
+        edges = np.cumsum([0] + [len(c) for c in np.array_split(np.arange(n), g)])
+        chunk = [(int(edges[k]), int(edges[k + 1])) for k in range(g)]
+        for k in range(g - 1):
+            step([(i, (i + 1) % g, *chunk[(i - k) % g]) for i in range(g)], combine=True)
+        for k in range(g - 1):
+            step([(i, (i + 1) % g, *chunk[(i + 1 - k) % g]) for i in range(g)],
+                 combine=False)
+    return bufs, counts
+
+
 def numeric_gradient(loss_fn, weights, step=1e-5):
     """Central finite differences of loss_fn with respect to each weight
     matrix in `weights` (a list of arrays loss_fn consumes)."""

@@ -69,6 +69,13 @@ def test_15d_rejects_bad_grid():
         predict_15d_terms(CostParams(alpha=1, beta=1, p=6, c=2))["total"]
 
 
+@pytest.mark.parametrize("p,c", [(0, 1), (4, 0)])
+def test_cost_params_name_the_grid_contract(p, c):
+    # the grid's lower bounds are ProcessGrid's, in its words
+    with pytest.raises(ValueError, match=f"p and c must be at least 1 \\(p={p}, c={c}\\)"):
+        CostParams(alpha=1, beta=1, p=p, c=c)
+
+
 def test_1d_rejects_replication():
     with pytest.raises(ValueError, match="c == 1"):
         predict_1d_terms(CostParams(alpha=1, beta=1, p=4, c=2))["total"]

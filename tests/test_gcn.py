@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -451,7 +452,8 @@ def test_disjoint_cliques_epoch_is_one_gradient_reduction(variant, c, layers):
     # criterion 3's zero-byte case trained: cliques aligned with the block
     # rows move no row, so an epoch's messages are the one bucketed
     # gradient all-reduce over the column group, plus (c > 1) the row
-    # all-reduce of each multiply phase
+    # all-reduce of each multiply phase; both groups are powers of two,
+    # reduced by recursive halving and doubling in 2*log2(g) messages
     p, size, epochs = 8, 5, 2
     grid_rows = p // c
     a = gcn_normalize(clique_blocks(grid_rows, size))
@@ -471,4 +473,4 @@ def test_disjoint_cliques_epoch_is_one_gradient_reduction(variant, c, layers):
         assert per_epoch[prim]["bytes_sent"].tolist() == [0.0] * p
         assert per_epoch[prim]["msgs_sent"].tolist() == [0] * p
     assert per_epoch["allreduce"]["msgs_sent"].tolist() == (
-        [2 * (grid_rows - 1) + 2 * (layers - 1) * 2 * (c - 1)] * p)
+        [2 * int(math.log2(grid_rows)) + 2 * (layers - 1) * 2 * int(math.log2(c))] * p)

@@ -18,7 +18,7 @@ import distgcn.runtime
 from distgcn.runtime import (CommLedger, DeadlockError, ProcessGrid,
                              SimulationError, plan_all_to_allv, run_program)
 
-from oracles import alltoallv_reference
+from oracles import allreduce_by_steps, alltoallv_reference
 
 
 def _packed(counts):
@@ -624,7 +624,8 @@ def test_allreduce_pair():
     run = run_program(2, 1, program)
     assert run.results[0].tolist() == [4.0, 6.0]
     assert run.results[1].tolist() == [4.0, 6.0]
-    # ring accounting: 2 * (1/2) * 16 bytes per member
+    # one halving and one doubling step: each member sends one element in
+    # each, 16 bytes
     assert run.ledger.counters["allreduce"]["bytes_sent"][0] == 16.0
 
 
@@ -690,14 +691,48 @@ def test_allreduce_of_a_concatenation_is_the_per_part_sums(p, c):
     ledgers = apart.ledger.counters["allreduce"], together.ledger.counters["allreduce"]
     assert ledgers[0]["calls"].tolist() == [len(shapes)] * p
     assert ledgers[1]["calls"].tolist() == [1] * p
-    assert ledgers[1]["msgs_sent"].tolist() == [2 * (g - 1)] * p
-    # the ring charge 2(g-1)/g x bytes is linear in the payload, and exact
-    # in floating point when g is a power of two
-    sent = [ledger["bytes_sent"] for ledger in ledgers]
-    if g & (g - 1) == 0:
-        assert sent[0].tolist() == sent[1].tolist()
-    else:
-        np.testing.assert_allclose(sent[1], sent[0], rtol=1e-15)
+    # recursive halving/doubling on a power-of-two group (10 steps at
+    # g=32), the ring on the column groups of 6 (also 10); each member is
+    # charged the whole elements and the messages the oracle moves for it
+    # step by step. The 26 elements leave 12 of 32 members one halving
+    # step that moves nothing, so no message.
+    _, counts = allreduce_by_steps(np.zeros((g, sum(sizes))))
+    assert max(counts["msgs"]) == {1: 0, 2: 2, 3: 4, 6: 10, 32: 10}[g]
+    assert sum(counts["msgs"]) == {1: 0, 2: 4, 3: 12, 6: 60, 32: 308}[g]
+    for j in range(c):
+        members = list(ProcessGrid(p, c).col_group(j))
+        assert ledgers[1]["bytes_sent"][members].tolist() == [8.0 * x for x in counts["sent"]]
+        assert ledgers[1]["msgs_sent"][members].tolist() == counts["msgs"]
+    # a bucket and its parts move the same bytes in all, 2(g-1) x bytes
+    totals = [float(ledger["bytes_sent"].sum()) for ledger in ledgers]
+    assert totals == [2.0 * (g - 1) * sum(sizes) * 8 * c] * 2
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 8, 12, 16, 32])
+def test_allreduce_charge_follows_the_schedule_step_by_step(g):
+    # the oracle moves real segments between g members; its schedule must
+    # reduce (small integers sum exactly in any order), and the ledger of
+    # one all_reduce_sum must charge each member what it moved, for
+    # payloads of every size from empty to over twice the group
+    rng = np.random.default_rng(g)
+    for size in range(71):
+        ints = rng.integers(-9, 10, size=(g, size)).astype(np.float64)
+        held, counts = allreduce_by_steps(ints)
+        for buf in held:
+            assert buf.tolist() == ints.sum(axis=0).tolist()
+        payloads = rng.normal(size=(g, size))
+        run = run_program(g, 1, lambda comm: comm.all_reduce_sum(payloads[comm.rank]))
+        ledger = run.ledger.counters["allreduce"]
+        assert ledger["bytes_sent"].tolist() == [8.0 * x for x in counts["sent"]]
+        assert ledger["msgs_sent"].tolist() == counts["msgs"]
+        assert ledger["bytes_received"].tolist() == [8.0 * x for x in counts["received"]]
+        assert ledger["msgs_received"].tolist() == counts["received_msgs"]
+        assert run.ledger.total_bytes_sent() == 2 * (g - 1) * size * 8
+        assert run.ledger.conservation_ok()
+        expected = payloads[0].copy()
+        for r in range(1, g):
+            expected = expected + payloads[r]
+        assert all(run.results[r].tobytes() == expected.tobytes() for r in range(g))
 
 
 def test_deadlock_unmatched_recv_reported():
