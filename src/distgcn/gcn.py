@@ -331,7 +331,7 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
     a2, feats2 = apply_partition(a_hat, features, part)
     inv = part.inv_perm
     labels2, mask2 = labels[inv], mask[inv]
-    dm = build_dist_matrices(a2, part.boundaries, grid)
+    dm = build_dist_matrices(a2, part.boundaries, grid, cfg.variant)
     denom = int(mask.sum())
     weights0 = init_weights(cfg, features.shape[1], int(labels.max()) + 1)
     splits = np.cumsum([w.size for w in weights0])[:-1]  # of the gradient bucket
@@ -343,9 +343,9 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
         h0 = feats2[r0:r1]
         yb, mb = labels2[r0:r1], mask2[r0:r1]
         ws = [w.copy() for w in weights0]
-        exchange_index_lists(comm, dm.fwd, cfg.variant)
+        exchange_index_lists(comm, dm.fwd)
         if dm.bwd is not dm.fwd:
-            exchange_index_lists(comm, dm.bwd, cfg.variant)
+            exchange_index_lists(comm, dm.bwd)
         col_group = comm.grid.col_group(j)
         stats = np.zeros((cfg.epochs, 2))
         last = len(ws) - 1
@@ -354,14 +354,13 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
             for l, w in enumerate(ws):
                 # no name keeps the product past its gemm: layer 0's would
                 # live on through the next phase beside the held products
-                z = gemm(spmm_kernel(comm, dm.fwd, hs[-1], cfg.variant,
-                                     held=held if l == 0 else None), w)
+                z = gemm(spmm_kernel(comm, dm.fwd, hs[-1], held=held if l == 0 else None), w)
                 zs.append(z)
                 hs.append(relu(z) if l < last else z)
             loss_sum, g, correct = _xent_parts(hs[-1], yb, mb, denom)
             ys = [None] * len(ws)
             for l in range(last, -1, -1):
-                m = spmm_kernel(comm, dm.bwd, g, cfg.variant)
+                m = spmm_kernel(comm, dm.bwd, g)
                 ys[l] = gemm(hs[l].T, m).ravel()
                 if l > 0:
                     g = gemm(m, ws[l].T) * relu_grad(zs[l - 1])

@@ -23,10 +23,11 @@ __all__ = ["clique_blocks", "gaussian_features", "grid2d", "sbm", "star",
            "star_augmented"]
 
 
-# Uniform draws one sampler slice holds (8 MiB of float64, plus the same
+# Uniform draws one sampler slice holds (1 MiB of float64, plus the same
 # again for the probabilities): the dense n x n draw, probabilities and
-# masks took 1.2 GB at n=8000.
-_SAMPLE_STEP_ELEMS = 1 << 20
+# masks took 1.2 GB at n=8000, and slices of 8 MiB still set the
+# generators' allocation peak (17.5 MB for sbm(4000), against 5.0 MB).
+_SAMPLE_STEP_ELEMS = 1 << 17
 
 
 def _symmetric_from_upper(n, rows, cols) -> CsrMatrix:

@@ -58,14 +58,14 @@ class Partition:
 
     `assignment` maps each vertex to a part, `perm` maps old vertex ids to
     new ids, and after renumbering the vertices of part i occupy the
-    contiguous row range `boundaries[i]`. Part sizes may differ.
+    contiguous row range `boundaries[i]`, which the part sizes fix. Part
+    sizes may differ.
     """
 
     n: int
     k: int
     assignment: np.ndarray
     perm: np.ndarray
-    boundaries: list
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=np.int64)
@@ -82,9 +82,7 @@ class Partition:
         order = np.argsort(assignment, kind="stable")
         perm = np.empty(n, dtype=np.int64)
         perm[order] = np.arange(n)
-        # part i takes new ids ptr[i]:ptr[i + 1], as if each part were a CSR row
-        ptr = _row_ptr(assignment, k).tolist()
-        return cls(n, k, assignment, perm, list(zip(ptr[:-1], ptr[1:])))
+        return cls(n, k, assignment, perm)
 
     def validate(self):
         if self.k < 1:
@@ -94,23 +92,17 @@ class Partition:
         _check_part_ids(self.assignment, self.k)
         if not np.array_equal(np.sort(self.perm), np.arange(self.n)):
             raise ValueError("perm must be a bijection on [0, n)")
-        if len(self.boundaries) != self.k:
-            raise ValueError("need one boundary range per part")
-        pos = 0
-        for i, (s, e) in enumerate(self.boundaries):
-            if s != pos or e < s:
-                raise ValueError("boundaries must be consecutive and cover [0, n)")
-            pos = e
-        if pos != self.n:
-            raise ValueError("boundaries must cover [0, n)")
-        sizes = np.bincount(self.assignment, minlength=self.k)
-        widths = np.array([e - s for s, e in self.boundaries])
-        if not np.array_equal(sizes, widths):
-            raise ValueError("boundary widths must match part sizes")
         # each part must be a contiguous new-id range
         new_to_part = self.assignment[self.inv_perm]
         if self.n and np.any(np.diff(new_to_part) < 0):
             raise ValueError("parts must occupy contiguous ascending new-id ranges")
+
+    @property
+    def boundaries(self) -> list:
+        """The (start, end) new-id range of each part: part i takes new ids
+        ptr[i]:ptr[i + 1], as if each part were a CSR row."""
+        ptr = _row_ptr(self.assignment, self.k).tolist()
+        return list(zip(ptr[:-1], ptr[1:]))
 
     @property
     def inv_perm(self) -> np.ndarray:
@@ -183,7 +175,7 @@ def random_partition(n, k, seed) -> Partition:
     vertex v takes new id perm[v] and the part of that id's block."""
     block = block_partition(n, k)
     perm = np.random.default_rng(seed).permutation(n).astype(np.int64)
-    return Partition(n, k, block.assignment[perm], perm, block.boundaries)
+    return Partition(n, k, block.assignment[perm], perm)
 
 
 def _check_kn(n, k):

@@ -23,10 +23,11 @@ index, `DistOperand.cols`, lists block by block. The operands of all
 processes are stacked in rank order into one block-diagonal matrix,
 `DistOperand.local`.
 
-The sparse pattern is fixed, so every exchange of an operand is planned
-once, by its first call, and kept with the operand: its index exchange
-(`DistOperand.index_plan`) and its phase once per form, aware or
-oblivious (`DistOperand.phase`), each with its schedule inspected once
+The sparse pattern is fixed for a whole run, so `build_dist_matrices`
+plans every exchange of an operand at set-up, in the run's variant's
+form, and keeps it with the operand: its phase (`DistOperand.phase`),
+aware or oblivious, and for the aware forms its index exchange
+(`DistOperand.index`), each with its schedule inspected once
 (`runtime.plan_all_to_allv`). A phase's plan also holds `local` with
 every column renumbered to the row of the exchange's stacked block rows
 that holds it. A phase then runs the exchange through its schedule, and
@@ -48,7 +49,7 @@ from its block's stored entries and the width) can give.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,9 +87,10 @@ class DistOperand:
     `local` stacks those p operands in rank order into one block-diagonal
     matrix: rank r's operand is rows row_off[r]:row_off[r+1] and columns
     col_off[r]:col_off[r+1] of it, and no entry lies outside these blocks.
-    `phase(variant)` is the plan of the operand's multiply phase in that
-    variant's form, and `index_plan()` that of its index exchange, each
-    made once and kept with the operand.
+    `phase` is the plan of the operand's multiply phase in the run's
+    variant's form, and `index` that of its index exchange: its schedule,
+    and halos[r], what rank r sends (`_plan_index`), or None in an
+    oblivious form. Both are made at set-up (`build_dist_matrices`).
 
     cols(i, j), the occupied-column index of block (i, j), lists the
     columns of block column j (local to it, ascending) that hold a stored
@@ -108,28 +110,11 @@ class DistOperand:
     idx: np.ndarray
     ptr: np.ndarray
     starts: np.ndarray
-    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    phase: _Phase = None
+    index: tuple = None
 
     def cols(self, i, j) -> np.ndarray:
         return self.idx[self.ptr[j, i]:self.ptr[j, i + 1]]
-
-    def phase(self, variant) -> "_Phase":
-        """The plan of this operand's multiply phase in `variant`'s form
-        (aware or oblivious), made by the first call, in whichever rank
-        runs the first phase (one rank runs at a time), and reused by
-        every later one."""
-        aware = variant.endswith("sparse")
-        if aware not in self._phases:
-            self._phases[aware] = _plan_phase(self, aware)
-        return self._phases[aware]
-
-    def index_plan(self) -> tuple:
-        """The plan of this operand's index exchange, made by the first
-        call as `phase`'s are, without planning a phase: its schedule,
-        and halos[r], what rank r sends (`_plan_index`)."""
-        if "index" not in self._phases:
-            self._phases["index"] = _plan_index(self)
-        return self._phases["index"]
 
 
 @dataclass
@@ -152,7 +137,7 @@ class DistMatrices:
         return self.bwd is self.fwd
 
 
-def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
+def _extract_operand(mat: CsrMatrix, boundaries, stages, aware) -> DistOperand:
     nb = len(boundaries)
     c = nb // stages
     starts = np.array([s for s, _ in boundaries], dtype=np.int64)
@@ -195,19 +180,27 @@ def _extract_operand(mat: CsrMatrix, boundaries, stages) -> DistOperand:
     n_rows = int(row_off[-1])
     local = CsrMatrix._derived(n_rows, int(col_off[-1]), _row_ptr(local_rows, n_rows),
                                comp[at], mat.values[at])
-    return DistOperand(local, row_off, col_off, idx, ptr, starts)
+    op = DistOperand(local, row_off, col_off, idx, ptr, starts)
+    op.phase = _plan_phase(op, aware)
+    if aware:
+        op.index = _plan_index(op)
+    return op
 
 
-def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid) -> DistMatrices:
+def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid, variant) -> DistMatrices:
     """Split a (already permuted to match `boundaries`) into the halo
-    layout for `grid`. Needs one block row per grid row."""
+    layout for `grid`, with every exchange planned in `variant`'s form.
+    Needs one block row per grid row, and a variant that fits the grid
+    (`validate_variant_grid`), checked here and nowhere later."""
+    validate_variant_grid(variant, grid.p, grid.c)
     bounds = list(boundaries)
     if len(bounds) != grid.n_rows:
         raise ValueError(f"need {grid.n_rows} block rows for this grid, got {len(bounds)}")
     stages = grid.stage_count()
+    aware = variant.endswith("sparse")
     at = transpose_csr(a)
-    fwd = _extract_operand(at, bounds, stages)
-    bwd = fwd if csr_equal(at, a) else _extract_operand(a, bounds, stages)
+    fwd = _extract_operand(at, bounds, stages, aware)
+    bwd = fwd if csr_equal(at, a) else _extract_operand(a, bounds, stages, aware)
     return DistMatrices(bounds, fwd, bwd)
 
 
@@ -238,22 +231,25 @@ def _check_matrix(a: CsrMatrix):
                          f"is {a.values[e]}")
 
 
-def exchange_index_lists(comm: Comm, op: DistOperand, variant: str):
+def exchange_index_lists(comm: Comm, op: DistOperand):
     """One-time exchange of the occupied-column lists the aware variants
-    send rows from: one `all_to_allv` in which each process sends its need
+    send rows from: one `all_to_allv`, through the operand's planned
+    schedule (`DistOperand.index`), in which each process sends its need
     lists to the stage owners of its column group, charged as index
     payloads. The sparse pattern is fixed for a whole training run, so
     this runs once and its cost is amortized over every subsequent
     multiply. In 1D (c=1) every owner is a stage, so every rank announces
     to all others. Returns what this rank received: on block q's stage
-    owner cols(0, q), cols(1, q), ... in turn, on any other rank none."""
-    if variant.endswith("oblivious"):
+    owner cols(0, q), cols(1, q), ... in turn, on any other rank none;
+    None for an operand planned in an oblivious form, which exchanges
+    nothing."""
+    if op.index is None:
         return None
-    schedule, halos = op.index_plan()
+    schedule, halos = op.index
     return comm.all_to_allv(halos[comm.rank], schedule)
 
 
-def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str, held=None):
+def spmm_kernel(comm: Comm, op: DistOperand, h_block, held=None):
     """Run one distributed multiply phase from inside a rank procedure.
 
     h_block is this process's block row of the dense operand (replicated
@@ -263,14 +259,15 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str, held=None):
     the row all-reduce's read-only sum, one array shared by the grid row,
     so a caller that wants to write to it must copy it first.
 
-    Every variant is one `all_to_allv` over the whole grid, run through
-    the operand's planned schedule (`DistOperand.phase`): the owner of a
-    stage (j*s <= i < (j+1)*s) sends to the c-strided column group j, an
-    aware owner its send plan and an oblivious one its whole block row to
-    every member, and every other process sends nothing. The local
-    multiplies of all ranks run in the exchange's completion, as one
-    `local_spmm` of the planned operand with the stacked block rows
-    (`_Phase.multiply`).
+    The variant is the one the operand was planned for at set-up
+    (`build_dist_matrices`). Every variant is one `all_to_allv` over the
+    whole grid, run through the operand's planned schedule
+    (`DistOperand.phase`): the owner of a stage (j*s <= i < (j+1)*s)
+    sends to the c-strided column group j, an aware owner its send plan
+    and an oblivious one its whole block row to every member, and every
+    other process sends nothing. The local multiplies of all ranks run in
+    the exchange's completion, as one `local_spmm` of the planned operand
+    with the stacked block rows (`_Phase.multiply`).
 
     `held` serves a phase whose dense operand is the same in every call,
     as layer 0's forward operand is in one training call: a list, empty
@@ -281,10 +278,8 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, variant: str, held=None):
     the row all-reduce, so the ledger and the collective calls are those
     of a multiplying phase.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     h_block = np.asarray(h_block, dtype=np.float64)
-    phase = op.phase(variant)
+    phase = op.phase
     then = phase.multiply if held is None else functools.partial(_hold, held, phase.multiply)
     z = comm.all_to_allv(h_block, phase.schedule, then=then)
     if comm.c == 1:
@@ -420,14 +415,14 @@ def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None) -> SpmmRun:
     if part.k != grid.n_rows:
         raise ValueError(f"partition has {part.k} parts but the grid needs {grid.n_rows}")
     a2, h2 = apply_partition(a, h, part)
-    dm = build_dist_matrices(a2, part.boundaries, grid)
+    dm = build_dist_matrices(a2, part.boundaries, grid, variant)
 
     def program(comm):
         i, _ = comm.coords
         r0, r1 = dm.boundaries[i]
         hb = h2[r0:r1]
-        exchange_index_lists(comm, dm.fwd, variant)
-        return spmm_kernel(comm, dm.fwd, hb, variant)
+        exchange_index_lists(comm, dm.fwd)
+        return spmm_kernel(comm, dm.fwd, hb)
 
     run: RunResult = run_program(p, c, program)
     z2 = np.vstack([run.results[grid.rank_of(i, 0)] for i in range(grid.n_rows)])

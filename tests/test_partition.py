@@ -80,9 +80,9 @@ def test_random_partition_pinned(n, k, seed, expected):
 
 def test_partition_validation_rejects_bad_input():
     with pytest.raises(ValueError):
-        Partition(3, 2, [0, 0, 2], [0, 1, 2], [(0, 2), (2, 3)])
+        Partition(3, 2, [0, 0, 2], [0, 1, 2])
     with pytest.raises(ValueError):
-        Partition(3, 2, [0, 0, 1], [0, 0, 2], [(0, 2), (2, 3)])
+        Partition(3, 2, [0, 0, 1], [0, 0, 2])
 
 
 # ---- apply_partition -----------------------------------------------------
@@ -99,7 +99,7 @@ def test_apply_identity_is_exact():
 
 def test_apply_reversal_moves_corner():
     a = csr_from_dense([[5.0, 0, 0], [0, 0, 0], [0, 0, 1.0]])
-    part = Partition(3, 1, [0, 0, 0], [2, 1, 0], [(0, 3)])
+    part = Partition(3, 1, [0, 0, 0], [2, 1, 0])
     a2, _ = apply_partition(a, None, part)
     dense = a2.to_dense()
     assert dense[2, 2] == 5.0 and dense[0, 0] == 1.0
@@ -111,7 +111,7 @@ def test_apply_round_trip_recovers_exactly():
     h = rng.normal(size=(20, 4))
     part = random_partition(20, 4, seed=5)
     a2, h2 = apply_partition(a, h, part)
-    back = Partition(20, 1, np.zeros(20, np.int64), part.inv_perm, [(0, 20)])
+    back = Partition(20, 1, np.zeros(20, np.int64), part.inv_perm)
     a3, h3 = apply_partition(a2, h2, back)
     assert csr_equal(a3, a)
     assert np.array_equal(h3, h)

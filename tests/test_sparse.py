@@ -377,7 +377,8 @@ def test_apply_partition_matches_lexsort_reference(seed):
 def occupied_cols(a, part):
     """Occupied-column index of a's blocks, as the distributed layout
     stores it: the forward operand is the transpose of its input."""
-    dm = build_dist_matrices(transpose_csr(a), part.boundaries, ProcessGrid(part.k, 1))
+    dm = build_dist_matrices(transpose_csr(a), part.boundaries, ProcessGrid(part.k, 1),
+                             "1d-sparse")
     return dm.fwd.cols
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -51,7 +52,8 @@ def test_halo_operands_tile_matrix_exactly():
     for p, c in ((4, 1), (8, 2)):
         grid = ProcessGrid(p, c)
         part = block_partition(22, grid.n_rows)
-        dm = build_dist_matrices(a, part.boundaries, grid)
+        family = "1d" if c == 1 else "15d"
+        dm = build_dist_matrices(a, part.boundaries, grid, f"{family}-sparse")
         op = dm.fwd
         s = grid.stage_count()
         assert op.local.shape == (op.row_off[-1], op.col_off[-1])
@@ -79,9 +81,8 @@ def test_halo_operands_tile_matrix_exactly():
             op.cols(i, j) + part.boundaries[j][0]
             for i in range(grid.n_rows) for g in range(c)
             for j in range(g * s, (g + 1) * s)])
-        for variant in ("1d-sparse", "1d-oblivious"):
-            phase = op.phase(variant)
-            assert phase is op.phase(variant)  # planned once
+        for variant in (f"{family}-sparse", f"{family}-oblivious"):
+            phase = build_dist_matrices(a, part.boundaries, grid, variant).fwd.phase
             stacked_rows = np.concatenate(
                 [np.arange(*part.boundaries[r // c]) for r in phase.schedule.stacked])
             assert phase.operand.shape == (op.local.n_rows, stacked_rows.size)
@@ -97,7 +98,8 @@ def test_nnz_cache_matches_fresh_computation():
         rows = ProcessGrid(p, c).n_rows
         part = greedy_tv_partition(a, rows)
         a2, _ = apply_partition(a, None, part)
-        dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(p, c))
+        dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(p, c),
+                                 "1d-sparse" if c == 1 else "15d-sparse")
         assert not dm.symmetric
         dense = a2.to_dense()
         for op, mat in ((dm.fwd, dense.T), (dm.bwd, dense)):
@@ -115,10 +117,12 @@ def test_nnz_cache_matches_fresh_computation():
 
 def test_symmetric_matrix_shares_operand():
     a, _ = random_instance(2, n=16, symmetric=True)
-    dm = build_dist_matrices(a, block_partition(16, 4).boundaries, ProcessGrid(4, 1))
+    dm = build_dist_matrices(a, block_partition(16, 4).boundaries, ProcessGrid(4, 1),
+                             "1d-sparse")
     assert dm.symmetric
     b, _ = random_instance(3, n=16, symmetric=False)
-    dm2 = build_dist_matrices(b, block_partition(16, 4).boundaries, ProcessGrid(4, 1))
+    dm2 = build_dist_matrices(b, block_partition(16, 4).boundaries, ProcessGrid(4, 1),
+                              "1d-sparse")
     assert not dm2.symmetric
 
 
@@ -137,6 +141,43 @@ def test_variant_grid_validation_names_constraint():
         with pytest.raises(ValueError, match=rf"p and c must be at least 1 \(p={p}, c={c}\)"):
             ProcessGrid(p, c)
     validate_variant_grid("15d-oblivious", 8, 2)
+
+
+def _spy_plans(monkeypatch) -> list:
+    """The names of the threads that call `plan_all_to_allv` from now on."""
+    threads = []
+
+    def spy(*args):
+        threads.append(threading.current_thread().name)
+        return plan(*args)
+
+    plan = distgcn.spmm.plan_all_to_allv
+    monkeypatch.setattr(distgcn.spmm, "plan_all_to_allv", spy)
+    return threads
+
+
+@pytest.mark.parametrize("variant,p,c", [("1d-sparse", 4, 1), ("15d-sparse", 8, 2)])
+def test_every_exchange_is_planned_at_setup_on_the_calling_thread(variant, p, c,
+                                                                  monkeypatch):
+    # a non-symmetric matrix has two operands, each with its phase and its
+    # index exchange; no rank thread plans one
+    threads = _spy_plans(monkeypatch)
+    a, x = random_instance(29, n=24, f=3)
+    assert not csr_equal(transpose_csr(a), a)
+    train(a, x, np.arange(24) % 3, np.ones(24, bool), TrainConfig(epochs=2, variant=variant),
+          p=p, c=c)
+    assert threads == [threading.current_thread().name] * 4
+
+
+def test_build_dist_matrices_checks_the_variant_before_planning(monkeypatch):
+    threads = _spy_plans(monkeypatch)
+    a, _ = random_instance(30, n=16)
+    bounds = block_partition(16, 4).boundaries
+    with pytest.raises(ValueError, match="unknown variant"):
+        build_dist_matrices(a, bounds, ProcessGrid(4, 1), "2d-sparse")
+    with pytest.raises(ValueError, match="c == 1"):
+        build_dist_matrices(a, bounds, ProcessGrid(8, 2), "1d-sparse")
+    assert threads == []
 
 
 # ---- serial oracle equivalence ---------------------------------------------
@@ -241,13 +282,13 @@ def _fused_and_per_rank_products(a, h, p, c, variant, part):
     of a grid row summed in rank order."""
     grid = ProcessGrid(p, c)
     a2, h2 = apply_partition(a, h, part)
-    dm = build_dist_matrices(a2, part.boundaries, grid)
+    dm = build_dist_matrices(a2, part.boundaries, grid, variant)
     op = dm.fwd
 
     def program(comm):
         r0, r1 = dm.boundaries[comm.coords[0]]
-        exchange_index_lists(comm, op, variant)
-        return spmm_kernel(comm, op, h2[r0:r1], variant)
+        exchange_index_lists(comm, op)
+        return spmm_kernel(comm, op, h2[r0:r1])
 
     fused = run_program(p, c, program).results
     own = _own_products(op, grid, part, h2)
@@ -347,7 +388,8 @@ def test_training_hands_back_epoch_0s_layer_0_products_read_only(variant, p, c,
     cfg = TrainConfig(epochs=3, variant=variant)
     train(a, x, y, np.arange(100) % 2 == 0, cfg, p=p, c=c, partition=part)
     a2, x2 = apply_partition(a, x, part)
-    own = _own_products(build_dist_matrices(a2, part.boundaries, grid).fwd, grid, part, x2)
+    own = _own_products(build_dist_matrices(a2, part.boundaries, grid, variant).fwd, grid,
+                        part, x2)
     for r in range(p):
         # each epoch's first multiplying phase is layer 0's forward one
         first, *later = received[r][::2 * (cfg.layers - 1)]
@@ -678,8 +720,8 @@ def test_planned_operand_equals_a_validated_build(variant, monkeypatch):
         patched.setattr(CsrMatrix, "__post_init__", no_checks)
         a2, _ = apply_partition(a, None, part)
         at = transpose_csr(a2)
-        dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(8, 2))
-        planned = [op.phase(variant).operand for op in (dm.fwd, dm.bwd)]
+        dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(8, 2), variant)
+        planned = [op.phase.operand for op in (dm.fwd, dm.bwd)]
     assert not dm.symmetric
     for op, plan in zip((dm.fwd, dm.bwd), planned):
         assert plan.nnz == op.local.nnz > 0
@@ -694,8 +736,8 @@ def test_planned_operand_equals_a_validated_build(variant, monkeypatch):
 
 def _traced_peak(p, c, program):
     """A run of `program` and the peak of the memory it allocates, traced
-    after a first, warm-up run: thread and runtime state, and the plans
-    the program's operands make on their first call."""
+    after a first, warm-up run: thread and runtime state, and what a
+    program keeps across runs."""
     run_program(p, c, program)
     tracemalloc.start()
     try:
@@ -716,10 +758,9 @@ def test_index_exchange_stacks_the_shared_index_once():
     p = 64
     part = block_partition(8000, p)
     a2, _ = apply_partition(a, None, part)
-    op = build_dist_matrices(a2, part.boundaries, ProcessGrid(p, 1)).fwd
+    op = build_dist_matrices(a2, part.boundaries, ProcessGrid(p, 1), "1d-sparse").fwd
     _, idle = _traced_peak(p, 1, lambda comm: None)
-    run, exchange = _traced_peak(
-        p, 1, functools.partial(exchange_index_lists, op=op, variant="1d-sparse"))
+    run, exchange = _traced_peak(p, 1, functools.partial(exchange_index_lists, op=op))
     assert run.ledger.total_bytes_sent("index") > 0
     assert exchange - idle < 4 * op.idx.nbytes, (exchange, idle, op.idx.nbytes)
 
@@ -733,16 +774,16 @@ def test_held_phase_stacks_no_row_after_its_first_call(variant):
     a = gcn_normalize(graph)
     part = block_partition(4000, 4)
     a2, h2 = apply_partition(a, h, part)
-    op = build_dist_matrices(a2, part.boundaries, ProcessGrid(4, 1)).fwd
+    op = build_dist_matrices(a2, part.boundaries, ProcessGrid(4, 1), variant).fwd
     held = []
 
     def program(comm):
         r0, r1 = part.boundaries[comm.rank]
-        return spmm_kernel(comm, op, h2[r0:r1], variant, held=held)
+        return spmm_kernel(comm, op, h2[r0:r1], held=held)
 
     _, idle = _traced_peak(4, 1, lambda comm: None)
     run, later = _traced_peak(4, 1, program)  # the warm-up run fills `held`
-    schedule = op.phase(variant).schedule
+    schedule = op.phase.schedule
     stacked = h2.itemsize * h2.shape[1] * sum(schedule.heights[s] for s in schedule.stacked)
     assert stacked == h2.nbytes
     assert later - idle < stacked / 4, (later, idle, stacked)
@@ -767,17 +808,15 @@ def test_index_exchange_delivers_each_readers_columns(p, c, symmetric):
     part = greedy_tv_partition(a, grid.n_rows)
     assert any(s == e for s, e in part.boundaries) == (grid.n_rows == 32)
     a2, h2 = apply_partition(a, np.random.default_rng(0).normal(size=(a.n_rows, 1)), part)
-    dm = build_dist_matrices(a2, part.boundaries, grid)
+    dm = build_dist_matrices(a2, part.boundaries, grid, "1d-sparse" if c == 1 else "15d-sparse")
     assert dm.symmetric == symmetric
     op = dm.fwd if symmetric else dm.bwd
-    variant = "1d-sparse" if c == 1 else "15d-sparse"
-    op.index_plan()
-    assert list(op._phases) == ["index"]  # planning the index exchange plans no phase
+    np.testing.assert_array_equal(op.index[0].sent_rows, op.phase.schedule.received_rows)
 
     def program(comm):
         r0, r1 = part.boundaries[comm.coords[0]]
-        got = exchange_index_lists(comm, op, variant)
-        spmm_kernel(comm, op, h2[r0:r1], variant)
+        got = exchange_index_lists(comm, op)
+        spmm_kernel(comm, op, h2[r0:r1])
         return got
 
     run = run_program(p, c, program)
@@ -794,5 +833,3 @@ def test_index_exchange_delivers_each_readers_columns(p, c, symmetric):
                         ("index_bytes_received", "data_bytes_sent")):
         assert ledger[index].tolist() == ledger[data].tolist(), index
     assert ledger["index_bytes_sent"].sum() > 0
-    np.testing.assert_array_equal(op.index_plan()[0].sent_rows,
-                                  op.phase(variant).schedule.received_rows)
