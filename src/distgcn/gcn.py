@@ -41,11 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partition import apply_partition, block_partition
+from .partition import apply_partition
 from .runtime import ProcessGrid, run_program
 from .sparse import CsrMatrix, csr_equal, gemm, local_spmm, transpose_csr
-from .spmm import (_check_matrix, build_dist_matrices, exchange_index_lists, spmm_kernel,
-                   validate_variant_grid)
+from .spmm import (_check_matrix, _layout_partition, build_dist_matrices, exchange_index_lists,
+                   spmm_kernel, validate_variant_grid)
 
 __all__ = [
     "SerialGcn",
@@ -315,7 +315,8 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
     """Train over the selected distributed multiply variant.
 
     The graph, features, labels and mask are permuted to the partition's
-    layout, split into block rows, and every rank runs the same epoch
+    layout (and read as they are, uncopied, under the identity
+    permutation), split into block rows, and every rank runs the same epoch
     loop; per-epoch loss/accuracy are assembled from per-rank sums after
     the run, so reporting costs no simulated traffic. cfg.variant ==
     "serial" bypasses the simulator entirely.
@@ -325,12 +326,13 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
     validate_variant_grid(cfg.variant, p, c)
     features, labels, mask = _check_train_inputs(a_hat, features, labels, train_mask)
     grid = ProcessGrid(p, c)
-    part = partition if partition is not None else block_partition(a_hat.n_rows, grid.n_rows)
-    if part.k != grid.n_rows:
-        raise ValueError(f"partition has {part.k} parts but the grid needs {grid.n_rows}")
-    a2, feats2 = apply_partition(a_hat, features, part)
-    inv = part.inv_perm
-    labels2, mask2 = labels[inv], mask[inv]
+    part, features, moves = _layout_partition(a_hat, features, grid, partition)
+    if moves:
+        a2, feats2 = apply_partition(a_hat, features, part)
+        inv = part.inv_perm
+        labels2, mask2 = labels[inv], mask[inv]
+    else:
+        a2, feats2, labels2, mask2 = a_hat, features, labels, mask
     dm = build_dist_matrices(a2, part.boundaries, grid, cfg.variant)
     denom = int(mask.sum())
     weights0 = init_weights(cfg, features.shape[1], int(labels.max()) + 1)

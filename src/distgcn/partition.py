@@ -242,8 +242,22 @@ def apply_partition(a: CsrMatrix, h, part: Partition):
     """Symmetric permutation of a and matching row permutation of h.
 
     Returns (P a Pᵀ, permuted h); h may be None. Entry values are moved,
-    never recomputed, so a round trip is exact.
+    never recomputed, so a round trip is exact, and the results share no
+    memory with the inputs, even under the identity permutation.
     """
+    h = _check_permutable(a, h, part)
+    perm = part.perm
+    # rows and cols stay held while h is permuted: letting the permuted h
+    # reuse their memory raised the peak RSS of a later p=16 training run
+    # on a 4000-vertex hub graph by about 1 MB
+    rows, cols = perm[a.row_of_nnz()], perm[a.col_idx]
+    a2 = _relabeled(a.n_rows, a.n_cols, rows, cols, a.values)
+    return a2, None if h is None else h[part.inv_perm]
+
+
+def _check_permutable(a: CsrMatrix, h, part: Partition):
+    """The checks of `apply_partition`: a square matrix of part.n rows,
+    and h None or 2-D with as many rows; returns h as a float64 array."""
     if a.n_rows != a.n_cols:
         raise ValueError("symmetric permutation requires a square matrix")
     if a.n_rows != part.n:
@@ -254,13 +268,7 @@ def apply_partition(a: CsrMatrix, h, part: Partition):
             raise ValueError(f"dense operand h must be 2-D, got shape {h.shape}")
         if h.shape[0] != a.n_rows:
             raise ValueError("row count of h must match the matrix")
-    perm = part.perm
-    # rows and cols stay held while h is permuted: letting the permuted h
-    # reuse their memory raised the peak RSS of a later p=16 training run
-    # on a 4000-vertex hub graph by about 1 MB
-    rows, cols = perm[a.row_of_nnz()], perm[a.col_idx]
-    a2 = _relabeled(a.n_rows, a.n_cols, rows, cols, a.values)
-    return a2, None if h is None else h[part.inv_perm]
+    return h
 
 
 def greedy_tv_partition(a: CsrMatrix, k, epsilon=0.10, max_passes=10) -> Partition:

@@ -107,7 +107,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import _ranges
+from .sparse import _ranges, _stable_order
 
 __all__ = [
     "CommLedger",
@@ -466,33 +466,41 @@ def plan_all_to_allv(counts, rows, heights) -> ExchangeSchedule:
     counts = _count_matrix(counts, sent, [r is not None for r in rows])
     bounds = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(counts.sum(axis=0), out=bounds[1:])
-    # where segment (s, d) starts in the gather index: receiver d takes the
-    # segments (0, d), ..., (p-1, d) in turn
-    seg_at = bounds[:-1] + (np.cumsum(counts, axis=0) - counts)
-    gather = np.empty(bounds[-1], dtype=np.int64)
-    stacked = np.flatnonzero(sent).tolist()
-    offset = 0
-    for s in stacked:
-        src = rows[s]
-        if src is None:
-            src = np.arange(offset, offset + heights[s])
-        else:
-            if src.min() < 0 or src.max() >= heights[s]:
-                raise ValueError(f"rank {s}: all_to_allv rows must lie in [0, {heights[s]})")
-            if offset:
-                # in int64: rows of a narrower type would wrap past its range
-                src = src.astype(np.int64, copy=False) + offset
-        gather[_ranges(seg_at[s], counts[s])] = src
-        offset += heights[s]
+    # every rank's rows in rank order, a whole buffer as all of its rows; in
+    # int64, since rows of a narrower type would wrap past its range below
+    src = np.concatenate([np.arange(h) if r is None else r for h, r in zip(heights, rows)],
+                         dtype=np.int64)
+    sent = np.array(sent, dtype=np.int64)
+    senders = np.flatnonzero(sent)
+    if senders.size:
+        first = np.cumsum(sent) - sent
+        lo = np.minimum.reduceat(src, first[senders])
+        hi = np.maximum.reduceat(src, first[senders])
+        bad = (lo < 0) | (hi >= np.array(heights, dtype=np.int64)[senders])
+        if bad.any():
+            s = int(senders[bad.argmax()])
+            raise ValueError(f"rank {s}: all_to_allv rows must lie in [0, {heights[s]})")
+    # the senders' buffers are stacked in rank order: a rank's rows move by
+    # the heights of the senders before it
+    stacked_heights = np.where(sent > 0, heights, 0)
+    src += np.repeat(np.cumsum(stacked_heights) - stacked_heights, sent)
+    # the non-empty segments (s, d), sender-major, and where each starts
+    # among the senders' rows; receiver d takes the segments (0, d), ...,
+    # (p-1, d) in turn, so a stable sort by d puts them in gather order
+    seg = np.flatnonzero(counts > 0)
+    s, d = np.divmod(seg, p)
+    lens = counts.ravel()[seg]
+    at = np.cumsum(lens) - lens
+    by_dst = _stable_order(d, p)
+    gather = src[_ranges(at[by_dst], lens[by_dst])]
     # only the segments between distinct ranks are messages
-    wire = counts.copy()
-    np.fill_diagonal(wire, 0)
-    wire_src, wire_dst = np.nonzero(wire)
-    on_wire = wire > 0
-    return ExchangeSchedule(heights, stacked, gather, bounds,
-                            wire.sum(axis=1), on_wire.sum(axis=1),
-                            wire.sum(axis=0), on_wire.sum(axis=0),
-                            wire_src, wire_dst, wire[wire_src, wire_dst])
+    wire = s != d
+    wire_src, wire_dst, wire_rows = s[wire], d[wire], lens[wire]
+    own = np.diagonal(counts)
+    return ExchangeSchedule(heights, senders.tolist(), gather, bounds,
+                            counts.sum(axis=1) - own, np.bincount(wire_src, minlength=p),
+                            counts.sum(axis=0) - own, np.bincount(wire_dst, minlength=p),
+                            wire_src, wire_dst, wire_rows)
 
 
 def _execute(plan: ExchangeSchedule, bufs, ledger) -> list:

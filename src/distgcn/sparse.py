@@ -191,6 +191,22 @@ def _run_starts(keys) -> np.ndarray:
     return first
 
 
+def _stable_order(keys, bound) -> np.ndarray:
+    """Stable argsort of integer keys in [0, bound), as int64 positions,
+    by counting passes: numpy radix-sorts integers of 16 bits or fewer in
+    one pass, so a narrower bound takes one pass in its narrowest unsigned
+    type and a wider one a pass per 16-bit digit, least significant first."""
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.min_scalar_type(max(bound - 1, 0))), kind="stable")
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while (bound - 1) >> shift:
+        digit = (keys[order] >> shift) & 0xFFFF
+        order = order[np.argsort(digit.astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
+
+
 def _relabeled(n_rows, n_cols, rows, cols, vals) -> CsrMatrix:
     """Canonical CSR of entries moved to distinct new coordinates (rows,
     cols), values moved, not recomputed: one sort on the int64 key
@@ -422,5 +438,15 @@ def transpose_csr(a: CsrMatrix) -> CsrMatrix:
     Pure permutation of the stored entries, hence an involution down to
     the bit level.
     """
-    return _relabeled(a.n_cols, a.n_rows, a.col_idx, a.row_of_nnz(), a.values)
+    return _transposed(a)[0]
 
+
+def _transposed(a: CsrMatrix) -> tuple:
+    """The transpose and its permutation of the entries: its entry e is a's
+    entry order[e]. Stored entries ascend by row, so one stable counting
+    sort by column (`_stable_order`) leaves each column's entries in row
+    order, Gustavson's O(nnz + n) transpose."""
+    order = _stable_order(a.col_idx, a.n_cols)
+    at = CsrMatrix._derived(a.n_cols, a.n_rows, _row_ptr(a.col_idx, a.n_cols),
+                            a.row_of_nnz()[order], a.values[order])
+    return at, order

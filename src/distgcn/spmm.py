@@ -23,6 +23,15 @@ index, `DistOperand.cols`, lists block by block. The operands of all
 processes are stacked in rank order into one block-diagonal matrix,
 `DistOperand.local`.
 
+The layout is built in linear passes, without sorting any key as long as
+the entries. Its halo columns are the distinct (column, block row) pairs
+of the operand's entries. The transpose stores each column as a row whose
+entries ascend by row, so every pair is one run of the transpose's
+storage order, and the transpose's permutation of the entries
+(`sparse._transposed`) leads each entry to its pair. Only the pairs are
+sorted, by a narrow block-pair key. In 1D `local` keeps the operand's own
+row pointers; with c > 1 each of its rows is one run of an operand row.
+
 The sparse pattern is fixed for a whole run, so `build_dist_matrices`
 plans every exchange of an operand at set-up, in the run's variant's
 form, and keeps it with the operand: its phase (`DistOperand.phase`),
@@ -53,9 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import apply_partition, block_partition
+from .partition import _check_permutable, apply_partition, block_partition
 from .runtime import Comm, ExchangeSchedule, ProcessGrid, RunResult, plan_all_to_allv, run_program
-from .sparse import (CsrMatrix, _ranges, _row_ptr, _run_starts, csr_equal, local_spmm,
+from .sparse import (CsrMatrix, _ranges, _stable_order, _transposed, csr_equal, local_spmm,
                      transpose_csr)
 
 __all__ = [
@@ -137,54 +146,94 @@ class DistMatrices:
         return self.bwd is self.fwd
 
 
-def _extract_operand(mat: CsrMatrix, boundaries, stages, aware) -> DistOperand:
+def _extract_operand(mat: CsrMatrix, tr: CsrMatrix, to_tr, boundaries, stages,
+                     aware) -> DistOperand:
+    """mat's halo layout with its exchanges planned. `tr` is mat's
+    transpose, and mat's entry e is tr's entry to_tr[e]."""
+    op, glob, halo = _halo_layout(mat, tr, to_tr, boundaries, stages)
+    op.phase = _plan_phase(op, aware, glob)
+    if aware:
+        op.index = _plan_index(op, halo)
+    return op
+
+
+def _halo_layout(mat: CsrMatrix, tr: CsrMatrix, to_tr, boundaries, stages) -> tuple:
+    """mat's `DistOperand`, unplanned, and the column of mat and of its
+    block that each column of its `local` holds. The nnz-sized
+    temporaries die when this returns, before any plan is made: plans
+    allocated beside them left heap holes that raised the peak RSS of a
+    p=32 training run on a 4000-vertex graph by about 1.5 MB."""
     nb = len(boundaries)
     c = nb // stages
     starts = np.array([s for s, _ in boundaries], dtype=np.int64)
     heights = np.array([e - s for s, e in boundaries], dtype=np.int64)
     # block of every row and column index; a zero-width block owns none
     block_of = np.repeat(np.arange(nb), heights)
-    rows = mat.row_of_nnz()
-    bi, bj = block_of[rows], block_of[mat.col_idx]
-    blk = bj * nb + bi  # owner-major block id
-    # one sorted pass over the (owner block, block row, column) keys
-    key = blk * mat.n_cols + mat.col_idx
-    order = np.argsort(key)
-    key = key[order]
-    first = _run_starts(key)
-    comp = np.empty(key.size, dtype=np.int64)
-    comp[order] = np.cumsum(first) - 1
-    idx = mat.col_idx[order[first]] - starts[blk[order[first]] // nb]
-    ptr = np.searchsorted(key[first], (np.arange(nb)[:, None] * nb
-                                       + np.arange(nb + 1)) * mat.n_cols)
+    # The halo columns are the distinct (column v, block row i) pairs of
+    # mat's entries. tr stores column v as its row v, whose entries ascend
+    # in mat's row and so in block row, so every pair is one run of tr's
+    # storage order: a run starts where a row of tr starts or the block
+    # row changes. No nnz-length key is sorted. Only the pairs are, stably
+    # by their owner-major block pair (owner block j = block of v, block
+    # row i), so v ascends within each block pair as cols(i, j) lists it;
+    # and each entry of mat finds its pair through to_tr.
+    bi = block_of[tr.col_idx]
+    first = np.zeros(tr.nnz + 1, dtype=bool)
+    first[tr.row_ptr] = True
+    first = first[:-1]
+    first[1:] |= bi[1:] != bi[:-1]
+    pair = np.cumsum(first) - 1  # the pair of each entry of tr
+    v = tr.row_of_nnz()[first]
+    blk = block_of[v] * nb + bi[first]  # owner-major block pair
+    order = _stable_order(blk, nb * nb)
+    v_local = v - starts[blk // nb]  # v in its block column
+    idx = v_local[order]
+    ptr = np.zeros(nb * nb + 1, dtype=np.int64)
+    np.cumsum(np.bincount(blk, minlength=nb * nb), out=ptr[1:])
+    ptr = ptr[np.arange(nb)[:, None] * nb + np.arange(nb + 1)]
     # the halos of all ranks in rank order are the runs cols(i, j) taken
-    # reader-major, i.e. by block row i, then block column j. An entry's
+    # reader-major, i.e. by block row i, then block column j. A pair's
     # column of `local` is its place in idx, moved from its run's start
     # there to the run's start in that order.
     runs = np.diff(ptr, axis=1).T.ravel()
     run_start = (np.cumsum(runs) - runs).reshape(nb, nb)
-    comp += (run_start.T - ptr[:, :nb]).ravel()[blk]
+    col_of_pair = np.empty(blk.size, dtype=np.int64)
+    col_of_pair[order] = np.arange(blk.size)
+    col_of_pair += (run_start.T - ptr[:, :nb]).ravel()[blk]
+    comp = col_of_pair[pair[to_tr]]
     col_off = np.zeros(nb * c + 1, dtype=np.int64)
     np.cumsum(runs.reshape(nb * c, stages).sum(axis=1), out=col_off[1:])
     row_off = np.zeros(nb * c + 1, dtype=np.int64)
     np.cumsum(np.repeat(heights, c), out=row_off[1:])
-    # each entry's rank, and its row of `local`; within a rank the entries
-    # keep their storage order, so a stable sort by rank is the stacking.
-    # numpy sorts integers of up to 16 bits, p < 65536, in one radix pass.
     # Every row keeps its entries in order and `comp` ascends with the
     # column within a rank, so `local` is canonical and built unchecked.
-    rank = (bi * c + bj // stages).astype(np.min_scalar_type(nb * c))
-    at = np.argsort(rank, kind="stable")
-    rank = rank[at]
-    local_rows = row_off[rank] + rows[at] - starts[rank // c]
-    n_rows = int(row_off[-1])
-    local = CsrMatrix._derived(n_rows, int(col_off[-1]), _row_ptr(local_rows, n_rows),
-                               comp[at], mat.values[at])
-    op = DistOperand(local, row_off, col_off, idx, ptr, starts)
-    op.phase = _plan_phase(op, aware)
-    if aware:
-        op.index = _plan_index(op)
-    return op
+    # In 1D a rank holds whole rows of its block row, so `local` has mat's
+    # rows, row pointers and values.
+    if c == 1:
+        local = CsrMatrix._derived(mat.n_rows, int(col_off[-1]), mat.row_ptr, comp,
+                                   mat.values)
+    else:
+        # a row's entries ascend by column, so by column group: the entries
+        # of row r in group g are one run of mat's storage, and they fill
+        # row r - starts[i] of rank i*c + g's rows, i the block of r
+        n = mat.n_rows
+        lens = np.bincount(mat.row_of_nnz() * c + block_of[mat.col_idx] // stages,
+                           minlength=n * c)
+        local_row = (row_off[(block_of * c)[:, None] + np.arange(c)]
+                     + (np.arange(n) - starts[block_of])[:, None])
+        run_of = np.empty(n * c, dtype=np.int64)  # the run each row of `local` holds
+        run_of[local_row.ravel()] = np.arange(n * c)
+        at = _ranges((np.cumsum(lens) - lens)[run_of], lens[run_of])
+        row_ptr = np.zeros(n * c + 1, dtype=np.int64)
+        np.cumsum(lens[run_of], out=row_ptr[1:])
+        local = CsrMatrix._derived(n * c, int(col_off[-1]), row_ptr, comp[at], mat.values[at])
+    # the halo: the pair of each column of `local`, as the column v of mat
+    # (global) and of its block (local)
+    glob = np.empty(v.size, dtype=np.int64)
+    glob[col_of_pair] = v
+    halo = np.empty(v.size, dtype=np.int64)
+    halo[col_of_pair] = v_local
+    return DistOperand(local, row_off, col_off, idx, ptr, starts), glob, halo
 
 
 def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid, variant) -> DistMatrices:
@@ -198,10 +247,14 @@ def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid, variant) ->
         raise ValueError(f"need {grid.n_rows} block rows for this grid, got {len(bounds)}")
     stages = grid.stage_count()
     aware = variant.endswith("sparse")
-    at = transpose_csr(a)
-    fwd = _extract_operand(at, bounds, stages, aware)
-    bwd = fwd if csr_equal(at, a) else _extract_operand(a, bounds, stages, aware)
-    return DistMatrices(bounds, fwd, bwd)
+    # at's entry e is a's entry order[e]
+    at, order = _transposed(a)
+    fwd = _extract_operand(at, a, order, bounds, stages, aware)
+    if csr_equal(at, a):
+        return DistMatrices(bounds, fwd, fwd)
+    to_at = np.empty_like(order)
+    to_at[order] = np.arange(order.size)
+    return DistMatrices(bounds, fwd, _extract_operand(a, at, to_at, bounds, stages, aware))
 
 
 def validate_variant_grid(variant, p, c):
@@ -332,10 +385,11 @@ def _owner_counts(op: DistOperand, sent) -> tuple:
     return counts, owners
 
 
-def _plan_phase(op: DistOperand, aware) -> _Phase:
-    """The schedule of op's exchange and its renumbered operand. Block
-    b's stage owner sends to every member of its column group its send
-    plan (aware) or its whole block row (oblivious)."""
+def _plan_phase(op: DistOperand, aware, glob) -> _Phase:
+    """The schedule of op's exchange and its renumbered operand; glob[x]
+    is the global column that column x of `local` holds. Block b's stage
+    owner sends to every member of its column group its send plan (aware)
+    or its whole block row (oblivious)."""
     nb = op.ptr.shape[0]
     heights = np.diff(op.row_off)
     rows = [op.idx[:0]] * heights.size
@@ -351,12 +405,8 @@ def _plan_phase(op: DistOperand, aware) -> _Phase:
     schedule = plan_all_to_allv(counts, rows, heights)
     # an aware receiver's rows are its halo, in the stacked rows' order.
     # The oblivious owners stack their whole blocks once each, in block
-    # order, so column x of block j is stacked row starts[j] + x.
-    if aware:
-        at = schedule.gather
-    else:
-        cols, runs = _halo_cols(op)
-        at = cols + np.repeat(op.starts[np.tile(np.arange(nb), nb)], runs)
+    # order, so global column v is stacked row v.
+    at = schedule.gather if aware else glob
     # `at` ascends within each rank's columns, so every row keeps its
     # strictly increasing columns and `local`'s canonical form carries over
     loc = op.local
@@ -365,22 +415,29 @@ def _plan_phase(op: DistOperand, aware) -> _Phase:
     return _Phase(schedule, operand, op.row_off)
 
 
-def _plan_index(op: DistOperand) -> tuple:
+def _plan_index(op: DistOperand, halo) -> tuple:
     """The index exchange is the aware phase transposed: rank r sends each
     stage owner the runs cols(i, q) of its halo's column list, halos[r],
-    that its aware phase receives from that owner."""
+    that its aware phase receives from that owner. `halo` holds every
+    rank's list in rank order."""
     counts, _ = _owner_counts(op, np.diff(op.ptr, axis=1))
-    halos = np.split(_halo_cols(op)[0], op.col_off[1:-1])
+    halos = np.split(halo, op.col_off[1:-1])
     return plan_all_to_allv(counts.T, [None] * len(halos), np.diff(op.col_off)), halos
 
 
-def _halo_cols(op: DistOperand) -> tuple:
-    """op.idx in `local`'s column order, every rank's halo in rank order:
-    the runs cols(i, j) by block row i, then block column j; and the runs'
-    lengths."""
-    nb = op.ptr.shape[0]
-    runs = np.diff(op.ptr, axis=1).T.ravel()
-    return op.idx[_ranges(op.ptr[:, :nb].T.ravel(), runs)], runs
+def _layout_partition(a: CsrMatrix, h, grid: ProcessGrid, partition) -> tuple:
+    """The partition that lays out a and the dense rows h on `grid` (a
+    block partition of its block rows by default), checked against the
+    grid and as `apply_partition` checks it; h as a float64 array; and
+    whether the partition moves any vertex. Under the identity permutation
+    the caller keeps a and h as they are, uncopied. The permutation and
+    the layout (`build_dist_matrices`) stay with the caller, which calls
+    them by its own names, the ones benchmark tracing wraps."""
+    part = partition if partition is not None else block_partition(a.n_rows, grid.n_rows)
+    if part.k != grid.n_rows:
+        raise ValueError(f"partition has {part.k} parts but the grid needs {grid.n_rows}")
+    h = _check_permutable(a, h, part)
+    return part, h, not np.array_equal(part.perm, np.arange(part.n))
 
 
 def serial_reference(a: CsrMatrix, h) -> np.ndarray:
@@ -411,10 +468,8 @@ def run_spmm(a: CsrMatrix, h, p, c, variant, partition=None) -> SpmmRun:
     if not np.isfinite(h).all():
         raise ValueError("dense operand h must be finite (found NaN or inf)")
     grid = ProcessGrid(p, c)
-    part = partition if partition is not None else block_partition(a.n_rows, grid.n_rows)
-    if part.k != grid.n_rows:
-        raise ValueError(f"partition has {part.k} parts but the grid needs {grid.n_rows}")
-    a2, h2 = apply_partition(a, h, part)
+    part, h, moves = _layout_partition(a, h, grid, partition)
+    a2, h2 = apply_partition(a, h, part) if moves else (a, h)
     dm = build_dist_matrices(a2, part.boundaries, grid, variant)
 
     def program(comm):

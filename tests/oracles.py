@@ -389,3 +389,90 @@ def volume_balanced_refine_full_scan(a, assignment, k, lambda_max=None, epsilon=
     perm = np.empty(n, dtype=np.int64)
     perm[np.argsort(assignment, kind="stable")] = np.arange(n)
     return assignment, perm
+
+
+def halo_layout_by_sort(mat, boundaries, stages):
+    """The halo layout of `mat` on block rows `boundaries` with `stages`
+    blocks per column group, as `spmm.DistOperand` holds it: (local,
+    row_off, col_off, idx, ptr, starts). The distinct (owner block, block
+    row, column) keys of all entries come from one comparison sort of the
+    int64 key (owner-major block) * n_cols + column, and `local` stacks
+    the entries by one stable sort of their ranks."""
+    nb = len(boundaries)
+    c = nb // stages
+    starts = np.array([s for s, _ in boundaries], dtype=np.int64)
+    heights = np.array([e - s for s, e in boundaries], dtype=np.int64)
+    block_of = np.repeat(np.arange(nb), heights)
+    rows = mat.row_of_nnz()
+    bi, bj = block_of[rows], block_of[mat.col_idx]
+    blk = bj * nb + bi
+    key = blk * mat.n_cols + mat.col_idx
+    order = np.argsort(key)
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    comp = np.empty(key.size, dtype=np.int64)
+    comp[order] = np.cumsum(first) - 1
+    idx = mat.col_idx[order[first]] - starts[blk[order[first]] // nb]
+    ptr = np.searchsorted(key[first], (np.arange(nb)[:, None] * nb
+                                       + np.arange(nb + 1)) * mat.n_cols)
+    runs = np.diff(ptr, axis=1).T.ravel()
+    run_start = (np.cumsum(runs) - runs).reshape(nb, nb)
+    comp += (run_start.T - ptr[:, :nb]).ravel()[blk]
+    col_off = np.zeros(nb * c + 1, dtype=np.int64)
+    np.cumsum(runs.reshape(nb * c, stages).sum(axis=1), out=col_off[1:])
+    row_off = np.zeros(nb * c + 1, dtype=np.int64)
+    np.cumsum(np.repeat(heights, c), out=row_off[1:])
+    rank = bi * c + bj // stages
+    at = np.argsort(rank, kind="stable")
+    rank = rank[at]
+    local_rows = row_off[rank] + rows[at] - starts[rank // c]
+    n_rows = int(row_off[-1])
+    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local_rows, minlength=n_rows), out=row_ptr[1:])
+    local = CsrMatrix(n_rows, int(col_off[-1]), row_ptr, comp[at], mat.values[at])
+    return local, row_off, col_off, idx, ptr, starts
+
+
+def halo_exchange_by_loop(local, idx, ptr, starts, heights, c, aware):
+    """The multiply phase and index lists a halo layout plans, by loops
+    over ranks and blocks. Block b's stage owner, rank b*c + b//s, sends
+    block row i's member of its column group the rows cols(i, b) (aware) or
+    its whole block (oblivious). Returns the senders whose buffers are
+    stacked, in rank order; each receiver's stacked rows, concatenated
+    (gather), with their offsets (bounds); `local` with every column
+    renumbered to the stacked row that holds it; and every rank's halo,
+    the column lists cols(i, j) of its column group in turn."""
+    nb = len(starts)
+    s, p = nb // c, nb * c
+
+    def cols(i, j):
+        return idx[ptr[j, i]:ptr[j, i + 1]]
+
+    sends = {}
+    for b in range(nb):
+        owner = b * c + b // s
+        for i in range(nb):
+            sends[owner, i * c + b // s] = cols(i, b) if aware else np.arange(heights[b])
+    stacked = [r for r in range(p)
+               if any(sends.get((r, d), idx[:0]).size for d in range(p))]
+    offset, n_stacked = {}, 0
+    for r in stacked:
+        offset[r] = n_stacked
+        n_stacked += heights[r // c]
+    gather, bounds = [], [0]
+    for d in range(p):
+        for r in stacked:
+            gather.extend(offset[r] + sends.get((r, d), idx[:0]))
+        bounds.append(len(gather))
+    halos, stacked_row = [], []
+    for r in range(p):
+        i, g = divmod(r, c)
+        halo = [cols(i, j) for j in range(g * s, (g + 1) * s)]
+        halos.append(np.concatenate(halo))
+        for j, run in zip(range(g * s, (g + 1) * s), halo):
+            stacked_row.extend(offset[j * c + g] + x for x in run)
+    stacked_row = np.array(stacked_row, dtype=np.int64)
+    operand = CsrMatrix(local.n_rows, n_stacked, local.row_ptr, stacked_row[local.col_idx],
+                        local.values)
+    return stacked, np.array(gather, dtype=np.int64), np.array(bounds), operand, halos

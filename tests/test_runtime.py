@@ -472,15 +472,26 @@ def test_scheduled_exchange_rejects_a_buffer_of_another_height():
         run_program(2, 1, lambda comm: comm.all_to_allv(np.ones(2), schedule=schedule))
 
 
-@pytest.mark.parametrize("counts,rows,match", [
-    ([[1, 1], [1, 1, 0]], [None, None], "rank 1: all_to_allv needs 2 integer counts"),
-    ([[1, 1], [2, 1]], [None, None], "rank 1: all_to_allv counts sum to 3 but the buffer has"),
-    ([[1, 1], [1, 1]], [None, [0, 2]], r"rank 1: all_to_allv rows must lie in \[0, 2\)"),
-    ([[1, 1]], [None], "counts, rows and heights for every rank, got 1, 1 and 2"),
-], ids=["wrong-length", "sum-differs", "past-end", "missing-rank"])
-def test_schedule_checks_counts_and_rows_as_the_call_does(counts, rows, match):
+@pytest.mark.parametrize("counts,rows,heights,match", [
+    ([[1, 1], [1, 1, 0]], [None, None], [2, 2], "rank 1: all_to_allv needs 2 integer counts"),
+    ([[1, 1], [2, 1]], [None, None], [2, 2],
+     "rank 1: all_to_allv counts sum to 3 but the buffer has"),
+    ([[1, 1], [1, 1]], [None, [0, 2]], [2, 2], r"rank 1: all_to_allv rows must lie in \[0, 2\)"),
+    ([[1, 1]], [None], [2, 2], "counts, rows and heights for every rank, got 1, 1 and 2"),
+    # ranks 1 and 2 are both at fault; the lowest is named
+    ([[1, 1, 0], [1, 0, 1], [1, 1, 0]], [None, [0, 2], [-1, 1]], [2, 2, 2],
+     r"rank 1: all_to_allv rows must lie in \[0, 2\)"),
+    ([[1, 1, 0], [0, 1, 0], [1, 1, 1]], [None, [5], [9, 9, 9]], [2, 5, 2],
+     r"rank 1: all_to_allv rows must lie in \[0, 5\)"),
+    ([[1, 1, 0], [2, 1, 0], [0, 0, 5]], [None, None, None], [2, 2, 2],
+     "rank 1: all_to_allv counts sum to 3 but the buffer has 2 rows"),
+    ([[1, 1, 0], [-1, 1, 2], [0, -3, 5]], [None, [0, 1], None], [2, 2, 2],
+     "rank 1: all_to_allv counts must be non-negative, got -1"),
+], ids=["wrong-length", "sum-differs", "past-end", "missing-rank", "past-end-on-ranks-1-2",
+        "past-end-on-ranks-1-2-uneven", "sum-differs-on-ranks-1-2", "negative-on-ranks-1-2"])
+def test_schedule_checks_counts_and_rows_as_the_call_does(counts, rows, heights, match):
     with pytest.raises(ValueError, match=match):
-        distgcn.runtime.plan_all_to_allv(counts, rows, [2, 2])
+        distgcn.runtime.plan_all_to_allv(counts, rows, heights)
 
 
 def test_alltoallv_schedule_misuse_named():

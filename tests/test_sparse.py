@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import distgcn.sparse
 from distgcn.graphgen import sbm, star_augmented
-from distgcn.sparse import (CsrMatrix, _ranges, _run_starts, csr_from_coo, csr_from_dense,
-                            csr_from_edges, csr_equal, gcn_normalize, gemm, local_spmm,
-                            transpose_csr)
+from distgcn.sparse import (CsrMatrix, _ranges, _run_starts, _stable_order, csr_from_coo,
+                            csr_from_dense, csr_from_edges, csr_equal, gcn_normalize, gemm,
+                            local_spmm, transpose_csr)
 from distgcn.partition import Partition, apply_partition, block_partition
 from distgcn.runtime import ProcessGrid
 from distgcn.spmm import build_dist_matrices
@@ -349,10 +349,47 @@ def _sparse_with_empty_lines(rng, n_rows, n_cols):
     return csr_from_dense(dense)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_transpose_matches_lexsort_reference(seed):
-    rng = np.random.default_rng(seed)
-    a = _sparse_with_empty_lines(rng, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+# Shapes whose indices fill the top of 8- and 16-bit keys or just pass them
+# (255, 256, 257, 65535, 65536, 65537), with and without entries
+_KEY_WIDTHS = [255, 256, 257, 65535, 65536, 65537]
+_WIDE_CASES = ([(w, w, 3000) for w in _KEY_WIDTHS]
+               + [(255, 65537, 3000), (65537, 256, 3000), (257, 65536, 0), (65537, 65537, 0)])
+
+
+def _sparse_near_the_top(rng, n_rows, n_cols, nnz):
+    """CSR matrix of nnz random triplets, half of them in the last 300 rows
+    and columns, so columns hold several entries and indices fill the top
+    digit of their key."""
+    rows, cols = rng.integers(0, n_rows, nnz), rng.integers(0, n_cols, nnz)
+    rows[::2] = n_rows - 1 - rng.integers(0, min(300, n_rows), rows[::2].size)
+    cols[::2] = n_cols - 1 - rng.integers(0, min(300, n_cols), cols[::2].size)
+    return csr_from_coo(n_rows, n_cols, rows, cols, rng.uniform(1.0, 2.0, nnz))
+
+
+def _lexsort_case(case):
+    """A seed's small matrix with empty lines, or a (n_rows, n_cols, nnz) one."""
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        return _sparse_with_empty_lines(rng, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+    return _sparse_near_the_top(np.random.default_rng(sum(case)), *case)
+
+
+_LEXSORT_CASES = [*range(6), *(pytest.param(w, id="{}x{}-nnz{}".format(*w)) for w in _WIDE_CASES)]
+
+
+@pytest.mark.parametrize("bound", [1, 255, 256, 257, 65535, 65536, 65537, 2 ** 32 + 5])
+def test_stable_order_is_the_stable_argsort(bound):
+    # one counting pass up to 16 bits, then one per 16-bit digit
+    rng = np.random.default_rng(bound)
+    keys = rng.integers(0, bound, 5000)
+    keys[::3] = bound - 1 - rng.integers(0, min(bound, 40), keys[::3].size)
+    for k in (keys, keys[:0]):
+        np.testing.assert_array_equal(_stable_order(k, bound), np.argsort(k, kind="stable"))
+
+
+@pytest.mark.parametrize("case", _LEXSORT_CASES)
+def test_transpose_matches_lexsort_reference(case):
+    a = _lexsort_case(case)
     order = np.lexsort((a.row_of_nnz(), a.col_idx))
     counts = np.bincount(a.col_idx, minlength=a.n_cols)
     expected = CsrMatrix(a.n_cols, a.n_rows, np.concatenate([[0], np.cumsum(counts)]),
@@ -360,11 +397,16 @@ def test_transpose_matches_lexsort_reference(seed):
     assert csr_equal(transpose_csr(a), expected)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_apply_partition_matches_lexsort_reference(seed):
-    rng = np.random.default_rng(seed)
-    n, k = int(rng.integers(2, 40)), int(rng.integers(1, 5))
-    a = _sparse_with_empty_lines(rng, n, n)
+@pytest.mark.parametrize("case", [*range(6), *(pytest.param((w, w, nnz), id=f"{w}-nnz{nnz}")
+                                               for w in _KEY_WIDTHS for nnz in (0, 3000))])
+def test_apply_partition_matches_lexsort_reference(case):
+    rng = np.random.default_rng(case if isinstance(case, int) else sum(case))
+    if isinstance(case, int):
+        n, k = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+        a = _sparse_with_empty_lines(rng, n, n)
+    else:
+        n, k = case[0], 3
+        a = _sparse_near_the_top(rng, *case)
     part = Partition.from_assignment(rng.integers(0, k, n), k)
     rows, cols = part.perm[a.row_of_nnz()], part.perm[a.col_idx]
     order = np.lexsort((cols, rows))

@@ -8,7 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import distgcn.gcn
 import distgcn.runtime
 import distgcn.spmm
 from distgcn.gcn import TrainConfig, train
@@ -21,7 +24,8 @@ from distgcn.sparse import (CsrMatrix, csr_equal, csr_from_dense, gcn_normalize,
 from distgcn.spmm import (VARIANTS, build_dist_matrices, exchange_index_lists, run_spmm,
                           serial_reference, spmm_kernel, validate_variant_grid)
 
-from oracles import matmul_triple_loop, nnz_cols_dense_scan, random_csr_dense
+from oracles import (halo_exchange_by_loop, halo_layout_by_sort, matmul_triple_loop,
+                     nnz_cols_dense_scan, random_csr_dense)
 
 
 def random_instance(seed, n=24, f=3, density=0.15, symmetric=False):
@@ -124,6 +128,70 @@ def test_symmetric_matrix_shares_operand():
     dm2 = build_dist_matrices(b, block_partition(16, 4).boundaries, ProcessGrid(4, 1),
                               "1d-sparse")
     assert not dm2.symmetric
+
+
+# every valid (variant, p, c) the layout oracle runs on, c = 3 and 4 included
+_LAYOUT_GRIDS = ([(v, p, 1) for v in ("1d-sparse", "1d-oblivious") for p in (1, 2, 3, 5, 8)]
+                 + [(v, p, c) for v in ("15d-sparse", "15d-oblivious")
+                    for p, c in ((1, 1), (3, 1), (4, 2), (8, 2), (12, 2), (9, 3), (18, 3),
+                                 (16, 4), (32, 4))])
+
+
+def _assert_same_array(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    for field in ("row_ptr", "col_idx", "values"):
+        _assert_same_array(getattr(got, field), getattr(expected, field))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.sampled_from(_LAYOUT_GRIDS),
+       st.integers(min_value=1, max_value=30), st.booleans(), st.booleans())
+def test_halo_layout_equals_the_sort_based_oracle(seed, grid_case, n, symmetric, contiguous):
+    # the pair-run layout and the loop-free plans, field by field against
+    # one comparison sort of every entry's key and per-rank loops, on
+    # random partitions that may leave parts empty
+    variant, p, c = grid_case
+    grid = ProcessGrid(p, c)
+    rng = np.random.default_rng(seed)
+    dense = random_csr_dense(rng, n, density=float(rng.choice([0.05, 0.2, 0.6])))
+    if symmetric:
+        dense = dense + dense.T
+    assignment = rng.integers(0, grid.n_rows, n)
+    if contiguous:
+        assignment = np.sort(assignment)
+    part = Partition.from_assignment(assignment, grid.n_rows)
+    a2, _ = apply_partition(csr_from_dense(dense), None, part)
+    dm = build_dist_matrices(a2, part.boundaries, grid, variant)
+    d2 = a2.to_dense()
+    assert dm.symmetric == np.array_equal(d2, d2.T)
+    heights = np.diff([0] + [e for _, e in part.boundaries])
+    aware = variant.endswith("sparse")
+    for op, mat in ((dm.fwd, d2.T), (dm.bwd, d2)):
+        layout = halo_layout_by_sort(csr_from_dense(mat), part.boundaries,
+                                     grid.stage_count())
+        _assert_same_csr(op.local, layout[0])
+        for got, expected in zip((op.row_off, op.col_off, op.idx, op.ptr, op.starts),
+                                 layout[1:]):
+            _assert_same_array(got, expected)
+        stacked, gather, bounds, operand, halos = halo_exchange_by_loop(
+            op.local, op.idx, op.ptr, op.starts, heights, c, aware)
+        schedule = op.phase.schedule
+        assert schedule.stacked == stacked
+        _assert_same_array(schedule.bounds, bounds)
+        _assert_same_array(schedule.gather, gather)
+        _assert_same_csr(op.phase.operand, operand)
+        if aware:
+            assert len(op.index[1]) == p
+            for got, expected in zip(op.index[1], halos):
+                _assert_same_array(got, expected)
+        else:
+            assert op.index is None
 
 
 def test_variant_grid_validation_names_constraint():
@@ -556,6 +624,73 @@ def test_gather_respects_partition_permutation():
     part = greedy_tv_partition(a, 4)
     run = run_spmm(a, h, 4, 1, "1d-sparse", partition=part)
     np.testing.assert_allclose(run.z, ref, atol=1e-10)
+
+
+# ---- the identity partition -------------------------------------------------
+
+def _train_bytes(res):
+    return ([h["loss"] for h in res.history],
+            [[w.tobytes() for w in ws] for ws in res.weights_per_rank], res.ledger.to_dict())
+
+
+@pytest.mark.parametrize("variant,p,c", [("1d-sparse", 4, 1), ("1d-oblivious", 3, 1),
+                                         ("15d-sparse", 8, 2), ("15d-oblivious", 18, 3)])
+def test_identity_partition_reads_the_inputs_as_a_moving_one_would(variant, p, c,
+                                                                   monkeypatch):
+    # no partition, the block partition and the same blocks as an assignment
+    # all keep every vertex in place, so both drivers read the caller's
+    # matrix and features, here read-only; their outputs are those of the
+    # relabelled copies a partition that moves vertices makes
+    n = 26
+    a, x = random_instance(41, n=n, f=3)
+    assert not csr_equal(transpose_csr(a), a)
+    labels, mask = np.arange(n) % 3, np.arange(n) % 4 != 1
+    for arr in (a.row_ptr, a.col_idx, a.values, x, labels, mask):
+        arr.setflags(write=False)
+    cfg = TrainConfig(epochs=2, variant=variant)
+    block = block_partition(n, p // c)
+
+    def runs(part):
+        return (run_spmm(a, x, p, c, variant, partition=part),
+                train(a, x, labels, mask, cfg, p=p, c=c, partition=part))
+
+    kept = [runs(part) for part in (None, block, Partition.from_assignment(block.assignment,
+                                                                           p // c))]
+    layout = distgcn.spmm._layout_partition
+
+    def moving(*args):
+        part, h, _ = layout(*args)
+        return part, h, True
+
+    monkeypatch.setattr(distgcn.spmm, "_layout_partition", moving)
+    monkeypatch.setattr(distgcn.gcn, "_layout_partition", moving)
+    spmm_moved, train_moved = runs(block)
+    for spmm_kept, train_kept in kept:
+        assert spmm_kept.z.tobytes() == spmm_moved.z.tobytes()
+        assert spmm_kept.ledger.to_dict() == spmm_moved.ledger.to_dict()
+        assert _train_bytes(train_kept) == _train_bytes(train_moved)
+        # a 1D operand keeps its matrix's row pointers: here the caller's
+        assert (spmm_kept.dm.bwd.local.row_ptr is a.row_ptr) == (c == 1)
+    assert not np.shares_memory(spmm_moved.dm.bwd.local.row_ptr, a.row_ptr)
+
+
+def test_identity_partition_of_another_size_is_rejected():
+    a, x = random_instance(42, n=16)
+    labels, mask = np.arange(16) % 2, np.ones(16, bool)
+    cfg = TrainConfig(epochs=1, variant="15d-sparse")
+    for run in (lambda part: run_spmm(a, x, 4, 1, "1d-sparse", partition=part),
+                lambda part: train(a, x, labels, mask, cfg, p=8, c=2, partition=part)):
+        with pytest.raises(ValueError, match="partition does not match the matrix"):
+            run(block_partition(17, 4))
+
+
+def test_apply_partition_returns_fresh_arrays():
+    a, x = random_instance(43, n=20, symmetric=True)
+    for part in (block_partition(20, 4), greedy_tv_partition(a, 4)):
+        a2, x2 = apply_partition(a, x, part)
+        for out in (a2.row_ptr, a2.col_idx, a2.values, x2):
+            for arr in (a.row_ptr, a.col_idx, a.values, x):
+                assert not np.shares_memory(out, arr)
 
 
 # ---- pinned ledgers ----------------------------------------------------------
