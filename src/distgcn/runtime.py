@@ -51,10 +51,10 @@ for a completed one. `all_reduce_sum` returns one read-only sum and
 member of the group. Every other call returns arrays of the caller's
 own, and no call keeps a reference into a buffer handed to it: `isend`
 copies its payload at call time, and the last arrival at an
-`all_to_allv` stacks the buffers of the ranks that send at least one row
-into one new array, from which each receiver then gathers its rows. A
-caller may therefore write to any buffer it passed as soon as the call
-returns.
+`all_to_allv` without a `then` stacks the buffers of the ranks that send
+at least one row into one new array, from which each receiver then
+gathers its rows. A caller may therefore write to any buffer it passed
+as soon as the call returns.
 
 An `all_to_allv` runs in two steps, as an inspector and an executor.
 The inspector, `plan_all_to_allv`, runs once ahead of an exchange's
@@ -70,15 +70,21 @@ ranks' dtypes and row shapes, and charges rows times the row width, so
 zero-width rows are no message.
 
 An `all_to_allv` may also take a `then`: the last arrival calls it once
-with the buffers it would stack, in stacking order, and each member
-returns its own element of the result instead of its rows. So one call
-does the work of all receivers on the rows they received, e.g. one
-multiply for a whole superstep rather than one per rank, and a `then`
-that reads no row stacks none. The runtime knows nothing of what it
-computes, charges the ledger as for the same exchange without it, and
-raises an exception it raises on every member. The trade-off is in the
-timing: the work of every receiver runs on the thread of the last
-arrival, so no rank's time is its own compute any more.
+with every rank's buffer, checked and uncopied, in rank order, and each
+member returns its own element of the result instead of its rows. So
+one call does the work of all receivers on the rows they received, e.g.
+one multiply for a whole superstep rather than one per rank, and nothing
+is stacked. A `then` must read only rows that the schedule delivers to
+the receiver it computes for: the runtime cannot check this, and the
+ledger charges the schedule's traffic only. The multiply of
+`distgcn.spmm` reads the senders' buffers in place, and a test of it
+(`test_every_rank_reads_only_rows_its_phase_delivers`) checks on every
+variant that each rank's rows read only rows delivered to it. The
+runtime knows nothing of what a `then` computes, charges the ledger as
+for the same exchange without it, and raises an exception it raises on
+every member. The trade-off is in the timing: the work of every
+receiver runs on the thread of the last arrival, so no rank's time is
+its own compute any more.
 
 The rank threads share one heap. glibc gives every new thread a malloc
 arena of its own, so a rank's freed halos, products and sums would stay
@@ -427,10 +433,11 @@ def _count_matrix(counts, sent, indexed) -> np.ndarray:
 class ExchangeSchedule:
     """One `all_to_allv` pattern, inspected once (`plan_all_to_allv`).
 
-    `heights[s]` is the number of rows sender s's buffer must have. The
-    buffers of the senders in `stacked`, the ones that send at least one
-    row, are stacked in that order, and receiver d's rows are
-    stacked[gather[bounds[d]:bounds[d + 1]]], in ascending sender order.
+    `heights[s]` is the number of rows sender s's buffer must have. A
+    call without `then` stacks the buffers of the senders in `stacked`,
+    the ones that send at least one row, in that order, and receiver d's
+    rows are stacked[gather[bounds[d]:bounds[d + 1]]], in ascending
+    sender order.
     The ledger charges are held in rows, so a call charges them for its
     own row width: per rank the rows and messages sent and received
     between distinct ranks, and each such message (`wire_src`,
@@ -503,11 +510,9 @@ def plan_all_to_allv(counts, rows, heights) -> ExchangeSchedule:
                             wire_src, wire_dst, wire_rows)
 
 
-def _execute(plan: ExchangeSchedule, bufs, ledger) -> list:
-    """Run one exchange of `plan` over the senders' buffers: check each
-    buffer's height and the ranks' dtypes and row shapes, charge the
-    ledger and return the buffers to stack, in stacking order (a zero-row
-    view of the first buffer where no rank sends a row)."""
+def _execute(plan: ExchangeSchedule, bufs, ledger):
+    """Check one exchange of `plan` over the ranks' buffers, each buffer's
+    height and the ranks' dtypes and row shapes, and charge the ledger."""
     heights = [b.shape[0] for b in bufs]
     if heights != plan.heights:
         if len(heights) != len(plan.heights):
@@ -528,7 +533,6 @@ def _execute(plan: ExchangeSchedule, bufs, ledger) -> list:
         ledger.charge("alltoallv", "received", slice(None), plan.received_rows * width, kind,
                       plan.received_msgs)
         ledger.record_pairs(plan.wire_src, plan.wire_dst, plan.wire_rows * width, kind)
-    return [bufs[s] for s in plan.stacked] or [bufs[0][:0]]
 
 
 def all_reduce_counts(g, size):
@@ -680,15 +684,17 @@ class Comm:
 
         With `then`, every rank instead returns its element of one result
         that the last arrival computes for all of them: it calls
-        then(bufs) once with the buffers the exchange stacks, in
-        stacking order (`schedule.stacked`), and rank d returns element d
-        of the sequence it returns. Rank d's rows received are rows
-        gather[bounds[d]:bounds[d + 1]] of np.concatenate(bufs), in the
-        schedule's `gather` and `bounds`; a `then` that reads no row need
-        not stack them. Every rank must pass a `then`, or none; the
-        callables must be interchangeable, and the lowest rank's runs.
-        The ledger charges are the exchange's, whatever `then` does, and
-        an exception it raises is raised on every rank."""
+        then(bufs) once with every rank's buffer, checked and uncopied,
+        in rank order, and rank d returns element d of the sequence it
+        returns. Rank d's rows received are rows
+        gather[bounds[d]:bounds[d + 1]] of the buffers of the senders in
+        `schedule.stacked` stacked in that order, in the schedule's
+        `gather` and `bounds`; a `then` must read only those rows for
+        rank d (see the module docstring), and must not write to the
+        buffers. Every rank must pass a `then`, or none; the callables
+        must be interchangeable, and the lowest rank's runs. The ledger
+        charges are the exchange's, whatever `then` does, and an
+        exception it raises is raised on every rank."""
         arr = _as_payload(buf)
         if arr.ndim == 0:
             raise ValueError("all_to_allv needs a buffer of rows, got a scalar")
@@ -709,8 +715,11 @@ class Comm:
             if others:
                 raise ValueError(f"all_to_allv: ranks {others} pass another schedule than "
                                  "rank 0; every rank must pass the same one")
-            bufs = _execute(plan, [a[0] for a in args], ledger)
-            return np.concatenate(bufs) if then is None else then(bufs)
+            bufs = [a[0] for a in args]
+            _execute(plan, bufs, ledger)
+            if then is not None:
+                return then(bufs)
+            return np.concatenate([bufs[s] for s in plan.stacked] or [bufs[0][:0]])
 
         out = self._collective("alltoallv", group, (arr, schedule, then), complete)
         if then is not None:

@@ -323,9 +323,9 @@ def local_spmm(a: CsrMatrix, h) -> np.ndarray:
 
     Each output entry starts at 0.0 and adds its row's terms in storage
     order (ascending column), so repeated runs are bit-identical, and a
-    caller that renumbers columns in ascending order (as the halo layout
-    of `distgcn.spmm` does) keeps the summation order of the original
-    matrix.
+    caller that takes whole rows or runs of rows of a matrix (as the
+    operands of `distgcn.spmm` do) keeps the summation order of the
+    original matrix.
 
     The work that depends only on the sparsity pattern, the matrix's
     level order (see `CsrMatrix.level_order`), is derived on its first
@@ -436,17 +436,10 @@ def transpose_csr(a: CsrMatrix) -> CsrMatrix:
     """Exact transpose in canonical CSR form.
 
     Pure permutation of the stored entries, hence an involution down to
-    the bit level.
-    """
-    return _transposed(a)[0]
-
-
-def _transposed(a: CsrMatrix) -> tuple:
-    """The transpose and its permutation of the entries: its entry e is a's
-    entry order[e]. Stored entries ascend by row, so one stable counting
+    the bit level. Stored entries ascend by row, so one stable counting
     sort by column (`_stable_order`) leaves each column's entries in row
-    order, Gustavson's O(nnz + n) transpose."""
+    order, Gustavson's O(nnz + n) transpose.
+    """
     order = _stable_order(a.col_idx, a.n_cols)
-    at = CsrMatrix._derived(a.n_cols, a.n_rows, _row_ptr(a.col_idx, a.n_cols),
-                            a.row_of_nnz()[order], a.values[order])
-    return at, order
+    return CsrMatrix._derived(a.n_cols, a.n_rows, _row_ptr(a.col_idx, a.n_cols),
+                              a.row_of_nnz()[order], a.values[order])

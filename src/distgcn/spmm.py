@@ -16,38 +16,37 @@ owns a stage. The aware variants' one-time index exchange is one
 each process sends the stage owners of its column group its halo's
 column list.
 
-Each process has one local operand: its block row restricted to the
-block columns of its stages, with columns compressed to the occupied
-global columns in ascending order (a halo layout), which one owner-major
-index, `DistOperand.cols`, lists block by block. The operands of all
-processes are stacked in rank order into one block-diagonal matrix,
-`DistOperand.local`.
+Each sparse operand has one form, `DistOperand.matrix`: one whole-grid
+`CsrMatrix` in the global columns of the dense operand, in which each
+process owns the rows of its block row restricted to its column group.
+In 1D it is the (permuted) matrix itself; with c > 1 each of its rows is
+the run of a matrix row that lies in one column group.
 
-The layout is built in linear passes, without sorting any key as long as
-the entries. Its halo columns are the distinct (column, block row) pairs
-of the operand's entries. The transpose stores each column as a row whose
-entries ascend by row, so every pair is one run of the transpose's
-storage order, and the transpose's permutation of the entries
-(`sparse._transposed`) leads each entry to its pair. Only the pairs are
-sorted, by a narrow block-pair key. In 1D `local` keeps the operand's own
-row pointers; with c > 1 each of its rows is one run of an operand row.
+What an operand communicates is its occupied-column index,
+`DistOperand.cols`, stored once, owner-major: each stage owner's send
+plan and each process's index list are slices of it. Its entries are the
+distinct (column, block row) pairs of the operand's entries. The
+transpose stores each column as a row whose entries ascend by row, so
+every pair is one run of the transpose's storage order, and only the
+pairs are sorted, by a narrow block-pair key: no key as long as the
+entries is sorted.
 
 The sparse pattern is fixed for a whole run, so `build_dist_matrices`
 plans every exchange of an operand at set-up, in the run's variant's
-form, and keeps it with the operand: its phase (`DistOperand.phase`),
+form, and keeps it with the operand: its phase (`DistOperand.schedule`),
 aware or oblivious, and for the aware forms its index exchange
-(`DistOperand.index`), each with its schedule inspected once
-(`runtime.plan_all_to_allv`). A phase's plan also holds `local` with
-every column renumbered to the row of the exchange's stacked block rows
-that holds it. A phase then runs the exchange through its schedule, and
-its completion makes the local multiplies of the whole grid as one
-`local_spmm` straight from the stacked rows: no halo is gathered first,
-and no count matrix or gather index is built again. A rank's halo
-columns ascend in global column, and so do the stacked rows they map
-to, so every entry still accumulates in ascending global column. The
-oblivious and aware forms therefore produce bit-identical outputs, and
-the 1D variants and the replicated schedule with c=1 both reproduce
-`serial_reference` of the partitioned matrix bit for bit.
+(`DistOperand.index`), each inspected once (`runtime.plan_all_to_allv`).
+The schedules carry the traffic, which the ledger charges. A phase's
+completion makes the local multiplies of the whole grid as one
+`local_spmm` of `matrix` with the stage owners' blocks, which in block
+order are the dense operand in global row order. A rank's rows read
+only rows of it that its schedule delivers to the rank: in the aware
+forms exactly those, in the oblivious forms some of them, as
+`test_every_rank_reads_only_rows_its_phase_delivers` checks. Every row
+sums in storage order, ascending global column, so the oblivious and
+aware forms produce bit-identical outputs, and the 1D variants and the
+replicated schedule with c=1 both reproduce `serial_reference` of the
+partitioned matrix bit for bit.
 
 Since one rank's thread makes the whole grid's multiply of a phase,
 compute is no longer timed per rank: the time a rank spends in a phase
@@ -64,8 +63,7 @@ import numpy as np
 
 from .partition import _check_permutable, apply_partition, block_partition
 from .runtime import Comm, ExchangeSchedule, ProcessGrid, RunResult, plan_all_to_allv, run_program
-from .sparse import (CsrMatrix, _ranges, _stable_order, _transposed, csr_equal, local_spmm,
-                     transpose_csr)
+from .sparse import CsrMatrix, _ranges, _stable_order, csr_equal, local_spmm, transpose_csr
 
 __all__ = [
     "DistMatrices",
@@ -82,24 +80,17 @@ __all__ = [
 VARIANTS = ("1d-oblivious", "1d-sparse", "15d-oblivious", "15d-sparse")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DistOperand:
-    """One sparse operand in halo layout.
+    """One sparse operand on a process grid, planned for one variant.
 
     Block columns are split into column groups of s consecutive blocks,
     the s = p/c**2 stages of the grid (one group of all p blocks in 1D).
-    Process (i, g), rank i*c + g, multiplies with the rows of block row i
-    restricted to column group g, its columns compressed to the occupied
-    columns of that range: cols(i, j) for each block column j of the group
-    in turn, its halo.
-
-    `local` stacks those p operands in rank order into one block-diagonal
-    matrix: rank r's operand is rows row_off[r]:row_off[r+1] and columns
-    col_off[r]:col_off[r+1] of it, and no entry lies outside these blocks.
-    `phase` is the plan of the operand's multiply phase in the run's
-    variant's form, and `index` that of its index exchange: its schedule,
-    and halos[r], what rank r sends (`_plan_index`), or None in an
-    oblivious form. Both are made at set-up (`build_dist_matrices`).
+    Process (i, g), rank r = i*c + g, multiplies with the rows of block
+    row i restricted to column group g: rows row_off[r]:row_off[r+1] of
+    `matrix`, in global columns. Block b's stage owner is rank
+    owners[b] = b*c + b//s, and the owners' block rows of the dense
+    operand, in block order, are that operand in global row order.
 
     cols(i, j), the occupied-column index of block (i, j), lists the
     columns of block column j (local to it, ascending) that hold a stored
@@ -108,33 +99,46 @@ class DistOperand:
     ..., cols(nb-1, j) for each j in turn, bounded by row j of the
     (nb, nb+1) offsets `ptr`. So idx[ptr[j, 0]:ptr[j, -1]], with run
     lengths np.diff(ptr[j]), is owner j's send plan: the rows it sends to
-    block rows 0, ..., nb-1 in one `all_to_allv`. `starts[j]` is the first
-    global row of block row j, where an oblivious receiver finds block j's
-    rows in a stack of whole blocks.
+    block rows 0, ..., nb-1 in one `all_to_allv`.
+
+    `schedule` is the plan of the operand's multiply phase in the run's
+    variant's form, and `index` that of its index exchange: its schedule,
+    and halos[r], what rank r sends (`_plan_index`), or None in an
+    oblivious form. Everything is made once, at set-up
+    (`build_dist_matrices`), and never changed.
     """
 
-    local: CsrMatrix
+    matrix: CsrMatrix
     row_off: np.ndarray
-    col_off: np.ndarray
+    owners: list
     idx: np.ndarray
     ptr: np.ndarray
-    starts: np.ndarray
-    phase: _Phase = None
-    index: tuple = None
+    schedule: ExchangeSchedule
+    index: tuple
 
     def cols(self, i, j) -> np.ndarray:
         return self.idx[self.ptr[j, i]:self.ptr[j, i + 1]]
 
+    def multiply(self, bufs) -> list:
+        """Every rank's local product of one phase, as the `then` of its
+        exchange, from every rank's buffer: one multiply of `matrix` for
+        the whole grid with the stage owners' block rows, of which each
+        rank's product is its row slice. `local_spmm` sums each row in
+        storage order whatever the other rows are, so the products are
+        bit for bit the per-rank ones."""
+        h = np.concatenate([bufs[r] for r in self.owners])
+        return np.split(local_spmm(self.matrix, h), self.row_off[1:-1])
+
 
 @dataclass
 class DistMatrices:
-    """Halo layout of the multiply operands on a process grid.
+    """The multiply operands on a process grid.
 
     `fwd` holds the transposed adjacency (the operand of the forward
     product); `bwd` holds the adjacency itself and aliases `fwd` when the
-    matrix is symmetric. Process (i, j) multiplies with its block of
-    either operand's `local`, so the c processes of grid row i hold the c
-    column groups of block row i and sum their partial products.
+    matrix is symmetric. Process (i, j) multiplies with its rows of either
+    operand's `matrix`, so the c processes of grid row i hold the c column
+    groups of block row i and sum their partial products.
     """
 
     boundaries: list
@@ -146,115 +150,88 @@ class DistMatrices:
         return self.bwd is self.fwd
 
 
-def _extract_operand(mat: CsrMatrix, tr: CsrMatrix, to_tr, boundaries, stages,
-                     aware) -> DistOperand:
-    """mat's halo layout with its exchanges planned. `tr` is mat's
-    transpose, and mat's entry e is tr's entry to_tr[e]."""
-    op, glob, halo = _halo_layout(mat, tr, to_tr, boundaries, stages)
-    op.phase = _plan_phase(op, aware, glob)
-    if aware:
-        op.index = _plan_index(op, halo)
-    return op
+def _operand(mat: CsrMatrix, tr: CsrMatrix, boundaries, stages, aware) -> DistOperand:
+    """mat's `DistOperand` with its exchanges planned; `tr` is mat's
+    transpose."""
+    matrix, row_off, idx, ptr = _layout(mat, tr, boundaries, stages)
+    nb = len(boundaries)
+    c = nb // stages
+    owners = (np.arange(nb) * c + np.arange(nb) // stages).tolist()
+    schedule = _plan_phase(idx, ptr, np.diff(row_off), owners, aware)
+    index = _plan_index(idx, ptr, c) if aware else None
+    return DistOperand(matrix, row_off, owners, idx, ptr, schedule, index)
 
 
-def _halo_layout(mat: CsrMatrix, tr: CsrMatrix, to_tr, boundaries, stages) -> tuple:
-    """mat's `DistOperand`, unplanned, and the column of mat and of its
-    block that each column of its `local` holds. The nnz-sized
-    temporaries die when this returns, before any plan is made: plans
-    allocated beside them left heap holes that raised the peak RSS of a
-    p=32 training run on a 4000-vertex graph by about 1.5 MB."""
+def _layout(mat: CsrMatrix, tr: CsrMatrix, boundaries, stages) -> tuple:
+    """mat's whole-grid operand, its row offsets, and its occupied-column
+    index (idx, ptr). The nnz-sized temporaries die when this returns,
+    before any plan is made: plans allocated beside them left heap holes
+    that raised the peak RSS of a p=32 training run on a 4000-vertex
+    graph by about 1.5 MB."""
     nb = len(boundaries)
     c = nb // stages
     starts = np.array([s for s, _ in boundaries], dtype=np.int64)
     heights = np.array([e - s for s, e in boundaries], dtype=np.int64)
     # block of every row and column index; a zero-width block owns none
     block_of = np.repeat(np.arange(nb), heights)
-    # The halo columns are the distinct (column v, block row i) pairs of
-    # mat's entries. tr stores column v as its row v, whose entries ascend
-    # in mat's row and so in block row, so every pair is one run of tr's
+    # The index lists the distinct (column v, block row i) pairs of mat's
+    # entries. tr stores column v as its row v, whose entries ascend in
+    # mat's row and so in block row, so every pair is one run of tr's
     # storage order: a run starts where a row of tr starts or the block
     # row changes. No nnz-length key is sorted. Only the pairs are, stably
     # by their owner-major block pair (owner block j = block of v, block
-    # row i), so v ascends within each block pair as cols(i, j) lists it;
-    # and each entry of mat finds its pair through to_tr.
+    # row i), so v ascends within each block pair as cols(i, j) lists it.
     bi = block_of[tr.col_idx]
     first = np.zeros(tr.nnz + 1, dtype=bool)
     first[tr.row_ptr] = True
     first = first[:-1]
     first[1:] |= bi[1:] != bi[:-1]
-    pair = np.cumsum(first) - 1  # the pair of each entry of tr
     v = tr.row_of_nnz()[first]
     blk = block_of[v] * nb + bi[first]  # owner-major block pair
-    order = _stable_order(blk, nb * nb)
-    v_local = v - starts[blk // nb]  # v in its block column
-    idx = v_local[order]
+    idx = (v - starts[blk // nb])[_stable_order(blk, nb * nb)]  # v in its block column
     ptr = np.zeros(nb * nb + 1, dtype=np.int64)
     np.cumsum(np.bincount(blk, minlength=nb * nb), out=ptr[1:])
     ptr = ptr[np.arange(nb)[:, None] * nb + np.arange(nb + 1)]
-    # the halos of all ranks in rank order are the runs cols(i, j) taken
-    # reader-major, i.e. by block row i, then block column j. A pair's
-    # column of `local` is its place in idx, moved from its run's start
-    # there to the run's start in that order.
-    runs = np.diff(ptr, axis=1).T.ravel()
-    run_start = (np.cumsum(runs) - runs).reshape(nb, nb)
-    col_of_pair = np.empty(blk.size, dtype=np.int64)
-    col_of_pair[order] = np.arange(blk.size)
-    col_of_pair += (run_start.T - ptr[:, :nb]).ravel()[blk]
-    comp = col_of_pair[pair[to_tr]]
-    col_off = np.zeros(nb * c + 1, dtype=np.int64)
-    np.cumsum(runs.reshape(nb * c, stages).sum(axis=1), out=col_off[1:])
     row_off = np.zeros(nb * c + 1, dtype=np.int64)
     np.cumsum(np.repeat(heights, c), out=row_off[1:])
-    # Every row keeps its entries in order and `comp` ascends with the
-    # column within a rank, so `local` is canonical and built unchecked.
-    # In 1D a rank holds whole rows of its block row, so `local` has mat's
-    # rows, row pointers and values.
+    # in 1D a rank holds whole rows of its block row: the operand is mat
     if c == 1:
-        local = CsrMatrix._derived(mat.n_rows, int(col_off[-1]), mat.row_ptr, comp,
-                                   mat.values)
-    else:
-        # a row's entries ascend by column, so by column group: the entries
-        # of row r in group g are one run of mat's storage, and they fill
-        # row r - starts[i] of rank i*c + g's rows, i the block of r
-        n = mat.n_rows
-        lens = np.bincount(mat.row_of_nnz() * c + block_of[mat.col_idx] // stages,
-                           minlength=n * c)
-        local_row = (row_off[(block_of * c)[:, None] + np.arange(c)]
-                     + (np.arange(n) - starts[block_of])[:, None])
-        run_of = np.empty(n * c, dtype=np.int64)  # the run each row of `local` holds
-        run_of[local_row.ravel()] = np.arange(n * c)
-        at = _ranges((np.cumsum(lens) - lens)[run_of], lens[run_of])
-        row_ptr = np.zeros(n * c + 1, dtype=np.int64)
-        np.cumsum(lens[run_of], out=row_ptr[1:])
-        local = CsrMatrix._derived(n * c, int(col_off[-1]), row_ptr, comp[at], mat.values[at])
-    # the halo: the pair of each column of `local`, as the column v of mat
-    # (global) and of its block (local)
-    glob = np.empty(v.size, dtype=np.int64)
-    glob[col_of_pair] = v
-    halo = np.empty(v.size, dtype=np.int64)
-    halo[col_of_pair] = v_local
-    return DistOperand(local, row_off, col_off, idx, ptr, starts), glob, halo
+        return mat, row_off, idx, ptr
+    # a row's entries ascend by column, so by column group: the entries of
+    # row r in group g are one run of mat's storage, and they fill row
+    # r - starts[i] of rank i*c + g's rows, i the block of r. Every row
+    # keeps its entries in order, so the operand is canonical and built
+    # unchecked.
+    n = mat.n_rows
+    lens = np.bincount(mat.row_of_nnz() * c + block_of[mat.col_idx] // stages,
+                       minlength=n * c)
+    op_row = (row_off[(block_of * c)[:, None] + np.arange(c)]
+              + (np.arange(n) - starts[block_of])[:, None])
+    run_of = np.empty(n * c, dtype=np.int64)  # the run each row of the operand holds
+    run_of[op_row.ravel()] = np.arange(n * c)
+    at = _ranges((np.cumsum(lens) - lens)[run_of], lens[run_of])
+    row_ptr = np.zeros(n * c + 1, dtype=np.int64)
+    np.cumsum(lens[run_of], out=row_ptr[1:])
+    matrix = CsrMatrix._derived(n * c, mat.n_cols, row_ptr, mat.col_idx[at], mat.values[at])
+    return matrix, row_off, idx, ptr
 
 
 def build_dist_matrices(a: CsrMatrix, boundaries, grid: ProcessGrid, variant) -> DistMatrices:
-    """Split a (already permuted to match `boundaries`) into the halo
-    layout for `grid`, with every exchange planned in `variant`'s form.
-    Needs one block row per grid row, and a variant that fits the grid
-    (`validate_variant_grid`), checked here and nowhere later."""
+    """The operands of a (already permuted to match `boundaries`) and of
+    its transpose on `grid`, with every exchange planned in `variant`'s
+    form. Needs one block row per grid row, and a variant that fits the
+    grid (`validate_variant_grid`), checked here and nowhere later."""
     validate_variant_grid(variant, grid.p, grid.c)
     bounds = list(boundaries)
     if len(bounds) != grid.n_rows:
         raise ValueError(f"need {grid.n_rows} block rows for this grid, got {len(bounds)}")
     stages = grid.stage_count()
     aware = variant.endswith("sparse")
-    # at's entry e is a's entry order[e]
-    at, order = _transposed(a)
-    fwd = _extract_operand(at, a, order, bounds, stages, aware)
+    at = transpose_csr(a)
+    fwd = _operand(at, a, bounds, stages, aware)
     if csr_equal(at, a):
         return DistMatrices(bounds, fwd, fwd)
-    to_at = np.empty_like(order)
-    to_at[order] = np.arange(order.size)
-    return DistMatrices(bounds, fwd, _extract_operand(a, at, to_at, bounds, stages, aware))
+    return DistMatrices(bounds, fwd, _operand(a, at, bounds, stages, aware))
 
 
 def validate_variant_grid(variant, p, c):
@@ -315,50 +292,28 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, held=None):
     The variant is the one the operand was planned for at set-up
     (`build_dist_matrices`). Every variant is one `all_to_allv` over the
     whole grid, run through the operand's planned schedule
-    (`DistOperand.phase`): the owner of a stage (j*s <= i < (j+1)*s)
+    (`DistOperand.schedule`): the owner of a stage (j*s <= i < (j+1)*s)
     sends to the c-strided column group j, an aware owner its send plan
     and an oblivious one its whole block row to every member, and every
     other process sends nothing. The local multiplies of all ranks run in
-    the exchange's completion, as one `local_spmm` of the planned operand
-    with the stacked block rows (`_Phase.multiply`).
+    the exchange's completion, as one `local_spmm` of the operand's
+    matrix with the stage owners' block rows (`DistOperand.multiply`).
 
     `held` serves a phase whose dense operand is the same in every call,
     as layer 0's forward operand is in one training call: a list, empty
     before the first call, that every rank passes. The first call's
     multiply fills it with every rank's product, made read-only, and each
     later call's completion returns those instead of multiplying, and so
-    stacks no row. Every call still runs the exchange and, when c > 1,
+    reads no row. Every call still runs the exchange and, when c > 1,
     the row all-reduce, so the ledger and the collective calls are those
     of a multiplying phase.
     """
     h_block = np.asarray(h_block, dtype=np.float64)
-    phase = op.phase
-    then = phase.multiply if held is None else functools.partial(_hold, held, phase.multiply)
-    z = comm.all_to_allv(h_block, phase.schedule, then=then)
+    then = op.multiply if held is None else functools.partial(_hold, held, op.multiply)
+    z = comm.all_to_allv(h_block, op.schedule, then=then)
     if comm.c == 1:
         return z
     return comm.all_reduce_sum(z, group=comm.grid.row_group(comm.coords[0]))
-
-
-@dataclass(frozen=True, eq=False)
-class _Phase:
-    """One operand's multiply phase, planned once: the exchange's
-    schedule, and `operand`, the operand's `local` with every column
-    renumbered to the row of the exchange's stacked block rows that holds
-    it, so the multiply reads the rows where they arrived."""
-
-    schedule: ExchangeSchedule
-    operand: CsrMatrix
-    row_off: np.ndarray
-
-    def multiply(self, bufs) -> list:
-        """Every rank's local product of one phase, as the `then` of its
-        exchange: one multiply for the whole grid of the stacked senders'
-        block rows, of which each rank's product is its row slice.
-        `local_spmm` sums each row in storage order whatever the other
-        rows are, and the renumbering keeps each row's storage order, so
-        the products are bit for bit the per-rank ones."""
-        return np.split(local_spmm(self.operand, np.concatenate(bufs)), self.row_off[1:-1])
 
 
 def _hold(held: list, multiply, bufs) -> list:
@@ -371,58 +326,50 @@ def _hold(held: list, multiply, bufs) -> list:
     return held
 
 
-def _owner_counts(op: DistOperand, sent) -> tuple:
+def _owner_counts(sent, c) -> np.ndarray:
     """The count matrix of a phase in which block b's stage owner, rank
     b*c + b//s, sends sent[b, i] rows to block row i's member of its
-    column group g, rank i*c + g; and the owners."""
-    nb = op.ptr.shape[0]
-    p = op.row_off.size - 1
-    c = p // nb
+    column group g, rank i*c + g."""
+    nb = sent.shape[0]
     group = np.arange(nb) // (nb // c)
-    owners = np.arange(nb) * c + group
-    counts = np.zeros((p, p), dtype=np.int64)
-    counts[owners[:, None], group[:, None] + c * np.arange(nb)] = sent
-    return counts, owners
+    counts = np.zeros((nb * c, nb * c), dtype=np.int64)
+    counts[(np.arange(nb) * c + group)[:, None], group[:, None] + c * np.arange(nb)] = sent
+    return counts
 
 
-def _plan_phase(op: DistOperand, aware, glob) -> _Phase:
-    """The schedule of op's exchange and its renumbered operand; glob[x]
-    is the global column that column x of `local` holds. Block b's stage
-    owner sends to every member of its column group its send plan (aware)
-    or its whole block row (oblivious)."""
-    nb = op.ptr.shape[0]
-    heights = np.diff(op.row_off)
-    rows = [op.idx[:0]] * heights.size
+def _plan_phase(idx, ptr, heights, owners, aware) -> ExchangeSchedule:
+    """The schedule of an operand's phase, whose ranks' buffers have
+    heights[r] rows: block b's stage owner, rank owners[b], sends to
+    every member of its column group its send plan (aware) or its whole
+    block row (oblivious)."""
+    nb = ptr.shape[0]
+    c = heights.size // nb
+    rows = [idx[:0]] * heights.size
     if aware:
-        counts, owners = _owner_counts(op, np.diff(op.ptr, axis=1))
-        for b, r in enumerate(owners.tolist()):
-            rows[r] = op.idx[op.ptr[b, 0]:op.ptr[b, -1]]
+        counts = _owner_counts(np.diff(ptr, axis=1), c)
+        for b, r in enumerate(owners):
+            rows[r] = idx[ptr[b, 0]:ptr[b, -1]]
     else:
         # every member of grid row b has block b's height
-        counts, owners = _owner_counts(op, heights.reshape(nb, -1)[:, :1])
-        for r in owners.tolist():
+        counts = _owner_counts(heights.reshape(nb, c)[:, :1], c)
+        for r in owners:
             rows[r] = np.tile(np.arange(heights[r]), nb)
-    schedule = plan_all_to_allv(counts, rows, heights)
-    # an aware receiver's rows are its halo, in the stacked rows' order.
-    # The oblivious owners stack their whole blocks once each, in block
-    # order, so global column v is stacked row v.
-    at = schedule.gather if aware else glob
-    # `at` ascends within each rank's columns, so every row keeps its
-    # strictly increasing columns and `local`'s canonical form carries over
-    loc = op.local
-    operand = CsrMatrix._derived(loc.n_rows, int(heights[schedule.stacked].sum()),
-                                 loc.row_ptr, at[loc.col_idx], loc.values)
-    return _Phase(schedule, operand, op.row_off)
+    return plan_all_to_allv(counts, rows, heights)
 
 
-def _plan_index(op: DistOperand, halo) -> tuple:
-    """The index exchange is the aware phase transposed: rank r sends each
-    stage owner the runs cols(i, q) of its halo's column list, halos[r],
-    that its aware phase receives from that owner. `halo` holds every
-    rank's list in rank order."""
-    counts, _ = _owner_counts(op, np.diff(op.ptr, axis=1))
-    halos = np.split(halo, op.col_off[1:-1])
-    return plan_all_to_allv(counts.T, [None] * len(halos), np.diff(op.col_off)), halos
+def _plan_index(idx, ptr, c) -> tuple:
+    """The index exchange is the aware phase transposed: rank r, process
+    (i, g), sends each stage owner q of its column group the run cols(i, q)
+    of its halo's column list, halos[r], the runs cols(i, j) of the
+    group's blocks j in turn."""
+    nb = ptr.shape[0]
+    runs = np.diff(ptr, axis=1)  # runs[j, i] is the length of cols(i, j)
+    # every rank's list in rank order: the runs taken by block row, then
+    # block column
+    halo = idx[_ranges(ptr[:, :-1].T.ravel(), runs.T.ravel())]
+    sizes = runs.T.reshape(nb * c, nb // c).sum(axis=1)
+    halos = np.split(halo, np.cumsum(sizes)[:-1])
+    return plan_all_to_allv(_owner_counts(runs, c).T, [None] * sizes.size, sizes), halos
 
 
 def _layout_partition(a: CsrMatrix, h, grid: ProcessGrid, partition) -> tuple:

@@ -392,12 +392,13 @@ def volume_balanced_refine_full_scan(a, assignment, k, lambda_max=None, epsilon=
 
 
 def halo_layout_by_sort(mat, boundaries, stages):
-    """The halo layout of `mat` on block rows `boundaries` with `stages`
-    blocks per column group, as `spmm.DistOperand` holds it: (local,
-    row_off, col_off, idx, ptr, starts). The distinct (owner block, block
-    row, column) keys of all entries come from one comparison sort of the
-    int64 key (owner-major block) * n_cols + column, and `local` stacks
-    the entries by one stable sort of their ranks."""
+    """The operand of `mat` on block rows `boundaries` with `stages`
+    blocks per column group, as `spmm.DistOperand` holds it: (matrix,
+    row_off, idx, ptr). The distinct (owner block, block row, column) keys
+    of all entries come from one comparison sort of the int64 key
+    (owner-major block) * n_cols + column, and `matrix` stacks the
+    entries, in their global columns, by one stable sort of their ranks:
+    at c=1 that is `mat` itself."""
     nb = len(boundaries)
     c = nb // stages
     starts = np.array([s for s, _ in boundaries], dtype=np.int64)
@@ -411,16 +412,9 @@ def halo_layout_by_sort(mat, boundaries, stages):
     key = key[order]
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    comp = np.empty(key.size, dtype=np.int64)
-    comp[order] = np.cumsum(first) - 1
     idx = mat.col_idx[order[first]] - starts[blk[order[first]] // nb]
     ptr = np.searchsorted(key[first], (np.arange(nb)[:, None] * nb
                                        + np.arange(nb + 1)) * mat.n_cols)
-    runs = np.diff(ptr, axis=1).T.ravel()
-    run_start = (np.cumsum(runs) - runs).reshape(nb, nb)
-    comp += (run_start.T - ptr[:, :nb]).ravel()[blk]
-    col_off = np.zeros(nb * c + 1, dtype=np.int64)
-    np.cumsum(runs.reshape(nb * c, stages).sum(axis=1), out=col_off[1:])
     row_off = np.zeros(nb * c + 1, dtype=np.int64)
     np.cumsum(np.repeat(heights, c), out=row_off[1:])
     rank = bi * c + bj // stages
@@ -430,20 +424,20 @@ def halo_layout_by_sort(mat, boundaries, stages):
     n_rows = int(row_off[-1])
     row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(local_rows, minlength=n_rows), out=row_ptr[1:])
-    local = CsrMatrix(n_rows, int(col_off[-1]), row_ptr, comp[at], mat.values[at])
-    return local, row_off, col_off, idx, ptr, starts
+    matrix = CsrMatrix(n_rows, mat.n_cols, row_ptr, mat.col_idx[at], mat.values[at])
+    return matrix, row_off, idx, ptr
 
 
-def halo_exchange_by_loop(local, idx, ptr, starts, heights, c, aware):
-    """The multiply phase and index lists a halo layout plans, by loops
-    over ranks and blocks. Block b's stage owner, rank b*c + b//s, sends
-    block row i's member of its column group the rows cols(i, b) (aware) or
-    its whole block (oblivious). Returns the senders whose buffers are
-    stacked, in rank order; each receiver's stacked rows, concatenated
-    (gather), with their offsets (bounds); `local` with every column
-    renumbered to the stacked row that holds it; and every rank's halo,
-    the column lists cols(i, j) of its column group in turn."""
-    nb = len(starts)
+def halo_exchange_by_loop(idx, ptr, heights, c, aware):
+    """The multiply phase and index lists an operand's occupied-column
+    index plans, by loops over ranks and blocks. Block b's stage owner,
+    rank b*c + b//s, sends block row i's member of its column group the
+    rows cols(i, b) (aware) or its whole block (oblivious). Returns the
+    senders whose buffers are stacked, in rank order; each receiver's
+    stacked rows, concatenated (gather), with their offsets (bounds); and
+    every rank's halo, the column lists cols(i, j) of its column group in
+    turn."""
+    nb = ptr.shape[0]
     s, p = nb // c, nb * c
 
     def cols(i, j):
@@ -465,14 +459,8 @@ def halo_exchange_by_loop(local, idx, ptr, starts, heights, c, aware):
         for r in stacked:
             gather.extend(offset[r] + sends.get((r, d), idx[:0]))
         bounds.append(len(gather))
-    halos, stacked_row = [], []
+    halos = []
     for r in range(p):
         i, g = divmod(r, c)
-        halo = [cols(i, j) for j in range(g * s, (g + 1) * s)]
-        halos.append(np.concatenate(halo))
-        for j, run in zip(range(g * s, (g + 1) * s), halo):
-            stacked_row.extend(offset[j * c + g] + x for x in run)
-    stacked_row = np.array(stacked_row, dtype=np.int64)
-    operand = CsrMatrix(local.n_rows, n_stacked, local.row_ptr, stacked_row[local.col_idx],
-                        local.values)
-    return stacked, np.array(gather, dtype=np.int64), np.array(bounds), operand, halos
+        halos.append(np.concatenate([cols(i, j) for j in range(g * s, (g + 1) * s)]))
+    return stacked, np.array(gather, dtype=np.int64), np.array(bounds), halos

@@ -359,15 +359,19 @@ def test_alltoallv_bad_rows_on_one_rank_named(rows, match):
         plan_all_to_allv([[1, 1, 0]] * 3, [None, None, rows], [2] * 3)
 
 
-def _gathering_then(calls, schedule):
+def _gathering_then(calls, schedule, bufs=None):
     """A `then` of `schedule`'s exchange that returns each receiver's rows
-    as the receiver would gather them, and records one entry in `calls`
-    per call."""
+    as the receiver would gather them from the stacked senders' buffers,
+    and records the number of buffers it gets in `calls`, once per call.
+    Given `bufs`, it checks that it gets those very buffers, in rank
+    order."""
     gather, bounds = schedule.gather, schedule.bounds
 
-    def then(bufs):
-        calls.append(len(bounds) - 1)
-        stacked = np.concatenate(bufs)
+    def then(got):
+        calls.append(len(got))
+        if bufs is not None:
+            assert all(g is b for g, b in zip(got, bufs, strict=True))
+        stacked = np.concatenate([got[s] for s in schedule.stacked] or [got[0][:0]])
         return [np.take(stacked, gather[bounds[d]:bounds[d + 1]], axis=0)
                 for d in range(len(bounds) - 1)]
     return then
@@ -393,7 +397,7 @@ def test_alltoallv_then_runs_once_and_charges_as_the_exchange(seed, p, row_shape
     expected = alltoallv_reference([b[r] for b, r in zip(bufs, rows)], counts)
     schedule = plan_all_to_allv(counts, rows, [len(b) for b in bufs])
     calls = []
-    then = _gathering_then(calls, schedule)
+    then = _gathering_then(calls, schedule, bufs)
 
     def program(comm, fused):
         return [comm.all_to_allv(bufs[comm.rank], schedule, then=then if fused else None)
@@ -401,7 +405,8 @@ def test_alltoallv_then_runs_once_and_charges_as_the_exchange(seed, p, row_shape
 
     plain = run_program(p, 1, program, (False,))
     fused = run_program(p, 1, program, (True,))
-    assert calls == [p] * 3  # once per collective, never per rank
+    # once per collective, never per rank, with every rank's buffer
+    assert calls == [p] * 3
     for d in range(p):
         for k in range(3):
             for got in (plain.results[d][k], fused.results[d][k]):
@@ -409,6 +414,26 @@ def test_alltoallv_then_runs_once_and_charges_as_the_exchange(seed, p, row_shape
                 assert got.shape == expected[d].shape
                 assert got.tobytes() == expected[d].tobytes()
     _counters_equal(plain, fused)
+
+
+def test_alltoallv_then_gets_every_buffer_when_no_rank_sends_a_row():
+    # no sender is stacked, yet `then` gets all p buffers, uncopied, and
+    # the ledger charges the exchange: nothing
+    heights = [3, 0, 2, 1]
+    schedule = plan_all_to_allv([[0] * 4] * 4, [[]] * 4, heights)
+    assert schedule.stacked == []
+    bufs = [np.full((h, 2), float(r)) for r, h in enumerate(heights)]
+    calls = []
+    then = _gathering_then(calls, schedule, bufs)
+    run = run_program(4, 1, lambda comm: comm.all_to_allv(bufs[comm.rank], schedule,
+                                                          then=then))
+    assert calls == [4]
+    assert all(got.shape == (0, 2) for got in run.results)
+    counters = run.ledger.counters["alltoallv"]
+    for field in ("bytes_sent", "bytes_received", "msgs_sent", "msgs_received"):
+        assert counters[field].sum() == 0, field
+    assert counters["calls"].tolist() == [1] * 4
+    assert run.ledger.pair_max_bytes.sum() == 0
 
 
 def test_alltoallv_then_of_the_lowest_rank_runs():

@@ -38,21 +38,31 @@ def random_instance(seed, n=24, f=3, density=0.15, symmetric=False):
 
 # ---- layout construction ---------------------------------------------------
 
-def _rank_block(op, r) -> CsrMatrix:
-    """Rank r's operand: its row and column slice of the stacked `op.local`."""
-    loc = op.local
+def _halo(op, grid, part, r) -> np.ndarray:
+    """Rank r's halo: the occupied global columns of its block row in its
+    column group, ascending."""
+    i, g = grid.coords(r)
+    s = grid.stage_count()
+    return np.concatenate([op.cols(i, j) + part.boundaries[j][0]
+                           for j in range(g * s, (g + 1) * s)])
+
+
+def _rank_block(op, r, halo) -> CsrMatrix:
+    """Rank r's rows of `op.matrix`, their global columns compressed to
+    the ascending columns `halo`, all of which they must lie in."""
+    m = op.matrix
     r0, r1 = op.row_off[r], op.row_off[r + 1]
-    c0, c1 = op.col_off[r], op.col_off[r + 1]
-    e0, e1 = loc.row_ptr[r0], loc.row_ptr[r1]
-    # the operand is block diagonal: rank r's rows hold only its columns
-    assert np.all((loc.col_idx[e0:e1] >= c0) & (loc.col_idx[e0:e1] < c1))
-    return CsrMatrix(r1 - r0, c1 - c0, loc.row_ptr[r0:r1 + 1] - e0, loc.col_idx[e0:e1] - c0,
-                     loc.values[e0:e1])
+    e0, e1 = m.row_ptr[r0], m.row_ptr[r1]
+    cols = m.col_idx[e0:e1]
+    assert np.isin(cols, halo).all()
+    return CsrMatrix(r1 - r0, halo.size, m.row_ptr[r0:r1 + 1] - e0,
+                     np.searchsorted(halo, cols), m.values[e0:e1])
 
 
 def test_halo_operands_tile_matrix_exactly():
     a, _ = random_instance(0, n=22)
-    at = transpose_csr(a).to_dense()
+    at = transpose_csr(a)
+    dense = at.to_dense()
     for p, c in ((4, 1), (8, 2)):
         grid = ProcessGrid(p, c)
         part = block_partition(22, grid.n_rows)
@@ -60,40 +70,28 @@ def test_halo_operands_tile_matrix_exactly():
         dm = build_dist_matrices(a, part.boundaries, grid, f"{family}-sparse")
         op = dm.fwd
         s = grid.stage_count()
-        assert op.local.shape == (op.row_off[-1], op.col_off[-1])
-        assert op.row_off[0] == op.col_off[0] == 0
+        assert op.matrix.shape == (op.row_off[-1], 22)
+        assert op.row_off[0] == 0
+        assert op.owners == [b * c + b // s for b in range(grid.n_rows)]
+        # in 1D the operand is the transpose itself
+        if c == 1:
+            _assert_same_csr(op.matrix, at)
         for i, (r0, r1) in enumerate(part.boundaries):
             for g in range(c):
-                group = range(g * s, (g + 1) * s)
-                halo = np.concatenate([op.cols(i, j) + part.boundaries[j][0]
-                                       for j in group])
+                r = grid.rank_of(i, g)
+                halo = _halo(op, grid, part, r)
                 assert np.all(np.diff(halo) > 0)
-                local = _rank_block(op, grid.rank_of(i, g))
+                local = _rank_block(op, r, halo)
                 assert local.shape == (r1 - r0, halo.size)
                 expanded = np.zeros((r1 - r0, 22))
                 expanded[:, halo] = local.to_dense()
+                group = range(g * s, (g + 1) * s)
                 c0, c1 = part.boundaries[group[0]][0], part.boundaries[group[-1]][1]
                 expected = np.zeros((r1 - r0, 22))
-                expected[:, c0:c1] = at[r0:r1, c0:c1]
+                expected[:, c0:c1] = dense[r0:r1, c0:c1]
                 np.testing.assert_array_equal(expanded, expected)
-        # the ranks' blocks hold every stored entry of the stacked operand
-        assert sum(_rank_block(op, r).nnz for r in range(p)) == op.local.nnz == a.nnz
-        # each planned phase keeps `local`'s rows and values, and renumbers
-        # every column to the row of the stacked senders' block rows that
-        # holds the same global column
-        global_col = np.concatenate([
-            op.cols(i, j) + part.boundaries[j][0]
-            for i in range(grid.n_rows) for g in range(c)
-            for j in range(g * s, (g + 1) * s)])
-        for variant in (f"{family}-sparse", f"{family}-oblivious"):
-            phase = build_dist_matrices(a, part.boundaries, grid, variant).fwd.phase
-            stacked_rows = np.concatenate(
-                [np.arange(*part.boundaries[r // c]) for r in phase.schedule.stacked])
-            assert phase.operand.shape == (op.local.n_rows, stacked_rows.size)
-            np.testing.assert_array_equal(phase.operand.row_ptr, op.local.row_ptr)
-            np.testing.assert_array_equal(phase.operand.values, op.local.values)
-            np.testing.assert_array_equal(stacked_rows[phase.operand.col_idx],
-                                          global_col[op.local.col_idx])
+        # the ranks' rows hold every stored entry of the matrix once
+        assert op.matrix.nnz == a.nnz
 
 
 def test_nnz_cache_matches_fresh_computation():
@@ -149,13 +147,9 @@ def _assert_same_csr(got, expected):
         _assert_same_array(getattr(got, field), getattr(expected, field))
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.sampled_from(_LAYOUT_GRIDS),
-       st.integers(min_value=1, max_value=30), st.booleans(), st.booleans())
-def test_halo_layout_equals_the_sort_based_oracle(seed, grid_case, n, symmetric, contiguous):
-    # the pair-run layout and the loop-free plans, field by field against
-    # one comparison sort of every entry's key and per-rank loops, on
-    # random partitions that may leave parts empty
+def _random_layout(seed, grid_case, n, symmetric, contiguous):
+    """The grid, a random partition that may leave parts empty, the
+    matrix permuted to it and its operands, of a hypothesis example."""
     variant, p, c = grid_case
     grid = ProcessGrid(p, c)
     rng = np.random.default_rng(seed)
@@ -167,7 +161,21 @@ def test_halo_layout_equals_the_sort_based_oracle(seed, grid_case, n, symmetric,
         assignment = np.sort(assignment)
     part = Partition.from_assignment(assignment, grid.n_rows)
     a2, _ = apply_partition(csr_from_dense(dense), None, part)
-    dm = build_dist_matrices(a2, part.boundaries, grid, variant)
+    return grid, part, a2, build_dist_matrices(a2, part.boundaries, grid, variant)
+
+
+_LAYOUT_CASES = (st.integers(min_value=0, max_value=2 ** 31 - 1), st.sampled_from(_LAYOUT_GRIDS),
+                 st.integers(min_value=1, max_value=30), st.booleans(), st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(*_LAYOUT_CASES)
+def test_halo_layout_equals_the_sort_based_oracle(seed, grid_case, n, symmetric, contiguous):
+    # the operands, the pair-run index and the loop-free plans, field by
+    # field against one comparison sort of every entry's key and per-rank
+    # loops
+    variant, p, c = grid_case
+    grid, part, a2, dm = _random_layout(seed, grid_case, n, symmetric, contiguous)
     d2 = a2.to_dense()
     assert dm.symmetric == np.array_equal(d2, d2.T)
     heights = np.diff([0] + [e for _, e in part.boundaries])
@@ -175,23 +183,48 @@ def test_halo_layout_equals_the_sort_based_oracle(seed, grid_case, n, symmetric,
     for op, mat in ((dm.fwd, d2.T), (dm.bwd, d2)):
         layout = halo_layout_by_sort(csr_from_dense(mat), part.boundaries,
                                      grid.stage_count())
-        _assert_same_csr(op.local, layout[0])
-        for got, expected in zip((op.row_off, op.col_off, op.idx, op.ptr, op.starts),
-                                 layout[1:]):
+        _assert_same_csr(op.matrix, layout[0])
+        for got, expected in zip((op.row_off, op.idx, op.ptr), layout[1:]):
             _assert_same_array(got, expected)
-        stacked, gather, bounds, operand, halos = halo_exchange_by_loop(
-            op.local, op.idx, op.ptr, op.starts, heights, c, aware)
-        schedule = op.phase.schedule
-        assert schedule.stacked == stacked
-        _assert_same_array(schedule.bounds, bounds)
-        _assert_same_array(schedule.gather, gather)
-        _assert_same_csr(op.phase.operand, operand)
+        stacked, gather, bounds, halos = halo_exchange_by_loop(op.idx, op.ptr, heights, c,
+                                                               aware)
+        assert op.schedule.stacked == stacked
+        _assert_same_array(op.schedule.bounds, bounds)
+        _assert_same_array(op.schedule.gather, gather)
         if aware:
             assert len(op.index[1]) == p
             for got, expected in zip(op.index[1], halos):
                 _assert_same_array(got, expected)
         else:
             assert op.index is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(*_LAYOUT_CASES)
+def test_every_rank_reads_only_rows_its_phase_delivers(seed, grid_case, n, symmetric,
+                                                       contiguous):
+    # a phase multiplies with the owners' blocks where they are, so a
+    # send plan that left out a row would go unseen in the product: every
+    # global column of a rank's rows of the operand must be a row its
+    # schedule delivers to it, and in the aware forms every delivered row
+    # one that its rows read
+    variant, p, c = grid_case
+    grid, part, a2, dm = _random_layout(seed, grid_case, n, symmetric, contiguous)
+    aware = variant.endswith("sparse")
+    for op in (dm.fwd, dm.bwd):
+        schedule, m = op.schedule, op.matrix
+        # the global row of each row of the senders' stacked blocks
+        stacked = np.concatenate([np.zeros(0, np.int64)] + [
+            np.arange(*part.boundaries[grid.coords(s)[0]]) for s in schedule.stacked])
+        for r in range(p):
+            delivered = np.sort(stacked[schedule.gather[schedule.bounds[r]:
+                                                         schedule.bounds[r + 1]]])
+            e0, e1 = m.row_ptr[op.row_off[r]], m.row_ptr[op.row_off[r + 1]]
+            read = np.unique(m.col_idx[e0:e1])
+            if aware:
+                assert delivered.tolist() == read.tolist(), (r, variant)
+            else:
+                assert np.isin(read, delivered).all(), (r, variant)
 
 
 def test_variant_grid_validation_names_constraint():
@@ -334,13 +367,10 @@ def test_1d_sparse_at_p256_matches_serial_reference_bitwise():
 def _own_products(op, grid, part, h2):
     """Every rank's own product, in rank order: `local_spmm` of its block
     with its halo gathered from the (partitioned) dense operand h2."""
-    s = grid.stage_count()
     products = []
     for r in range(grid.p):
-        i, g = grid.coords(r)
-        halo = np.concatenate([op.cols(i, j) + part.boundaries[j][0]
-                               for j in range(g * s, (g + 1) * s)])
-        products.append(local_spmm(_rank_block(op, r), h2[halo]))
+        halo = _halo(op, grid, part, r)
+        products.append(local_spmm(_rank_block(op, r, halo), h2[halo]))
     return products
 
 
@@ -389,7 +419,7 @@ def test_fused_multiply_matches_per_rank_products_on_a_rank_over_the_bound(varia
     a, h = _dense_rows_instance()
     part = block_partition(600, ProcessGrid(p, c).n_rows)
     fused, per_rank, op = _fused_and_per_rank_products(a, h, p, c, variant, part)
-    assert _rank_block(op, 0).nnz > 150 * 150
+    assert op.matrix.row_ptr[op.row_off[1]] > 150 * 150  # rank 0's entries
     for got, want in zip(fused, per_rank, strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -669,9 +699,9 @@ def test_identity_partition_reads_the_inputs_as_a_moving_one_would(variant, p, c
         assert spmm_kept.z.tobytes() == spmm_moved.z.tobytes()
         assert spmm_kept.ledger.to_dict() == spmm_moved.ledger.to_dict()
         assert _train_bytes(train_kept) == _train_bytes(train_moved)
-        # a 1D operand keeps its matrix's row pointers: here the caller's
-        assert (spmm_kept.dm.bwd.local.row_ptr is a.row_ptr) == (c == 1)
-    assert not np.shares_memory(spmm_moved.dm.bwd.local.row_ptr, a.row_ptr)
+        # a 1D operand is its matrix: here the caller's
+        assert (spmm_kept.dm.bwd.matrix is a) == (c == 1)
+    assert not np.shares_memory(spmm_moved.dm.bwd.matrix.row_ptr, a.row_ptr)
 
 
 def test_identity_partition_of_another_size_is_rejected():
@@ -828,8 +858,8 @@ def test_each_exchange_pattern_is_inspected_once_per_run(monkeypatch):
         # two operands, each with its index exchange and its one phase plan
         assert inspected == [8] * 4
         # one multiply per weight matrix forward and one backward, each of
-        # which reads all 320 stacked rows: every block row is a stage
-        # owner's, and an aware owner stacks its whole block row. Layer 0's
+        # which reads all 320 rows of the dense operand, the owners' block
+        # rows concatenated. Layer 0's
         # forward product is multiplied in epoch 0 only, but every epoch
         # runs that phase's exchange.
         phases = 2 * (TrainConfig().layers - 1) * epochs
@@ -839,9 +869,9 @@ def test_each_exchange_pattern_is_inspected_once_per_run(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["15d-sparse", "15d-oblivious"])
 def test_planned_operand_equals_a_validated_build(variant, monkeypatch):
-    # the permutation, the transpose, the halo layout and a phase plan each
-    # move or renumber the entries of a validated matrix and build the
-    # result unchecked; the checked constructor accepts the same arrays,
+    # the permutation, the transpose and the operand's row restack each
+    # move the entries of a validated matrix and build the result
+    # unchecked; the checked constructor accepts the same arrays,
     # here for both operands of a non-symmetric matrix on uneven block rows,
     # one of them empty
     a, _ = random_instance(61, n=40, density=0.2)
@@ -856,11 +886,10 @@ def test_planned_operand_equals_a_validated_build(variant, monkeypatch):
         a2, _ = apply_partition(a, None, part)
         at = transpose_csr(a2)
         dm = build_dist_matrices(a2, part.boundaries, ProcessGrid(8, 2), variant)
-        planned = [op.phase.operand for op in (dm.fwd, dm.bwd)]
     assert not dm.symmetric
-    for op, plan in zip((dm.fwd, dm.bwd), planned):
-        assert plan.nnz == op.local.nnz > 0
-    for derived in (a2, at, dm.fwd.local, dm.bwd.local, *planned):
+    for op in (dm.fwd, dm.bwd):
+        assert op.matrix.nnz == a.nnz > 0
+    for derived in (a2, at, dm.fwd.matrix, dm.bwd.matrix):
         checked = CsrMatrix(derived.n_rows, derived.n_cols, derived.row_ptr,
                             derived.col_idx, derived.values)
         assert csr_equal(derived, checked)
@@ -903,8 +932,8 @@ def test_index_exchange_stacks_the_shared_index_once():
 @pytest.mark.parametrize("variant", ["1d-sparse", "1d-oblivious"])
 def test_held_phase_stacks_no_row_after_its_first_call(variant):
     # a later call of a held phase hands back the kept products, so its
-    # completion reads no row and must not copy the senders' rows into one
-    # stacked array: 1 MB here, which the first call does stack
+    # completion reads no row and must not concatenate the owners' block
+    # rows: 1 MB here, which the first call does concatenate
     graph, h, _ = sbm(4000, blocks=4, p_in=0.01, p_out=0.001, seed=2, feature_dim=32)
     a = gcn_normalize(graph)
     part = block_partition(4000, 4)
@@ -918,8 +947,8 @@ def test_held_phase_stacks_no_row_after_its_first_call(variant):
 
     _, idle = _traced_peak(4, 1, lambda comm: None)
     run, later = _traced_peak(4, 1, program)  # the warm-up run fills `held`
-    schedule = op.phase.schedule
-    stacked = h2.itemsize * h2.shape[1] * sum(schedule.heights[s] for s in schedule.stacked)
+    schedule = op.schedule
+    stacked = h2.itemsize * h2.shape[1] * sum(schedule.heights[s] for s in op.owners)
     assert stacked == h2.nbytes
     assert later - idle < stacked / 4, (later, idle, stacked)
     assert all(z is kept for z, kept in zip(run.results, held, strict=True))
@@ -946,7 +975,7 @@ def test_index_exchange_delivers_each_readers_columns(p, c, symmetric):
     dm = build_dist_matrices(a2, part.boundaries, grid, "1d-sparse" if c == 1 else "15d-sparse")
     assert dm.symmetric == symmetric
     op = dm.fwd if symmetric else dm.bwd
-    np.testing.assert_array_equal(op.index[0].sent_rows, op.phase.schedule.received_rows)
+    np.testing.assert_array_equal(op.index[0].sent_rows, op.schedule.received_rows)
 
     def program(comm):
         r0, r1 = part.boundaries[comm.coords[0]]
