@@ -154,11 +154,12 @@ def cmd_spmm_bench(args) -> int:
     out = _out_dir(args)
     a, _, _ = _load_graph(args)
     part = _build_partition(a, args.p // args.c, args)
-    h = graphgen.gaussian_features(a.n_rows, args.f, args.seed)
-    run = run_spmm(a, h, args.p, args.c, args.variant, partition=part)
+    # the model's parameters need no run, so a bad one fails before it
     metrics = comm_metrics(a, part, args.f)
     cp = costmodel.CostParams(alpha=args.alpha, beta=args.beta, p=args.p, c=args.c,
                               l_layers=args.layers, f=args.f, cut_p=metrics.cut_p)
+    h = graphgen.gaussian_features(a.n_rows, args.f, args.seed)
+    run = run_spmm(a, h, args.p, args.c, args.variant, partition=part)
     if args.variant.startswith("1d"):
         terms = costmodel.predict_1d_terms(cp)
     else:

@@ -33,8 +33,11 @@ class CostParams:
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         ProcessGrid(self.p, self.c)
-        if self.cut_p < 0 or self.f < 1 or self.l_layers < 1:
-            raise ValueError("invalid model parameters")
+        for name, low in (("f", 1), ("l_layers", 1), ("cut_p", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"cost model parameter {name} must be at least {low}, "
+                                 f"got {value}")
 
 
 def predict_1d_terms(cp: CostParams) -> dict:

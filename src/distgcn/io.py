@@ -127,12 +127,13 @@ def load_edge_list_tsv(path, n=None) -> CsrMatrix:
                 raise ParseError(path, lineno, f"malformed edge {stripped!r}") from None
             if u < 0 or v < 0:
                 raise ParseError(path, lineno, f"negative vertex id in {stripped!r}")
+            if n is not None and max(u, v) >= n:
+                bad = u if u >= n else v
+                raise ParseError(path, lineno, f"vertex id {bad} outside 0..{n - 1} "
+                                               f"of declared n={n}")
             edges.append((u, v, w))
-    top = max((max(u, v) for u, v, _ in edges), default=-1)
     if n is None:
-        n = top + 1
-    if top >= n:
-        raise ParseError(path, 0, f"vertex id exceeds declared n={n}")
+        n = max((max(u, v) for u, v, _ in edges), default=-1) + 1
     return csr_from_edges(edges, n)
 
 

@@ -51,35 +51,39 @@ for a completed one. `all_reduce_sum` returns one read-only sum and
 member of the group. Every other call returns arrays of the caller's
 own, and no call keeps a reference into a buffer handed to it: `isend`
 copies its payload at call time, and the last arrival at an
-`all_to_allv` without a `then` stacks the buffers of the ranks that send
-at least one row into one new array, from which each receiver then
-gathers its rows. A caller may therefore write to any buffer it passed
-as soon as the call returns.
+`all_to_allv` without a `then` stacks every rank's buffer into one new
+array, from which each receiver then gathers its rows. A caller may
+therefore write to any buffer it passed as soon as the call returns.
 
 An `all_to_allv` runs in two steps, as an inspector and an executor.
 The inspector, `plan_all_to_allv`, runs once ahead of an exchange's
 calls, in the spirit of MPI-4's persistent `MPI_Alltoallv_init`: it
-turns the p senders' counts, rows and buffer heights into an
-`ExchangeSchedule`, checking the count matrix and every row index once,
-and holds what every call of that pattern needs, namely the receivers'
-gather index and bounds, which senders' buffers are stacked, and the
-ledger charges in rows (per rank, and per message for the pair maxima).
-Every call passes that schedule, and its last arrival runs the executor:
-it checks only each buffer's height against the schedule's and the
-ranks' dtypes and row shapes, and charges rows times the row width, so
-zero-width rows are no message.
+turns the p senders' count matrix and buffer heights into an
+`ExchangeSchedule`, checking the counts once, and holds the ledger
+charges in rows (per rank, and per message for the pair maxima). A
+count says how many rows a sender sends a receiver, not which. Where
+every sender's counts sum to its height, the rows are its whole buffer
+in order, cut by its counts, and the schedule also holds each
+receiver's gather index into the stacked buffers; any other schedule
+holds no per-row array and serves only calls with a `then`. Every call
+passes the schedule, and its last arrival runs the executor: it checks
+only each buffer's height against the schedule's and the ranks' dtypes
+and row shapes, and charges rows times the row width, so zero-width
+rows are no message.
 
 An `all_to_allv` may also take a `then`: the last arrival calls it once
 with every rank's buffer, checked and uncopied, in rank order, and each
 member returns its own element of the result instead of its rows. So
 one call does the work of all receivers on the rows they received, e.g.
 one multiply for a whole superstep rather than one per rank, and nothing
-is stacked. A `then` must read only rows that the schedule delivers to
-the receiver it computes for: the runtime cannot check this, and the
-ledger charges the schedule's traffic only. The multiply of
-`distgcn.spmm` reads the senders' buffers in place, and a test of it
-(`test_every_rank_reads_only_rows_its_phase_delivers`) checks on every
-variant that each rank's rows read only rows delivered to it. The
+is stacked. Which rows each count stands for is then the caller's to
+know: for receiver d, a `then` must read only counts[s][d] rows of each
+sender s's buffer. The runtime cannot check this, and the ledger charges
+the counts only. The multiply of `distgcn.spmm` reads the senders'
+buffers in place, at the rows its occupied-column index names, and a
+test of it (`test_every_rank_reads_only_rows_its_phase_delivers`) checks
+on every variant that each rank reads only rows its stage owners send
+it, and that each (owner, reader) pair is charged the rows sent. The
 runtime knows nothing of what a `then` computes, charges the ledger as
 for the same exchange without it, and raises an exception it raises on
 every member. The trade-off is in the timing: the work of every
@@ -392,28 +396,15 @@ def _as_payload(buf) -> np.ndarray:
     return arr
 
 
-def _as_rows(rows) -> np.ndarray:
-    """rows as a 1-D integer index array, uncopied; an empty list is a
-    valid empty index."""
-    idx = np.asarray(rows)
-    if idx.ndim == 1 and idx.size == 0:
-        return idx.astype(np.int64, copy=False)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu":
-        raise ValueError(f"rows must be a 1-D integer array, got {idx.dtype} "
-                         f"of shape {idx.shape}")
-    return idx
-
-
-def _count_matrix(counts, sent, indexed) -> np.ndarray:
+def _count_matrix(counts) -> np.ndarray:
     """The p x p int64 matrix of all_to_allv counts, row s from rank s,
-    after checking every rank's counts against the sent[s] rows it
-    sends (picked by `rows` where indexed[s]); raises for the lowest rank
-    at fault."""
+    after checking every rank's counts; raises for the lowest rank at
+    fault."""
     p = len(counts)
     arrs = [np.asarray(c) for c in counts]
     if all(a.shape == (p,) and a.dtype.kind in "iu" for a in arrs):
         matrix = np.concatenate(arrs, dtype=np.int64).reshape(p, p)
-        if matrix.min() >= 0 and (matrix.sum(axis=1) == sent).all():
+        if matrix.min() >= 0:
             return matrix
     for s, c in enumerate(arrs):
         if c.shape != (p,) or c.dtype.kind not in "iu":
@@ -423,21 +414,19 @@ def _count_matrix(counts, sent, indexed) -> np.ndarray:
         if c.min() < 0:
             raise ValueError(f"rank {s}: all_to_allv counts must be non-negative, "
                              f"got {c.min()}")
-        if c.sum() != sent[s]:
-            held = "rows selects" if indexed[s] else "the buffer has"
-            raise ValueError(f"rank {s}: all_to_allv counts sum to {c.sum()} "
-                             f"but {held} {sent[s]} rows")
 
 
 @dataclass(frozen=True, eq=False)
 class ExchangeSchedule:
     """One `all_to_allv` pattern, inspected once (`plan_all_to_allv`).
 
-    `heights[s]` is the number of rows sender s's buffer must have. A
-    call without `then` stacks the buffers of the senders in `stacked`,
-    the ones that send at least one row, in that order, and receiver d's
-    rows are stacked[gather[bounds[d]:bounds[d + 1]]], in ascending
-    sender order.
+    `heights[s]` is the number of rows sender s's buffer must have, and
+    `sums[s]` the number its counts add up to. Where every sender sends
+    its whole buffer (sums == heights), a call without `then` stacks
+    every rank's buffer in rank order, and receiver d's rows are
+    stacked[gather[bounds[d]:bounds[d + 1]]], in ascending sender order;
+    any other schedule has no `gather` and `bounds` (None) and serves
+    only calls with a `then`.
     The ledger charges are held in rows, so a call charges them for its
     own row width: per rank the rows and messages sent and received
     between distinct ranks, and each such message (`wire_src`,
@@ -445,9 +434,9 @@ class ExchangeSchedule:
     """
 
     heights: list
-    stacked: list
-    gather: np.ndarray
-    bounds: np.ndarray
+    sums: list
+    gather: np.ndarray | None
+    bounds: np.ndarray | None
     sent_rows: np.ndarray
     sent_msgs: np.ndarray
     received_rows: np.ndarray
@@ -457,62 +446,49 @@ class ExchangeSchedule:
     wire_rows: np.ndarray
 
 
-def plan_all_to_allv(counts, rows, heights) -> ExchangeSchedule:
+def plan_all_to_allv(counts, heights) -> ExchangeSchedule:
     """Inspect the `all_to_allv` in which rank s, whose buffer has
-    heights[s] rows, sends rows[s] (all of its buffer where rows[s] is
-    None) in segments of counts[s][d] rows to ranks d = 0..p-1. Checks
-    every rank's counts and rows once, naming the lowest rank at fault,
-    and returns the schedule that every call of the exchange passes."""
+    heights[s] rows, sends counts[s][d] rows to each rank d = 0..p-1.
+    Which rows a count stands for is the caller's to know, except where
+    every rank's counts sum to its height: then rank s sends its whole
+    buffer in order, cut by counts[s]. Checks every rank's counts once,
+    naming the lowest rank at fault, and returns the schedule that every
+    call of the exchange passes."""
     heights = [int(h) for h in heights]
-    if not len(counts) == len(rows) == len(heights):
-        raise ValueError(f"all_to_allv schedule needs counts, rows and heights for every "
-                         f"rank, got {len(counts)}, {len(rows)} and {len(heights)}")
+    if len(counts) != len(heights):
+        raise ValueError(f"all_to_allv schedule needs counts and heights for every rank, "
+                         f"got {len(counts)} and {len(heights)}")
     p = len(heights)
-    rows = [None if r is None else _as_rows(r) for r in rows]
-    sent = [h if r is None else r.size for h, r in zip(heights, rows)]
-    counts = _count_matrix(counts, sent, [r is not None for r in rows])
-    bounds = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(counts.sum(axis=0), out=bounds[1:])
-    # every rank's rows in rank order, a whole buffer as all of its rows; in
-    # int64, since rows of a narrower type would wrap past its range below
-    src = np.concatenate([np.arange(h) if r is None else r for h, r in zip(heights, rows)],
-                         dtype=np.int64)
-    sent = np.array(sent, dtype=np.int64)
-    senders = np.flatnonzero(sent)
-    if senders.size:
-        first = np.cumsum(sent) - sent
-        lo = np.minimum.reduceat(src, first[senders])
-        hi = np.maximum.reduceat(src, first[senders])
-        bad = (lo < 0) | (hi >= np.array(heights, dtype=np.int64)[senders])
-        if bad.any():
-            s = int(senders[bad.argmax()])
-            raise ValueError(f"rank {s}: all_to_allv rows must lie in [0, {heights[s]})")
-    # the senders' buffers are stacked in rank order: a rank's rows move by
-    # the heights of the senders before it
-    stacked_heights = np.where(sent > 0, heights, 0)
-    src += np.repeat(np.cumsum(stacked_heights) - stacked_heights, sent)
-    # the non-empty segments (s, d), sender-major, and where each starts
-    # among the senders' rows; receiver d takes the segments (0, d), ...,
-    # (p-1, d) in turn, so a stable sort by d puts them in gather order
-    seg = np.flatnonzero(counts > 0)
+    counts = _count_matrix(counts)
+    sums = counts.sum(axis=1)
+    # the non-empty segments (s, d), sender-major
+    seg = np.flatnonzero(counts)
     s, d = np.divmod(seg, p)
     lens = counts.ravel()[seg]
-    at = np.cumsum(lens) - lens
-    by_dst = _stable_order(d, p)
-    gather = src[_ranges(at[by_dst], lens[by_dst])]
+    gather = bounds = None
+    if (sums == heights).all():
+        # the segments tile the stacked buffers in order; receiver d takes
+        # (0, d), ..., (p-1, d) in turn, so a stable sort by d puts them in
+        # gather order
+        bounds = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(counts.sum(axis=0), out=bounds[1:])
+        by_dst = _stable_order(d, p)
+        gather = _ranges((np.cumsum(lens) - lens)[by_dst], lens[by_dst])
     # only the segments between distinct ranks are messages
     wire = s != d
     wire_src, wire_dst, wire_rows = s[wire], d[wire], lens[wire]
     own = np.diagonal(counts)
-    return ExchangeSchedule(heights, senders.tolist(), gather, bounds,
-                            counts.sum(axis=1) - own, np.bincount(wire_src, minlength=p),
+    return ExchangeSchedule(heights, sums.tolist(), gather, bounds,
+                            sums - own, np.bincount(wire_src, minlength=p),
                             counts.sum(axis=0) - own, np.bincount(wire_dst, minlength=p),
                             wire_src, wire_dst, wire_rows)
 
 
-def _execute(plan: ExchangeSchedule, bufs, ledger):
-    """Check one exchange of `plan` over the ranks' buffers, each buffer's
-    height and the ranks' dtypes and row shapes, and charge the ledger."""
+def _execute(plan: ExchangeSchedule, bufs, ledger, delivers):
+    """Check one exchange of `plan` over the ranks' buffers: each
+    buffer's height, that the plan has a gather index where the call
+    `delivers` rows (has no `then`), and the ranks' dtypes and row shapes;
+    then charge the ledger."""
     heights = [b.shape[0] for b in bufs]
     if heights != plan.heights:
         if len(heights) != len(plan.heights):
@@ -521,6 +497,10 @@ def _execute(plan: ExchangeSchedule, bufs, ledger):
         s = next(s for s, (h, want) in enumerate(zip(heights, plan.heights)) if h != want)
         raise ValueError(f"rank {s}: all_to_allv buffer has {heights[s]} rows but the "
                          f"schedule sends from {plan.heights[s]}")
+    if delivers and plan.gather is None:
+        s = next(s for s, (t, h) in enumerate(zip(plan.sums, heights)) if t != h)
+        raise ValueError(f"rank {s}: all_to_allv counts sum to {plan.sums[s]} "
+                         f"but the buffer has {heights[s]} rows")
     row_shapes = {(b.dtype.str, b.shape[1:]) for b in bufs}
     if len(row_shapes) > 1:
         raise ValueError("all_to_allv buffers differ in dtype or row shape: "
@@ -668,33 +648,31 @@ class Comm:
 
     def all_to_allv(self, buf, schedule, then=None):
         """Personalized exchange in MPI_Alltoallv form, run through the
-        `ExchangeSchedule` that `plan_all_to_allv` made of its counts and
-        rows, which every rank passes. The rows this rank sends are
-        `buf[rows]`, or all of `buf`, as with an MPI indexed datatype: no
-        packed send buffer is made. The result is a fresh writable array
-        of the rows received, stacked in sender-rank order. Every rank
-        must send the same dtype and row shape, from a buffer of the
-        height the schedule was planned for; the last arrival checks
-        only these, stacks the buffers and charges the ledger from the
-        schedule for this call's row width. A segment of no rows is no
-        message and costs nothing, nor does a segment of zero-width rows;
-        the segment addressed to the caller itself is a free local copy.
-        The caller may write to `buf` as soon as the call returns (see
-        the module docstring).
+        `ExchangeSchedule` that `plan_all_to_allv` made of its count
+        matrix, which every rank passes. Without `then`, every rank sends
+        the whole of `buf`, cut by its counts, and the schedule must be
+        one whose counts sum to the buffers' heights; the result is a
+        fresh writable array of the rows received, stacked in sender-rank
+        order. Every rank must send the same dtype and row shape, from a
+        buffer of the height the schedule was planned for; the last
+        arrival checks only these, stacks the buffers and charges the
+        ledger from the schedule for this call's row width. A segment of
+        no rows is no message and costs nothing, nor does a segment of
+        zero-width rows; the segment addressed to the caller itself is a
+        free local copy. The caller may write to `buf` as soon as the call
+        returns (see the module docstring).
 
         With `then`, every rank instead returns its element of one result
         that the last arrival computes for all of them: it calls
         then(bufs) once with every rank's buffer, checked and uncopied,
         in rank order, and rank d returns element d of the sequence it
-        returns. Rank d's rows received are rows
-        gather[bounds[d]:bounds[d + 1]] of the buffers of the senders in
-        `schedule.stacked` stacked in that order, in the schedule's
-        `gather` and `bounds`; a `then` must read only those rows for
-        rank d (see the module docstring), and must not write to the
-        buffers. Every rank must pass a `then`, or none; the callables
-        must be interchangeable, and the lowest rank's runs. The ledger
-        charges are the exchange's, whatever `then` does, and an
-        exception it raises is raised on every rank."""
+        returns. For rank d, a `then` must read only counts[s][d] rows of
+        each sender s's buffer, rows that the caller, not the schedule,
+        names (see the module docstring), and must not write to them. Every
+        rank must pass a `then`, or none; the callables must be
+        interchangeable, and the lowest rank's runs. The ledger charges
+        are the exchange's, whatever `then` does, and an exception it
+        raises is raised on every rank."""
         arr = _as_payload(buf)
         if arr.ndim == 0:
             raise ValueError("all_to_allv needs a buffer of rows, got a scalar")
@@ -716,10 +694,10 @@ class Comm:
                 raise ValueError(f"all_to_allv: ranks {others} pass another schedule than "
                                  "rank 0; every rank must pass the same one")
             bufs = [a[0] for a in args]
-            _execute(plan, bufs, ledger)
+            _execute(plan, bufs, ledger, then is None)
             if then is not None:
                 return then(bufs)
-            return np.concatenate([bufs[s] for s in plan.stacked] or [bufs[0][:0]])
+            return np.concatenate(bufs)
 
         out = self._collective("alltoallv", group, (arr, schedule, then), complete)
         if then is not None:

@@ -35,18 +35,20 @@ The sparse pattern is fixed for a whole run, so `build_dist_matrices`
 plans every exchange of an operand at set-up, in the run's variant's
 form, and keeps it with the operand: its phase (`DistOperand.schedule`),
 aware or oblivious, and for the aware forms its index exchange
-(`DistOperand.index`), each inspected once (`runtime.plan_all_to_allv`).
-The schedules carry the traffic, which the ledger charges. A phase's
-completion makes the local multiplies of the whole grid as one
-`local_spmm` of `matrix` with the stage owners' blocks, which in block
-order are the dense operand in global row order. A rank's rows read
-only rows of it that its schedule delivers to the rank: in the aware
-forms exactly those, in the oblivious forms some of them, as
-`test_every_rank_reads_only_rows_its_phase_delivers` checks. Every row
-sums in storage order, ascending global column, so the oblivious and
-aware forms produce bit-identical outputs, and the 1D variants and the
-replicated schedule with c=1 both reproduce `serial_reference` of the
-partitioned matrix bit for bit.
+(`DistOperand.index`), each inspected once (`runtime.plan_all_to_allv`)
+from its count matrix alone. A phase's schedule says how many rows each
+stage owner sends each reader, which the ledger charges; which rows they
+are lives once, in `DistOperand.cols` (aware) or in the owner's whole
+block row (oblivious). A phase's completion makes the local multiplies
+of the whole grid as one `local_spmm` of `matrix` with the stage owners'
+blocks, which in block order are the dense operand in global row order.
+A rank's rows read only rows that its stage owners send it: in the
+aware forms exactly those, in the oblivious forms some of them, as
+`test_every_rank_reads_only_rows_its_phase_delivers` checks against
+sends made by loops. Every row sums in storage order, ascending global
+column, so the oblivious and aware forms produce bit-identical outputs,
+and the 1D variants and the replicated schedule with c=1 both reproduce
+`serial_reference` of the partitioned matrix bit for bit.
 
 Since one rank's thread makes the whole grid's multiply of a phase,
 compute is no longer timed per rank: the time a rank spends in a phase
@@ -102,7 +104,9 @@ class DistOperand:
     block rows 0, ..., nb-1 in one `all_to_allv`.
 
     `schedule` is the plan of the operand's multiply phase in the run's
-    variant's form, and `index` that of its index exchange: its schedule,
+    variant's form, made of its count matrix alone: the rows it stands
+    for are the send plans above (aware) or the owners' whole block rows
+    (oblivious). `index` is the plan of its index exchange: its schedule,
     and halos[r], what rank r sends (`_plan_index`), or None in an
     oblivious form. Everything is made once, at set-up
     (`build_dist_matrices`), and never changed.
@@ -157,7 +161,7 @@ def _operand(mat: CsrMatrix, tr: CsrMatrix, boundaries, stages, aware) -> DistOp
     nb = len(boundaries)
     c = nb // stages
     owners = (np.arange(nb) * c + np.arange(nb) // stages).tolist()
-    schedule = _plan_phase(idx, ptr, np.diff(row_off), owners, aware)
+    schedule = _plan_phase(ptr, np.diff(row_off), aware)
     index = _plan_index(idx, ptr, c) if aware else None
     return DistOperand(matrix, row_off, owners, idx, ptr, schedule, index)
 
@@ -337,24 +341,16 @@ def _owner_counts(sent, c) -> np.ndarray:
     return counts
 
 
-def _plan_phase(idx, ptr, heights, owners, aware) -> ExchangeSchedule:
+def _plan_phase(ptr, heights, aware) -> ExchangeSchedule:
     """The schedule of an operand's phase, whose ranks' buffers have
-    heights[r] rows: block b's stage owner, rank owners[b], sends to
-    every member of its column group its send plan (aware) or its whole
-    block row (oblivious)."""
+    heights[r] rows: block b's stage owner sends to every member of its
+    column group the rows of its send plan (aware) or its whole block row
+    (oblivious), which `DistOperand.multiply` reads in place."""
     nb = ptr.shape[0]
     c = heights.size // nb
-    rows = [idx[:0]] * heights.size
-    if aware:
-        counts = _owner_counts(np.diff(ptr, axis=1), c)
-        for b, r in enumerate(owners):
-            rows[r] = idx[ptr[b, 0]:ptr[b, -1]]
-    else:
-        # every member of grid row b has block b's height
-        counts = _owner_counts(heights.reshape(nb, c)[:, :1], c)
-        for r in owners:
-            rows[r] = np.tile(np.arange(heights[r]), nb)
-    return plan_all_to_allv(counts, rows, heights)
+    # every member of grid row b has block b's height
+    sent = np.diff(ptr, axis=1) if aware else heights.reshape(nb, c)[:, :1]
+    return plan_all_to_allv(_owner_counts(sent, c), heights)
 
 
 def _plan_index(idx, ptr, c) -> tuple:
@@ -369,7 +365,7 @@ def _plan_index(idx, ptr, c) -> tuple:
     halo = idx[_ranges(ptr[:, :-1].T.ravel(), runs.T.ravel())]
     sizes = runs.T.reshape(nb * c, nb // c).sum(axis=1)
     halos = np.split(halo, np.cumsum(sizes)[:-1])
-    return plan_all_to_allv(_owner_counts(runs, c).T, [None] * sizes.size, sizes), halos
+    return plan_all_to_allv(_owner_counts(runs, c).T, sizes), halos
 
 
 def _layout_partition(a: CsrMatrix, h, grid: ProcessGrid, partition) -> tuple:

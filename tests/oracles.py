@@ -433,10 +433,9 @@ def halo_exchange_by_loop(idx, ptr, heights, c, aware):
     index plans, by loops over ranks and blocks. Block b's stage owner,
     rank b*c + b//s, sends block row i's member of its column group the
     rows cols(i, b) (aware) or its whole block (oblivious). Returns the
-    senders whose buffers are stacked, in rank order; each receiver's
-    stacked rows, concatenated (gather), with their offsets (bounds); and
-    every rank's halo, the column lists cols(i, j) of its column group in
-    turn."""
+    rows of its block each owner sends each reader, as
+    {(owner, reader): rows}, and every rank's halo, the column lists
+    cols(i, j) of its column group in turn."""
     nb = ptr.shape[0]
     s, p = nb // c, nb * c
 
@@ -448,19 +447,28 @@ def halo_exchange_by_loop(idx, ptr, heights, c, aware):
         owner = b * c + b // s
         for i in range(nb):
             sends[owner, i * c + b // s] = cols(i, b) if aware else np.arange(heights[b])
-    stacked = [r for r in range(p)
-               if any(sends.get((r, d), idx[:0]).size for d in range(p))]
-    offset, n_stacked = {}, 0
-    for r in stacked:
-        offset[r] = n_stacked
-        n_stacked += heights[r // c]
-    gather, bounds = [], [0]
-    for d in range(p):
-        for r in stacked:
-            gather.extend(offset[r] + sends.get((r, d), idx[:0]))
-        bounds.append(len(gather))
     halos = []
     for r in range(p):
         i, g = divmod(r, c)
         halos.append(np.concatenate([cols(i, j) for j in range(g * s, (g + 1) * s)]))
-    return stacked, np.array(gather, dtype=np.int64), np.array(bounds), halos
+    return sends, halos
+
+
+def alltoallv_charges_by_loop(counts):
+    """The ledger charges, in rows, of an all_to_allv of the p x p count
+    matrix `counts`, by a loop over rank pairs: the rows and messages each
+    rank sends and receives between distinct ranks, as four lists, and
+    the rows of each message, as {(src, dst): rows}."""
+    p = len(counts)
+    sent_rows, sent_msgs, received_rows, received_msgs = ([0] * p for _ in range(4))
+    wire = {}
+    for src in range(p):
+        for dst in range(p):
+            rows = int(counts[src][dst])
+            if src != dst and rows:
+                sent_rows[src] += rows
+                sent_msgs[src] += 1
+                received_rows[dst] += rows
+                received_msgs[dst] += 1
+                wire[src, dst] = rows
+    return sent_rows, sent_msgs, received_rows, received_msgs, wire

@@ -76,6 +76,13 @@ def test_cost_params_name_the_grid_contract(p, c):
         CostParams(alpha=1, beta=1, p=p, c=c)
 
 
+@pytest.mark.parametrize("field,value,low", [("f", 0, 1), ("l_layers", 0, 1), ("cut_p", -1, 0)])
+def test_cost_params_name_the_field_they_reject(field, value, low):
+    with pytest.raises(ValueError, match=f"cost model parameter {field} must be at least "
+                                         f"{low}, got {value}"):
+        CostParams(alpha=1, beta=1, p=4, **{field: value})
+
+
 def test_1d_rejects_replication():
     with pytest.raises(ValueError, match="c == 1"):
         predict_1d_terms(CostParams(alpha=1, beta=1, p=4, c=2))["total"]

@@ -140,6 +140,20 @@ def test_tsv_weights_and_errors(tmp_path):
         io.load_edge_list_tsv(path)
 
 
+def test_tsv_names_the_line_of_an_id_past_declared_n(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("# u\tv\n0\t1\n1\t2\n2\t5\n4\t0\n")
+    # the first of two edges past n, on line 4 after a comment line
+    with pytest.raises(io.ParseError, match=r"g\.tsv:4: vertex id 5 outside 0\.\.2 "
+                                            r"of declared n=3") as exc:
+        io.load_edge_list_tsv(path, n=3)
+    assert exc.value.lineno == 4
+    path.write_text("0\t1\n5\t2\n")
+    with pytest.raises(io.ParseError, match=r"g\.tsv:2: vertex id 5 outside 0\.\.2"):
+        io.load_edge_list_tsv(path, n=3)
+    assert io.load_edge_list_tsv(path, n=6).shape == (6, 6)
+
+
 def test_tsv_comment_default_weight_and_cancelling_pair(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("# u\tv\tw\n"
@@ -279,6 +293,21 @@ def test_cli_rejects_bad_grid_with_named_constraint(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert "c*c" in err["error"]
+
+
+def test_cli_spmm_bench_names_a_bad_model_parameter_before_the_run(tmp_path, capsys,
+                                                                   monkeypatch):
+    def run_spmm(*args, **kwargs):
+        raise AssertionError("the multiply ran")
+
+    monkeypatch.setattr("distgcn.cli.run_spmm", run_spmm)
+    for flag, field in (("--f", "f"), ("--layers", "l_layers")):
+        rc = run_cli("spmm-bench", "--gen", "sbm", "--n", "32", "--p", "4", flag, "0",
+                     "--out-dir", str(tmp_path))
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": f"cost model parameter {field} must be at least 1, got 0"}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["spmm-bench", "train"])

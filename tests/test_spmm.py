@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -24,8 +25,8 @@ from distgcn.sparse import (CsrMatrix, csr_equal, csr_from_dense, gcn_normalize,
 from distgcn.spmm import (VARIANTS, build_dist_matrices, exchange_index_lists, run_spmm,
                           serial_reference, spmm_kernel, validate_variant_grid)
 
-from oracles import (halo_exchange_by_loop, halo_layout_by_sort, matmul_triple_loop,
-                     nnz_cols_dense_scan, random_csr_dense)
+from oracles import (alltoallv_charges_by_loop, halo_exchange_by_loop, halo_layout_by_sort,
+                     matmul_triple_loop, nnz_cols_dense_scan, random_csr_dense)
 
 
 def random_instance(seed, n=24, f=3, density=0.15, symmetric=False):
@@ -168,12 +169,24 @@ _LAYOUT_CASES = (st.integers(min_value=0, max_value=2 ** 31 - 1), st.sampled_fro
                  st.integers(min_value=1, max_value=30), st.booleans(), st.booleans())
 
 
+def _assert_charges_sends(schedule, sends, p):
+    """`schedule` charges, count by count, the exchange in which rank s
+    sends rank d the rows sends[s, d]: per rank and per message."""
+    counts = [[len(sends.get((s, d), ())) for d in range(p)] for s in range(p)]
+    *per_rank, wire = alltoallv_charges_by_loop(counts)
+    for got, expected in zip((schedule.sent_rows, schedule.sent_msgs, schedule.received_rows,
+                              schedule.received_msgs), per_rank):
+        assert got.tolist() == expected
+    pairs = zip(schedule.wire_src.tolist(), schedule.wire_dst.tolist())
+    assert dict(zip(pairs, schedule.wire_rows.tolist())) == wire
+
+
 @settings(max_examples=120, deadline=None)
 @given(*_LAYOUT_CASES)
 def test_halo_layout_equals_the_sort_based_oracle(seed, grid_case, n, symmetric, contiguous):
-    # the operands, the pair-run index and the loop-free plans, field by
-    # field against one comparison sort of every entry's key and per-rank
-    # loops
+    # the operands, the pair-run index and the index lists, field by field
+    # against one comparison sort of every entry's key and per-rank loops
+    # (the phase plans' charges are checked with the ranks' reads)
     variant, p, c = grid_case
     grid, part, a2, dm = _random_layout(seed, grid_case, n, symmetric, contiguous)
     d2 = a2.to_dense()
@@ -186,15 +199,14 @@ def test_halo_layout_equals_the_sort_based_oracle(seed, grid_case, n, symmetric,
         _assert_same_csr(op.matrix, layout[0])
         for got, expected in zip((op.row_off, op.idx, op.ptr), layout[1:]):
             _assert_same_array(got, expected)
-        stacked, gather, bounds, halos = halo_exchange_by_loop(op.idx, op.ptr, heights, c,
-                                                               aware)
-        assert op.schedule.stacked == stacked
-        _assert_same_array(op.schedule.bounds, bounds)
-        _assert_same_array(op.schedule.gather, gather)
+        _, halos = halo_exchange_by_loop(op.idx, op.ptr, heights, c, aware)
         if aware:
             assert len(op.index[1]) == p
             for got, expected in zip(op.index[1], halos):
                 _assert_same_array(got, expected)
+            # every rank sends the whole of its halo, to the stage owners
+            # of its column group in turn
+            assert op.index[0].sums == [h.size for h in halos]
         else:
             assert op.index is None
 
@@ -206,25 +218,59 @@ def test_every_rank_reads_only_rows_its_phase_delivers(seed, grid_case, n, symme
     # a phase multiplies with the owners' blocks where they are, so a
     # send plan that left out a row would go unseen in the product: every
     # global column of a rank's rows of the operand must be a row its
-    # schedule delivers to it, and in the aware forms every delivered row
-    # one that its rows read
+    # stage owners send it, and in the aware forms every row sent one that
+    # its rows read; each (owner, reader) pair is charged the rows sent
     variant, p, c = grid_case
     grid, part, a2, dm = _random_layout(seed, grid_case, n, symmetric, contiguous)
+    heights = np.diff([0] + [e for _, e in part.boundaries])
     aware = variant.endswith("sparse")
     for op in (dm.fwd, dm.bwd):
-        schedule, m = op.schedule, op.matrix
-        # the global row of each row of the senders' stacked blocks
-        stacked = np.concatenate([np.zeros(0, np.int64)] + [
-            np.arange(*part.boundaries[grid.coords(s)[0]]) for s in schedule.stacked])
+        sends, _ = halo_exchange_by_loop(op.idx, op.ptr, heights, c, aware)
+        m = op.matrix
         for r in range(p):
-            delivered = np.sort(stacked[schedule.gather[schedule.bounds[r]:
-                                                         schedule.bounds[r + 1]]])
+            # the global rows of the senders' blocks that reach rank r
+            delivered = np.sort(np.concatenate([np.zeros(0, np.int64)] + [
+                rows + part.boundaries[grid.coords(s)[0]][0]
+                for (s, d), rows in sends.items() if d == r]))
             e0, e1 = m.row_ptr[op.row_off[r]], m.row_ptr[op.row_off[r + 1]]
             read = np.unique(m.col_idx[e0:e1])
             if aware:
                 assert delivered.tolist() == read.tolist(), (r, variant)
             else:
                 assert np.isin(read, delivered).all(), (r, variant)
+        _assert_charges_sends(op.schedule, sends, p)
+
+
+@pytest.mark.parametrize("variant,p,c", [
+    ("1d-oblivious", 8, 1), ("1d-sparse", 8, 1),
+    ("15d-oblivious", 8, 1), ("15d-sparse", 8, 1),
+    ("15d-oblivious", 8, 2), ("15d-sparse", 8, 2),
+    ("15d-oblivious", 32, 4), ("15d-sparse", 32, 4)])
+def test_phase_schedules_hold_counts_only(variant, p, c):
+    # a phase's schedule is its count matrix's charges: no array of it
+    # grows with the rows it stands for, which live in the operand's
+    # occupied-column index (aware) or are whole block rows (oblivious).
+    # Two of the partition's parts are empty, so two owners send no row.
+    grid = ProcessGrid(p, c)
+    k = grid.n_rows
+    a, _ = random_instance(37, n=48, density=0.2)
+    assignment = np.random.default_rng(5).integers(1, k - 1, 48)
+    part = Partition.from_assignment(assignment, k)
+    assert [s == e for s, e in part.boundaries].count(True) == 2
+    a2, _ = apply_partition(a, None, part)
+    dm = build_dist_matrices(a2, part.boundaries, grid, variant)
+    assert not dm.symmetric
+    heights = np.diff([0] + [e for _, e in part.boundaries])
+    for op in (dm.fwd, dm.bwd):
+        schedule = op.schedule
+        assert schedule.gather is None and schedule.bounds is None
+        for field in dataclasses.fields(schedule):
+            value = getattr(schedule, field.name)
+            if value is not None:
+                assert np.size(value) <= p * p, field.name
+        sends, _ = halo_exchange_by_loop(op.idx, op.ptr, heights, c,
+                                         variant.endswith("sparse"))
+        _assert_charges_sends(schedule, sends, p)
 
 
 def test_variant_grid_validation_names_constraint():
@@ -835,15 +881,15 @@ def test_results_do_not_depend_on_which_ready_rank_runs(monkeypatch):
 # ---- one inspection per operand ----------------------------------------------
 
 def test_each_exchange_pattern_is_inspected_once_per_run(monkeypatch):
-    # count matrices and gather indices are built once per operand and
-    # form, whatever the number of phases, and each phase multiplies once,
-    # straight from the stacked block rows
+    # count matrices are inspected once per operand and form, whatever
+    # the number of phases, and each phase multiplies once, straight from
+    # the owners' block rows
     inspected, multiplies = [], []
     inspect, spmm = distgcn.spmm.plan_all_to_allv, distgcn.spmm.local_spmm
 
-    def spy_inspect(counts, rows, heights):
+    def spy_inspect(counts, heights):
         inspected.append(len(heights))
-        return inspect(counts, rows, heights)
+        return inspect(counts, heights)
 
     def spy_spmm(a, h):
         multiplies.append((a.n_cols, h.shape[0]))
