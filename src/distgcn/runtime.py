@@ -48,47 +48,45 @@ result, which every member returns, so no input can change in between.
 That last arrival also retires the collective, so the run keeps no state
 for a completed one. `all_reduce_sum` returns one read-only sum and
 `broadcast` one read-only copy of the root's payload, each shared by every
-member of the group. Every other call returns arrays of the caller's
-own, and no call keeps a reference into a buffer handed to it: `isend`
-copies its payload at call time, and the last arrival at an
-`all_to_allv` without a `then` stacks every rank's buffer into one new
-array, from which each receiver then gathers its rows. A caller may
-therefore write to any buffer it passed as soon as the call returns.
+member of the group; `recv` returns the sender's copy, and `all_to_allv`
+what its `then` makes. No call keeps a reference into a buffer handed to
+it: `isend` copies its payload at call time, and `all_to_allv` hands the
+buffers to its `then` only, which has returned before any member does. A
+caller may therefore write to any buffer it passed as soon as the call
+returns. Every collective of the whole grid runs over one group, the
+run's `world`, built once, so a rank's arrival does no work that grows
+with p.
 
 An `all_to_allv` runs in two steps, as an inspector and an executor.
 The inspector, `plan_all_to_allv`, runs once ahead of an exchange's
 calls, in the spirit of MPI-4's persistent `MPI_Alltoallv_init`: it
 turns the p senders' count matrix and buffer heights into an
-`ExchangeSchedule`, checking the counts once, and holds the ledger
-charges in rows (per rank, and per message for the pair maxima). A
-count says how many rows a sender sends a receiver, not which. Where
-every sender's counts sum to its height, the rows are its whole buffer
-in order, cut by its counts, and the schedule also holds each
-receiver's gather index into the stacked buffers; any other schedule
-holds no per-row array and serves only calls with a `then`. Every call
-passes the schedule, and its last arrival runs the executor: it checks
-only each buffer's height against the schedule's and the ranks' dtypes
-and row shapes, and charges rows times the row width, so zero-width
-rows are no message.
+`ExchangeSchedule`, checking the counts once, and keeps only the ledger
+charges, in rows (per rank, and per message for the pair maxima), so no
+array of a schedule is longer than p**2. A count says how many rows a
+sender sends a receiver, not which. Every call passes the schedule and a
+`then`, and its last arrival runs the executor: it checks only each
+buffer's height against the schedule's and the ranks' dtypes and row
+shapes, charges rows times the row width, so zero-width rows are no
+message, and calls the `then` once with every rank's buffer, checked and
+uncopied, in rank order. Each member returns its own element of the
+result. So one call does the work of all receivers on the rows they
+received, e.g. one multiply for a whole superstep rather than one per
+rank, and nothing is stacked.
 
-An `all_to_allv` may also take a `then`: the last arrival calls it once
-with every rank's buffer, checked and uncopied, in rank order, and each
-member returns its own element of the result instead of its rows. So
-one call does the work of all receivers on the rows they received, e.g.
-one multiply for a whole superstep rather than one per rank, and nothing
-is stacked. Which rows each count stands for is then the caller's to
-know: for receiver d, a `then` must read only counts[s][d] rows of each
-sender s's buffer. The runtime cannot check this, and the ledger charges
-the counts only. The multiply of `distgcn.spmm` reads the senders'
-buffers in place, at the rows its occupied-column index names, and a
-test of it (`test_every_rank_reads_only_rows_its_phase_delivers`) checks
-on every variant that each rank reads only rows its stage owners send
-it, and that each (owner, reader) pair is charged the rows sent. The
-runtime knows nothing of what a `then` computes, charges the ledger as
-for the same exchange without it, and raises an exception it raises on
-every member. The trade-off is in the timing: the work of every
-receiver runs on the thread of the last arrival, so no rank's time is
-its own compute any more.
+Which rows each count stands for is the caller's to know: for receiver
+d, a `then` must read only counts[s][d] rows of each sender s's buffer.
+The runtime cannot check this, and the ledger charges the counts only.
+The multiply of `distgcn.spmm` reads the senders' buffers in place, at
+the rows its occupied-column index names, and a test of it
+(`test_every_rank_reads_only_rows_its_phase_delivers`) checks on every
+variant that each rank reads only rows its stage owners send it, and
+that each (owner, reader) pair is charged the rows sent. The runtime
+knows nothing of what a `then` computes, charges the ledger as for the
+exchange, and raises an exception it raises on every member. The
+trade-off is in the timing: the work of every receiver runs on the
+thread of the last arrival, so no rank's time is its own compute any
+more.
 
 The rank threads share one heap. glibc gives every new thread a malloc
 arena of its own, so a rank's freed halos, products and sums would stay
@@ -116,8 +114,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-
-from .sparse import _ranges, _stable_order
 
 __all__ = [
     "CommLedger",
@@ -331,6 +327,7 @@ class _Runtime:
 
     def __init__(self, grid: ProcessGrid):
         self.grid = grid
+        self.world = tuple(range(grid.p))
         self.mail = {}
         self.slots = {}
         self.ledger = CommLedger(grid.p)
@@ -420,23 +417,15 @@ def _count_matrix(counts) -> np.ndarray:
 class ExchangeSchedule:
     """One `all_to_allv` pattern, inspected once (`plan_all_to_allv`).
 
-    `heights[s]` is the number of rows sender s's buffer must have, and
-    `sums[s]` the number its counts add up to. Where every sender sends
-    its whole buffer (sums == heights), a call without `then` stacks
-    every rank's buffer in rank order, and receiver d's rows are
-    stacked[gather[bounds[d]:bounds[d + 1]]], in ascending sender order;
-    any other schedule has no `gather` and `bounds` (None) and serves
-    only calls with a `then`.
-    The ledger charges are held in rows, so a call charges them for its
-    own row width: per rank the rows and messages sent and received
+    `heights[s]` is the number of rows sender s's buffer must have. The
+    rest are the ledger charges, held in rows, so a call charges them for
+    its own row width: per rank the rows and messages sent and received
     between distinct ranks, and each such message (`wire_src`,
-    `wire_dst`, `wire_rows`) for the pair maxima.
+    `wire_dst`, `wire_rows`) for the pair maxima. Which rows a count
+    stands for is not held: the `then` of every call knows them.
     """
 
     heights: list
-    sums: list
-    gather: np.ndarray | None
-    bounds: np.ndarray | None
     sent_rows: np.ndarray
     sent_msgs: np.ndarray
     received_rows: np.ndarray
@@ -448,47 +437,30 @@ class ExchangeSchedule:
 
 def plan_all_to_allv(counts, heights) -> ExchangeSchedule:
     """Inspect the `all_to_allv` in which rank s, whose buffer has
-    heights[s] rows, sends counts[s][d] rows to each rank d = 0..p-1.
-    Which rows a count stands for is the caller's to know, except where
-    every rank's counts sum to its height: then rank s sends its whole
-    buffer in order, cut by counts[s]. Checks every rank's counts once,
-    naming the lowest rank at fault, and returns the schedule that every
-    call of the exchange passes."""
+    heights[s] rows, sends counts[s][d] rows to each rank d = 0..p-1;
+    which rows they are is the caller's to know. Checks every rank's
+    counts once, naming the lowest rank at fault, and returns the schedule
+    that every call of the exchange passes."""
     heights = [int(h) for h in heights]
     if len(counts) != len(heights):
         raise ValueError(f"all_to_allv schedule needs counts and heights for every rank, "
                          f"got {len(counts)} and {len(heights)}")
     p = len(heights)
-    counts = _count_matrix(counts)
-    sums = counts.sum(axis=1)
-    # the non-empty segments (s, d), sender-major
-    seg = np.flatnonzero(counts)
-    s, d = np.divmod(seg, p)
-    lens = counts.ravel()[seg]
-    gather = bounds = None
-    if (sums == heights).all():
-        # the segments tile the stacked buffers in order; receiver d takes
-        # (0, d), ..., (p-1, d) in turn, so a stable sort by d puts them in
-        # gather order
-        bounds = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(counts.sum(axis=0), out=bounds[1:])
-        by_dst = _stable_order(d, p)
-        gather = _ranges((np.cumsum(lens) - lens)[by_dst], lens[by_dst])
-    # only the segments between distinct ranks are messages
-    wire = s != d
-    wire_src, wire_dst, wire_rows = s[wire], d[wire], lens[wire]
-    own = np.diagonal(counts)
-    return ExchangeSchedule(heights, sums.tolist(), gather, bounds,
-                            sums - own, np.bincount(wire_src, minlength=p),
-                            counts.sum(axis=0) - own, np.bincount(wire_dst, minlength=p),
-                            wire_src, wire_dst, wire_rows)
+    # a segment to the sender itself is a free local copy: only the
+    # non-empty segments (s, d) between distinct ranks are messages
+    wire = _count_matrix(counts)
+    np.fill_diagonal(wire, 0)
+    seg = np.flatnonzero(wire)
+    src, dst = np.divmod(seg, p)
+    return ExchangeSchedule(heights, wire.sum(axis=1), np.bincount(src, minlength=p),
+                            wire.sum(axis=0), np.bincount(dst, minlength=p),
+                            src, dst, wire.ravel()[seg])
 
 
-def _execute(plan: ExchangeSchedule, bufs, ledger, delivers):
-    """Check one exchange of `plan` over the ranks' buffers: each
-    buffer's height, that the plan has a gather index where the call
-    `delivers` rows (has no `then`), and the ranks' dtypes and row shapes;
-    then charge the ledger."""
+def _execute(plan: ExchangeSchedule, bufs, ledger):
+    """Check one exchange of `plan` over the ranks' buffers, each
+    buffer's height and the ranks' dtypes and row shapes, then charge the
+    ledger."""
     heights = [b.shape[0] for b in bufs]
     if heights != plan.heights:
         if len(heights) != len(plan.heights):
@@ -497,10 +469,6 @@ def _execute(plan: ExchangeSchedule, bufs, ledger, delivers):
         s = next(s for s, (h, want) in enumerate(zip(heights, plan.heights)) if h != want)
         raise ValueError(f"rank {s}: all_to_allv buffer has {heights[s]} rows but the "
                          f"schedule sends from {plan.heights[s]}")
-    if delivers and plan.gather is None:
-        s = next(s for s, (t, h) in enumerate(zip(plan.sums, heights)) if t != h)
-        raise ValueError(f"rank {s}: all_to_allv counts sum to {plan.sums[s]} "
-                         f"but the buffer has {heights[s]} rows")
     row_shapes = {(b.dtype.str, b.shape[1:]) for b in bufs}
     if len(row_shapes) > 1:
         raise ValueError("all_to_allv buffers differ in dtype or row shape: "
@@ -515,12 +483,14 @@ def _execute(plan: ExchangeSchedule, bufs, ledger, delivers):
         ledger.record_pairs(plan.wire_src, plan.wire_dst, plan.wire_rows * width, kind)
 
 
+@functools.lru_cache(maxsize=256)
 def all_reduce_counts(g, size):
     """Each member's share of one all-reduce of `size` elements over a
-    group of g, as four int64 arrays indexed by the members' positions
-    0..g-1 in ascending rank order: elements sent, messages sent,
-    elements received, messages received. Every step moves whole
-    elements, and a step that moves no element is no message.
+    group of g, as four read-only int64 arrays indexed by the members'
+    positions 0..g-1 in ascending rank order: elements sent, messages
+    sent, elements received, messages received. Every step moves whole
+    elements, and a step that moves no element is no message. The
+    arrays are computed once per (g, size) and shared by its calls.
 
     When g is a power of two the schedule is recursive halving (a
     reduce-scatter) then recursive doubling (an allgather), 2*log2(g)
@@ -548,7 +518,7 @@ def all_reduce_counts(g, size):
             msgs = np.repeat(msgs + np.minimum(sizes, 2), 2)
             lower = sizes // 2
             sizes = np.column_stack((lower, sizes - lower)).ravel()
-        return sent, msgs, sent, msgs
+        return _read_only(sent, msgs, sent, msgs)
     pos = np.arange(g)
     chunks = size // g + (pos < size % g)
     held = np.count_nonzero(chunks)
@@ -558,7 +528,13 @@ def all_reduce_counts(g, size):
     sent = 2 * size - skip[0] - skip[1]
     msgs = 2 * held - (skip[0] > 0) - (skip[1] > 0)
     # position i receives what position i - 1 sends
-    return sent, msgs, sent[pos - 1], msgs[pos - 1]
+    return _read_only(sent, msgs, sent[pos - 1], msgs[pos - 1])
+
+
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 class Comm:
@@ -618,13 +594,19 @@ class Comm:
         `complete` exactly once to build the one result every member
         returns and the ledger charges, and retires the slot: every member
         already holds it. A collective of a ledger primitive charges every
-        member one call."""
-        if self.rank not in group:
-            raise ValueError(f"rank {self.rank} is not in group {group}")
-        seq = self._seq.get((kind, group), 0)
-        self._seq[(kind, group)] = seq + 1
-        key = (kind, group, seq)
+        member one call. The run's `world` is keyed by `kind` alone, so
+        its members hash no p-tuple and scan no group."""
         rt = self._rt
+        world = group is rt.world
+        if world:
+            name = kind
+        elif self.rank in group:
+            name = (kind, group)
+        else:
+            raise ValueError(f"rank {self.rank} is not in group {group}")
+        seq = self._seq.get(name, 0)
+        self._seq[name] = seq + 1
+        key = (name, seq)
         slot = rt.slots.get(key)
         if slot is None:
             slot = rt.slots[key] = _CollectiveSlot()
@@ -634,7 +616,7 @@ class Comm:
             try:
                 slot.output = complete(slot.arrivals)
                 if kind in PRIMITIVES:
-                    rt.ledger.counters[kind]["calls"][list(group)] += 1
+                    rt.ledger.counters[kind]["calls"][slice(None) if world else list(group)] += 1
             except Exception as exc:  # propagate to every member
                 slot.error = exc
             slot.done = True
@@ -646,64 +628,48 @@ class Comm:
             raise slot.error
         return slot.output
 
-    def all_to_allv(self, buf, schedule, then=None):
+    def all_to_allv(self, buf, schedule, then):
         """Personalized exchange in MPI_Alltoallv form, run through the
         `ExchangeSchedule` that `plan_all_to_allv` made of its count
-        matrix, which every rank passes. Without `then`, every rank sends
-        the whole of `buf`, cut by its counts, and the schedule must be
-        one whose counts sum to the buffers' heights; the result is a
-        fresh writable array of the rows received, stacked in sender-rank
-        order. Every rank must send the same dtype and row shape, from a
-        buffer of the height the schedule was planned for; the last
-        arrival checks only these, stacks the buffers and charges the
-        ledger from the schedule for this call's row width. A segment of
+        matrix, which every rank passes. Every rank returns its element of
+        one result that the last arrival computes for all of them: it
+        checks that every buffer has the height the schedule was planned
+        for and that all have the same dtype and row shape, charges the
+        ledger from the schedule for this call's row width, and calls
+        then(bufs) once with every rank's buffer, uncopied, in rank order;
+        rank d returns element d of the sequence it returns. A segment of
         no rows is no message and costs nothing, nor does a segment of
         zero-width rows; the segment addressed to the caller itself is a
-        free local copy. The caller may write to `buf` as soon as the call
-        returns (see the module docstring).
+        free local copy.
 
-        With `then`, every rank instead returns its element of one result
-        that the last arrival computes for all of them: it calls
-        then(bufs) once with every rank's buffer, checked and uncopied,
-        in rank order, and rank d returns element d of the sequence it
-        returns. For rank d, a `then` must read only counts[s][d] rows of
-        each sender s's buffer, rows that the caller, not the schedule,
-        names (see the module docstring), and must not write to them. Every
-        rank must pass a `then`, or none; the callables must be
-        interchangeable, and the lowest rank's runs. The ledger charges
-        are the exchange's, whatever `then` does, and an exception it
-        raises is raised on every rank."""
+        For rank d, a `then` must read only counts[s][d] rows of each
+        sender s's buffer, rows that the caller, not the schedule, names
+        (see the module docstring), and must not write to them. The
+        callables must be interchangeable, and the lowest rank's runs. The
+        ledger charges are the exchange's, whatever `then` does, and an
+        exception it raises is raised on every rank. The caller may write
+        to `buf` as soon as the call returns."""
         arr = _as_payload(buf)
         if arr.ndim == 0:
             raise ValueError("all_to_allv needs a buffer of rows, got a scalar")
         if not isinstance(schedule, ExchangeSchedule):
             raise TypeError("all_to_allv needs the ExchangeSchedule of its exchange "
                             f"(plan_all_to_allv), got {type(schedule).__name__}")
-        group = tuple(range(self.p))
+        world = self._rt.world
         ledger = self._rt.ledger
 
         def complete(arrivals):
-            args = [arrivals[s] for s in group]
-            without = [s for s in group if args[s][2] is None]
-            if 0 < len(without) < len(group):
-                raise ValueError(f"all_to_allv: ranks {without} pass no `then` but others "
-                                 "do; every rank must pass one, or none")
+            args = [arrivals[s] for s in world]
             plan, then = args[0][1:]
-            others = [s for s in group if args[s][1] is not plan]
+            others = [s for s in world if args[s][1] is not plan]
             if others:
                 raise ValueError(f"all_to_allv: ranks {others} pass another schedule than "
                                  "rank 0; every rank must pass the same one")
             bufs = [a[0] for a in args]
-            _execute(plan, bufs, ledger, then is None)
-            if then is not None:
-                return then(bufs)
-            return np.concatenate(bufs)
+            _execute(plan, bufs, ledger)
+            return then(bufs)
 
-        out = self._collective("alltoallv", group, (arr, schedule, then), complete)
-        if then is not None:
-            return out[self.rank]
-        lo, hi = schedule.bounds[self.rank:self.rank + 2]
-        return np.take(out, schedule.gather[lo:hi], axis=0)
+        return self._collective("alltoallv", world, (arr, schedule, then), complete)[self.rank]
 
     def broadcast(self, root, buf=None) -> np.ndarray:
         """Every rank returns the root's payload, as one read-only array
@@ -714,7 +680,6 @@ class Comm:
         if self.rank == root and buf is None:
             raise ValueError(f"broadcast root {root} supplied no buffer")
         payload = _as_payload(buf) if self.rank == root else None
-        group = tuple(range(self.p))
         ledger = self._rt.ledger
 
         def complete(arrivals):
@@ -729,7 +694,7 @@ class Comm:
             ledger.record_pairs(root, others, nbytes, kind)
             return shared
 
-        return self._collective("broadcast", group, payload, complete)
+        return self._collective("broadcast", self._rt.world, payload, complete)
 
     def all_reduce_sum(self, buf, group=None) -> np.ndarray:
         """Elementwise sum over the group, reduced in ascending rank order,
@@ -740,7 +705,10 @@ class Comm:
         the group size: 2*log2(g) messages each way for a group of a power
         of two, and 2(g-1) in the ring otherwise, less the steps that move
         no element."""
-        group = tuple(range(self.p)) if group is None else tuple(sorted(group))
+        world = self._rt.world
+        group = world if group is None else tuple(sorted(group))
+        if group is not world and group == world:
+            group = world  # the same collective as a call that names no group
         payload = _as_payload(buf)
         ledger = self._rt.ledger
 
@@ -771,13 +739,12 @@ class Comm:
     def ledger_mark(self, label):
         """Collective; snapshots the global per-primitive totals under
         `label` once every rank has arrived. Charges nothing."""
-        group = tuple(range(self.p))
         ledger = self._rt.ledger
 
         def complete(arrivals):
             ledger.marks[label] = ledger.snapshot()
 
-        self._collective("mark", group, None, complete)
+        self._collective("mark", self._rt.world, None, complete)
 
 
 @functools.cache

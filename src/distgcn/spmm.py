@@ -14,7 +14,8 @@ all-reduce over the grid row; 1D is the case c=1, in which every process
 owns a stage. The aware variants' one-time index exchange is one
 `all_to_allv` of index lists per operand, the aware phase transposed:
 each process sends the stage owners of its column group its halo's
-column list.
+column list, and each owner receives its send plan, a read-only slice of
+the operand's one occupied-column index (`DistOperand.index_lists`).
 
 Each sparse operand has one form, `DistOperand.matrix`: one whole-grid
 `CsrMatrix` in the global columns of the dense operand, in which each
@@ -132,6 +133,20 @@ class DistOperand:
         bit for bit the per-rank ones."""
         h = np.concatenate([bufs[r] for r in self.owners])
         return np.split(local_spmm(self.matrix, h), self.row_off[1:-1])
+
+    def index_lists(self, bufs) -> list:
+        """Every rank's received lists of the index exchange, as its
+        `then`, each read-only: on block j's stage owner its send plan
+        idx[ptr[j, 0]:ptr[j, -1]], which is cols(0, j), cols(1, j), ...
+        as its readers send them in ascending rank order, and on every
+        other rank an empty list. What each reader sends is a run of this
+        same index, so the lists are views of it and no buffer is read."""
+        lists = [np.zeros(0, dtype=np.int64)] * len(bufs)
+        for j, owner in enumerate(self.owners):
+            lists[owner] = self.idx[self.ptr[j, 0]:self.ptr[j, -1]]
+        for got in lists:
+            got.setflags(write=False)
+        return lists
 
 
 @dataclass
@@ -273,14 +288,14 @@ def exchange_index_lists(comm: Comm, op: DistOperand):
     payloads. The sparse pattern is fixed for a whole training run, so
     this runs once and its cost is amortized over every subsequent
     multiply. In 1D (c=1) every owner is a stage, so every rank announces
-    to all others. Returns what this rank received: on block q's stage
-    owner cols(0, q), cols(1, q), ... in turn, on any other rank none;
-    None for an operand planned in an oblivious form, which exchanges
-    nothing."""
+    to all others. Returns what this rank received, read-only
+    (`DistOperand.index_lists`): on block q's stage owner cols(0, q),
+    cols(1, q), ... in turn, on any other rank none; None for an operand
+    planned in an oblivious form, which exchanges nothing."""
     if op.index is None:
         return None
     schedule, halos = op.index
-    return comm.all_to_allv(halos[comm.rank], schedule)
+    return comm.all_to_allv(halos[comm.rank], schedule, op.index_lists)
 
 
 def spmm_kernel(comm: Comm, op: DistOperand, h_block, held=None):

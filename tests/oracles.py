@@ -154,6 +154,49 @@ def alltoallv_reference(bufs, counts):
     return recv
 
 
+def alltoallv_stack_and_gather(counts):
+    """The `then` of an exchange in which rank s sends the whole of its
+    buffer, of sum(counts[s]) rows, in segments of counts[s][d] rows: it
+    stacks every buffer in rank order, and each receiver d gathers from
+    the stack its rows, those of segments (0, d), (1, d), ... in turn, as
+    a fresh array."""
+    counts = np.array(counts, dtype=np.int64)
+    p = len(counts)
+    starts = (np.cumsum(counts.ravel()) - counts.ravel()).reshape(p, p)
+    gathers = [np.concatenate([np.zeros(0, np.int64)]
+                              + [np.arange(starts[s, d], starts[s, d] + counts[s, d])
+                                 for s in range(p)]) for d in range(p)]
+
+    def then(bufs):
+        assert [len(b) for b in bufs] == counts.sum(axis=1).tolist()
+        stacked = np.concatenate(bufs)
+        return [np.take(stacked, rows, axis=0) for rows in gathers]
+
+    return then
+
+
+def xent_parts_axis1(logits, labels, mask, denom):
+    """Masked cross-entropy pieces (sum of losses, gradient scaled by
+    1/denom, number of correct argmax predictions), every row's maximum
+    taken by one reduction along the class axis."""
+    shift = logits - logits.max(axis=1, keepdims=True)
+    exps = np.exp(shift)
+    log_norm = np.log(exps.sum(axis=1))
+    grad = np.zeros_like(logits)
+    loss_sum = 0.0
+    correct = 0
+    if mask.any():
+        rows = np.flatnonzero(mask)
+        sel = labels[rows]
+        loss_sum = float((log_norm[rows] - shift[rows, sel]).sum())
+        softmax = exps[rows]
+        softmax /= softmax.sum(axis=1, keepdims=True)
+        softmax[np.arange(rows.size), sel] -= 1.0
+        grad[rows] = softmax / denom
+        correct = int((logits[rows].argmax(axis=1) == sel).sum())
+    return loss_sum, grad, correct
+
+
 def allreduce_by_steps(payloads):
     """Run one all-reduce of the g rows of `payloads`, the members in
     ascending rank order, by moving real segments between g simulated

@@ -4,13 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from distgcn.gcn import (SerialGcn, TrainConfig, init_weights, relu_grad,
+from distgcn.gcn import (SerialGcn, TrainConfig, _xent_parts, init_weights, relu_grad,
                          serial_train, softmax_xent, train)
 from distgcn.graphgen import clique_blocks, sbm
 from distgcn.sparse import CsrMatrix, csr_from_dense, gcn_normalize
 from distgcn.partition import greedy_tv_partition
 
-from oracles import numeric_gradient, random_csr_dense
+from oracles import numeric_gradient, random_csr_dense, xent_parts_axis1
 
 
 def random_problem(seed, n=8, f_in=3, classes=2, density=0.3):
@@ -109,6 +109,27 @@ def test_labels_outside_int64_rejected_before_the_cast(label, shown):
 def test_xent_rejects_empty_mask():
     with pytest.raises(ValueError, match="masked"):
         softmax_xent(np.zeros((2, 3)), np.zeros(2, dtype=int), np.zeros(2, dtype=bool))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+def test_xent_parts_equal_the_axis_1_formula_bit_for_bit(k):
+    # the row maximum is taken one class column at a time; the loss, the
+    # gradient and the correct count must be the bits of one reduction
+    # along the class axis, with tied maxima and zeros of both signs
+    rng = np.random.default_rng(k)
+    n = 300
+    logits = rng.integers(-2, 3, size=(n, k)).astype(np.float64)
+    logits[::3] *= 1.5
+    logits[1::3] = rng.normal(size=(len(logits[1::3]), k))
+    zeros = rng.random((n, k)) < 0.25
+    logits[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    labels = rng.integers(0, k, n)
+    mask = rng.random(n) < 0.7
+    got = _xent_parts(logits, labels, mask, 17)
+    want = xent_parts_axis1(logits, labels, mask, 17)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
 
 
 # ---- configuration -----------------------------------------------------------

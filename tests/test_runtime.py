@@ -19,21 +19,22 @@ import distgcn.runtime
 from distgcn.runtime import (CommLedger, DeadlockError, ProcessGrid,
                              SimulationError, plan_all_to_allv, run_program)
 
-from oracles import allreduce_by_steps, alltoallv_charges_by_loop, alltoallv_reference
+from oracles import (allreduce_by_steps, alltoallv_charges_by_loop, alltoallv_reference,
+                     alltoallv_stack_and_gather)
 
 
 def _packed(counts):
     """The schedule of the exchange in which rank s sends the whole of its
-    buffer, of sum(counts[s]) rows, in segments of counts[s][d] rows."""
-    return plan_all_to_allv(counts, [int(np.sum(c)) for c in counts])
+    buffer, of sum(counts[s]) rows, in segments of counts[s][d] rows, and
+    the reference `then` that delivers every receiver its rows
+    (`alltoallv_stack_and_gather`)."""
+    return (plan_all_to_allv(counts, [int(np.sum(c)) for c in counts]),
+            alltoallv_stack_and_gather(counts))
 
 
-def _plan_and_call(counts, heights):
-    """Plan the exchange of `counts` from buffers of `heights` rows and
-    run it once without a `then`."""
-    schedule = plan_all_to_allv(counts, heights)
-    run_program(len(heights), 1,
-                lambda comm: comm.all_to_allv(np.ones(heights[comm.rank]), schedule))
+def _each_own(bufs):
+    """A `then` that hands every rank its own buffer back."""
+    return bufs
 
 
 def test_grid_layout_and_groups():
@@ -136,10 +137,10 @@ def test_many_interleaved_messages_bookkeeping():
 
 
 def test_alltoallv_empty():
-    schedule = _packed([[0] * 3] * 3)
+    schedule, then = _packed([[0] * 3] * 3)
 
     def program(comm):
-        return comm.all_to_allv(np.zeros(0), schedule).size
+        return comm.all_to_allv(np.zeros(0), schedule, then).size
 
     run = run_program(3, 1, program)
     assert run.results == [0] * 3
@@ -148,10 +149,10 @@ def test_alltoallv_empty():
 
 
 def test_alltoallv_two_ranks():
-    schedule = _packed([[3, 3]] * 2)
+    schedule, then = _packed([[3, 3]] * 2)
 
     def program(comm):
-        return comm.all_to_allv(np.full(3 * comm.p, float(comm.rank)), schedule)
+        return comm.all_to_allv(np.full(3 * comm.p, float(comm.rank)), schedule, then)
 
     run = run_program(2, 1, program)
     assert run.results[0][3:].tolist() == [1.0, 1.0, 1.0]
@@ -166,10 +167,10 @@ def test_alltoallv_matches_sequential_reference():
     payloads = [[rng.normal(size=rng.integers(0, 7)) for _ in range(p)] for _ in range(p)]
     bufs = [np.concatenate(row) for row in payloads]
     counts = [[b.size for b in row] for row in payloads]
-    schedule = _packed(counts)
+    schedule, then = _packed(counts)
 
     def program(comm):
-        return comm.all_to_allv(bufs[comm.rank], schedule)
+        return comm.all_to_allv(bufs[comm.rank], schedule, then)
 
     run = run_program(p, 1, program)
     expected = alltoallv_reference(bufs, counts)
@@ -184,11 +185,11 @@ def test_alltoallv_matches_sequential_reference():
 
 
 def test_alltoallv_moves_rows_of_2d_buffer():
-    schedule = _packed([[2, 3], [4, 1]])
+    schedule, then = _packed([[2, 3], [4, 1]])
 
     def program(comm):
         buf = np.arange(10.0).reshape(5, 2) + 10 * comm.rank
-        return comm.all_to_allv(buf, schedule)
+        return comm.all_to_allv(buf, schedule, then)
 
     run = run_program(2, 1, program)
     assert run.results[0].tolist() == [[0.0, 1.0], [2.0, 3.0],
@@ -207,11 +208,11 @@ def test_alltoallv_receiver_of_no_rows_gets_typed_empty():
     # rank 7, so rank 0 receives nothing
     p = 8
     counts = np.eye(p, k=1, dtype=np.int64) * 2
-    schedule = _packed(counts)
+    schedule, then = _packed(counts)
 
     def program(comm):
         buf = np.full((int(counts[comm.rank].sum()), 3), comm.rank, dtype=np.int64)
-        return comm.all_to_allv(buf, schedule)
+        return comm.all_to_allv(buf, schedule, then)
 
     run = run_program(p, 1, program)
     assert run.results[0].shape == (0, 3)
@@ -226,21 +227,18 @@ def test_alltoallv_receiver_of_no_rows_gets_typed_empty():
     ([1, 1, 0], "2 integer counts"),
     ([1.0, 1.0], "2 integer counts"),
     ([3, -1], "non-negative"),
-    ([1, 2], "sum to 3 but the buffer has 2 rows"),
-], ids=["too-few", "too-many", "float", "negative", "sum-differs"])
+], ids=["too-few", "too-many", "float", "negative"])
 def test_alltoallv_rejects_bad_counts(counts, match):
-    # counts of another sum than the buffer's height plan an exchange that
-    # only a `then` can run: a call without one raises
     with pytest.raises(ValueError, match=match):
-        _plan_and_call([counts, counts], [2, 2])
+        plan_all_to_allv([counts, counts], [2, 2])
 
 
 def test_alltoallv_rejects_mixed_row_types():
-    schedule = _packed([[1, 1]] * 2)
+    schedule, then = _packed([[1, 1]] * 2)
 
     def program(comm):
         dtype = np.int64 if comm.rank == 1 else np.float64
-        comm.all_to_allv(np.ones(2, dtype=dtype), schedule)
+        comm.all_to_allv(np.ones(2, dtype=dtype), schedule, then)
 
     with pytest.raises(ValueError, match="differ in dtype or row shape"):
         run_program(2, 1, program)
@@ -296,11 +294,11 @@ def test_whole_buffer_sends_match_reference(seed, p, row_shape, dtype):
     rng = np.random.default_rng(seed)
     bufs, counts = _random_exchange(rng, p, row_shape, dtype)
     expected = alltoallv_reference(bufs, counts)
-    schedule = _packed(counts)
+    schedule, then = _packed(counts)
 
     def exchange(comm):
         buf = bufs[comm.rank].copy()
-        got = comm.all_to_allv(buf, schedule)
+        got = comm.all_to_allv(buf, schedule, then)
         buf[...] = -7  # a sender may reuse its buffer once the call returns
         return got
 
@@ -309,7 +307,6 @@ def test_whole_buffer_sends_match_reference(seed, p, row_shape, dtype):
         assert run.results[d].dtype == expected[d].dtype
         assert run.results[d].shape == expected[d].shape
         assert run.results[d].tobytes() == expected[d].tobytes()
-        assert run.results[d].flags.writeable
     _assert_charged_count_by_count(run.ledger, counts, row_shape, dtype, calls=1)
 
 
@@ -325,26 +322,10 @@ def test_isend_copies_its_payload():
     assert run_program(2, 1, program).results[1] == [0.0, 1.0, 2.0]
 
 
-def test_all_to_allv_results_are_independent_arrays():
-    halves = _packed([[2, 2]] * 2)
-    packed = _packed([[1, 1]] * 2)
-
-    def program(comm):
-        out = comm.all_to_allv(np.arange(4.0) + 10 * comm.rank, halves)
-        if comm.rank == 0:
-            out[:] = -1.0  # must not reach rank 1's result
-        comm.all_reduce_sum(np.zeros(1))
-        again = comm.all_to_allv(np.arange(2.0), packed)
-        return out.tolist(), again.tolist()
-
-    run = run_program(2, 1, program)
-    assert run.results[0] == ([-1.0] * 4, [0.0, 0.0])
-    assert run.results[1] == ([2.0, 3.0, 12.0, 13.0], [1.0, 1.0])
-
-
 def test_exchanges_of_one_run_reuse_staging_safely():
     # exchanges of growing and shrinking size, float and int rows, in one
-    # run: each result must hold its own exchange's rows
+    # run, each staging its arrivals in a collective slot of its own: each
+    # `then` must get its own exchange's buffers
     p = 4
     sizes = [1, 5, 2, 9, 0, 3]
     schedules = [_packed([[m] * p] * p) for m in sizes]
@@ -354,7 +335,7 @@ def test_exchanges_of_one_run_reuse_staging_safely():
         for k, m in enumerate(sizes):
             dtype = np.int64 if k % 2 else np.float64
             buf = (np.arange(m * p * 2).reshape(m * p, 2) + 1000 * comm.rank + k).astype(dtype)
-            out.append(comm.all_to_allv(buf, schedules[k]))
+            out.append(comm.all_to_allv(buf, *schedules[k]))
         return out
 
     run = run_program(p, 1, program)
@@ -372,11 +353,10 @@ def test_exchanges_of_one_run_reuse_staging_safely():
     ([1, 1], "rank 1: all_to_allv needs 3 integer counts"),
     ([1.0, 1.0, 0.0], "rank 1: all_to_allv needs 3 integer counts"),
     ([3, -1, 0], "rank 1: all_to_allv counts must be non-negative, got -1"),
-    ([1, 1, 1], "rank 1: all_to_allv counts sum to 3 but the buffer has 2 rows"),
-], ids=["wrong-length", "float", "negative", "sum-differs"])
+], ids=["wrong-length", "float", "negative"])
 def test_alltoallv_bad_counts_on_one_rank_named(counts, match):
     with pytest.raises(ValueError, match=match):
-        _plan_and_call([[1, 1, 0], counts, [1, 1, 0]], [2] * 3)
+        plan_all_to_allv([[1, 1, 0], counts, [1, 1, 0]], [2] * 3)
 
 
 def _counters_equal(a, b):
@@ -396,7 +376,8 @@ def test_alltoallv_then_runs_once_and_charges_as_the_exchange(seed, p, row_shape
     # empty senders, self-segments and zero-width rows included, and, not
     # whole, partial sends: counts of another sum than the buffer's
     # height, whose rows only the `then` knows. A schedule is run three
-    # times and inspected once
+    # times and inspected once; where the rows are whole buffers, a
+    # `then` that delivers them is charged the same
     rng = np.random.default_rng(seed)
     bufs, counts = _random_exchange(rng, p, row_shape, dtype, whole)
     schedule = plan_all_to_allv(counts, [len(b) for b in bufs])
@@ -407,20 +388,17 @@ def test_alltoallv_then_runs_once_and_charges_as_the_exchange(seed, p, row_shape
         calls.append(len(got))
         return list(range(p))
 
-    def program(comm, fused):
-        return [comm.all_to_allv(bufs[comm.rank], schedule, then=then if fused else None)
-                for _ in range(3)]
+    def program(comm, then):
+        return [comm.all_to_allv(bufs[comm.rank], schedule, then) for _ in range(3)]
 
-    fused = run_program(p, 1, program, (True,))
+    fused = run_program(p, 1, program, (then,))
     # once per collective, never per rank, with every rank's buffer
     assert calls == [p] * 3
     assert fused.results == [[d] * 3 for d in range(p)]
     _assert_charged_count_by_count(fused.ledger, counts, row_shape, dtype, calls=3)
-    if schedule.gather is None:
-        with pytest.raises(ValueError, match="all_to_allv counts sum to"):
-            run_program(p, 1, program, (False,))
+    if not whole:
         return
-    plain = run_program(p, 1, program, (False,))
+    plain = run_program(p, 1, program, (alltoallv_stack_and_gather(counts),))
     expected = alltoallv_reference(bufs, counts)
     for d in range(p):
         for got in plain.results[d]:
@@ -431,12 +409,10 @@ def test_alltoallv_then_runs_once_and_charges_as_the_exchange(seed, p, row_shape
 
 
 def test_alltoallv_then_gets_every_buffer_when_no_rank_sends_a_row():
-    # the counts send no row, so only a `then` can run the exchange; it
-    # gets all p buffers, uncopied, and the ledger charges the exchange:
-    # nothing
+    # the counts send no row, yet the `then` gets all p buffers, uncopied,
+    # and the ledger charges the exchange: nothing
     heights = [3, 0, 2, 1]
     schedule = plan_all_to_allv([[0] * 4] * 4, heights)
-    assert schedule.gather is None and schedule.bounds is None
     bufs = [np.full((h, 2), float(r)) for r, h in enumerate(heights)]
     calls = []
 
@@ -457,7 +433,7 @@ def test_alltoallv_then_gets_every_buffer_when_no_rank_sends_a_row():
 
 
 def test_alltoallv_then_of_the_lowest_rank_runs():
-    schedule = _packed([[1, 1, 1]] * 3)
+    schedule, _ = _packed([[1, 1, 1]] * 3)
 
     def program(comm):
         def then(bufs):
@@ -469,7 +445,7 @@ def test_alltoallv_then_of_the_lowest_rank_runs():
 
 def test_alltoallv_then_error_raised_on_every_rank():
     calls = []
-    schedule = _packed([[1, 1]] * 2)
+    schedule, _ = _packed([[1, 1]] * 2)
 
     def then(bufs):
         calls.append(None)
@@ -488,24 +464,12 @@ def test_alltoallv_then_error_raised_on_every_rank():
         run_program(2, 1, lambda comm: comm.all_to_allv(np.ones(2), schedule, then=then))
 
 
-def test_alltoallv_ranks_disagreeing_on_then_named():
-    schedule = _packed([[1, 1, 1, 1]] * 4)
-
-    def program(comm):
-        then = None if comm.rank in (1, 2) else (lambda bufs: bufs)
-        comm.all_to_allv(np.ones(4), schedule, then=then)
-
-    with pytest.raises(ValueError, match=r"all_to_allv: ranks \[1, 2\] pass no `then` but "
-                                         "others do; every rank must pass one, or none"):
-        run_program(4, 1, program)
-
-
 def test_scheduled_exchange_rejects_a_buffer_of_another_height():
     schedule = distgcn.runtime.plan_all_to_allv([[1, 1, 0]] * 3, [2, 2, 2])
 
     def program(comm):
         try:
-            comm.all_to_allv(np.ones(3 if comm.rank == 1 else 2), schedule=schedule)
+            comm.all_to_allv(np.ones(3 if comm.rank == 1 else 2), schedule, _each_own)
         except ValueError as exc:
             return str(exc)
         return "returned"
@@ -513,25 +477,20 @@ def test_scheduled_exchange_rejects_a_buffer_of_another_height():
     assert run_program(3, 1, program).results == [
         "rank 1: all_to_allv buffer has 3 rows but the schedule sends from 2"] * 3
     with pytest.raises(ValueError, match="all_to_allv schedule is for 3 ranks, not 2"):
-        run_program(2, 1, lambda comm: comm.all_to_allv(np.ones(2), schedule=schedule))
+        run_program(2, 1, lambda comm: comm.all_to_allv(np.ones(2), schedule, _each_own))
 
 
 @pytest.mark.parametrize("counts,heights,match", [
     ([[1, 1], [1, 1, 0]], [2, 2], "rank 1: all_to_allv needs 2 integer counts"),
-    ([[1, 1], [2, 1]], [2, 2], "rank 1: all_to_allv counts sum to 3 but the buffer has"),
     ([[1, 1]], [2, 2], "counts and heights for every rank, got 1 and 2"),
     # ranks 1 and 2 are both at fault; the lowest is named
-    ([[1, 1, 0], [2, 1, 0], [0, 0, 5]], [2, 2, 2],
-     "rank 1: all_to_allv counts sum to 3 but the buffer has 2 rows"),
     ([[1, 1, 0], [-1, 1, 2], [0, -3, 5]], [2, 2, 2],
      "rank 1: all_to_allv counts must be non-negative, got -1"),
-], ids=["wrong-length", "sum-differs", "missing-rank", "sum-differs-on-ranks-1-2",
-        "negative-on-ranks-1-2"])
+], ids=["wrong-length", "missing-rank", "negative-on-ranks-1-2"])
 def test_schedule_checks_counts_and_rows_as_the_call_does(counts, heights, match):
-    # the count checks run at planning; a sum that differs from the
-    # buffer's height fails the call without a `then`
+    # every count check runs once, at planning, before any call
     with pytest.raises(ValueError, match=match):
-        _plan_and_call(counts, heights)
+        plan_all_to_allv(counts, heights)
 
 
 def test_alltoallv_schedule_misuse_named():
@@ -540,10 +499,10 @@ def test_alltoallv_schedule_misuse_named():
     with pytest.raises(TypeError, match=r"all_to_allv needs the ExchangeSchedule of its "
                                         r"exchange \(plan_all_to_allv\), got list"):
         run_program(2, 1, lambda comm: comm.all_to_allv(
-            np.ones(2), [1, 1] if comm.rank else schedule))
+            np.ones(2), [1, 1] if comm.rank else schedule, _each_own))
     with pytest.raises(ValueError, match=r"ranks \[1\] pass another schedule than rank 0"):
         run_program(2, 1, lambda comm: comm.all_to_allv(
-            np.ones(2), schedule=other if comm.rank else schedule))
+            np.ones(2), other if comm.rank else schedule, _each_own))
 
 
 def test_broadcast_single_rank():
@@ -698,6 +657,26 @@ def test_subgroup_allreduce_independent():
 
     run = run_program(4, 2, program)
     assert run.results == [1.0, 1.0, 5.0, 5.0]
+
+
+def test_allreduce_naming_every_rank_is_the_world_collective():
+    # a group of every rank, in any order, is the collective of a call
+    # that names no group, so ranks may mix the two
+    def program(comm):
+        group = None if comm.rank % 2 else reversed(range(comm.p))
+        return comm.all_reduce_sum(np.array([float(comm.rank)]), group=group)[0]
+
+    run = run_program(6, 1, program)
+    assert run.results == [15.0] * 6
+    assert run.ledger.counters["allreduce"]["calls"].tolist() == [1] * 6
+
+
+def test_allreduce_counts_are_shared_read_only():
+    first = distgcn.runtime.all_reduce_counts(6, 10)
+    assert all(a is b for a, b in zip(first, distgcn.runtime.all_reduce_counts(6, 10)))
+    for arr in first + distgcn.runtime.all_reduce_counts(8, 3):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("p,c", [(1, 1), (2, 1), (3, 1), (12, 2), (32, 1)])
@@ -875,10 +854,10 @@ def _edge_case_program(comm):
     i, j = comm.coords
     empty = comm.broadcast(1, np.zeros(0) if comm.rank == 1 else None)
     index = comm.broadcast(4, np.arange(5, dtype=np.int64) if comm.rank == 4 else None)
-    heights = [sch.heights[comm.rank] for sch in _EDGE_SCHEDULES]
-    data = comm.all_to_allv(np.full(heights[0], float(comm.rank)), _EDGE_SCHEDULES[0])
+    heights = [sch.heights[comm.rank] for sch, _ in _EDGE_SCHEDULES]
+    data = comm.all_to_allv(np.full(heights[0], float(comm.rank)), *_EDGE_SCHEDULES[0])
     idx = comm.all_to_allv(np.full((heights[1], 2), comm.rank, dtype=np.int64),
-                           _EDGE_SCHEDULES[1])
+                           *_EDGE_SCHEDULES[1])
     col = comm.all_reduce_sum(np.ones(3), group=comm.grid.col_group(j))
     row = comm.all_reduce_sum(np.ones(4), group=comm.grid.row_group(i))
     comm.ledger_mark("collectives")
@@ -920,7 +899,7 @@ _MIXED_SCHEDULE = _packed([[3] * 4] * 4)
 def _mixed_program(comm):
     rng = np.random.default_rng(comm.rank)
     out = comm.all_to_allv(np.concatenate([rng.normal(size=3) for _ in range(comm.p)]),
-                           _MIXED_SCHEDULE)
+                           *_MIXED_SCHEDULE)
     red = comm.all_reduce_sum(out)
     if comm.rank == 0:
         comm.isend(comm.p - 1, red, tag=0)
@@ -987,8 +966,8 @@ def test_one_rank_runs_at_a_time():
             program_code()
             got.append(comm.recv((r - 1) % p, tag=rnd)[0])
             program_code()
-            schedule = schedules[rnd]
-            rows = comm.all_to_allv(np.full(schedule.heights[r], float(r)), schedule)
+            schedule, then = schedules[rnd]
+            rows = comm.all_to_allv(np.full(schedule.heights[r], float(r)), schedule, then)
             program_code()
             total = comm.all_reduce_sum(np.array([rows.sum()]))
             program_code()
@@ -1032,8 +1011,9 @@ _BATON_SCHEDULE = _packed((np.arange(8)[:, None] + np.arange(8)) % 3)
 
 
 def _baton_program(comm):
-    schedule = _BATON_SCHEDULE
-    rows = comm.all_to_allv(np.full(schedule.heights[comm.rank], float(comm.rank)), schedule)
+    schedule, then = _BATON_SCHEDULE
+    rows = comm.all_to_allv(np.full(schedule.heights[comm.rank], float(comm.rank)), schedule,
+                            then)
     comm.isend((comm.rank + 1) % comm.p, rows)
     got = comm.recv((comm.rank - 1) % comm.p)
     return comm.all_reduce_sum(np.array([got.sum()]))[0], rows.tolist()
@@ -1096,6 +1076,23 @@ def test_deadlock_at_p64_names_every_rank():
     assert sorted(blocked) == list(range(p))
     assert blocked[0] == ("recv", 1, 0, "never")
     assert {blocked[r][:2] for r in range(1, p)} == {("collective", "allreduce")}
+
+
+def test_deadlock_at_p64_on_an_exchange_names_every_waiting_rank():
+    # rank 0 returns without entering the exchange that ranks 1-63 enter,
+    # so none of them can complete
+    p = 64
+    schedule, then = _packed(np.ones((p, p), dtype=np.int64))
+
+    def program(comm):
+        if comm.rank != 0:
+            comm.all_to_allv(np.ones(p), schedule, then)
+
+    with pytest.raises(DeadlockError) as err:
+        _bounded(lambda: run_program(p, 1, program))
+    blocked = err.value.blocked
+    assert sorted(blocked) == list(range(1, p))
+    assert {blocked[r][:2] for r in blocked} == {("collective", "alltoallv")}
 
 
 @pytest.mark.parametrize("error", [RuntimeError, SystemExit])

@@ -199,14 +199,16 @@ def test_halo_layout_equals_the_sort_based_oracle(seed, grid_case, n, symmetric,
         _assert_same_csr(op.matrix, layout[0])
         for got, expected in zip((op.row_off, op.idx, op.ptr), layout[1:]):
             _assert_same_array(got, expected)
-        _, halos = halo_exchange_by_loop(op.idx, op.ptr, heights, c, aware)
+        sends, halos = halo_exchange_by_loop(op.idx, op.ptr, heights, c, aware)
         if aware:
             assert len(op.index[1]) == p
             for got, expected in zip(op.index[1], halos):
                 _assert_same_array(got, expected)
             # every rank sends the whole of its halo, to the stage owners
-            # of its column group in turn
-            assert op.index[0].sums == [h.size for h in halos]
+            # of its column group in turn: the aware phase transposed
+            assert op.index[0].heights == [h.size for h in halos]
+            _assert_charges_sends(op.index[0], {(d, s): rows for (s, d), rows in sends.items()},
+                                  p)
         else:
             assert op.index is None
 
@@ -247,10 +249,11 @@ def test_every_rank_reads_only_rows_its_phase_delivers(seed, grid_case, n, symme
     ("15d-oblivious", 8, 2), ("15d-sparse", 8, 2),
     ("15d-oblivious", 32, 4), ("15d-sparse", 32, 4)])
 def test_phase_schedules_hold_counts_only(variant, p, c):
-    # a phase's schedule is its count matrix's charges: no array of it
-    # grows with the rows it stands for, which live in the operand's
-    # occupied-column index (aware) or are whole block rows (oblivious).
-    # Two of the partition's parts are empty, so two owners send no row.
+    # every schedule is its count matrix's charges: no array of a phase's
+    # or an index exchange's grows with the rows it stands for, which live
+    # in the operand's occupied-column index (aware) or are whole block
+    # rows (oblivious). Two of the partition's parts are empty, so two
+    # owners send no row.
     grid = ProcessGrid(p, c)
     k = grid.n_rows
     a, _ = random_instance(37, n=48, density=0.2)
@@ -261,16 +264,15 @@ def test_phase_schedules_hold_counts_only(variant, p, c):
     dm = build_dist_matrices(a2, part.boundaries, grid, variant)
     assert not dm.symmetric
     heights = np.diff([0] + [e for _, e in part.boundaries])
+    aware = variant.endswith("sparse")
     for op in (dm.fwd, dm.bwd):
-        schedule = op.schedule
-        assert schedule.gather is None and schedule.bounds is None
-        for field in dataclasses.fields(schedule):
-            value = getattr(schedule, field.name)
-            if value is not None:
-                assert np.size(value) <= p * p, field.name
-        sends, _ = halo_exchange_by_loop(op.idx, op.ptr, heights, c,
-                                         variant.endswith("sparse"))
-        _assert_charges_sends(schedule, sends, p)
+        assert (op.index is not None) == aware
+        schedules = [op.schedule] + ([op.index[0]] if aware else [])
+        for schedule in schedules:
+            for field in dataclasses.fields(schedule):
+                assert np.size(getattr(schedule, field.name)) <= p * p, field.name
+        sends, _ = halo_exchange_by_loop(op.idx, op.ptr, heights, c, aware)
+        _assert_charges_sends(op.schedule, sends, p)
 
 
 def test_variant_grid_validation_names_constraint():
@@ -515,15 +517,23 @@ def test_training_hands_back_epoch_0s_layer_0_products_read_only(variant, p, c,
     # ranks too: what every rank receives must be the bits of its own
     # multiply, and no rank may write to them
     received = {}  # rank -> what each of its multiplying exchanges returned
+    index_schedules = []  # the index exchanges' schedules, which multiply nothing
     all_to_allv = distgcn.runtime.Comm.all_to_allv
+    build = distgcn.gcn.build_dist_matrices
 
-    def spy(comm, buf, schedule, then=None):
+    def spy(comm, buf, schedule, then):
         out = all_to_allv(comm, buf, schedule, then)
-        if then is not None:
+        if not any(schedule is index for index in index_schedules):
             received.setdefault(comm.rank, []).append(out)
         return out
 
+    def build_spy(*args):
+        dm = build(*args)
+        index_schedules.extend(op.index[0] for op in (dm.fwd, dm.bwd) if op.index is not None)
+        return dm
+
     monkeypatch.setattr(distgcn.runtime.Comm, "all_to_allv", spy)
+    monkeypatch.setattr(distgcn.gcn, "build_dist_matrices", build_spy)
     graph, x, y = sbm(100, blocks=4, p_in=0.1, p_out=0.01, seed=0, feature_dim=3)
     a = gcn_normalize(graph)
     grid = ProcessGrid(p, c)
@@ -1043,3 +1053,28 @@ def test_index_exchange_delivers_each_readers_columns(p, c, symmetric):
                         ("index_bytes_received", "data_bytes_sent")):
         assert ledger[index].tolist() == ledger[data].tolist(), index
     assert ledger["index_bytes_sent"].sum() > 0
+
+
+@pytest.mark.parametrize("p,c", [(8, 1), (8, 2)])
+def test_index_exchange_hands_out_read_only_views_of_the_index(p, c):
+    # a stage owner's received lists are its send plan, a slice of the
+    # operand's one occupied-column index, which no rank may write to;
+    # every other rank receives an empty list
+    a, _ = random_instance(23, n=40)
+    grid = ProcessGrid(p, c)
+    part = block_partition(40, grid.n_rows)
+    a2, _ = apply_partition(a, None, part)
+    op = build_dist_matrices(a2, part.boundaries, grid, "1d-sparse" if c == 1 else "15d-sparse").fwd
+
+    def program(comm):
+        got = exchange_index_lists(comm, op)
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
+        return got
+
+    run = run_program(p, c, program)
+    for r, got in enumerate(run.results):
+        if r in op.owners:
+            assert got.size and np.shares_memory(got, op.idx)
+        else:
+            assert got.dtype == np.int64 and got.size == 0
