@@ -11,12 +11,13 @@ whatever its depth, and the sum, elementwise in ascending rank order,
 has the bits of the per-layer sums. No layer's update is needed before
 the backward pass ends, since each layer's input gradient uses the
 weights of the epoch's start. Layer 0's forward product
-ÂᵀX depends only on the fixed features, so one training call multiplies
-it once: every later epoch still runs and charges that phase's exchange
-(and its row all-reduce when c > 1), and hands back the held product
-instead of multiplying again. So each epoch's ledger, collective calls
-and 2*(layers-1) phases are those of an epoch that multiplies in every
-phase. Weights are replicated:
+ÂᵀX depends only on the fixed features, so a training call with epochs
+to run makes every rank's part of it once, before the run, on the calling
+thread (`DistOperand.product`): every epoch still runs and charges that
+phase's exchange (and its row all-reduce when c > 1), which hands back
+the held products, read-only, without reading a row. So each epoch's
+ledger, collective calls and 2*(layers-1) phases are those of an epoch
+that multiplies in every phase. Weights are replicated:
 every rank initializes them from the same seed and applies bit-identical
 updates, so no weight broadcast is ever needed; the same holds for the
 non-finite check after each update, which every rank makes locally and
@@ -25,12 +26,13 @@ fails at the same epoch without any extra communication.
 The serial path runs the identical arithmetic on the undistributed
 matrices and is the correctness reference for the distributed one.
 
-Reruns are bit-identical for a fixed BLAS thread count. The dense
-products go to the BLAS, whose sums may change in their last bits with
-its thread count: a p=8, c=2 15d-sparse run's epoch-2 loss reads
-1.2037992819753673 with OpenBLAS's default threads and
-1.2037992819753676 with one thread, and the weights differ likewise.
-`bench/run.py` pins one BLAS thread.
+Reruns are bit-identical. The dense products go to the BLAS, whose sums
+may change in their last bits with its thread count, so both paths run
+them on one thread of numpy's bundled OpenBLAS (`runtime._one_blas_thread`)
+and restore the caller's count after: a p=8, c=2 15d-sparse run gives the
+same losses and weights under OpenBLAS's default threads as under
+`OPENBLAS_NUM_THREADS=1`. Where numpy uses another BLAS, its thread count
+is left as it is, and the last bits may depend on it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partition import apply_partition
-from .runtime import ProcessGrid, run_program
+from .runtime import ProcessGrid, _one_blas_thread, run_program
 from .sparse import CsrMatrix, csr_equal, gemm, local_spmm, transpose_csr
 from .spmm import (_check_matrix, _layout_partition, build_dist_matrices, exchange_index_lists,
                    spmm_kernel, validate_variant_grid)
@@ -298,21 +300,23 @@ def _check_finite_weights(weights, epoch):
 
 
 def serial_train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig) -> TrainResult:
-    """Full-batch gradient descent on one process; the reference run."""
+    """Full-batch gradient descent on one process; the reference run. Its
+    dense products use one BLAS thread, as a distributed run's do."""
     features, labels, mask = _check_train_inputs(a_hat, features, labels, train_mask)
     weights = init_weights(cfg, features.shape[1], int(labels.max()) + 1)
     net = SerialGcn(a_hat, weights)
     denom = int(mask.sum())
     history = []
-    for epoch in range(cfg.epochs):
-        logits = net.forward(features)
-        loss_sum, grad, correct = _xent_parts(logits, labels, mask, denom)
-        ys = net.backward(grad)
-        for w, y in zip(weights, ys):
-            w -= cfg.lr * y
-        _check_finite_weights(weights, epoch)
-        history.append({"epoch": epoch, "loss": float(loss_sum / denom),
-                        "train_acc": float(correct / denom)})
+    with _one_blas_thread():
+        for epoch in range(cfg.epochs):
+            logits = net.forward(features)
+            loss_sum, grad, correct = _xent_parts(logits, labels, mask, denom)
+            ys = net.backward(grad)
+            for w, y in zip(weights, ys):
+                w -= cfg.lr * y
+            _check_finite_weights(weights, epoch)
+            history.append({"epoch": epoch, "loss": float(loss_sum / denom),
+                            "train_acc": float(correct / denom)})
     return TrainResult(history, weights)
 
 
@@ -349,7 +353,11 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
     denom = int(mask.sum())
     weights0 = init_weights(cfg, features.shape[1], int(labels.max()) + 1)
     splits = np.cumsum([w.size for w in weights0])[:-1]  # of the gradient bucket
-    held = []  # every rank's layer-0 forward product, made by epoch 0
+    held = None  # every rank's layer-0 forward product, made once before the run
+    if cfg.epochs > 0:
+        held = dm.fwd.product(feats2)
+        for z in held:
+            z.setflags(write=False)
 
     def program(comm):
         i, j = comm.coords

@@ -25,7 +25,10 @@ lock release with no Python-level wait queue behind it. Where the
 platform allows, the rank threads also run under SCHED_BATCH, so a woken
 rank waits for the rank that released it to drop the interpreter lock
 rather than preempting it, only to find that lock still taken and sleep
-again.
+again. For the same reason a run's dense products use one thread of
+numpy's bundled OpenBLAS, whose previous count the run restores: more
+threads would only spend CPU, and a product's last bits may change with
+their count.
 
 Payloads are numpy arrays of float64 (dense data) or int64 (index lists);
 either way a payload of m elements is charged as 8*m bytes. Accounting
@@ -46,7 +49,11 @@ Collectives do not copy their inputs on arrival: every member stays
 blocked until the last one to arrive has built the collective's one
 result, which every member returns, so no input can change in between.
 That last arrival also retires the collective, so the run keeps no state
-for a completed one. `all_reduce_sum` returns one read-only sum and
+for a completed one. The run is bulk-synchronous: the members of a group
+enter its collectives in one order, and none leaves one before it is
+retired, so a group never has two open collectives of one kind. A
+collective's slot is therefore keyed by its kind and group alone, with no
+sequence number. `all_reduce_sum` returns one read-only sum and
 `broadcast` one read-only copy of the root's payload, each shared by every
 member of the group; `recv` returns the sender's copy, and `all_to_allv`
 what its `then` makes. No call keeps a reference into a buffer handed to
@@ -107,10 +114,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import glob
 import math
 import os
 import threading
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,11 +319,13 @@ class _Runtime:
     created held and released once per hand-off; the baton holder is the
     only thread running program code, and it releases the next rank only
     after its last write to shared state, so no lock is needed. `ready`
-    is the FIFO queue of ranks that can run, `waiters` maps a wait key,
-    ("mail", (src, dst, tag)) or ("slot", collective key), to the ranks
-    parked on it, and `blocked` maps each parked rank to what it waits
-    for. A rank that blocks or finishes with `ready` empty while `blocked`
-    is not is a deadlock: nothing left can wake anyone.
+    is the FIFO queue of ranks that can run, and `blocked` maps each
+    parked rank to what it waits for, which is all an event needs to find
+    whom it wakes: a send wakes its receiver only when that rank is parked
+    on exactly ("recv", src, dst, tag), a collective's completion the
+    members parked in its slot, in the order they parked, and an abort
+    every parked rank. A rank that blocks or finishes with `ready` empty
+    while `blocked` is not is a deadlock: nothing left can wake anyone.
 
     `pick` chooses which ready rank runs next: None, the default, takes
     the queue's head; a callable, pick(ready) -> position in `ready`, may
@@ -335,7 +346,6 @@ class _Runtime:
         for baton in self.baton:
             baton.acquire()
         self.ready = deque(range(grid.p))
-        self.waiters = {}
         self.blocked = {}
         self.deadlock = None
         self.program_error = None
@@ -357,16 +367,18 @@ class _Runtime:
                 del self.ready[at]
             self.baton[rank].release()
 
-    def _wake(self, key):
-        for rank in self.waiters.pop(key, ()):
-            del self.blocked[rank]
-            self.ready.append(rank)
+    def _wake(self, ranks):
+        """Make ready, in the given order, those of `ranks` that are
+        parked."""
+        for rank in ranks:
+            if self.blocked.pop(rank, None) is not None:
+                self.ready.append(rank)
 
     def _wake_all(self):
-        for key in list(self.waiters):
-            self._wake(key)
+        self.ready.extend(self.blocked)
+        self.blocked.clear()
 
-    def _wait_until(self, rank, predicate, info, key):
+    def _wait_until(self, rank, predicate, info):
         # caller holds the baton
         while True:
             if self.deadlock is not None or self.program_error is not None:
@@ -374,7 +386,6 @@ class _Runtime:
             if predicate():
                 return
             self.blocked[rank] = info
-            self.waiters.setdefault(key, []).append(rank)
             self._hand_off()
             self.baton[rank].acquire()
 
@@ -547,7 +558,6 @@ class Comm:
         self.p = runtime.grid.p
         self.c = runtime.grid.c
         self.coords = runtime.grid.coords(rank)
-        self._seq = {}
 
     # ---- point to point ----------------------------------------------
 
@@ -567,7 +577,8 @@ class Comm:
             kind = CommLedger._kind(arr)
             rt.ledger.charge("p2p", "sent", self.rank, nbytes, kind)
             rt.ledger.record_pairs(self.rank, dst, nbytes, kind)
-        rt._wake(("mail", key))
+        if rt.blocked.get(dst) == ("recv", self.rank, dst, tag):
+            rt._wake((dst,))
 
     def recv(self, src, tag=0) -> np.ndarray:
         """Blocking receive matching (src, this rank, tag); messages on the
@@ -576,8 +587,7 @@ class Comm:
             raise ValueError(f"source rank {src} out of range")
         key = (src, self.rank, tag)
         rt = self._rt
-        rt._wait_until(self.rank, lambda: rt.mail.get(key),
-                       ("recv", src, self.rank, tag), ("mail", key))
+        rt._wait_until(self.rank, lambda: rt.mail.get(key), ("recv", src, self.rank, tag))
         payload = rt.mail[key].popleft()
         if not rt.mail[key]:
             del rt.mail[key]
@@ -592,21 +602,18 @@ class Comm:
     def _collective(self, kind, group, payload, complete):
         """Rendezvous of every rank in `group`; the last arrival runs
         `complete` exactly once to build the one result every member
-        returns and the ledger charges, and retires the slot: every member
-        already holds it. A collective of a ledger primitive charges every
-        member one call. The run's `world` is keyed by `kind` alone, so
-        its members hash no p-tuple and scan no group."""
+        returns and the ledger charges, retires the slot, since every
+        member already holds it, and wakes the members parked in it. A
+        collective of a ledger primitive charges every member one call.
+        No member leaves before the slot is retired, so the group has one
+        open collective of a kind at a time: its slot is keyed by (kind,
+        group), and the run's `world`'s by `kind` alone, so its members
+        hash no p-tuple and scan no group."""
         rt = self._rt
         world = group is rt.world
-        if world:
-            name = kind
-        elif self.rank in group:
-            name = (kind, group)
-        else:
+        if not world and self.rank not in group:
             raise ValueError(f"rank {self.rank} is not in group {group}")
-        seq = self._seq.get(name, 0)
-        self._seq[name] = seq + 1
-        key = (name, seq)
+        key = kind if world else (kind, group)
         slot = rt.slots.get(key)
         if slot is None:
             slot = rt.slots[key] = _CollectiveSlot()
@@ -620,10 +627,9 @@ class Comm:
             except Exception as exc:  # propagate to every member
                 slot.error = exc
             slot.done = True
-            rt._wake(("slot", key))
+            rt._wake(slot.arrivals)
         else:
-            rt._wait_until(self.rank, lambda: slot.done,
-                           ("collective", kind, group, seq), ("slot", key))
+            rt._wait_until(self.rank, lambda: slot.done, ("collective", kind, group))
         if slot.error is not None:
             raise slot.error
         return slot.output
@@ -807,6 +813,46 @@ def _batch_policy():
         pass
 
 
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS
+    (numpy.libs/libscipy_openblas64_*.so, the library numpy has already
+    loaded), or None where numpy bundles no such library or it lacks
+    them: a numpy built on another BLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, and
+    restore its previous thread count after, also when the body raises.
+    Only one rank runs at a time, so more BLAS threads only spend CPU,
+    and a dense product's last bits may change with their count. Where
+    numpy bundles no OpenBLAS (`_openblas`), the BLAS is left as it is,
+    and a product's bits may then depend on its thread count."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 @dataclass
 class RunResult:
     results: list
@@ -817,6 +863,9 @@ class RunResult:
 def run_program(p, c, program, args=()) -> RunResult:
     """Run `program(comm, *args)` on every rank of a (p/c) x c grid to
     completion and return the per-rank results and the ledger.
+
+    The run's dense products use one BLAS thread (`_one_blas_thread`),
+    so their bits do not depend on the caller's thread count.
 
     Raises DeadlockError when every live rank is blocked with no message
     in flight that could wake it (the report names the blocked ranks and
@@ -847,13 +896,14 @@ def run_program(p, c, program, args=()) -> RunResult:
         rt.finish(rank, error)
 
     threads = [threading.Thread(target=runner, args=(r,), name=f"rank-{r}") for r in range(p)]
-    for t in threads:
-        t.start()
-    rt._hand_off()
-    for t in threads:
-        t.join(timeout=600.0)
-        if t.is_alive():
-            raise SimulationError("simulated rank failed to terminate")
+    with _one_blas_thread():
+        for t in threads:
+            t.start()
+        rt._hand_off()
+        for t in threads:
+            t.join(timeout=600.0)
+            if t.is_alive():
+                raise SimulationError("simulated rank failed to terminate")
     if rt.program_error is not None:
         rank, exc = rt.program_error
         raise exc

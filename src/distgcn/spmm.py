@@ -59,7 +59,6 @@ from its block's stored entries and the width) can give.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,15 +123,20 @@ class DistOperand:
     def cols(self, i, j) -> np.ndarray:
         return self.idx[self.ptr[j, i]:self.ptr[j, i + 1]]
 
-    def multiply(self, bufs) -> list:
-        """Every rank's local product of one phase, as the `then` of its
-        exchange, from every rank's buffer: one multiply of `matrix` for
-        the whole grid with the stage owners' block rows, of which each
+    def product(self, h) -> list:
+        """Every rank's local product with the dense operand h, given in
+        global row order, which is the stage owners' block rows in block
+        order: one multiply of `matrix` for the whole grid, of which each
         rank's product is its row slice. `local_spmm` sums each row in
         storage order whatever the other rows are, so the products are
         bit for bit the per-rank ones."""
-        h = np.concatenate([bufs[r] for r in self.owners])
         return np.split(local_spmm(self.matrix, h), self.row_off[1:-1])
+
+    def multiply(self, bufs) -> list:
+        """Every rank's local product of one phase, as the `then` of its
+        exchange, from every rank's buffer: the `product` of the stage
+        owners' block rows, stacked."""
+        return self.product(np.concatenate([bufs[r] for r in self.owners]))
 
     def index_lists(self, bufs) -> list:
         """Every rank's received lists of the index exchange, as its
@@ -318,31 +322,20 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, held=None):
     the exchange's completion, as one `local_spmm` of the operand's
     matrix with the stage owners' block rows (`DistOperand.multiply`).
 
-    `held` serves a phase whose dense operand is the same in every call,
-    as layer 0's forward operand is in one training call: a list, empty
-    before the first call, that every rank passes. The first call's
-    multiply fills it with every rank's product, made read-only, and each
-    later call's completion returns those instead of multiplying, and so
-    reads no row. Every call still runs the exchange and, when c > 1,
-    the row all-reduce, so the ledger and the collective calls are those
-    of a multiplying phase.
+    `held` serves a phase whose dense operand is fixed, as layer 0's
+    forward operand is in one training call: every rank's product, made
+    before the run (`DistOperand.product`), which every rank passes.
+    The completion then hands these back, reading no row, so a caller
+    should make them read-only. Every call still runs the exchange and,
+    when c > 1, the row all-reduce, so the ledger and the collective calls
+    are those of a multiplying phase.
     """
     h_block = np.asarray(h_block, dtype=np.float64)
-    then = op.multiply if held is None else functools.partial(_hold, held, op.multiply)
+    then = op.multiply if held is None else lambda bufs: held
     z = comm.all_to_allv(h_block, op.schedule, then=then)
     if comm.c == 1:
         return z
     return comm.all_reduce_sum(z, group=comm.grid.row_group(comm.coords[0]))
-
-
-def _hold(held: list, multiply, bufs) -> list:
-    """A held phase's `then`: the products `held` keeps, which the first
-    call makes with `multiply` and makes read-only."""
-    if not held:
-        held.extend(multiply(bufs))
-        for z in held:
-            z.setflags(write=False)
-    return held
 
 
 def _owner_counts(sent, c) -> np.ndarray:

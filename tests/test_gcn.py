@@ -1,14 +1,23 @@
+import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distgcn.gcn
+import distgcn.runtime
+import distgcn.spmm
 from distgcn.gcn import (SerialGcn, TrainConfig, _xent_parts, init_weights, relu_grad,
                          serial_train, softmax_xent, train)
 from distgcn.graphgen import clique_blocks, sbm
 from distgcn.sparse import CsrMatrix, csr_from_dense, gcn_normalize
-from distgcn.partition import greedy_tv_partition
+from distgcn.partition import apply_partition, greedy_tv_partition
+from distgcn.spmm import serial_reference
 
 from oracles import numeric_gradient, random_csr_dense, xent_parts_axis1
 
@@ -495,3 +504,97 @@ def test_disjoint_cliques_epoch_is_one_gradient_reduction(variant, c, layers):
         assert per_epoch[prim]["msgs_sent"].tolist() == [0] * p
     assert per_epoch["allreduce"]["msgs_sent"].tolist() == (
         [2 * int(math.log2(grid_rows)) + 2 * (layers - 1) * 2 * int(math.log2(c))] * p)
+
+
+# ---- layer 0's product and the BLAS ----------------------------------------
+
+def test_training_without_epochs_multiplies_nothing(monkeypatch):
+    calls = []
+    spmm = distgcn.spmm.local_spmm
+    monkeypatch.setattr(distgcn.spmm, "local_spmm", lambda a, h: calls.append(1) or spmm(a, h))
+    a, features, labels, mask = random_problem(5, n=24)
+    for variant, p, c in [("1d-sparse", 4, 1), ("1d-oblivious", 4, 1), ("15d-sparse", 8, 2)]:
+        train(a, features, labels, mask, TrainConfig(epochs=0, variant=variant), p=p, c=c)
+    assert calls == []
+
+
+@pytest.mark.parametrize("variant", ["1d-sparse", "1d-oblivious"])
+def test_layer_0_products_are_made_before_the_run_read_only(variant, monkeypatch):
+    # every rank passes the same products, made once from the permuted
+    # features: stacked, they are the serial product of the permuted
+    # matrix, through zero-row ranks too
+    holds = []
+    kernel = distgcn.gcn.spmm_kernel
+
+    def spy(comm, op, h_block, held=None):
+        if held is not None:
+            holds.append(held)
+        return kernel(comm, op, h_block, held=held)
+
+    monkeypatch.setattr(distgcn.gcn, "spmm_kernel", spy)
+    graph, x, y = sbm(100, blocks=4, p_in=0.1, p_out=0.01, seed=0, feature_dim=3)
+    a = gcn_normalize(graph)
+    part = greedy_tv_partition(a, 32)
+    assert any(s == e for s, e in part.boundaries)  # a zero-row rank
+    cfg = TrainConfig(epochs=2, variant=variant)
+    train(a, x, y, np.arange(100) % 2 == 0, cfg, p=32, partition=part)
+    assert len(holds) == 32 * cfg.epochs
+    products = holds[0]
+    assert all(h is products for h in holds)
+    assert not any(z.flags.writeable for z in products)
+    a2, x2 = apply_partition(a, x, part)
+    assert np.vstack(products).tobytes() == serial_reference(a2, x2).tobytes()
+
+
+_BLAS_CHILD = """
+import sys
+import numpy as np
+from distgcn.gcn import TrainConfig, train
+from distgcn.graphgen import sbm
+from distgcn.sparse import gcn_normalize
+
+graph, x, y = sbm(2000, blocks=4, feature_dim=128, seed=7)
+res = train(gcn_normalize(graph), x, y, np.arange(2000) % 2 == 0,
+            TrainConfig(epochs=2, variant="15d-sparse"), p=8, c=2)
+sys.stdout.buffer.write(res.losses.tobytes() + b"".join(w.tobytes() for w in res.weights))
+"""
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif((_cpus() or 1) < 2, reason="one CPU: OpenBLAS runs one thread anyway")
+def test_training_does_not_depend_on_the_blas_thread_count():
+    # a child with OpenBLAS's default threads and one with a single thread
+    # train to the same losses and weights, byte for byte
+    src = str(Path(distgcn.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS",
+                                                            "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD], capture_output=True,
+                              env={**env, **threads}, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(hashlib.sha256(proc.stdout).hexdigest())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif(distgcn.runtime._openblas() is None,
+                    reason="numpy bundles no OpenBLAS here")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_serial_training_restores_the_blas_thread_count():
+    get, put = distgcn.runtime._openblas()
+    saved = get()
+    a, features, labels, mask = random_problem(3, n=12)
+    try:
+        put(2)
+        before = get()
+        serial_train(a, features, labels, mask, TrainConfig(epochs=2, variant="serial"))
+        assert get() == before
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            serial_train(a, features, labels, mask, TrainConfig(lr=1e150, epochs=20))
+        assert get() == before
+    finally:
+        put(saved)

@@ -1095,6 +1095,99 @@ def test_deadlock_at_p64_on_an_exchange_names_every_waiting_rank():
     assert {blocked[r][:2] for r in blocked} == {("collective", "alltoallv")}
 
 
+def _reentry_program(comm, schedule, then):
+    # row, column and world all-reduces back to back, then one exchange
+    # twice in a row: the last arrival at each returns and enters the next
+    # collective of its kind and group while the other members are still
+    # parked in the one it completed. Every payload depends on the call,
+    # so arrivals credited to another call would change the bits.
+    i, j = comm.coords
+    row, col = comm.grid.row_group(i), comm.grid.col_group(j)
+    x = np.arange(3.0) + comm.rank
+    outs = []
+    for step in range(4):
+        for group in (row, col, None):
+            x = comm.all_reduce_sum(x * (step + 1) + comm.rank, group=group) / 7
+            outs.append(x)
+    for call in range(2):
+        buf = np.arange(float(schedule.heights[comm.rank])) * (call + 1) - comm.rank
+        outs.append(comm.all_to_allv(buf, schedule, then))
+    return [out.tobytes() for out in outs]
+
+
+def test_collectives_reentered_before_members_return_match_fifo(monkeypatch):
+    # one open collective per (kind, group): a member may enter the next
+    # one before the members of the last have returned, under any order of
+    # the ready ranks
+    p = 16
+    counts = np.random.default_rng(4).integers(0, 3, size=(p, p))
+    schedule, then = _packed(counts)
+
+    def outputs():
+        run = run_program(p, 4, _reentry_program, (schedule, then))
+        return run.results, json.dumps(run.ledger.to_dict(), sort_keys=True)
+
+    fifo = outputs()
+    policies = [lambda ready, rng=np.random.default_rng(seed): int(rng.integers(len(ready)))
+                for seed in range(10)]
+    policies.append(lambda ready: max(range(len(ready)), key=ready.__getitem__))
+    for pick in policies:
+        monkeypatch.setattr(distgcn.runtime._Runtime, "pick", staticmethod(pick))
+        assert outputs() == fifo
+
+
+def test_recv_stays_parked_until_its_own_message_arrives():
+    # rank 0 parks in recv(src=1, tag=0): a send from rank 2, or on tag 1,
+    # leaves it parked, and it then receives every message in FIFO order
+    waiting = ("recv", 1, 0, 0)
+
+    def parked(rt):
+        return rt.blocked.get(0) == waiting and 0 not in rt.ready
+
+    def program(comm):
+        rt = comm._rt
+        if comm.rank == 0:
+            return [comm.recv(1, 0), comm.recv(1, 0), comm.recv(1, 1), comm.recv(2, 0)]
+        if comm.rank == 1:
+            comm.isend(0, np.array([1.0]), tag=1)
+            still = parked(rt)
+            comm.recv(2)  # rank 2 sends before this rank's tag-0 sends
+            comm.isend(0, np.array([2.0]))
+            comm.isend(0, np.array([3.0]))
+            return still
+        comm.isend(0, np.array([4.0]))
+        still = parked(rt)
+        comm.isend(1, np.zeros(0))
+        return still
+
+    got, *still = run_program(3, 1, program).results
+    assert still == [True, True]
+    assert [m.tolist() for m in got] == [[2.0], [3.0], [1.0], [4.0]]
+
+
+@pytest.mark.skipif(distgcn.runtime._openblas() is None,
+                    reason="numpy bundles no OpenBLAS here")
+def test_runs_use_one_blas_thread_and_restore_the_count():
+    get, put = distgcn.runtime._openblas()
+    saved = get()
+
+    def failing(comm):
+        if comm.rank == 2:
+            raise RuntimeError("rank 2 fails")
+        comm.all_reduce_sum(np.ones(1))
+
+    try:
+        put(2)
+        before = get()
+        assert run_program(4, 1, lambda comm: get()).results == [1] * 4
+        assert get() == before
+        with pytest.raises(RuntimeError, match="rank 2 fails"):
+            run_program(4, 1, failing)
+        assert get() == before
+    finally:
+        put(saved)
+
+
 @pytest.mark.parametrize("error", [RuntimeError, SystemExit])
 def test_error_at_p64_propagates_from_parked_collective(error):
     p = 64

@@ -513,7 +513,7 @@ def test_fused_multiply_matches_per_rank_products_on_c3_and_c4_grids(variant, p,
 def test_training_hands_back_epoch_0s_layer_0_products_read_only(variant, p, c,
                                                                   monkeypatch):
     # layer 0's forward operand is the fixed features, so its products are
-    # multiplied in epoch 0 and handed back in later epochs, through zero-row
+    # made before the run and handed back in every epoch, through zero-row
     # ranks too: what every rank receives must be the bits of its own
     # multiply, and no rank may write to them
     received = {}  # rank -> what each of its multiplying exchanges returned
@@ -549,7 +549,7 @@ def test_training_hands_back_epoch_0s_layer_0_products_read_only(variant, p, c,
         first, *later = received[r][::2 * (cfg.layers - 1)]
         assert len(later) == cfg.epochs - 1
         assert first.tobytes() == own[r].tobytes()
-        for z in later:
+        for z in [first, *later]:
             assert z.shape == own[r].shape and z.tobytes() == first.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 z[...] = 0.0
@@ -987,22 +987,24 @@ def test_index_exchange_stacks_the_shared_index_once():
 
 @pytest.mark.parametrize("variant", ["1d-sparse", "1d-oblivious"])
 def test_held_phase_stacks_no_row_after_its_first_call(variant):
-    # a later call of a held phase hands back the kept products, so its
-    # completion reads no row and must not concatenate the owners' block
-    # rows: 1 MB here, which the first call does concatenate
+    # the products of a held phase are made before the run, so every call
+    # of it, a run's first included, hands them back: its completion reads
+    # no row and must not concatenate the owners' block rows, 1 MB here
     graph, h, _ = sbm(4000, blocks=4, p_in=0.01, p_out=0.001, seed=2, feature_dim=32)
     a = gcn_normalize(graph)
     part = block_partition(4000, 4)
     a2, h2 = apply_partition(a, h, part)
     op = build_dist_matrices(a2, part.boundaries, ProcessGrid(4, 1), variant).fwd
-    held = []
+    held = op.product(h2)
+    for z in held:
+        z.setflags(write=False)
 
     def program(comm):
         r0, r1 = part.boundaries[comm.rank]
         return spmm_kernel(comm, op, h2[r0:r1], held=held)
 
     _, idle = _traced_peak(4, 1, lambda comm: None)
-    run, later = _traced_peak(4, 1, program)  # the warm-up run fills `held`
+    run, later = _traced_peak(4, 1, program)  # the phase's first call of the run
     schedule = op.schedule
     stacked = h2.itemsize * h2.shape[1] * sum(schedule.heights[s] for s in op.owners)
     assert stacked == h2.nbytes
