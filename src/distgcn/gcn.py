@@ -360,15 +360,13 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
             z.setflags(write=False)
 
     def program(comm):
-        i, j = comm.coords
-        r0, r1 = dm.boundaries[i]
+        r0, r1 = dm.boundaries[comm.coords[0]]
         h0 = feats2[r0:r1]
         yb, mb = labels2[r0:r1], mask2[r0:r1]
         ws = [w.copy() for w in weights0]
         exchange_index_lists(comm, dm.fwd)
         if dm.bwd is not dm.fwd:
             exchange_index_lists(comm, dm.bwd)
-        col_group = comm.grid.col_group(j)
         stats = np.zeros((cfg.epochs, 2))
         last = len(ws) - 1
         for epoch in range(cfg.epochs):
@@ -388,7 +386,7 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
                     g = gemm(m, ws[l].T) * relu_grad(zs[l - 1])
             # one bucketed reduction of every layer's gradient; the sum is
             # elementwise, so each layer's part has the bits of its own sum
-            bucket = comm.all_reduce_sum(np.concatenate(ys), group=col_group)
+            bucket = comm.all_reduce_sum(np.concatenate(ys), group=comm.col)
             for w, y in zip(ws, np.split(bucket, splits)):
                 w -= cfg.lr * y.reshape(w.shape)
             _check_finite_weights(ws, epoch)

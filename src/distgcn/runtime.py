@@ -49,20 +49,25 @@ Collectives do not copy their inputs on arrival: every member stays
 blocked until the last one to arrive has built the collective's one
 result, which every member returns, so no input can change in between.
 That last arrival also retires the collective, so the run keeps no state
-for a completed one. The run is bulk-synchronous: the members of a group
-enter its collectives in one order, and none leaves one before it is
-retired, so a group never has two open collectives of one kind. A
-collective's slot is therefore keyed by its kind and group alone, with no
-sequence number. `all_reduce_sum` returns one read-only sum and
+for a completed one. Collectives run over communicators that the run
+makes once, as `MPI_Comm_split` makes them: the world, each grid row and
+each grid column, which a rank's handle gives out as `comm.world`,
+`comm.row` and `comm.col` (a row of the whole grid, or a column at c = 1,
+is the world itself). The run is bulk-synchronous: the members of a
+communicator enter its collectives in one order, and none leaves one
+before it is retired, so a communicator has at most one open collective,
+of any kind, and holds it itself. An arrival therefore finds its
+collective with no key and no sequence number, scans no group, and does
+no work that grows with p; an arrival of another kind than the open
+collective's means the members call collectives in different orders, and
+raises a SimulationError. `all_reduce_sum` returns one read-only sum and
 `broadcast` one read-only copy of the root's payload, each shared by every
 member of the group; `recv` returns the sender's copy, and `all_to_allv`
 what its `then` makes. No call keeps a reference into a buffer handed to
 it: `isend` copies its payload at call time, and `all_to_allv` hands the
 buffers to its `then` only, which has returned before any member does. A
 caller may therefore write to any buffer it passed as soon as the call
-returns. Every collective of the whole grid runs over one group, the
-run's `world`, built once, so a rank's arrival does no work that grows
-with p.
+returns.
 
 An `all_to_allv` runs in two steps, as an inspector and an executor.
 The inspector, `plan_all_to_allv`, runs once ahead of an exchange's
@@ -120,7 +125,7 @@ import os
 import threading
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -303,13 +308,24 @@ class _Abort(Exception):
 
 
 class _CollectiveSlot:
-    __slots__ = ("arrivals", "output", "done", "error")
+    __slots__ = ("kind", "arrivals", "output", "error")
 
-    def __init__(self):
+    def __init__(self, kind):
+        self.kind = kind
         self.arrivals = {}
         self.output = None
-        self.done = False
         self.error = None
+
+
+@dataclass(eq=False)
+class _Communicator:
+    """One group of ranks, made once per run as `MPI_Comm_split` makes
+    one: its members in ascending rank order, the slice of the ledger's
+    per-rank arrays that indexes them, and its open collective, if any."""
+
+    members: tuple
+    ranks: slice
+    open: _CollectiveSlot = field(default=None, repr=False)
 
 
 class _Runtime:
@@ -327,6 +343,12 @@ class _Runtime:
     every parked rank. A rank that blocks or finishes with `ready` empty
     while `blocked` is not is a deadlock: nothing left can wake anyone.
 
+    `world`, `rows` and `cols` are the run's communicators, made once
+    before any rank runs: the world and one per grid row and grid column
+    (the world where a row or column holds every rank), each with its
+    ascending members, the ledger slice that indexes them and its open
+    collective.
+
     `pick` chooses which ready rank runs next: None, the default, takes
     the queue's head; a callable, pick(ready) -> position in `ready`, may
     run any of them. It is a class attribute that only tests set (as a
@@ -338,9 +360,13 @@ class _Runtime:
 
     def __init__(self, grid: ProcessGrid):
         self.grid = grid
-        self.world = tuple(range(grid.p))
+        p, c = grid.p, grid.c
+        self.world = _Communicator(tuple(range(p)), slice(None))
+        self.rows = [self.world] if c == p else [
+            _Communicator(grid.row_group(i), slice(i * c, i * c + c)) for i in range(p // c)]
+        self.cols = [self.world] if c == 1 else [
+            _Communicator(grid.col_group(j), slice(j, p, c)) for j in range(c)]
         self.mail = {}
-        self.slots = {}
         self.ledger = CommLedger(grid.p)
         self.baton = [threading.Lock() for _ in range(grid.p)]
         for baton in self.baton:
@@ -558,6 +584,8 @@ class Comm:
         self.p = runtime.grid.p
         self.c = runtime.grid.c
         self.coords = runtime.grid.coords(rank)
+        self.world = runtime.world
+        self.row, self.col = runtime.rows[self.coords[0]], runtime.cols[self.coords[1]]
 
     # ---- point to point ----------------------------------------------
 
@@ -600,36 +628,38 @@ class Comm:
     # ---- collectives --------------------------------------------------
 
     def _collective(self, kind, group, payload, complete):
-        """Rendezvous of every rank in `group`; the last arrival runs
-        `complete` exactly once to build the one result every member
-        returns and the ledger charges, retires the slot, since every
-        member already holds it, and wakes the members parked in it. A
-        collective of a ledger primitive charges every member one call.
-        No member leaves before the slot is retired, so the group has one
-        open collective of a kind at a time: its slot is keyed by (kind,
-        group), and the run's `world`'s by `kind` alone, so its members
-        hash no p-tuple and scan no group."""
+        """Rendezvous of every member of the communicator `group`; the
+        last arrival runs `complete` exactly once to build the one result
+        every member returns and the ledger charges, retires the
+        collective, since every member already holds it, and wakes the
+        members parked in it. A collective of a ledger primitive charges
+        every member one call. No member leaves before the collective is
+        retired, so the communicator has at most one open collective, of
+        any kind, and a parked member's collective is done once it is no
+        longer the open one.
+        An arrival of another kind than the open collective's is a
+        program whose members call collectives in different orders: it
+        raises a SimulationError rather than deadlocking."""
         rt = self._rt
-        world = group is rt.world
-        if not world and self.rank not in group:
-            raise ValueError(f"rank {self.rank} is not in group {group}")
-        key = kind if world else (kind, group)
-        slot = rt.slots.get(key)
+        slot = group.open
         if slot is None:
-            slot = rt.slots[key] = _CollectiveSlot()
+            slot = group.open = _CollectiveSlot(kind)
+        elif slot.kind != kind:
+            raise SimulationError(f"rank {self.rank} enters {kind} over ranks {group.members} "
+                                  f"while their {slot.kind} is open")
         slot.arrivals[self.rank] = payload
-        if len(slot.arrivals) == len(group):
-            del rt.slots[key]
+        if len(slot.arrivals) == len(group.members):
+            group.open = None
             try:
                 slot.output = complete(slot.arrivals)
                 if kind in PRIMITIVES:
-                    rt.ledger.counters[kind]["calls"][slice(None) if world else list(group)] += 1
+                    rt.ledger.counters[kind]["calls"][group.ranks] += 1
             except Exception as exc:  # propagate to every member
                 slot.error = exc
-            slot.done = True
             rt._wake(slot.arrivals)
         else:
-            rt._wait_until(self.rank, lambda: slot.done, ("collective", kind, group))
+            rt._wait_until(self.rank, lambda: group.open is not slot,
+                           ("collective", kind, group.members))
         if slot.error is not None:
             raise slot.error
         return slot.output
@@ -661,13 +691,12 @@ class Comm:
         if not isinstance(schedule, ExchangeSchedule):
             raise TypeError("all_to_allv needs the ExchangeSchedule of its exchange "
                             f"(plan_all_to_allv), got {type(schedule).__name__}")
-        world = self._rt.world
         ledger = self._rt.ledger
 
         def complete(arrivals):
-            args = [arrivals[s] for s in world]
+            args = [arrivals[s] for s in range(self.p)]
             plan, then = args[0][1:]
-            others = [s for s in world if args[s][1] is not plan]
+            others = [s for s in range(self.p) if args[s][1] is not plan]
             if others:
                 raise ValueError(f"all_to_allv: ranks {others} pass another schedule than "
                                  "rank 0; every rank must pass the same one")
@@ -675,7 +704,8 @@ class Comm:
             _execute(plan, bufs, ledger)
             return then(bufs)
 
-        return self._collective("alltoallv", world, (arr, schedule, then), complete)[self.rank]
+        return self._collective("alltoallv", self.world, (arr, schedule, then),
+                                complete)[self.rank]
 
     def broadcast(self, root, buf=None) -> np.ndarray:
         """Every rank returns the root's payload, as one read-only array
@@ -700,44 +730,46 @@ class Comm:
             ledger.record_pairs(root, others, nbytes, kind)
             return shared
 
-        return self._collective("broadcast", self._rt.world, payload, complete)
+        return self._collective("broadcast", self.world, payload, complete)
 
     def all_reduce_sum(self, buf, group=None) -> np.ndarray:
-        """Elementwise sum over the group, reduced in ascending rank order,
-        as one read-only array shared by every member (a copy of the
-        payload for a group of one). Every member must send the same dtype
-        and shape. Each member is charged the elements and messages it
-        sends and receives in the schedule `all_reduce_counts` gives for
-        the group size: 2*log2(g) messages each way for a group of a power
-        of two, and 2(g-1) in the ring otherwise, less the steps that move
-        no element."""
-        world = self._rt.world
-        group = world if group is None else tuple(sorted(group))
-        if group is not world and group == world:
-            group = world  # the same collective as a call that names no group
+        """Elementwise sum over the communicator `group`, the caller's
+        `comm.world` (the default), `comm.row` or `comm.col`, reduced in
+        ascending rank order, as one read-only array shared by every
+        member (a copy of the payload for a group of one). Any other group
+        raises a ValueError. Every member must send the same dtype and
+        shape. Each member is charged the elements and messages it sends
+        and receives in the schedule `all_reduce_counts` gives for the
+        group size: 2*log2(g) messages each way for a group of a power of
+        two, and 2(g-1) in the ring otherwise, less the steps that move no
+        element."""
+        group = self.world if group is None else group
+        if group is not self.world and group is not self.row and group is not self.col:
+            raise ValueError(f"rank {self.rank}: all_reduce_sum runs over this rank's "
+                             f"comm.world, comm.row or comm.col, not {group!r}")
         payload = _as_payload(buf)
         ledger = self._rt.ledger
+        members, ranks = group.members, group.ranks
 
         def complete(arrivals):
-            shapes = {arrivals[r].shape for r in group}
+            shapes = {arrivals[r].shape for r in members}
             if len(shapes) > 1:
                 raise ValueError(f"all_reduce_sum payload shapes differ: {sorted(shapes)}")
-            dtypes = {arrivals[r].dtype.str for r in group}
+            dtypes = {arrivals[r].dtype.str for r in members}
             if len(dtypes) > 1:
                 raise ValueError(f"all_reduce_sum payload dtypes differ: {sorted(dtypes)}")
-            g = len(group)
-            first = arrivals[group[0]]
+            g = len(members)
+            first = arrivals[members[0]]
             # the first add makes the sum's own array; later adds go in place,
             # each the same IEEE addition as total + arrivals[r]
-            total = first + arrivals[group[1]] if g > 1 else first.copy()
-            for r in group[2:]:
+            total = first + arrivals[members[1]] if g > 1 else first.copy()
+            for r in members[2:]:
                 total += arrivals[r]
             total.setflags(write=False)
             kind = CommLedger._kind(total)
             sent, msgs, received, received_msgs = all_reduce_counts(g, total.size)
-            members = list(group)
-            ledger.charge("allreduce", "sent", members, sent * 8, kind, msgs)
-            ledger.charge("allreduce", "received", members, received * 8, kind, received_msgs)
+            ledger.charge("allreduce", "sent", ranks, sent * 8, kind, msgs)
+            ledger.charge("allreduce", "received", ranks, received * 8, kind, received_msgs)
             return total
 
         return self._collective("allreduce", group, payload, complete)
@@ -750,7 +782,7 @@ class Comm:
         def complete(arrivals):
             ledger.marks[label] = ledger.snapshot()
 
-        self._collective("mark", self._rt.world, None, complete)
+        self._collective("mark", self.world, None, complete)
 
 
 @functools.cache

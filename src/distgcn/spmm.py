@@ -335,7 +335,7 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, held=None):
     z = comm.all_to_allv(h_block, op.schedule, then=then)
     if comm.c == 1:
         return z
-    return comm.all_reduce_sum(z, group=comm.grid.row_group(comm.coords[0]))
+    return comm.all_reduce_sum(z, group=comm.row)
 
 
 def _owner_counts(sent, c) -> np.ndarray:

@@ -17,6 +17,7 @@ from distgcn.gcn import (SerialGcn, TrainConfig, _xent_parts, init_weights, relu
 from distgcn.graphgen import clique_blocks, sbm
 from distgcn.sparse import CsrMatrix, csr_from_dense, gcn_normalize
 from distgcn.partition import apply_partition, greedy_tv_partition
+from distgcn.runtime import ProcessGrid
 from distgcn.spmm import serial_reference
 
 from oracles import numeric_gradient, random_csr_dense, xent_parts_axis1
@@ -598,3 +599,29 @@ def test_serial_training_restores_the_blas_thread_count():
         assert get() == before
     finally:
         put(saved)
+
+
+def test_train_makes_its_communicators_once_per_run(monkeypatch):
+    # the grid's row and column groups are built into communicators when
+    # the run starts, not per call: more epochs build none more
+    calls = {"row": 0, "col": 0}
+    row_group, col_group = ProcessGrid.row_group, ProcessGrid.col_group
+
+    def spy_row(grid, i):
+        calls["row"] += 1
+        return row_group(grid, i)
+
+    def spy_col(grid, j):
+        calls["col"] += 1
+        return col_group(grid, j)
+
+    monkeypatch.setattr(ProcessGrid, "row_group", spy_row)
+    monkeypatch.setattr(ProcessGrid, "col_group", spy_col)
+    a, features, labels, mask = random_problem(11, n=48)
+    counts = []
+    for epochs in (1, 3):
+        calls.update(row=0, col=0)
+        cfg = TrainConfig(hidden=4, epochs=epochs, seed=3, variant="15d-sparse")
+        train(a, features, labels, mask, cfg, p=16, c=4)
+        counts.append(dict(calls))
+    assert counts == [{"row": 4, "col": 4}] * 2

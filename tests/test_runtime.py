@@ -561,10 +561,8 @@ def test_allreduce_shares_one_read_only_sum(g):
     payloads[[0, 2, 3], 1, :] = -0.0
 
     def program(comm):
-        i, _ = comm.coords
-        # the sum runs in ascending rank order whatever order the group names
-        group = tuple(reversed(comm.grid.row_group(i)))
-        return comm.all_reduce_sum(payloads[comm.rank], group=group)
+        # the sum runs over the grid row in ascending rank order
+        return comm.all_reduce_sum(payloads[comm.rank], group=comm.row)
 
     run = run_program(4, g, program)
     for i in range(4 // g):
@@ -606,7 +604,8 @@ def test_broadcast_root_without_buffer_raises():
 
 def test_allreduce_group_of_one():
     def program(comm):
-        return comm.all_reduce_sum(np.array([1.5]), group=(comm.rank,))
+        # at c=1 each grid row is a group of one
+        return comm.all_reduce_sum(np.array([1.5]), group=comm.row)
 
     run = run_program(2, 1, program)
     assert run.results[0][0] == 1.5
@@ -651,24 +650,78 @@ def test_allreduce_rejects_shape_mismatch():
 
 def test_subgroup_allreduce_independent():
     def program(comm):
-        i, j = comm.coords
-        group = comm.grid.row_group(i)
-        return comm.all_reduce_sum(np.array([float(comm.rank)]), group=group)[0]
+        return comm.all_reduce_sum(np.array([float(comm.rank)]), group=comm.row)[0]
 
     run = run_program(4, 2, program)
     assert run.results == [1.0, 1.0, 5.0, 5.0]
 
 
 def test_allreduce_naming_every_rank_is_the_world_collective():
-    # a group of every rank, in any order, is the collective of a call
+    # at c=1 the grid column is the world itself, the collective of a call
     # that names no group, so ranks may mix the two
     def program(comm):
-        group = None if comm.rank % 2 else reversed(range(comm.p))
+        group = None if comm.rank % 2 else comm.col
         return comm.all_reduce_sum(np.array([float(comm.rank)]), group=group)[0]
 
     run = run_program(6, 1, program)
     assert run.results == [15.0] * 6
     assert run.ledger.counters["allreduce"]["calls"].tolist() == [1] * 6
+
+
+def test_communicators_are_made_once_per_run():
+    # every member of a grid row or column holds the one communicator the
+    # run made for it; a row of the whole grid, or a column at c=1, is the
+    # world itself
+    def program(comm):
+        return comm.world, comm.row, comm.col
+
+    run = run_program(8, 2, program)
+    grid = run.grid
+    for r, (world, row, col) in enumerate(run.results):
+        i, j = grid.coords(r)
+        assert world is run.results[0][0] and world.members == tuple(range(8))
+        assert row is run.results[grid.rank_of(i, 0)][1] and row.members == grid.row_group(i)
+        assert col is run.results[grid.rank_of(0, j)][2] and col.members == grid.col_group(j)
+        assert world is not row and world is not col
+    assert all(col is world for world, _, col in run_program(4, 1, program).results)
+    assert all(row is world for world, row, _ in run_program(4, 4, program).results)
+
+
+@pytest.mark.parametrize("foreign", ["tuple", "another row"])
+def test_allreduce_rejects_a_group_that_is_not_the_callers(foreign):
+    # only the caller's own communicators name a group: neither a tuple of
+    # its row's members nor another row's communicator does
+    rows = {}
+
+    def program(comm):
+        rows[comm.rank] = comm.row
+        comm.ledger_mark("rows")
+        group = comm.row
+        if comm.rank == 3:
+            group = comm.grid.row_group(comm.coords[0]) if foreign == "tuple" else rows[0]
+        return comm.all_reduce_sum(np.ones(1), group=group)
+
+    with pytest.raises(ValueError, match="rank 3: all_reduce_sum runs over this rank's"):
+        _bounded(lambda: run_program(4, 2, program))
+    assert not [t for t in threading.enumerate() if t.name.startswith("rank-")]
+
+
+def test_collectives_entered_in_different_orders_raise():
+    # a communicator has one open collective: an arrival of another kind
+    # means its members call collectives in different orders, which is
+    # reported rather than left to deadlock
+    def program(comm):
+        if comm.rank == 0:
+            comm.all_reduce_sum(np.ones(1))
+            comm.ledger_mark("m")
+        else:
+            comm.ledger_mark("m")
+            comm.all_reduce_sum(np.ones(1))
+
+    reported = r"rank 1 enters mark over ranks \(0, 1\) while their allreduce is open"
+    with pytest.raises(SimulationError, match=reported):
+        _bounded(lambda: run_program(2, 1, program))
+    assert not [t for t in threading.enumerate() if t.name.startswith("rank-")]
 
 
 def test_allreduce_counts_are_shared_read_only():
@@ -691,13 +744,11 @@ def test_allreduce_of_a_concatenation_is_the_per_part_sums(p, c):
     payloads[:, 0] = -0.0
 
     def parts(comm):
-        group = comm.grid.col_group(comm.coords[1])
         own = np.split(payloads[comm.rank], np.cumsum(sizes)[:-1])
-        return [comm.all_reduce_sum(x.reshape(s), group=group) for x, s in zip(own, shapes)]
+        return [comm.all_reduce_sum(x.reshape(s), group=comm.col) for x, s in zip(own, shapes)]
 
     def bucket(comm):
-        group = comm.grid.col_group(comm.coords[1])
-        total = comm.all_reduce_sum(payloads[comm.rank], group=group)
+        total = comm.all_reduce_sum(payloads[comm.rank], group=comm.col)
         return [x.reshape(s) for x, s in zip(np.split(total, np.cumsum(sizes)[:-1]), shapes)]
 
     apart, together = run_program(p, c, parts), run_program(p, c, bucket)
@@ -851,15 +902,14 @@ _EDGE_SCHEDULES = (_packed(_EDGE_COUNTS), _packed(_EDGE_COUNTS[:, ::-1]))
 
 def _edge_case_program(comm):
     """Every primitive on a 3 x 2 grid, over the ledger's corner cases."""
-    i, j = comm.coords
     empty = comm.broadcast(1, np.zeros(0) if comm.rank == 1 else None)
     index = comm.broadcast(4, np.arange(5, dtype=np.int64) if comm.rank == 4 else None)
     heights = [sch.heights[comm.rank] for sch, _ in _EDGE_SCHEDULES]
     data = comm.all_to_allv(np.full(heights[0], float(comm.rank)), *_EDGE_SCHEDULES[0])
     idx = comm.all_to_allv(np.full((heights[1], 2), comm.rank, dtype=np.int64),
                            *_EDGE_SCHEDULES[1])
-    col = comm.all_reduce_sum(np.ones(3), group=comm.grid.col_group(j))
-    row = comm.all_reduce_sum(np.ones(4), group=comm.grid.row_group(i))
+    col = comm.all_reduce_sum(np.ones(3), group=comm.col)
+    row = comm.all_reduce_sum(np.ones(4), group=comm.row)
     comm.ledger_mark("collectives")
     if comm.rank == 0:
         comm.isend(3, np.ones(2))
@@ -1098,15 +1148,13 @@ def test_deadlock_at_p64_on_an_exchange_names_every_waiting_rank():
 def _reentry_program(comm, schedule, then):
     # row, column and world all-reduces back to back, then one exchange
     # twice in a row: the last arrival at each returns and enters the next
-    # collective of its kind and group while the other members are still
+    # collective of its communicator while the other members are still
     # parked in the one it completed. Every payload depends on the call,
     # so arrivals credited to another call would change the bits.
-    i, j = comm.coords
-    row, col = comm.grid.row_group(i), comm.grid.col_group(j)
     x = np.arange(3.0) + comm.rank
     outs = []
     for step in range(4):
-        for group in (row, col, None):
+        for group in (comm.row, comm.col, None):
             x = comm.all_reduce_sum(x * (step + 1) + comm.rank, group=group) / 7
             outs.append(x)
     for call in range(2):
@@ -1116,7 +1164,7 @@ def _reentry_program(comm, schedule, then):
 
 
 def test_collectives_reentered_before_members_return_match_fifo(monkeypatch):
-    # one open collective per (kind, group): a member may enter the next
+    # one open collective per communicator: a member may enter the next
     # one before the members of the last have returned, under any order of
     # the ready ranks
     p = 16

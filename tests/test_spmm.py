@@ -915,9 +915,9 @@ def test_each_exchange_pattern_is_inspected_once_per_run(monkeypatch):
         assert inspected == [8] * 4
         # one multiply per weight matrix forward and one backward, each of
         # which reads all 320 rows of the dense operand, the owners' block
-        # rows concatenated. Layer 0's
-        # forward product is multiplied in epoch 0 only, but every epoch
-        # runs that phase's exchange.
+        # rows concatenated. Layer 0's forward product is multiplied once
+        # per training call, before the run, on the calling thread, but
+        # every epoch runs that phase's exchange.
         phases = 2 * (TrainConfig().layers - 1) * epochs
         assert multiplies == [(320, 320)] * (phases - (epochs - 1))
         assert res.ledger.counters["alltoallv"]["calls"].tolist() == [2 + phases] * 8
