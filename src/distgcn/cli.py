@@ -19,9 +19,8 @@ import numpy as np
 
 from . import costmodel, graphgen, io
 from .gcn import TrainConfig, train
-from .partition import (block_partition, comm_metrics, edgecut,
-                        greedy_tv_partition, random_partition,
-                        volume_balanced_refine)
+from .partition import (_check_refine_params, block_partition, comm_metrics, edgecut,
+                        greedy_tv_partition, random_partition, volume_balanced_refine)
 from .runtime import PRIMITIVES
 from .sparse import CsrMatrix, gcn_normalize
 from .spmm import VARIANTS, run_spmm, validate_variant_grid
@@ -96,6 +95,8 @@ def _load_graph(args):
 
 
 def _build_partition(a: CsrMatrix, k, args):
+    # every partitioner's parameters reach partition.json, used or not
+    _check_refine_params(args.epsilon, args.max_passes, args.lambda_max)
     if args.partitioner == "block":
         return block_partition(a.n_rows, k)
     if args.partitioner == "random":

@@ -30,8 +30,11 @@ class CostParams:
     cut_p: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"cost model parameter {name} must be finite and "
+                                 f"non-negative, got {value}")
         ProcessGrid(self.p, self.c)
         for name, low in (("f", 1), ("l_layers", 1), ("cut_p", 0)):
             value = getattr(self, name)

@@ -23,6 +23,15 @@ updates, so no weight broadcast is ever needed; the same holds for the
 non-finite check after each update, which every rank makes locally and
 fails at the same epoch without any extra communication.
 
+A training call's ledger is a function of the `DistMatrices`, the grid,
+the layer widths and the epoch count: `derive_train_ledger` makes it
+without a run, through the charge functions the run itself calls
+(`ExchangeSchedule.charge`, `runtime.charge_all_reduce`), one epoch's
+phases, its gradient bucket and its mark at a time. Every ledger field is
+a sum of whole bytes or a maximum, so the order of an epoch's charges
+moves no byte of `to_dict()`, and the rank program needs no list of its
+steps.
+
 The serial path runs the identical arithmetic on the undistributed
 matrices and is the correctness reference for the distributed one.
 
@@ -44,15 +53,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partition import apply_partition
-from .runtime import ProcessGrid, _one_blas_thread, run_program
+from .runtime import (CommLedger, ProcessGrid, _communicators, _one_blas_thread,
+                      charge_all_reduce, run_program)
 from .sparse import CsrMatrix, csr_equal, gemm, local_spmm, transpose_csr
-from .spmm import (_check_matrix, _layout_partition, build_dist_matrices, exchange_index_lists,
-                   spmm_kernel, validate_variant_grid)
+from .spmm import (DistMatrices, _check_matrix, _derive, _layout_partition, build_dist_matrices,
+                   exchange_index_lists, spmm_kernel, validate_variant_grid)
 
 __all__ = [
     "SerialGcn",
     "TrainConfig",
     "TrainResult",
+    "derive_train_ledger",
     "init_weights",
     "relu",
     "relu_grad",
@@ -409,3 +420,27 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
         history.append(row)
     weights_per_rank = [run.results[r]["weights"] for r in range(p)]
     return TrainResult(history, weights_per_rank[0], run.ledger, weights_per_rank)
+
+
+def derive_train_ledger(dm: DistMatrices, grid: ProcessGrid, widths, epochs) -> CommLedger:
+    """The ledger `train` charges when it trains `epochs` epochs through
+    `dm` on `grid` with layer widths `widths` (`TrainConfig.layer_dims`),
+    derived from the plans alone, without a run. It charges each
+    operand's index exchange, then per epoch the forward operand's phase
+    at every weight layer's input width and the backward operand's at its
+    output width, the gradient bucket, all weights' elements, over every
+    column communicator, and the epoch's mark. Every ledger field is a
+    sum of whole bytes or a maximum, so only each epoch's set of charges
+    matters, not their order within it."""
+    ledger, phase = _derive(dm, grid, (dm.fwd,) if dm.symmetric else (dm.fwd, dm.bwd))
+    cols = _communicators(grid)[2]
+    layers = list(zip(widths[:-1], widths[1:]))
+    bucket = sum(fi * fo for fi, fo in layers)
+    for epoch in range(epochs):
+        for fi, fo in layers:
+            phase(dm.fwd, fi)
+            phase(dm.bwd, fo)
+        for col in cols:
+            charge_all_reduce(ledger, col, bucket, "data")
+        ledger.mark(("epoch", epoch))
+    return ledger

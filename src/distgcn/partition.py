@@ -201,7 +201,7 @@ def _sym_pattern(a: CsrMatrix) -> CsrMatrix:
     # the canonical CSR order
     rows, cols = np.divmod(_sorted_distinct(np.concatenate([rows * n + cols,
                                                             cols * n + rows])), n)
-    return CsrMatrix(n, n, _row_ptr(rows, n), cols, np.ones(cols.size))
+    return CsrMatrix._derived(n, n, _row_ptr(rows, n), cols, np.ones(cols.size))
 
 
 def edgecut(a: CsrMatrix, part: Partition) -> int:

@@ -43,7 +43,14 @@ members move 2(g-1) times the payload in all. Each primitive charges all
 the ranks it involves through one `CommLedger.charge` per direction and
 raises the ledger's p x p arrays of largest message per rank pair. The
 conventions live in this module only, so swapping them does not touch the
-algorithms.
+algorithms. Each primitive has one charge function, which also charges
+its calls: `ExchangeSchedule.charge` for an all-to-all in rows of a
+width, `charge_all_reduce` for an all-reduce over a communicator, and the
+inline charges of broadcast, `isend` and `recv`. A caller outside a run
+may charge a ledger through them too: `distgcn.spmm` and `distgcn.gcn`
+derive the ledger of a `run_spmm` or `train` call from its plans alone,
+so that ledger is a function of the `DistMatrices`, the widths and the
+epoch count.
 
 Collectives do not copy their inputs on arrival: every member stays
 blocked until the last one to arrive has built the collective's one
@@ -138,6 +145,7 @@ __all__ = [
     "RunResult",
     "SimulationError",
     "all_reduce_counts",
+    "charge_all_reduce",
     "plan_all_to_allv",
     "run_program",
 ]
@@ -280,6 +288,10 @@ class CommLedger:
         keep = ("bytes_sent", "data_bytes_sent", "index_bytes_sent", "msgs_sent")
         return {prim: {name: t[name] for name in keep} for prim, t in self.totals().items()}
 
+    def mark(self, label):
+        """Snapshot the totals so far under `label`."""
+        self.marks[label] = self.snapshot()
+
     def to_dict(self) -> dict:
         per_rank = {}
         for prim in PRIMITIVES:
@@ -328,6 +340,19 @@ class _Communicator:
     open: _CollectiveSlot = field(default=None, repr=False)
 
 
+def _communicators(grid: ProcessGrid) -> tuple:
+    """The world, the list of grid rows' and the list of grid columns'
+    communicators, fresh, each row or column that holds every rank the
+    world itself."""
+    p, c = grid.p, grid.c
+    world = _Communicator(tuple(range(p)), slice(None))
+    rows = [world] if c == p else [
+        _Communicator(grid.row_group(i), slice(i * c, i * c + c)) for i in range(p // c)]
+    cols = [world] if c == 1 else [
+        _Communicator(grid.col_group(j), slice(j, p, c)) for j in range(c)]
+    return world, rows, cols
+
+
 class _Runtime:
     """Shared state of one run and the baton that serializes its ranks.
 
@@ -360,12 +385,7 @@ class _Runtime:
 
     def __init__(self, grid: ProcessGrid):
         self.grid = grid
-        p, c = grid.p, grid.c
-        self.world = _Communicator(tuple(range(p)), slice(None))
-        self.rows = [self.world] if c == p else [
-            _Communicator(grid.row_group(i), slice(i * c, i * c + c)) for i in range(p // c)]
-        self.cols = [self.world] if c == 1 else [
-            _Communicator(grid.col_group(j), slice(j, p, c)) for j in range(c)]
+        self.world, self.rows, self.cols = _communicators(grid)
         self.mail = {}
         self.ledger = CommLedger(grid.p)
         self.baton = [threading.Lock() for _ in range(grid.p)]
@@ -456,8 +476,8 @@ class ExchangeSchedule:
 
     `heights[s]` is the number of rows sender s's buffer must have. The
     rest are the ledger charges, held in rows, so a call charges them for
-    its own row width: per rank the rows and messages sent and received
-    between distinct ranks, and each such message (`wire_src`,
+    its own row width (`charge`): per rank the rows and messages sent and
+    received between distinct ranks, and each such message (`wire_src`,
     `wire_dst`, `wire_rows`) for the pair maxima. Which rows a count
     stands for is not held: the `then` of every call knows them.
     """
@@ -470,6 +490,20 @@ class ExchangeSchedule:
     wire_src: np.ndarray
     wire_dst: np.ndarray
     wire_rows: np.ndarray
+
+    def charge(self, ledger, width, kind):
+        """Charge one call of the exchange, in rows of `width` elements of
+        `kind` ("data" or "index"), to `ledger`: every rank one call, and
+        the rows and messages between distinct ranks, so that rows of no
+        element are no message."""
+        ledger.counters["alltoallv"]["calls"] += 1
+        if width:
+            nbytes = 8 * width
+            ledger.charge("alltoallv", "sent", slice(None), self.sent_rows * nbytes, kind,
+                          self.sent_msgs)
+            ledger.charge("alltoallv", "received", slice(None), self.received_rows * nbytes,
+                          kind, self.received_msgs)
+            ledger.record_pairs(self.wire_src, self.wire_dst, self.wire_rows * nbytes, kind)
 
 
 def plan_all_to_allv(counts, heights) -> ExchangeSchedule:
@@ -496,8 +530,8 @@ def plan_all_to_allv(counts, heights) -> ExchangeSchedule:
 
 def _execute(plan: ExchangeSchedule, bufs, ledger):
     """Check one exchange of `plan` over the ranks' buffers, each
-    buffer's height and the ranks' dtypes and row shapes, then charge the
-    ledger."""
+    buffer's height and the ranks' dtypes and row shapes, then charge it
+    to the ledger (`ExchangeSchedule.charge`)."""
     heights = [b.shape[0] for b in bufs]
     if heights != plan.heights:
         if len(heights) != len(plan.heights):
@@ -510,14 +544,7 @@ def _execute(plan: ExchangeSchedule, bufs, ledger):
     if len(row_shapes) > 1:
         raise ValueError("all_to_allv buffers differ in dtype or row shape: "
                          f"{sorted(row_shapes)}")
-    width = 8 * math.prod(bufs[0].shape[1:])
-    if width:
-        kind = CommLedger._kind(bufs[0])
-        ledger.charge("alltoallv", "sent", slice(None), plan.sent_rows * width, kind,
-                      plan.sent_msgs)
-        ledger.charge("alltoallv", "received", slice(None), plan.received_rows * width, kind,
-                      plan.received_msgs)
-        ledger.record_pairs(plan.wire_src, plan.wire_dst, plan.wire_rows * width, kind)
+    plan.charge(ledger, math.prod(bufs[0].shape[1:]), CommLedger._kind(bufs[0]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -566,6 +593,17 @@ def all_reduce_counts(g, size):
     msgs = 2 * held - (skip[0] > 0) - (skip[1] > 0)
     # position i receives what position i - 1 sends
     return _read_only(sent, msgs, sent[pos - 1], msgs[pos - 1])
+
+
+def charge_all_reduce(ledger, group, size, kind):
+    """Charge one all-reduce of `size` elements of `kind` ("data" or
+    "index") over the communicator `group` to `ledger`: every member one
+    call, and the elements and messages it sends and receives in the
+    schedule `all_reduce_counts` gives for the group size."""
+    sent, msgs, received, received_msgs = all_reduce_counts(len(group.members), size)
+    ledger.counters["allreduce"]["calls"][group.ranks] += 1
+    ledger.charge("allreduce", "sent", group.ranks, sent * 8, kind, msgs)
+    ledger.charge("allreduce", "received", group.ranks, received * 8, kind, received_msgs)
 
 
 def _read_only(*arrays) -> tuple:
@@ -629,14 +667,13 @@ class Comm:
 
     def _collective(self, kind, group, payload, complete):
         """Rendezvous of every member of the communicator `group`; the
-        last arrival runs `complete` exactly once to build the one result
-        every member returns and the ledger charges, retires the
-        collective, since every member already holds it, and wakes the
-        members parked in it. A collective of a ledger primitive charges
-        every member one call. No member leaves before the collective is
-        retired, so the communicator has at most one open collective, of
-        any kind, and a parked member's collective is done once it is no
-        longer the open one.
+        last arrival runs `complete` exactly once, which builds the one
+        result every member returns and makes the collective's ledger
+        charges, retires the collective, since every member already holds
+        it, and wakes the members parked in it. No member
+        leaves before the collective is retired, so the communicator has at
+        most one open collective, of any kind, and a parked member's
+        collective is done once it is no longer the open one.
         An arrival of another kind than the open collective's is a
         program whose members call collectives in different orders: it
         raises a SimulationError rather than deadlocking."""
@@ -652,8 +689,6 @@ class Comm:
             group.open = None
             try:
                 slot.output = complete(slot.arrivals)
-                if kind in PRIMITIVES:
-                    rt.ledger.counters[kind]["calls"][group.ranks] += 1
             except Exception as exc:  # propagate to every member
                 slot.error = exc
             rt._wake(slot.arrivals)
@@ -725,6 +760,7 @@ class Comm:
             shared = arr.copy()
             shared.setflags(write=False)
             others = np.delete(np.arange(self.p), root)
+            ledger.counters["broadcast"]["calls"] += 1
             ledger.charge("broadcast", "sent", root, nbytes * others.size, kind, others.size)
             ledger.charge("broadcast", "received", others, nbytes, kind)
             ledger.record_pairs(root, others, nbytes, kind)
@@ -749,7 +785,7 @@ class Comm:
                              f"comm.world, comm.row or comm.col, not {group!r}")
         payload = _as_payload(buf)
         ledger = self._rt.ledger
-        members, ranks = group.members, group.ranks
+        members = group.members
 
         def complete(arrivals):
             shapes = {arrivals[r].shape for r in members}
@@ -766,10 +802,7 @@ class Comm:
             for r in members[2:]:
                 total += arrivals[r]
             total.setflags(write=False)
-            kind = CommLedger._kind(total)
-            sent, msgs, received, received_msgs = all_reduce_counts(g, total.size)
-            ledger.charge("allreduce", "sent", ranks, sent * 8, kind, msgs)
-            ledger.charge("allreduce", "received", ranks, received * 8, kind, received_msgs)
+            charge_all_reduce(ledger, group, total.size, CommLedger._kind(total))
             return total
 
         return self._collective("allreduce", group, payload, complete)
@@ -778,11 +811,7 @@ class Comm:
         """Collective; snapshots the global per-primitive totals under
         `label` once every rank has arrived. Charges nothing."""
         ledger = self._rt.ledger
-
-        def complete(arrivals):
-            ledger.marks[label] = ledger.snapshot()
-
-        self._collective("mark", self.world, None, complete)
+        self._collective("mark", self.world, None, lambda arrivals: ledger.mark(label))
 
 
 @functools.cache

@@ -315,7 +315,7 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
     dinv = deg ** -0.5
     # grouping the two scale factors keeps symmetric inputs bitwise symmetric
     scaled = vals * (dinv[rows] * dinv[cols])
-    return CsrMatrix(n, n, row_ptr, cols, scaled)
+    return CsrMatrix._derived(n, n, row_ptr, cols, scaled)
 
 
 def local_spmm(a: CsrMatrix, h) -> np.ndarray:

@@ -51,6 +51,13 @@ column, so the oblivious and aware forms produce bit-identical outputs,
 and the 1D variants and the replicated schedule with c=1 both reproduce
 `serial_reference` of the partitioned matrix bit for bit.
 
+Every byte a phase or an index exchange charges is fixed by its plan, so
+the ledger of a `run_spmm` call is a function of the `DistMatrices`, the
+grid and the dense operand's width: `derive_spmm_ledger` makes it without
+a run, through the runtime's own charges (`ExchangeSchedule.charge`,
+`runtime.charge_all_reduce`), and its `to_dict()` is the run's, byte for
+byte.
+
 Since one rank's thread makes the whole grid's multiply of a phase,
 compute is no longer timed per rank: the time a rank spends in a phase
 says nothing of its own local work, which only a model of it (flops
@@ -64,7 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import _check_permutable, apply_partition, block_partition
-from .runtime import Comm, ExchangeSchedule, ProcessGrid, RunResult, plan_all_to_allv, run_program
+from .runtime import (Comm, CommLedger, ExchangeSchedule, ProcessGrid, RunResult, _communicators,
+                      charge_all_reduce, plan_all_to_allv, run_program)
 from .sparse import CsrMatrix, _ranges, _stable_order, csr_equal, local_spmm, transpose_csr
 
 __all__ = [
@@ -72,6 +80,7 @@ __all__ = [
     "DistOperand",
     "VARIANTS",
     "build_dist_matrices",
+    "derive_spmm_ledger",
     "exchange_index_lists",
     "run_spmm",
     "serial_reference",
@@ -336,6 +345,40 @@ def spmm_kernel(comm: Comm, op: DistOperand, h_block, held=None):
     if comm.c == 1:
         return z
     return comm.all_reduce_sum(z, group=comm.row)
+
+
+def _derive(dm: DistMatrices, grid: ProcessGrid, ops) -> tuple:
+    """A fresh ledger of `grid` charged with the index exchanges of the
+    operands `ops` (`exchange_index_lists`, in rows of one int64), and a
+    function phase(op, width) that charges it one `spmm_kernel` phase of
+    op with a dense operand of `width` columns: op's exchange and, when
+    c > 1, every grid row's all-reduce of its block row's product. Both
+    charge through the runtime's own charges (`ExchangeSchedule.charge`,
+    `runtime.charge_all_reduce`), so the ledger is the one a run charges."""
+    ledger = CommLedger(grid.p)
+    for op in ops:
+        if op.index is not None:
+            op.index[0].charge(ledger, 1, "index")
+    rows = _communicators(grid)[1] if grid.c > 1 else []
+    heights = [e - s for s, e in dm.boundaries]
+
+    def phase(op, width):
+        op.schedule.charge(ledger, width, "data")
+        for row, height in zip(rows, heights):
+            charge_all_reduce(ledger, row, height * width, "data")
+
+    return ledger, phase
+
+
+def derive_spmm_ledger(dm: DistMatrices, grid: ProcessGrid, width) -> CommLedger:
+    """The ledger `run_spmm` charges when it multiplies through `dm` on
+    `grid` a dense operand of `width` columns, derived from the plans
+    alone, without a run: the forward operand's index exchange, if it has
+    one, then its phase. Every ledger field is a sum of whole bytes or a
+    maximum, so the order of the charges moves no byte of `to_dict()`."""
+    ledger, phase = _derive(dm, grid, (dm.fwd,))
+    phase(dm.fwd, width)
+    return ledger
 
 
 def _owner_counts(sent, c) -> np.ndarray:

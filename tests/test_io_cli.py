@@ -450,6 +450,34 @@ def test_cli_error_paths_pinned(tmp_path, monkeypatch, capsys, argv, error):
     assert capsys.readouterr().err == json.dumps({"error": error}, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["spmm-bench", "--gen", "sbm", "--n", "48", "--p", "4", "--alpha", "nan", "--beta", "inf"],
+     "cost model parameter alpha must be finite and non-negative, got nan"),
+    (["spmm-bench", "--gen", "sbm", "--n", "48", "--p", "4", "--beta", "inf"],
+     "cost model parameter beta must be finite and non-negative, got inf"),
+    (["spmm-bench", "--gen", "sbm", "--n", "48", "--p", "4", "--alpha", "-1"],
+     "cost model parameter alpha must be finite and non-negative, got -1.0"),
+    (["partition", "--gen", "sbm", "--n", "48", "--k", "4", "--partitioner", "block",
+      "--epsilon", "nan"], "epsilon must be finite and non-negative, got nan"),
+    (["partition", "--gen", "sbm", "--n", "48", "--k", "4", "--partitioner", "block",
+      "--lambda-max", "nan"], "lambda_max must be finite and non-negative, got nan"),
+    (["partition", "--gen", "sbm", "--n", "48", "--k", "4", "--partitioner", "random",
+      "--epsilon", "inf"], "epsilon must be finite and non-negative, got inf"),
+    (["partition", "--gen", "sbm", "--n", "48", "--k", "4", "--partitioner", "greedy-tv",
+      "--lambda-max", "inf"], "lambda_max must be finite and non-negative, got inf"),
+    (["train", "--gen", "sbm", "--n", "48", "--p", "4", "--partitioner", "block",
+      "--epsilon", "nan", "--epochs", "1"], "epsilon must be finite and non-negative, got nan"),
+], ids=["nan-alpha-inf-beta", "inf-beta", "negative-alpha", "block-nan-epsilon",
+        "block-nan-lambda-max", "random-inf-epsilon", "greedy-tv-inf-lambda-max",
+        "train-block-nan-epsilon"])
+def test_cli_rejects_non_finite_parameters_before_writing(tmp_path, capsys, argv, error):
+    # a NaN or inf would reach the output JSON, where it is not valid JSON
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == json.dumps({"error": error}, sort_keys=True) + "\n"
+    assert not list(out.glob("*.json"))
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["gen-graph", "--gen", "sbm", "--n", "-5"], "--n"),
     (["gen-graph", "--gen", "grid", "--n", "-4"], "--n"),

@@ -8,7 +8,7 @@ from distgcn.graphgen import sbm, star_augmented
 from distgcn.sparse import (CsrMatrix, _ranges, _run_starts, _stable_order, csr_from_coo,
                             csr_from_dense, csr_from_edges, csr_equal, gcn_normalize, gemm,
                             local_spmm, transpose_csr)
-from distgcn.partition import Partition, apply_partition, block_partition
+from distgcn.partition import Partition, _sym_pattern, apply_partition, block_partition
 from distgcn.runtime import ProcessGrid
 from distgcn.spmm import build_dist_matrices
 
@@ -206,6 +206,31 @@ def test_normalize_matches_coo_rebuild(seed):
 def test_normalize_matches_coo_rebuild_on_benchmark_graphs(make):
     a = make()
     assert _same_bits(gcn_normalize(a), gcn_normalize_via_coo(a))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_normalize_and_union_pattern_build_unchecked(seed, monkeypatch):
+    # both take a validated matrix and keep canonical form, so neither runs
+    # the checked constructor; their outputs are the checked builds'
+    rng = np.random.default_rng(seed)
+    a = _directed_with_stored_zeros(rng, int(rng.integers(2, 30)))
+    expected = gcn_normalize_via_coo(a)
+    rows, cols = a.row_of_nnz(), a.col_idx
+    off = rows != cols
+    union = csr_from_coo(a.n_rows, a.n_cols, np.concatenate([rows[off], cols[off]]),
+                         np.concatenate([cols[off], rows[off]]), np.ones(2 * int(off.sum())))
+    checks = []
+    check = CsrMatrix.__post_init__
+    monkeypatch.setattr(CsrMatrix, "__post_init__", lambda m: checks.append(m) or check(m))
+    got_normalized, got_pattern = gcn_normalize(a), _sym_pattern(a)
+    assert checks == []
+    assert _same_bits(got_normalized, expected)
+    assert got_pattern.row_ptr.tobytes() == union.row_ptr.tobytes()
+    assert got_pattern.col_idx.tobytes() == union.col_idx.tobytes()
+    assert np.array_equal(got_pattern.values, np.ones(union.nnz))
+    for m in (got_normalized, got_pattern):
+        assert (m.row_ptr.dtype, m.col_idx.dtype, m.values.dtype) == (np.int64, np.int64,
+                                                                     np.float64)
 
 
 def test_local_spmm_identity():

@@ -15,15 +15,15 @@ from hypothesis import strategies as st
 import distgcn.gcn
 import distgcn.runtime
 import distgcn.spmm
-from distgcn.gcn import TrainConfig, train
+from distgcn.gcn import TrainConfig, derive_train_ledger, train
 from distgcn.graphgen import clique_blocks, sbm
 from distgcn.partition import (Partition, apply_partition, block_partition, comm_metrics,
-                               greedy_tv_partition)
+                               greedy_tv_partition, random_partition, volume_balanced_refine)
 from distgcn.runtime import ProcessGrid, run_program
 from distgcn.sparse import (CsrMatrix, csr_equal, csr_from_dense, gcn_normalize, local_spmm,
                             transpose_csr)
-from distgcn.spmm import (VARIANTS, build_dist_matrices, exchange_index_lists, run_spmm,
-                          serial_reference, spmm_kernel, validate_variant_grid)
+from distgcn.spmm import (VARIANTS, build_dist_matrices, derive_spmm_ledger, exchange_index_lists,
+                          run_spmm, serial_reference, spmm_kernel, validate_variant_grid)
 
 from oracles import (alltoallv_charges_by_loop, halo_exchange_by_loop, halo_layout_by_sort,
                      matmul_triple_loop, nnz_cols_dense_scan, random_csr_dense)
@@ -829,19 +829,24 @@ def _pinned_spmm(a, h, variant, partitioner):
     return run_spmm(a, h, 8, c, variant, partition=part)
 
 
-def _nonsymmetric_train_15d(epochs=2):
+def _nonsymmetric_input():
     """A non-symmetric matrix, so the backward operand is its own operand
-    with its own index exchange, trained on a 1.5D grid with uneven block
-    rows."""
+    with its own index exchange, its features, labels and training mask,
+    and a greedy-tv partition into 4 uneven parts."""
     graph, x, y = sbm(320, blocks=4, p_in=0.1, p_out=0.01, seed=5, feature_dim=8)
     keep = np.random.default_rng(5).random(graph.nnz) < 0.7
     counts = np.bincount(graph.row_of_nnz()[keep], minlength=320)
     a = gcn_normalize(CsrMatrix(320, 320, np.concatenate([[0], np.cumsum(counts)]),
                                 graph.col_idx[keep], graph.values[keep]))
     assert not csr_equal(transpose_csr(a), a)
+    return a, x, y, np.arange(320) % 2 == 0, greedy_tv_partition(a, 4)
+
+
+def _nonsymmetric_train_15d(epochs=2):
+    """`_nonsymmetric_input` trained on a 1.5D grid with uneven block rows."""
+    a, x, y, mask, part = _nonsymmetric_input()
     cfg = TrainConfig(epochs=epochs, variant="15d-sparse")
-    return train(a, x, y, np.arange(320) % 2 == 0, cfg, p=8, c=2,
-                 partition=greedy_tv_partition(a, 4))
+    return train(a, x, y, mask, cfg, p=8, c=2, partition=part)
 
 
 @pytest.mark.parametrize("variant,partitioner", sorted(_PINNED_RUNS))
@@ -1080,3 +1085,138 @@ def test_index_exchange_hands_out_read_only_views_of_the_index(p, c):
             assert got.size and np.shares_memory(got, op.idx)
         else:
             assert got.dtype == np.int64 and got.size == 0
+
+
+# ---- ledgers derived from the plans alone ------------------------------------
+
+def _assert_same_ledger(derived, executed):
+    # compared as one bool: pytest's diff of two long JSON texts takes minutes
+    same = (json.dumps(derived.to_dict(), sort_keys=True)
+            == json.dumps(executed.to_dict(), sort_keys=True))
+    assert same, "the derived ledger is not the run's"
+
+
+def _derived_train(a, x, y, cfg, p, c, partition=None):
+    """The ledger `train(a, x, y, mask, cfg, p, c, partition)` charges,
+    derived from a layout built here (block by default), without a run."""
+    grid = ProcessGrid(p, c)
+    part = partition if partition is not None else block_partition(a.n_rows, grid.n_rows)
+    dm = build_dist_matrices(apply_partition(a, None, part)[0], part.boundaries, grid,
+                             cfg.variant)
+    return derive_train_ledger(dm, grid, cfg.layer_dims(x.shape[1], int(y.max()) + 1),
+                               cfg.epochs)
+
+
+def _assert_derived_train(a, x, y, mask, cfg, p, c, partition=None):
+    res = train(a, x, y, mask, cfg, p=p, c=c, partition=partition)
+    _assert_same_ledger(_derived_train(a, x, y, cfg, p, c, partition), res.ledger)
+    return res
+
+
+def _assert_derived_spmm(a, h, p, c, variant, partition=None):
+    run = run_spmm(a, h, p, c, variant, partition=partition)
+    _assert_same_ledger(derive_spmm_ledger(run.dm, ProcessGrid(p, c), h.shape[1]), run.ledger)
+    return run
+
+
+@pytest.mark.parametrize("variant,partitioner", sorted(_PINNED_RUNS))
+def test_derived_spmm_ledger_equals_the_pinned_runs(variant, partitioner):
+    a, h = _pinned_spmm_input()
+    c = 2 if variant.startswith("15d") else 1
+    rows = ProcessGrid(8, c).n_rows
+    part = block_partition(400, rows) if partitioner == "block" else greedy_tv_partition(a, rows)
+    _assert_derived_spmm(a, h, 8, c, variant, part)
+
+
+def test_derived_train_ledger_equals_the_pinned_runs():
+    # the graph of test_train_ledger_pinned, and a non-symmetric one whose
+    # backward operand has its own index exchange
+    graph, x, y = sbm(640, blocks=8, p_in=0.1, p_out=0.005, seed=4, feature_dim=8)
+    _assert_derived_train(gcn_normalize(graph), x, y, np.arange(640) % 2 == 0,
+                          TrainConfig(epochs=2, variant="1d-sparse"), 32, 1)
+    a, x, y, mask, part = _nonsymmetric_input()
+    _assert_derived_train(a, x, y, mask, TrainConfig(epochs=2, variant="15d-sparse"), 8, 2, part)
+
+
+@pytest.mark.parametrize("variant,n,p,c,partitioner,layers,epochs", [
+    # greedy-tv leaves parts of this graph empty at 32 and 16 parts
+    ("1d-sparse", 400, 32, 1, "greedy-tv", 3, 3),
+    ("15d-sparse", 400, 32, 2, "greedy-tv", 3, 3),
+    ("15d-sparse", 400, 32, 4, "greedy-tv", 3, 3),
+    ("1d-oblivious", 400, 32, 1, "greedy-tv", 3, 3),
+    ("15d-oblivious", 400, 32, 4, "greedy-tv", 3, 3),
+    # row groups of 3 and column groups of 6, and column groups of 6 with
+    # four weight matrices: all reduced by the ring
+    ("15d-sparse", 144, 18, 3, "gvb", 3, 3),
+    ("15d-sparse", 48, 12, 2, "gvb", 5, 3),
+    # the paper's p, with row communicators of 4 in 1.5D
+    ("1d-sparse", 1024, 256, 1, "block", 3, 2),
+    ("15d-sparse", 1024, 256, 4, "block", 3, 2),
+])
+def test_derived_train_ledger_equals_the_cli_runs(variant, n, p, c, partitioner, layers, epochs):
+    # the training runs of the CLI's hash-seed check, as `distgcn train
+    # --gen sbm --hidden 8 --seed 5` builds them
+    graph, x, y = sbm(n, seed=5, feature_dim=4)
+    a = gcn_normalize(graph)
+    k = p // c
+    part = (block_partition(n, k) if partitioner == "block" else greedy_tv_partition(a, k))
+    if partitioner == "gvb":
+        part = volume_balanced_refine(a, part)
+    cfg = TrainConfig(layers=layers, hidden=8, epochs=epochs, seed=5, variant=variant)
+    _assert_derived_train(a, x, y, np.ones(n, dtype=bool), cfg, p, c, part)
+
+
+@pytest.mark.parametrize("variant,p,c", [("1d-sparse", 8, 1), ("1d-oblivious", 4, 1),
+                                         ("15d-sparse", 16, 4), ("15d-oblivious", 8, 2)])
+def test_derived_ledgers_with_no_epoch_or_no_feature(variant, p, c):
+    # no epoch leaves the index exchanges alone; features of width 0 make
+    # phases that charge calls only
+    a, x, y, mask, _ = _nonsymmetric_input()
+    _assert_derived_train(a, x, y, mask, TrainConfig(epochs=0, variant=variant), p, c)
+    _assert_derived_train(a, x[:, :0], y, mask, TrainConfig(epochs=2, variant=variant), p, c)
+    run = _assert_derived_spmm(a, x[:, :0], p, c, variant)
+    totals = run.ledger.totals()
+    assert totals["alltoallv"]["data_bytes_sent"] == totals["allreduce"]["bytes_sent"] == 0
+    assert totals["alltoallv"]["calls"] == (2 if variant.endswith("sparse") else 1) * p
+    assert totals["allreduce"]["calls"] == (p if c > 1 else 0)
+
+
+_DERIVED_GRIDS = [("1d-sparse", 1, 1), ("1d-sparse", 3, 1), ("1d-oblivious", 5, 1),
+                  ("1d-sparse", 8, 1), ("15d-sparse", 4, 2), ("15d-oblivious", 8, 2),
+                  ("15d-sparse", 12, 2), ("15d-oblivious", 9, 3), ("15d-sparse", 18, 3),
+                  ("15d-sparse", 16, 4)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_DERIVED_GRIDS), st.integers(min_value=9, max_value=48), st.booleans(),
+       st.sampled_from(["block", "random", "greedy-tv"]),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_derived_ledgers_equal_the_runs(grid_case, n, symmetric, partitioner, seed):
+    variant, p, c = grid_case
+    a, x = random_instance(seed, n=n, f=1 + seed % 4, symmetric=symmetric)
+    k = p // c
+    part = {"block": lambda: block_partition(n, k), "random": lambda: random_partition(n, k, seed),
+            "greedy-tv": lambda: greedy_tv_partition(a, k)}[partitioner]()
+    _assert_derived_spmm(a, x, p, c, variant, part)
+    y = np.random.default_rng(seed).integers(0, 3, n)
+    cfg = TrainConfig(layers=2 + seed % 3, hidden=3, epochs=seed % 3, variant=variant)
+    _assert_derived_train(a, x, y, np.ones(n, dtype=bool), cfg, p, c, part)
+
+
+def test_traffic_needs_no_run(monkeypatch):
+    # the ledger of a 1d-sparse train call at p=1024 from its plans alone:
+    # no rank thread starts and no program runs
+    graph, x, y = sbm(2048, blocks=4, p_in=0.01, p_out=0.0005, seed=1, feature_dim=64)
+    a = gcn_normalize(graph)
+    runs = []
+    monkeypatch.setattr(distgcn.gcn, "run_program", lambda *args: runs.append(args))
+    threads = threading.active_count()
+    grid = ProcessGrid(1024)
+    dm = build_dist_matrices(a, block_partition(2048, 1024).boundaries, grid, "1d-sparse")
+    ledger = derive_train_ledger(dm, grid, TrainConfig().layer_dims(64, int(y.max()) + 1), 2)
+    assert threading.active_count() == threads
+    assert runs == []
+    assert list(ledger.marks) == [("epoch", 0), ("epoch", 1)]
+    assert ledger.conservation_ok()
+    assert ledger.counters["alltoallv"]["calls"].tolist() == [1 + 2 * 2 * 2] * 1024
+
