@@ -342,11 +342,11 @@ def train(a_hat: CsrMatrix, features, labels, train_mask, cfg: TrainConfig,
     the run, so reporting costs no simulated traffic. cfg.variant ==
     "serial" bypasses the simulator entirely.
 
-    In 1D a multiply operand is the permuted matrix itself, on which
-    `local_spmm` keeps its level order (`CsrMatrix.level_order`). Under
-    the identity permutation the backward operand of a non-symmetric
-    graph is therefore the caller's `a_hat`, as in `serial_train`, whose
-    arrays must not change afterwards.
+    In 1D a multiply operand is the permuted matrix itself. Under the
+    identity permutation the backward operand of a non-symmetric graph is
+    therefore the caller's `a_hat`, as in `serial_train`, read in place:
+    its arrays must not change during the call. Nothing is kept on it
+    after the call.
     """
     if cfg.variant == "serial":
         return serial_train(a_hat, features, labels, train_mask, cfg)

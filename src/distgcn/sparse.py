@@ -2,19 +2,16 @@
 
 Sparse matrices are CSR with int64 index arrays and float64 values; dense
 matrices are plain 2-D C-contiguous float64 numpy arrays. Every function
-here returns the same result for the same inputs and leaves its inputs'
-arrays untouched. One piece of state is kept: `local_spmm` stores a
-matrix's level order on the matrix at its first multiply, so the arrays
-of a matrix must not change once it has been multiplied. Calls that
-share a matrix may run concurrently; two that race to store its level
-order compute equal orders, so either write is correct.
+here returns the same result for the same inputs, keeps no state and
+leaves its inputs' arrays untouched.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +28,30 @@ __all__ = [
 ]
 
 
-# Gathered values one local_spmm slice holds (256 KiB of float64). A slice's
-# terms, its accumulator rows and the output rows it fills then stay in a
-# core's L2 cache between the gather, the adds and the scatter; at 1 MiB they
-# spilled, and the f=128 multiplies of a p=8, c=2 training run ran 10-15%
-# slower. Unbounded nnz x f temporaries raised that run's peak memory by a
-# tenth.
-_SPMM_STEP_ELEMS = 1 << 15
-# Active rows below which local_spmm stops adding level by level.
-_SPMM_TAIL_ROWS = 16
+def _load_sparsetools():
+    """scipy's compiled sparse kernels (scipy/sparse/_sparsetools), loaded
+    from their file as the private module `distgcn._sparsetools`. Neither
+    `scipy` nor `scipy.sparse` runs, so their imports, about 20 MB of
+    memory, are not paid; a later `import scipy.sparse` loads its own copy."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("distgcn.sparse needs scipy's compiled kernel "
+                          "scipy/sparse/_sparsetools, but scipy is not installed",
+                          name="scipy")
+    base = os.path.join(scipy.submodule_search_locations[0], "sparse", "_sparsetools")
+    path = next((base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(base + suffix)), None)
+    if path is None:
+        raise ImportError(f"scipy's compiled kernel {base}"
+                          f"{importlib.machinery.EXTENSION_SUFFIXES[0]} is missing",
+                          name="scipy", path=base)
+    spec = importlib.util.spec_from_file_location("distgcn._sparsetools", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 
 @dataclass
@@ -114,11 +126,6 @@ class CsrMatrix:
         if self.nnz:
             out[self.row_of_nnz(), self.col_idx] = self.values
         return out
-
-    @cached_property
-    def level_order(self) -> "LevelOrder":
-        """The pattern work of `local_spmm`, derived once per matrix."""
-        return _level_order(self)
 
 
 def csr_from_coo(n_rows, n_cols, rows, cols, vals) -> CsrMatrix:
@@ -321,104 +328,24 @@ def gcn_normalize(a: CsrMatrix) -> CsrMatrix:
 def local_spmm(a: CsrMatrix, h) -> np.ndarray:
     """Sparse-times-dense product a @ h.
 
-    Each output entry starts at 0.0 and adds its row's terms in storage
-    order (ascending column), so repeated runs are bit-identical, and a
-    caller that takes whole rows or runs of rows of a matrix (as the
-    operands of `distgcn.spmm` do) keeps the summation order of the
-    original matrix.
-
-    The work that depends only on the sparsity pattern, the matrix's
-    level order (see `CsrMatrix.level_order`), is derived on its first
-    multiply and reused by every later one, whatever the width f. A call
-    takes the rows in that order in chunks of at most `_SPMM_STEP_ELEMS
-    / f` rows (never fewer than `_SPMM_TAIL_ROWS`). Within a chunk, level
-    k adds the k-th entry of every row that has more than k entries; in
-    degree order those rows are a prefix, so a level is one in-place add
-    of the chunk's contiguous rows, one level at a time. The fewer than
-    `_SPMM_TAIL_ROWS` rows that outlast the levels then finish through
-    `np.add.at` in storage order, so a hub row does not cost one Python
-    step per entry. Every add is one IEEE addition of the next term onto
-    the running sum, in the same order as a row-by-row loop, so the bits
-    do not depend on the chunks or the tail; a pairwise reduction such
-    as `np.add.reduceat` would change them.
+    Each output entry starts at +0.0 and adds its row's terms in storage
+    order (ascending column), one IEEE multiply and one add per term, so
+    repeated runs are bit-identical, and a caller that takes whole rows or
+    runs of rows of a matrix (as the operands of `distgcn.spmm` do) keeps
+    the summation order of the original matrix. A pairwise or fused
+    (FMA) sum would change the bits. The kernel is scipy's compiled
+    `csr_matvecs`, one row after another, over h's elements in C order
+    (`ravel` copies any other layout), into a new C-contiguous array.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
         raise ValueError("dense operand must be 2-D")
     if a.n_cols != h.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {h.shape}")
-    f = h.shape[1]
-    out = np.zeros((a.n_rows, f))
-    if a.nnz == 0 or f == 0:
-        return out
-    lv = a.level_order
-    active, bounds = lv.active, lv.bounds
-    levels, n = len(bounds) - 1, lv.rows.size
-    step = max(_SPMM_TAIL_ROWS, _SPMM_STEP_ELEMS // f)
-    acc = np.empty((min(step, n), f))
-    for c0 in range(0, n, step):
-        c1 = min(c0 + step, n)
-        acc[:c1 - c0] = 0.0
-        k = 0
-        while k < levels and active[k] > c0:
-            m = min(active[k], c1)
-            acc[:m - c0] += lv.terms(h, bounds[k] + c0, bounds[k] + m)
-            k += 1
-        out[lv.rows[c0:c1]] = acc[:c1 - c0]
-    # the rows that outlast the levels finish in storage order
-    for lo in range(0, lv.tail_rows.size, step):
-        dst = lv.tail_rows[lo:lo + step]
-        np.add.at(out, dst, lv.terms(h, bounds[-1] + lo, bounds[-1] + lo + dst.size))
+    out = np.zeros((a.n_rows, h.shape[1]))
+    _sparsetools.csr_matvecs(a.n_rows, a.n_cols, h.shape[1], a.row_ptr, a.col_idx, a.values,
+                             h.ravel(), out.ravel())
     return out
-
-
-class LevelOrder(NamedTuple):
-    """The work of `local_spmm` that depends only on a matrix's pattern.
-
-    `rows` holds the non-empty rows by decreasing entry count (stable).
-    active[k] of them have more than k entries, for k = 0..levels, where
-    levels is the entry count of the `_SPMM_TAIL_ROWS`-th row (0 when
-    there are fewer rows), so fewer than `_SPMM_TAIL_ROWS` rows outlast
-    the levels. `cols` and `vals` hold the entries level-major: level k,
-    entries bounds[k]:bounds[k+1], is the k-th entry of each of the first
-    active[k] rows. The entries past bounds[levels] are the rest of the
-    rows that outlast the levels, each row in storage order, and
-    `tail_rows` names the row of each. `active` and `bounds` are lists of
-    Python ints, since a multiply walks them one level at a time.
-    """
-
-    rows: np.ndarray
-    active: list
-    bounds: list
-    cols: np.ndarray
-    vals: np.ndarray
-    tail_rows: np.ndarray
-
-    def terms(self, h, lo, hi) -> np.ndarray:
-        """Rows h[col] scaled by the values of entries lo:hi of the order."""
-        # np.take gathers whole rows in one copy each; h[cols] goes through
-        # numpy's general fancy-index path, several times slower on narrow h
-        terms = np.take(h, self.cols[lo:hi], axis=0)
-        terms *= self.vals[lo:hi, None]
-        return terms
-
-
-def _level_order(a: CsrMatrix) -> LevelOrder:
-    deg = np.diff(a.row_ptr)
-    rows = np.argsort(-deg, kind="stable")[:np.count_nonzero(deg)]
-    d, start = deg[rows], a.row_ptr[rows]
-    levels = int(d[_SPMM_TAIL_ROWS - 1]) if rows.size >= _SPMM_TAIL_ROWS else 0
-    active = np.searchsorted(-d, -np.arange(levels + 1), side="left")
-    bounds = np.zeros(levels + 1, dtype=np.int64)
-    np.cumsum(active[:levels], out=bounds[1:])
-    # entry k of the i-th row in degree order is start[i] + k
-    width = active[:levels]
-    level_idx = start[_ranges(0, width)] + np.repeat(np.arange(levels), width)
-    lens = d[:active[levels]] - levels
-    tail_idx = _ranges(start[:lens.size] + levels, lens)
-    idx = np.concatenate([level_idx, tail_idx])
-    return LevelOrder(rows, active.tolist(), bounds.tolist(), a.col_idx[idx],
-                      a.values[idx], np.repeat(rows[:lens.size], lens))
 
 
 def gemm(a, b) -> np.ndarray:

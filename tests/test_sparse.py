@@ -1,3 +1,10 @@
+import importlib.machinery
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,17 +251,18 @@ def test_local_spmm_zero_matrix():
     assert not local_spmm(z, np.ones((4, 2))).any()
 
 
-def test_local_spmm_matches_triple_loop(monkeypatch):
+def test_local_spmm_matches_triple_loop():
     # both add each row's terms from 0.0 in ascending column, so on finite
-    # inputs they agree bit for bit (the skipped zero terms change nothing);
-    # a small slice size splits rows across slices without changing that
+    # inputs they agree bit for bit (the skipped zero terms change nothing)
     rng = np.random.default_rng(8)
     dense = random_csr_dense(rng, 12, density=0.6)
     h = rng.normal(size=(12, 5))
     expected = matmul_triple_loop(dense, h)
     np.testing.assert_array_equal(local_spmm(csr_from_dense(dense), h), expected)
-    monkeypatch.setattr(distgcn.sparse, "_SPMM_STEP_ELEMS", 12)
-    np.testing.assert_array_equal(local_spmm(csr_from_dense(dense), h), expected)
+
+
+def _signed_spread(rng, shape):
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
 
 
 def _mixed_degree_matrix(seed):
@@ -267,31 +275,25 @@ def _mixed_degree_matrix(seed):
     cols = [np.sort(rng.choice(n_cols, size=d, replace=False)) for d in degrees]
     row_ptr = np.concatenate([[0], np.cumsum(degrees)])
     col_idx = np.concatenate(cols)
-    values = rng.choice([-1.0, 1.0], col_idx.size) * 10.0 ** rng.uniform(-8, 8, col_idx.size)
+    values = _signed_spread(rng, col_idx.size)
     return CsrMatrix(degrees.size, n_cols, row_ptr, col_idx, values)
 
 
 @pytest.mark.parametrize("f", [1, 2, 16])
-def test_local_spmm_adds_in_storage_order(monkeypatch, f):
+def test_local_spmm_adds_in_storage_order(f):
     # bit equality with a one-entry-at-a-time loop: any pairwise or blocked
     # summation of the 5000- and 10**5-entry rows changes the bits
     a = _mixed_degree_matrix(f)
     rng = np.random.default_rng(100 + f)
-    h = rng.choice([-1.0, 1.0], (a.n_cols, f)) * 10.0 ** rng.uniform(-8, 8, (a.n_cols, f))
+    h = _signed_spread(rng, (a.n_cols, f))
     expected = spmm_storage_order(a, h).tobytes()
     assert local_spmm(a, h).tobytes() == expected
-    # 40-row chunks: several chunks, each adding its levels one at a time,
-    # and an np.add.at tail of up to 15 rows in several slices
-    monkeypatch.setattr(distgcn.sparse, "_SPMM_STEP_ELEMS", 40 * f)
     assert local_spmm(a, h).tobytes() == expected
 
 
-def test_local_spmm_reuses_level_order_across_widths(monkeypatch):
-    # one level order serves every width and slice size: f=128 cuts the
-    # 2582 non-empty rows into 256-row chunks that levels 0..12 run past,
-    # f=16 into 2048-row chunks that levels 0 and 1 run past, f=1 takes
-    # them in one chunk, and 40-row chunks at f=16 split every one of the
-    # 40 levels
+def test_local_spmm_keeps_storage_order_across_widths():
+    # one matrix multiplied at several widths, in turn and again, keeps the
+    # bits of the storage-order loop at each
     rng = np.random.default_rng(21)
     n_cols = 700
     degrees = rng.choice([0, 1, 2, 5, 8, 13, 40, 400], size=2700,
@@ -299,20 +301,131 @@ def test_local_spmm_reuses_level_order_across_widths(monkeypatch):
     cols = [np.sort(rng.choice(n_cols, size=d, replace=False)) for d in degrees]
     row_ptr = np.concatenate([[0], np.cumsum(degrees)])
     col_idx = np.concatenate(cols)
-    values = rng.choice([-1.0, 1.0], col_idx.size) * 10.0 ** rng.uniform(-8, 8, col_idx.size)
+    values = _signed_spread(rng, col_idx.size)
     a = CsrMatrix(degrees.size, n_cols, row_ptr, col_idx, values)
     hs = {f: rng.normal(size=(n_cols, f)) * 10.0 ** rng.uniform(-8, 8, (n_cols, f))
           for f in (1, 16, 128)}
     expected = {f: spmm_storage_order(a, h).tobytes() for f, h in hs.items()}
     for f in (16, 1, 128, 16):
         assert local_spmm(a, hs[f]).tobytes() == expected[f]
-    order = a.level_order
-    # the f=128 chunks still end inside some level, so that path is tested
-    f128_rows = distgcn.sparse._SPMM_STEP_ELEMS // 128
-    assert any(m > f128_rows for m in order.active[:-1])
-    monkeypatch.setattr(distgcn.sparse, "_SPMM_STEP_ELEMS", 40 * 16)
-    assert local_spmm(a, hs[16]).tobytes() == expected[16]
-    assert a.level_order is order
+
+
+def _assert_storage_order_product(a, h):
+    """local_spmm(a, h) has the oracle's bits, is a new C-contiguous float64
+    array, and leaves a's arrays and h unchanged."""
+    before = [np.array(x, copy=True) for x in (a.row_ptr, a.col_idx, a.values, h)]
+    got = local_spmm(a, h)
+    expected = spmm_storage_order(a, np.asarray(h))
+    assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.owndata
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    for x, old in zip((a.row_ptr, a.col_idx, a.values, h), before):
+        assert x.tobytes() == old.tobytes()
+    return got
+
+
+def test_local_spmm_does_not_fuse_multiply_and_add():
+    # row 0 adds -(1 + 2**-29) and then (1 + 2**-30)**2 = 1 + 2**-29 + 2**-60.
+    # Rounded first, the product is 1 + 2**-29 and the sum exactly 0.0; a
+    # fused multiply-add keeps the 2**-60 and would return it.
+    x = 1.0 + 2.0**-30
+    a = CsrMatrix(1, 2, [0, 2], [0, 1], [-(1.0 + 2.0**-29), x])
+    h = np.array([[1.0], [x]])
+    got = _assert_storage_order_product(a, h)
+    assert got[0, 0] == 0.0, "the scipy kernel fuses multiply and add (FMA): bits differ"
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column_slice", "read_only"])
+def test_local_spmm_reads_any_dense_layout(layout):
+    rng = np.random.default_rng(31)
+    a = csr_from_dense(random_csr_dense(rng, 40, density=0.2) * _signed_spread(rng, (40, 40)))
+    wide = _signed_spread(rng, (40, 24))
+    h = {"fortran": np.asfortranarray(wide[:, :9]), "column_slice": wide[:, 3:20:2],
+         "read_only": wide[:, :9].copy()}[layout]
+    h.setflags(write=layout != "read_only")
+    assert not h.flags.c_contiguous or not h.flags.writeable
+    _assert_storage_order_product(a, h)
+
+
+def test_local_spmm_reads_strided_matrix_arrays():
+    # a matrix built unchecked from every other element of longer arrays
+    rng = np.random.default_rng(32)
+    a = csr_from_dense(random_csr_dense(rng, 30, density=0.3) * _signed_spread(rng, (30, 30)))
+    spread = lambda x: np.repeat(x, 2)[::2]  # noqa: E731 - a strided view equal to x
+    strided = CsrMatrix._derived(a.n_rows, a.n_cols, spread(a.row_ptr), spread(a.col_idx),
+                                 spread(a.values))
+    assert not strided.col_idx.flags.c_contiguous and not strided.values.flags.c_contiguous
+    h = _signed_spread(rng, (30, 7))
+    assert _assert_storage_order_product(strided, h).tobytes() == local_spmm(a, h).tobytes()
+
+
+def test_local_spmm_negative_zero_terms_sum_to_positive_zero():
+    # every term is -0.0, and 0.0 + -0.0 is +0.0
+    a = CsrMatrix(2, 3, [0, 3, 4], [0, 1, 2, 1], [-0.0, 2.0, -1.0, 3.0])
+    h = np.array([[1.0, 7.0], [-0.0, -0.0], [0.0, 0.0]])
+    got = _assert_storage_order_product(a, h)
+    assert got.tobytes() == np.zeros((2, 2)).tobytes()
+
+
+@pytest.mark.parametrize("n_rows, n_cols, f", [(5, 4, 0), (0, 4, 3), (0, 0, 0), (3, 0, 2)])
+def test_local_spmm_empty_shapes(n_rows, n_cols, f):
+    a = CsrMatrix(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64), [], [])
+    got = _assert_storage_order_product(a, np.ones((n_cols, f)))
+    assert not got.any()
+
+
+def test_local_spmm_empty_rows_stay_zero():
+    # rows 0, 2 and 4 store nothing, row 5 stores one entry
+    rng = np.random.default_rng(33)
+    a = CsrMatrix(6, 4, [0, 0, 3, 3, 5, 5, 6], [0, 1, 3, 1, 2, 0], _signed_spread(rng, 6))
+    got = _assert_storage_order_product(a, _signed_spread(rng, (4, 5)))
+    assert got[[0, 2, 4]].tobytes() == np.zeros((3, 5)).tobytes()
+
+
+_IMPORT_CHILD = """
+import sys
+import numpy as np
+import distgcn
+from distgcn.sparse import CsrMatrix, local_spmm
+
+loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+assert not loaded, loaded
+import scipy.sparse
+assert sys.modules["scipy.sparse._sparsetools"].csr_matvecs is not None
+rng = np.random.default_rng(5)
+a = CsrMatrix(3, 4, [0, 2, 2, 4], [0, 3, 1, 2], rng.normal(size=4))
+h = rng.normal(size=(4, 6)) * 10.0 ** rng.uniform(-8, 8, (4, 6))
+b = scipy.sparse.csr_matrix((a.values, a.col_idx, a.row_ptr), shape=a.shape)
+assert np.asarray(b @ h).tobytes() == local_spmm(a, h).tobytes()
+print("ok")
+"""
+
+
+def test_import_loads_the_kernel_without_the_scipy_package():
+    # a fresh interpreter: this one may have imported scipy already
+    src = str(Path(distgcn.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_kernel_load_without_scipy_names_it(monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: None)
+    with pytest.raises(ImportError, match="scipy"):
+        distgcn.sparse._load_sparsetools()
+
+
+def test_kernel_load_names_a_missing_file(monkeypatch, tmp_path):
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: spec)
+    missing = os.path.join(str(tmp_path), "sparse", "_sparsetools")
+    with pytest.raises(ImportError, match="missing") as err:
+        distgcn.sparse._load_sparsetools()
+    assert missing in str(err.value)
 
 
 def test_local_spmm_rejects_mismatch():
